@@ -134,6 +134,12 @@ def _cmd_significance(args: argparse.Namespace) -> int:
 def _cmd_reduct(args: argparse.Namespace) -> int:
     table = _load_table(args)
     policy = _parse_group_policy(args.group)
+    m = len(conditional_attributes(table))
+    if isinstance(policy, CountSplit) and not 0 <= policy.count <= m:
+        raise ReductForgeError(f"bad --group value: {args.group!r} (N must be in [0, {m}])")
+    cap = os.environ.get("REDUCT_FORGE_MAX_ATTRS", str(DEFAULT_MAX_ATTRS))
+    if args.exhaustive and not cap.strip().isdecimal():
+        raise ReductForgeError(f"REDUCT_FORGE_MAX_ATTRS is not a nonnegative integer: {cap!r}")
     start = time.perf_counter()
     result = eliminate(table, policy)
     payload: dict = {
@@ -156,8 +162,7 @@ def _cmd_reduct(args: argparse.Namespace) -> int:
             for entry in result.trace
         ]
     if args.exhaustive:
-        cap = int(os.environ.get("REDUCT_FORGE_MAX_ATTRS", DEFAULT_MAX_ATTRS))
-        all_reducts = exhaustive_reducts(table, cap)
+        all_reducts = exhaustive_reducts(table, int(cap))
         ordered = sorted(sorted(r) for r in all_reducts)
         payload["all_reducts"] = ordered
         payload["heuristic_is_minimal"] = result.reduct_set in all_reducts

@@ -82,13 +82,14 @@ def conditional_attributes(table: InformationSystem) -> tuple[str, ...]:
 
 
 def _read_text(source: CsvSource) -> str:
+    # utf-8-sig drops a byte-order mark that would otherwise hide an ``id`` header.
     if isinstance(source, bytes):
-        return source.decode("utf-8")
+        return source.decode("utf-8-sig")
     if isinstance(source, str):
         return source
     data = source.read()
     if isinstance(data, bytes):
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     return data
 
 

@@ -1,8 +1,10 @@
 """Indiscernibility partitions and the positive-region machinery on top of them.
 
-Object sets are bitsets over ``0..n-1`` backed by Python big ints, so the
-whole engine's set algebra is integer AND/OR.  Dependency degrees are exact
-:class:`fractions.Fraction` values; nothing downstream ever compares floats.
+The reduct path runs on :func:`projections`, :func:`block_count` and
+:func:`dependency`.  Object sets are bitsets over ``0..n-1`` backed by Python
+big ints; they, :class:`Partition`, :func:`positive_region` and :func:`gamma`
+are the reference path the kernel is tested against.  Dependency degrees are
+exact :class:`fractions.Fraction` values; nothing downstream compares floats.
 """
 
 from __future__ import annotations
@@ -168,23 +170,49 @@ def _grouped_partition(keys: Sequence[object], universe_size: int) -> Partition:
     return Partition(universe_size, tuple(ObjectSet(m, universe_size) for m in blocks))
 
 
+def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
+    """Each row restricted to ``attrs``, as a number: two rows get the same
+    number exactly when they agree on every attribute in ``attrs``."""
+    # Refined one attribute at a time from (number, value) pairs: row-tuple keys
+    # of many lengths would each leave up to 2000 tuples in CPython's free lists.
+    allowed = set(conditional_attributes(table))
+    keys = [0] * table.object_count
+    for name in attrs:
+        if name not in allowed:
+            raise UnknownAttribute(name)
+        c = table.attributes.index(name)
+        ids: dict[tuple[int, str], int] = {}
+        keys = [ids.setdefault((key, row[c]), len(ids)) for key, row in zip(keys, table.rows)]
+    return keys
+
+
+def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
+    """Number of blocks of ``ind_partition(table, attrs)``, without building it."""
+    return len(set(projections(table, attrs)))
+
+
+def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
+    """``gamma(ind_partition(table, attrs), decision_partition(table))`` in one
+    dict pass from projection to decision label, or ``mixed`` once two differ;
+    under the identity policy each object's label is its own index."""
+    mixed = object()
+    n = table.object_count
+    labels = range(n) if table.decision is None else table.column(table.decision)
+    keys = projections(table, attrs)
+    label_of: dict[int, object] = {}
+    for key, label in zip(keys, labels):
+        if label_of.setdefault(key, label) != label:
+            label_of[key] = mixed
+    return Fraction(sum(1 for key in keys if label_of[key] is not mixed), n)
+
+
 def ind_partition(table: InformationSystem, attrs: Iterable[str]) -> Partition:
     """Group objects that agree on every attribute in ``attrs``.
 
     The empty attribute set discerns nothing and yields the one-block
     partition.
     """
-    names = list(attrs)
-    allowed = set(conditional_attributes(table))
-    for name in names:
-        if name not in allowed:
-            raise UnknownAttribute(name)
-    n = table.object_count
-    if not names:
-        return Partition.trivial(n)
-    cols = [table.attributes.index(name) for name in names]
-    keys = [tuple(row[c] for c in cols) for row in table.rows]
-    return _grouped_partition(keys, n)
+    return _grouped_partition(projections(table, attrs), table.object_count)
 
 
 def decision_partition(table: InformationSystem) -> Partition:

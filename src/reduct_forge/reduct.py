@@ -2,11 +2,13 @@
 keeps it honest.
 
 The elimination pass tests attributes in ascending-significance order and
-drops each one whose removal leaves the full-attribute base intact.  The
-redundancy check runs through the divide-and-conquer route: the candidate
-base is composed from the bases of the low/high significance groups rather
-than computed in one piece.  Removals compare against the base of the
-original full attribute set throughout.
+drops ``a`` from the kept set ``R`` when ``block_count(R - a)`` equals
+``block_count(C)``, ``C`` being all conditional attributes.  This equals the
+paper's composed-base test: a topology base is the block set of a partition,
+composing the low- and high-group bases gives the partition of their union,
+and as ``R - a`` is a subset of ``C`` the two partitions agree exactly when
+their block counts do.  The neighbourhood and matrix methods of
+:mod:`.topology` are now reference paths that the tests check this against.
 """
 
 from __future__ import annotations
@@ -18,15 +20,8 @@ from typing import Iterable
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
-from .partition import ObjectSet, ind_partition
-from .significance import (
-    GroupPolicy,
-    SignificanceTable,
-    ThresholdSplit,
-    rank_attributes,
-    split_groups,
-)
-from .topology import SetFamily, compose_bases, family_equal, minimal_neighborhoods, subbase_of
+from .partition import block_count
+from .significance import GroupPolicy, ThresholdSplit, rank_attributes, split_groups
 
 DEFAULT_MAX_ATTRS = 20
 
@@ -53,47 +48,27 @@ class ReductResult:
         return frozenset(self.reduct)
 
 
-def _base_of(table: InformationSystem, attrs: Iterable[str]) -> SetFamily:
-    names = list(attrs)
-    n = table.object_count
-    if not names:
-        return SetFamily.from_sets([ObjectSet.full(n)], n)
-    return minimal_neighborhoods(subbase_of(table, names))
+def _count_without(table: InformationSystem, attrs: Iterable[str], attribute: str) -> int:
+    """Block count of ``attrs`` minus ``attribute``, the candidate of every check."""
+    return block_count(table, [a for a in attrs if a != attribute])
 
 
-def _composed_base(
-    table: InformationSystem,
-    attrs: set[str],
-    grouping: SignificanceTable,
-) -> SetFamily:
-    low = [a for a in grouping.low_group if a in attrs]
-    high = [a for a in grouping.high_group if a in attrs]
-    return compose_bases(_base_of(table, low), _base_of(table, high))
+def _indispensable(table: InformationSystem, attrs: tuple[str, ...]) -> frozenset[str]:
+    """Members of ``attrs`` whose removal coarsens the full conditional partition."""
+    full_count = block_count(table, conditional_attributes(table))
+    return frozenset(a for a in attrs if _count_without(table, attrs, a) != full_count)
 
 
-def is_redundant(
-    table: InformationSystem,
-    attribute: str,
-    remaining: Iterable[str],
-    *,
-    grouping: SignificanceTable | None = None,
-) -> bool:
+def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
     """True when dropping the attribute from ``remaining`` preserves the base
     of the full conditional set."""
     cond = conditional_attributes(table)
     remaining_set = set(remaining)
     if attribute not in cond:
         raise UnknownAttribute(attribute)
-    for name in remaining_set:
-        if name not in cond:
-            raise UnknownAttribute(name)
     if attribute not in remaining_set:
         raise NotInRemaining(attribute)
-    if grouping is None:
-        grouping = split_groups(rank_attributes(table))
-    target = _base_of(table, cond)
-    candidate = _composed_base(table, remaining_set - {attribute}, grouping)
-    return family_equal(target, candidate)
+    return _count_without(table, remaining_set, attribute) == block_count(table, cond)
 
 
 def eliminate(
@@ -106,39 +81,35 @@ def eliminate(
     """
     cond = conditional_attributes(table)
     grouping = split_groups(rank_attributes(table), policy)
-    target = _base_of(table, cond)
+    full_count = block_count(table, cond)
     low = set(grouping.low_group)
 
-    remaining = set(cond)
+    kept = list(cond)
     removed: list[str] = []
     trace: list[TraceEntry] = []
     for attribute, sig in grouping.ranked:
-        candidate = _composed_base(table, remaining - {attribute}, grouping)
-        redundant = family_equal(target, candidate)
+        candidate_count = _count_without(table, kept, attribute)
+        redundant = candidate_count == full_count
         trace.append(
             TraceEntry(
                 attribute=attribute,
                 significance=sig,
                 group="low" if attribute in low else "high",
                 verdict="redundant" if redundant else "kept",
-                base_size_before=len(target),
-                base_size_after=len(candidate),
+                base_size_before=full_count,
+                base_size_after=candidate_count,
             )
         )
         if redundant:
-            remaining.remove(attribute)
+            kept.remove(attribute)
             removed.append(attribute)
 
-    reduct = tuple(a for a in cond if a in remaining)
-    full_ind = ind_partition(table, cond)
-    minimal = all(
-        ind_partition(table, [b for b in reduct if b != a]) != full_ind for a in reduct
-    )
+    reduct = tuple(kept)
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
         trace=tuple(trace),
-        verified_minimal=minimal,
+        verified_minimal=_indispensable(table, reduct) == frozenset(reduct),
     )
 
 
@@ -153,22 +124,18 @@ def exhaustive_reducts(
     cond = conditional_attributes(table)
     if len(cond) > max_attrs:
         raise TooManyAttributes(len(cond), max_attrs)
-    target = ind_partition(table, cond)
+    full_count = block_count(table, cond)
     found: list[frozenset[str]] = []
     for size in range(len(cond) + 1):
         for combo in combinations(cond, size):
             candidate = frozenset(combo)
             if any(reduct <= candidate for reduct in found):
                 continue
-            if ind_partition(table, combo) == target:
+            if block_count(table, combo) == full_count:
                 found.append(candidate)
     return frozenset(found)
 
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:
     """Attributes whose individual removal already coarsens the partition."""
-    cond = conditional_attributes(table)
-    target = ind_partition(table, cond)
-    return frozenset(
-        a for a in cond if ind_partition(table, [b for b in cond if b != a]) != target
-    )
+    return _indispensable(table, conditional_attributes(table))

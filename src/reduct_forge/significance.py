@@ -9,7 +9,7 @@ from typing import Union
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import UnknownAttribute
-from .partition import decision_partition, gamma, ind_partition
+from .partition import dependency
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,8 @@ def significance(table: InformationSystem, attribute: str) -> Fraction:
     cond = conditional_attributes(table)
     if attribute not in cond:
         raise UnknownAttribute(attribute)
-    dec = decision_partition(table)
-    with_all = gamma(ind_partition(table, cond), dec)
-    without = gamma(ind_partition(table, [a for a in cond if a != attribute]), dec)
+    with_all = dependency(table, cond)
+    without = dependency(table, [a for a in cond if a != attribute])
     return with_all - without
 
 
@@ -79,11 +78,10 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
     tie-break.  Significance is computed once, on the full table.
     """
     cond = conditional_attributes(table)
-    dec = decision_partition(table)
-    with_all = gamma(ind_partition(table, cond), dec)
+    with_all = dependency(table, cond)
     values = []
     for attribute in cond:
-        without = gamma(ind_partition(table, [a for a in cond if a != attribute]), dec)
+        without = dependency(table, [a for a in cond if a != attribute])
         values.append((attribute, with_all - without))
     values.sort(key=lambda pair: pair[1])
     return SignificanceTable(ranked=tuple(values))

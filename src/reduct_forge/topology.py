@@ -2,19 +2,19 @@
 
 A sub-base here is the family of all attribute-wise equivalence classes of a
 table.  Its topology has a coarsest base made of the minimal neighborhoods
-N(x) = the intersection of all sub-base members containing x.  Two
-computations of that base live side by side:
+N(x) = the intersection of all sub-base members containing x, that is, the
+block of x in the indiscernibility partition.  The reduct path therefore
+compares :func:`.partition.block_count` values; both computations below are
+reference paths that explain and check that count:
 
-* :func:`minimal_neighborhoods`: the direct per-object intersection; the
-  production path.
+* :func:`minimal_neighborhoods`: the direct per-object intersection.
 * :func:`base_from_indiscernibility_matrix`: iterated matrices of pairwise
   member intersections, deduplicated each round, until a round yields nothing
   unseen; the result picks, for every object, the smallest set produced in
-  any round.  Kept as an independent cross-check; the two must always agree.
+  any round.  The two must always agree.
 
 Bases over disjoint attribute groups compose: the base of the union of two
-sub-bases equals the base of the union of their bases, which is what
-:func:`compose_bases` exploits.
+sub-bases equals the base of the union of their bases (:func:`compose_bases`).
 """
 
 from __future__ import annotations

@@ -101,6 +101,20 @@ class TestReductCommand:
         assert code == 3
         assert "cap" in err
 
+    def test_group_count_out_of_range(self):
+        code, _, err = run_cli(
+            ["reduct", "--builtin", "seven-segment", "--group", "count:99"]
+        )
+        assert code == 2
+        assert "count:99" in err and "[0, 7]" in err
+
+    @pytest.mark.parametrize("cap", ["abc", "-1"])
+    def test_bad_cap_is_input_error(self, monkeypatch, cap):
+        monkeypatch.setenv("REDUCT_FORGE_MAX_ATTRS", cap)
+        code, _, err = run_cli(["reduct", "--builtin", "seven-segment", "--exhaustive"])
+        assert code == 2
+        assert "REDUCT_FORGE_MAX_ATTRS" in err and repr(cap) in err
+
 
 class TestPartitionAndBaseCommands:
     def test_partition_blocks(self):

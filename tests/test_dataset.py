@@ -120,6 +120,13 @@ class TestLoadCsv:
         data = b"p,q\n1,2\n1,3\n"
         assert load_csv(data) == load_csv(data)
 
+    def test_byte_order_mark_does_not_hide_id_column(self):
+        data = b"id,p,q\nx,1,2\ny,1,3\n"
+        table = load_csv(b"\xef\xbb\xbf" + data)
+        assert table.attributes == ("p", "q")
+        assert table.object_ids == ("x", "y")
+        assert table == load_csv(data)
+
 
 class TestInformationSystem:
     def test_direct_construction_validates(self):
