@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from .dataset import (
@@ -22,8 +23,8 @@ from .dataset import (
     load_builtin,
     load_csv,
 )
-from .errors import ReductForgeError, TooManyAttributes
-from .partition import ObjectSet, ind_partition
+from .errors import DuplicateAttribute, ReductForgeError, TooManyAttributes
+from .partition import ind_partition
 from .reduct import DEFAULT_MAX_ATTRS, eliminate, exhaustive_reducts
 from .significance import CountSplit, GroupPolicy, ThresholdSplit, rank_attributes
 from .topology import (
@@ -46,24 +47,12 @@ def _fraction_json(value: Fraction) -> dict:
     }
 
 
-def _set_json(s: ObjectSet) -> list[int]:
-    return list(s)
-
-
 def _load_table(args: argparse.Namespace) -> InformationSystem:
     decision = args.decision
     if decision == "identity":
         decision = None
     if args.builtin:
-        table = load_builtin(args.builtin)
-        if decision is not None:
-            table = InformationSystem(
-                object_ids=table.object_ids,
-                attributes=table.attributes,
-                rows=table.rows,
-                decision=decision,
-            )
-        return table
+        return replace(load_builtin(args.builtin), decision=decision)
     try:
         with open(args.input, "rb") as handle:
             return load_csv(handle, has_header=True, decision=decision)
@@ -95,7 +84,13 @@ def _parse_group_policy(text: str) -> GroupPolicy:
 def _parse_attrs(table: InformationSystem, text: str | None) -> list[str]:
     if text is None:
         return list(conditional_attributes(table))
-    return [name.strip() for name in text.split(",") if name.strip()]
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DuplicateAttribute(name)
+        seen.add(name)
+    return names
 
 
 def _emit(report: dict, args: argparse.Namespace, render_text) -> None:
@@ -198,7 +193,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         "command": "partition",
         "dataset": _dataset_summary(table),
         "attributes": attrs,
-        "blocks": [_set_json(b) for b in part.blocks],
+        "blocks": [list(b) for b in part.blocks],
         "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
     }
 
@@ -224,8 +219,8 @@ def _cmd_base(args: argparse.Namespace) -> int:
         "dataset": _dataset_summary(table),
         "attributes": attrs,
         "subbase_size": len(subbase),
-        "base": [_set_json(m) for m in direct.members],
-        "base_from_matrix": [_set_json(m) for m in iterated.members],
+        "base": [list(m) for m in direct.members],
+        "base_from_matrix": [list(m) for m in iterated.members],
         "methods_agree": family_equal(direct, iterated),
         "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
     }

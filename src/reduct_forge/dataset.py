@@ -132,25 +132,21 @@ def load_csv(
             raise MalformedTable(line_no, f"expected {width} cells, got {len(cells)}")
         parsed.append((line_no, cells))
 
-    id_col = names.index("id") if "id" in names else None
-    if id_col is not None:
-        attributes = tuple(n for i, n in enumerate(names) if i != id_col)
-        object_ids = tuple(cells[id_col] for _, cells in parsed)
-        rows = tuple(
-            tuple(c for i, c in enumerate(cells) if i != id_col) for _, cells in parsed
-        )
+    if "id" in names:
+        id_col = names.index("id")
+        del names[id_col]
+        object_ids = tuple(cells.pop(id_col) for _, cells in parsed)
     else:
-        attributes = tuple(names)
         object_ids = tuple(str(i) for i in range(len(parsed)))
-        rows = tuple(tuple(cells) for _, cells in parsed)
+    rows = tuple(tuple(cells) for _, cells in parsed)
 
     if decision == IDENTITY:
         decision = None
-    if decision is not None and decision not in attributes:
+    if decision is not None and decision not in names:
         raise UnknownDecision(decision)
 
     return InformationSystem(
-        object_ids=object_ids, attributes=attributes, rows=rows, decision=decision
+        object_ids=object_ids, attributes=tuple(names), rows=rows, decision=decision
     )
 
 

@@ -3,8 +3,11 @@
 The reduct path runs on :func:`projections`, :func:`block_count` and
 :func:`dependency`.  Object sets are bitsets over ``0..n-1`` backed by Python
 big ints; they, :class:`Partition`, :func:`positive_region` and :func:`gamma`
-are the reference path the kernel is tested against.  Dependency degrees are
-exact :class:`fractions.Fraction` values; nothing downstream compares floats.
+are the reference path the kernel is tested against.  Every partition, from
+:func:`ind_partition`, :func:`decision_partition`, :func:`meet` or
+:meth:`Partition.singletons`, is grouped from per-object keys by one routine,
+``_grouped_partition``.  Dependency degrees are exact
+:class:`fractions.Fraction` values; nothing downstream compares floats.
 """
 
 from __future__ import annotations
@@ -17,19 +20,16 @@ from .dataset import InformationSystem, conditional_attributes
 from .errors import UnknownAttribute, UniverseMismatch
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ObjectSet:
     """Immutable set of object indices drawn from a fixed universe ``0..n-1``."""
 
-    __slots__ = ("mask", "universe_size")
+    mask: int
+    universe_size: int
 
-    def __init__(self, mask: int, universe_size: int):
-        if mask < 0 or mask >> universe_size:
+    def __post_init__(self) -> None:
+        if self.mask < 0 or self.mask >> self.universe_size:
             raise ValueError("mask has bits outside the universe")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "universe_size", universe_size)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ObjectSet is immutable")
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], universe_size: int) -> "ObjectSet":
@@ -84,16 +84,6 @@ class ObjectSet:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ObjectSet)
-            and self.mask == other.mask
-            and self.universe_size == other.universe_size
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.universe_size))
-
     def min_element(self) -> int:
         if not self.mask:
             raise ValueError("empty set has no minimum element")
@@ -137,10 +127,7 @@ class Partition:
 
     @classmethod
     def singletons(cls, universe_size: int) -> "Partition":
-        return cls(
-            universe_size,
-            tuple(ObjectSet(1 << i, universe_size) for i in range(universe_size)),
-        )
+        return _grouped_partition(range(universe_size), universe_size)
 
     @classmethod
     def trivial(cls, universe_size: int) -> "Partition":
@@ -162,12 +149,27 @@ class Partition:
         return len(self.blocks)
 
 
-def _grouped_partition(keys: Sequence[object], universe_size: int) -> Partition:
+def _grouped_partition(keys: Iterable[object], universe_size: int) -> Partition:
+    """One block per distinct key.  Keys enter the dict at their first object,
+    so blocks come out ordered by minimum element, as Partition requires."""
     groups: dict[object, int] = {}
     for i, key in enumerate(keys):
         groups[key] = groups.get(key, 0) | (1 << i)
-    blocks = sorted(groups.values(), key=lambda m: (m & -m).bit_length())
-    return Partition(universe_size, tuple(ObjectSet(m, universe_size) for m in blocks))
+    return Partition(universe_size, tuple(ObjectSet(m, universe_size) for m in groups.values()))
+
+
+def _block_labels(p: Partition) -> list[int]:
+    """Each object's block index in ``p``."""
+    labels = [0] * p.universe_size
+    for j, block in enumerate(p.blocks):
+        for x in block:
+            labels[x] = j
+    return labels
+
+
+def _decision_labels(table: InformationSystem) -> Sequence[object]:
+    """Each object's decision label; under the identity policy, its own index."""
+    return range(table.object_count) if table.decision is None else table.column(table.decision)
 
 
 def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
@@ -193,17 +195,14 @@ def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
 
 def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
     """``gamma(ind_partition(table, attrs), decision_partition(table))`` in one
-    dict pass from projection to decision label, or ``mixed`` once two differ;
-    under the identity policy each object's label is its own index."""
+    dict pass from projection to decision label, or ``mixed`` once two differ."""
     mixed = object()
-    n = table.object_count
-    labels = range(n) if table.decision is None else table.column(table.decision)
     keys = projections(table, attrs)
     label_of: dict[int, object] = {}
-    for key, label in zip(keys, labels):
+    for key, label in zip(keys, _decision_labels(table)):
         if label_of.setdefault(key, label) != label:
             label_of[key] = mixed
-    return Fraction(sum(1 for key in keys if label_of[key] is not mixed), n)
+    return Fraction(sum(1 for key in keys if label_of[key] is not mixed), table.object_count)
 
 
 def ind_partition(table: InformationSystem, attrs: Iterable[str]) -> Partition:
@@ -218,27 +217,14 @@ def ind_partition(table: InformationSystem, attrs: Iterable[str]) -> Partition:
 def decision_partition(table: InformationSystem) -> Partition:
     """Decision classes: singletons under the identity policy, else the
     grouping induced by the decision column."""
-    n = table.object_count
-    if table.decision is None:
-        return Partition.singletons(n)
-    return _grouped_partition(table.column(table.decision), n)
+    return _grouped_partition(_decision_labels(table), table.object_count)
 
 
 def meet(p: Partition, q: Partition) -> Partition:
     """Common refinement: all nonempty pairwise block intersections."""
     if p.universe_size != q.universe_size:
         raise UniverseMismatch(p.universe_size, q.universe_size)
-    label_q: dict[int, int] = {}
-    for j, block in enumerate(q.blocks):
-        for x in block:
-            label_q[x] = j
-    groups: dict[tuple[int, int], int] = {}
-    for i, block in enumerate(p.blocks):
-        for x in block:
-            key = (i, label_q[x])
-            groups[key] = groups.get(key, 0) | (1 << x)
-    blocks = sorted(groups.values(), key=lambda m: (m & -m).bit_length())
-    return Partition(p.universe_size, tuple(ObjectSet(m, p.universe_size) for m in blocks))
+    return _grouped_partition(zip(_block_labels(p), _block_labels(q)), p.universe_size)
 
 
 def positive_region(cond: Partition, dec: Partition) -> ObjectSet:

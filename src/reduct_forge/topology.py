@@ -45,10 +45,7 @@ class SetFamily:
 
     @property
     def covers_universe(self) -> bool:
-        covered = 0
-        for m in self.members:
-            covered |= m.mask
-        return covered == (1 << self.universe_size) - 1
+        return _uncovered_witness(self) is None
 
     def __len__(self) -> int:
         return len(self.members)

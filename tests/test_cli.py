@@ -5,10 +5,13 @@ from __future__ import annotations
 import io
 import json
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reduct_forge.cli import main
 
@@ -142,6 +145,15 @@ class TestPartitionAndBaseCommands:
         assert report["subbase_size"] == 14
         assert report["base"] == [[i] for i in range(10)]
 
+    @pytest.mark.parametrize("command", ["partition", "base"])
+    def test_duplicate_attr_in_attrs(self, command):
+        code, out, err = run_cli(
+            [command, "--builtin", "seven-segment", "--attrs", "a,a", "--json"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "duplicate attribute name: 'a'" in err
+
     def test_unknown_attr_in_attrs(self):
         code, _, err = run_cli(
             ["partition", "--builtin", "seven-segment", "--attrs", "z"]
@@ -224,3 +236,61 @@ def test_json_deterministic_up_to_timing():
     first = masked(run_cli(argv)[1])
     second = masked(run_cli(argv)[1])
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract: any input and flag combination exits 0, 2 or 3.
+# ---------------------------------------------------------------------------
+
+_NAMES = st.sampled_from(["id", "a", " a", "b", "c", "d", "", "a b", '"a"'])
+_CELLS = st.sampled_from(["0", "1", "2", "", " 1 ", '"', "\u00e9", "id"])
+
+
+@st.composite
+def csv_bytes(draw) -> bytes:
+    """A header of at most six names, maybe a ragged row, blank lines, CR or
+    CRLF line ends, and maybe a byte-order mark or a few arbitrary bytes."""
+    header = draw(st.lists(_NAMES, min_size=1, max_size=6, unique=True))
+    row = st.lists(_CELLS, min_size=len(header), max_size=len(header))
+    lines = [",".join(header)] + [",".join(r) for r in draw(st.lists(row, min_size=1, max_size=6))]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(",".join(draw(st.lists(_CELLS | st.just('"a,b"'), max_size=7))))
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(at, "")
+    data = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["significance", "reduct", "partition", "base"]))
+    argv = [command]
+    if draw(st.booleans()):
+        argv.append("--decision=" + draw(st.sampled_from(["identity", "a", "d", "id", "zz"])))
+    if command == "reduct":
+        if draw(st.booleans()):
+            groups = ["threshold", "count:0", "count:2", "count:5", "count:9", "half"]
+            argv.append("--group=" + draw(st.sampled_from(groups)))
+        argv += draw(st.lists(st.sampled_from(["--exhaustive", "--trace"]), unique=True))
+    if command in ("partition", "base") and draw(st.booleans()):
+        attrs = ["a", "a,b", "a,a", "b,,c", ",", "id", "zz"]
+        argv.append("--attrs=" + draw(st.sampled_from(attrs)))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(data=csv_bytes(), argv=cli_argv())
+@settings(max_examples=300, deadline=None)
+def test_any_input_exits_with_documented_code(data, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(data)
+        code, _, err = run_cli([*argv, str(path)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

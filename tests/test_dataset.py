@@ -127,6 +127,20 @@ class TestLoadCsv:
         assert table.object_ids == ("x", "y")
         assert table == load_csv(data)
 
+    @pytest.mark.parametrize(
+        "data, ids, rows",
+        [
+            (b"p,id,q\nx,1,2\ny,3,4\n", ("1", "3"), (("x", "2"), ("y", "4"))),
+            (b"p,q,id\nx,1,2\ny,3,4\n", ("2", "4"), (("x", "1"), ("y", "3"))),
+        ],
+        ids=["middle", "last"],
+    )
+    def test_id_column_anywhere(self, data, ids, rows):
+        table = load_csv(data)
+        assert table.attributes == ("p", "q")
+        assert table.object_ids == ids
+        assert table.rows == rows
+
 
 class TestInformationSystem:
     def test_direct_construction_validates(self):

@@ -1,5 +1,6 @@
 """The projection-count kernel checked against the partition and topology
-reference paths on random tables with duplicate rows, under both decision
+reference paths, and the shared grouping routine checked against direct
+grouping, on random tables with duplicate rows, under both decision
 policies."""
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from reduct_forge import (
     CountSplit,
     ObjectSet,
+    Partition,
     SetFamily,
     ThresholdSplit,
     UnknownAttribute,
@@ -24,6 +26,7 @@ from reduct_forge import (
     gamma,
     ind_partition,
     is_redundant,
+    meet,
     minimal_neighborhoods,
     subbase_of,
 )
@@ -99,3 +102,28 @@ def test_kernel_rejects_names_outside_the_conditional_set():
             dependency(table, attrs)
     with pytest.raises(UnknownAttribute):
         is_redundant(table, "p", ["p", "q", "d"])
+
+
+@given(tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_shared_grouping_matches_direct_grouping(table, data):
+    """``meet`` and ``decision_partition`` both group through one routine, so
+    each is checked here by a construction that does not use it."""
+    n = table.object_count
+    cond = list(conditional_attributes(table))
+    p = ind_partition(table, data.draw(st.lists(st.sampled_from(cond), unique=True)))
+    q = ind_partition(table, data.draw(st.lists(st.sampled_from(cond), unique=True)))
+    dec = decision_partition(table)
+    for other in (q, dec):
+        pairwise = [a & b for a in p.blocks for b in other.blocks if a & b]
+        assert meet(p, other) == Partition.from_blocks(pairwise, n)
+
+    if table.decision is None:
+        classes = [[i] for i in range(n)]
+    else:
+        col = table.attributes.index(table.decision)
+        by_value: dict[str, list[int]] = {}
+        for i, row in enumerate(table.rows):
+            by_value.setdefault(row[col], []).append(i)
+        classes = list(by_value.values())
+    assert dec == Partition.from_blocks([ObjectSet.from_indices(c, n) for c in classes], n)
