@@ -133,8 +133,11 @@ def _cmd_reduct(args: argparse.Namespace) -> int:
     if isinstance(policy, CountSplit) and not 0 <= policy.count <= m:
         raise ReductForgeError(f"bad --group value: {args.group!r} (N must be in [0, {m}])")
     cap = os.environ.get("REDUCT_FORGE_MAX_ATTRS", str(DEFAULT_MAX_ATTRS))
-    if args.exhaustive and not cap.strip().isdecimal():
-        raise ReductForgeError(f"REDUCT_FORGE_MAX_ATTRS is not a nonnegative integer: {cap!r}")
+    if args.exhaustive:
+        if not cap.strip().isdecimal():
+            raise ReductForgeError(f"REDUCT_FORGE_MAX_ATTRS is not a nonnegative integer: {cap!r}")
+        if m > int(cap):  # before elimination, which would only be thrown away
+            raise TooManyAttributes(m, int(cap))
     start = time.perf_counter()
     result = eliminate(table, policy)
     payload: dict = {

@@ -172,6 +172,15 @@ def _decision_labels(table: InformationSystem) -> Sequence[object]:
     return range(table.object_count) if table.decision is None else table.column(table.decision)
 
 
+def _refine(table: InformationSystem, keys: list[int], name: str) -> list[int]:
+    """``keys`` split by attribute ``name`` in one pass: two rows get the same
+    new number exactly when they had the same key and agree on ``name``.
+    Numbers are dense, ``0`` up to the block count minus one."""
+    c = table.attributes.index(name)
+    ids: dict[tuple[int, str], int] = {}
+    return [ids.setdefault((key, row[c]), len(ids)) for key, row in zip(keys, table.rows)]
+
+
 def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
     """Each row restricted to ``attrs``, as a number: two rows get the same
     number exactly when they agree on every attribute in ``attrs``."""
@@ -182,9 +191,7 @@ def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
     for name in attrs:
         if name not in allowed:
             raise UnknownAttribute(name)
-        c = table.attributes.index(name)
-        ids: dict[tuple[int, str], int] = {}
-        keys = [ids.setdefault((key, row[c]), len(ids)) for key, row in zip(keys, table.rows)]
+        keys = _refine(table, keys, name)
     return keys
 
 

@@ -1,5 +1,6 @@
 """Significance-ordered backward elimination, plus the exhaustive oracle that
-keeps it honest.
+keeps it honest: a core-first depth-first search over attribute subsets,
+capped by attribute count.
 
 The elimination pass tests attributes in ascending-significance order and
 drops ``a`` from the kept set ``R`` when ``block_count(R - a)`` equals
@@ -15,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
-from .partition import block_count
+from .partition import _refine, block_count, projections
 from .significance import GroupPolicy, ThresholdSplit, rank_attributes, split_groups
 
 DEFAULT_MAX_ATTRS = 20
@@ -118,22 +118,38 @@ def exhaustive_reducts(
 ) -> frozenset[frozenset[str]]:
     """All minimal attribute subsets preserving the full partition.
 
-    Brute-force enumeration by increasing cardinality, pruning supersets of
-    reducts already found; refuses tables wider than ``max_attrs``.
+    A core-first depth-first search; refuses tables wider than ``max_attrs``.
+    Every reduct contains the core, so the search starts from the core's
+    labels and adds the other attributes in column order, one refinement per
+    node.  A node that reaches the full block count is recorded and not
+    extended, and a child that splits no block of its parent is cut, as
+    every superset of it would keep a redundant attribute.  The recorded sets
+    with no recorded proper subset are the reducts.
     """
     cond = conditional_attributes(table)
     if len(cond) > max_attrs:
         raise TooManyAttributes(len(cond), max_attrs)
     full_count = block_count(table, cond)
-    found: list[frozenset[str]] = []
-    for size in range(len(cond) + 1):
-        for combo in combinations(cond, size):
-            candidate = frozenset(combo)
-            if any(reduct <= candidate for reduct in found):
-                continue
-            if block_count(table, combo) == full_count:
-                found.append(candidate)
-    return frozenset(found)
+    core = _indispensable(table, cond)
+    rest = [a for a in cond if a not in core]
+    core_labels = projections(table, core)
+    recorded: list[frozenset[str]] = []
+
+    def extend(attrs: frozenset[str], labels: list[int], count: int, start: int) -> None:
+        if count == full_count:
+            recorded.append(attrs)
+            return
+        for i in range(start, len(rest)):
+            child = _refine(table, labels, rest[i])
+            child_count = len(set(child))
+            if child_count != count:
+                extend(attrs | {rest[i]}, child, child_count, i + 1)
+
+    extend(core, core_labels, len(set(core_labels)), 0)
+    recorded.sort(key=len)
+    return frozenset(
+        r for i, r in enumerate(recorded) if not any(s < r for s in recorded[:i])
+    )
 
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:

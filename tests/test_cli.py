@@ -104,6 +104,16 @@ class TestReductCommand:
         assert code == 3
         assert "cap" in err
 
+    def test_cap_checked_before_elimination(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eliminate ran on a table over the cap")
+
+        monkeypatch.setattr("reduct_forge.cli.eliminate", refuse)
+        monkeypatch.setenv("REDUCT_FORGE_MAX_ATTRS", "2")
+        code, out, err = run_cli(["reduct", "--builtin", "seven-segment", "--exhaustive"])
+        assert (code, out) == (3, "")
+        assert err == "error: exhaustive search refused: 7 attributes exceeds cap 2\n"
+
     def test_group_count_out_of_range(self):
         code, _, err = run_cli(
             ["reduct", "--builtin", "seven-segment", "--group", "count:99"]

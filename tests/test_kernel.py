@@ -1,6 +1,7 @@
 """The projection-count kernel checked against the partition and topology
-reference paths, and the shared grouping routine checked against direct
-grouping, on random tables with duplicate rows, under both decision
+reference paths, the shared grouping routine checked against direct
+grouping, and the exhaustive oracle checked against plain subset
+enumeration, on random tables with duplicate rows, under both decision
 policies."""
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from reduct_forge import (
     UnknownAttribute,
     compose_bases,
     conditional_attributes,
+    core_attributes,
     decision_partition,
     eliminate,
+    exhaustive_reducts,
     family_equal,
     gamma,
     ind_partition,
@@ -32,7 +35,7 @@ from reduct_forge import (
 )
 from reduct_forge.partition import block_count, dependency
 
-from conftest import make_table
+from conftest import make_table, minimal_preserving_subsets_oracle
 
 
 @st.composite
@@ -47,6 +50,24 @@ def tables(draw):
     if not draw(st.booleans()):
         return make_table(rows, attrs)
     decisions = draw(st.lists(st.sampled_from("xy"), min_size=len(rows), max_size=len(rows)))
+    return make_table([r + [d] for r, d in zip(rows, decisions)], attrs + ["d"], decision="d")
+
+
+@st.composite
+def tables_with_redundant_columns(draw):
+    """``tables()`` with copied and all-constant columns shuffled in, so the
+    core can be empty, partial or all of the attributes."""
+    table = draw(tables())
+    cond = conditional_attributes(table)
+    columns = [table.column(a) for a in cond]
+    for source in draw(st.lists(st.none() | st.sampled_from(range(len(cond))), max_size=3)):
+        columns.append(("k",) * table.object_count if source is None else columns[source])
+    columns = draw(st.permutations(columns))
+    attrs = [f"c{i + 1}" for i in range(len(columns))]
+    rows = [list(row) for row in zip(*columns)]
+    if table.decision is None:
+        return make_table(rows, attrs)
+    decisions = table.column(table.decision)
     return make_table([r + [d] for r, d in zip(rows, decisions)], attrs + ["d"], decision="d")
 
 
@@ -127,3 +148,12 @@ def test_shared_grouping_matches_direct_grouping(table, data):
             by_value.setdefault(row[col], []).append(i)
         classes = list(by_value.values())
     assert dec == Partition.from_blocks([ObjectSet.from_indices(c, n) for c in classes], n)
+
+
+@given(tables_with_redundant_columns())
+@settings(max_examples=200, deadline=None)
+def test_exhaustive_reducts_match_plain_enumeration(table):
+    reducts = exhaustive_reducts(table)
+    assert set(reducts) == minimal_preserving_subsets_oracle(table)
+    core = core_attributes(table)
+    assert all(core <= r for r in reducts)
