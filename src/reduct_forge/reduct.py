@@ -8,8 +8,13 @@ drops ``a`` from the kept set ``R`` when ``block_count(R - a)`` equals
 paper's composed-base test: a topology base is the block set of a partition,
 composing the low- and high-group bases gives the partition of their union,
 and as ``R - a`` is a subset of ``C`` the two partitions agree exactly when
-their block counts do.  The neighbourhood and matrix methods of
-:mod:`.topology` are now reference paths that the tests check this against.
+their block counts do.  The pass takes that composition at every candidate:
+``R - a`` is the meet of the kept attributes ranked before ``a`` and all
+attributes ranked after it, so one prefix/suffix walk
+(``partition._leave_one_out``) gives every candidate's labels in O(n·m).
+The minimality check and the core use the same walk.  The neighbourhood and
+matrix methods of :mod:`.topology` are now reference paths that the tests
+check this against.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Iterable
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
-from .partition import _refine, block_count, projections
+from .partition import _leave_one_out, _refine, block_count, projections
 from .significance import GroupPolicy, ThresholdSplit, rank_attributes, split_groups
 
 DEFAULT_MAX_ATTRS = 20
@@ -48,15 +53,14 @@ class ReductResult:
         return frozenset(self.reduct)
 
 
-def _count_without(table: InformationSystem, attrs: Iterable[str], attribute: str) -> int:
-    """Block count of ``attrs`` minus ``attribute``, the candidate of every check."""
-    return block_count(table, [a for a in attrs if a != attribute])
-
-
-def _indispensable(table: InformationSystem, attrs: tuple[str, ...]) -> frozenset[str]:
-    """Members of ``attrs`` whose removal coarsens the full conditional partition."""
-    full_count = block_count(table, conditional_attributes(table))
-    return frozenset(a for a in attrs if _count_without(table, attrs, a) != full_count)
+def _indispensable(
+    table: InformationSystem, attrs: tuple[str, ...], full_count: int
+) -> frozenset[str]:
+    """Members of ``attrs`` whose removal coarsens the full conditional
+    partition, which has ``full_count`` blocks."""
+    walk = _leave_one_out(table, attrs)
+    next(walk)
+    return frozenset(a for a in attrs if len(set(walk.send(True))) != full_count)
 
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
@@ -68,7 +72,8 @@ def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[s
         raise UnknownAttribute(attribute)
     if attribute not in remaining_set:
         raise NotInRemaining(attribute)
-    return _count_without(table, remaining_set, attribute) == block_count(table, cond)
+    candidate = [a for a in remaining_set if a != attribute]
+    return block_count(table, candidate) == block_count(table, cond)
 
 
 def eliminate(
@@ -77,18 +82,21 @@ def eliminate(
     """Run the full elimination pass and verify minimality of the result.
 
     Each attribute is tested once, in ascending-significance order; a
-    redundant attribute is removed immediately and stays removed.
+    redundant attribute is removed immediately and stays removed.  One
+    leave-one-out walk over the ranked order gives every candidate's labels.
     """
     cond = conditional_attributes(table)
     grouping = split_groups(rank_attributes(table), policy)
-    full_count = block_count(table, cond)
     low = set(grouping.low_group)
 
-    kept = list(cond)
+    walk = _leave_one_out(table, grouping.attributes)
+    full_count = len(set(next(walk)))
     removed: list[str] = []
     trace: list[TraceEntry] = []
+    redundant = False
     for attribute, sig in grouping.ranked:
-        candidate_count = _count_without(table, kept, attribute)
+        # What is sent back says whether the previous candidate stays.
+        candidate_count = len(set(walk.send(not redundant)))
         redundant = candidate_count == full_count
         trace.append(
             TraceEntry(
@@ -101,15 +109,14 @@ def eliminate(
             )
         )
         if redundant:
-            kept.remove(attribute)
             removed.append(attribute)
 
-    reduct = tuple(kept)
+    reduct = tuple(a for a in cond if a not in removed)
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
         trace=tuple(trace),
-        verified_minimal=_indispensable(table, reduct) == frozenset(reduct),
+        verified_minimal=_indispensable(table, reduct, full_count) == frozenset(reduct),
     )
 
 
@@ -130,7 +137,7 @@ def exhaustive_reducts(
     if len(cond) > max_attrs:
         raise TooManyAttributes(len(cond), max_attrs)
     full_count = block_count(table, cond)
-    core = _indispensable(table, cond)
+    core = _indispensable(table, cond, full_count)
     rest = [a for a in cond if a not in core]
     core_labels = projections(table, core)
     recorded: list[frozenset[str]] = []
@@ -154,4 +161,5 @@ def exhaustive_reducts(
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:
     """Attributes whose individual removal already coarsens the partition."""
-    return _indispensable(table, conditional_attributes(table))
+    cond = conditional_attributes(table)
+    return _indispensable(table, cond, block_count(table, cond))

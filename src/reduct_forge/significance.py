@@ -9,7 +9,7 @@ from typing import Union
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import UnknownAttribute
-from .partition import dependency
+from .partition import _dependency_of, _leave_one_out, dependency
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,15 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
     """All conditional attributes sorted by ascending significance.
 
     The sort is stable with respect to table column order, which is the only
-    tie-break.  Significance is computed once, on the full table.
+    tie-break.  Significance is computed once, on the full table.  The labels
+    of each ``C - a`` come from the leave-one-out walk: the meet of the
+    attributes before ``a`` and those after it, the paper's low/high base
+    composition taken at every attribute, so ranking is O(n·m), not O(n·m²).
     """
     cond = conditional_attributes(table)
-    with_all = dependency(table, cond)
-    values = []
-    for attribute in cond:
-        without = dependency(table, [a for a in cond if a != attribute])
-        values.append((attribute, with_all - without))
+    walk = _leave_one_out(table, cond)
+    with_all = _dependency_of(table, next(walk))
+    values = [(a, with_all - _dependency_of(table, walk.send(True))) for a in cond]
     values.sort(key=lambda pair: pair[1])
     return SignificanceTable(ranked=tuple(values))
 

@@ -1,11 +1,12 @@
 """The projection-count kernel checked against the partition and topology
-reference paths, the shared grouping routine checked against direct
-grouping, and the exhaustive oracle checked against plain subset
-enumeration, on random tables with duplicate rows, under both decision
-policies."""
+reference paths, the leave-one-out walk checked against direct projections,
+the shared grouping routine checked against direct grouping, and the
+exhaustive oracle checked against plain subset enumeration, on random tables
+with duplicate rows, under both decision policies."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -33,7 +34,8 @@ from reduct_forge import (
     minimal_neighborhoods,
     subbase_of,
 )
-from reduct_forge.partition import block_count, dependency
+import reduct_forge.partition as partition
+from reduct_forge.partition import _leave_one_out, block_count, dependency, projections
 
 from conftest import make_table, minimal_preserving_subsets_oracle
 
@@ -157,3 +159,58 @@ def test_exhaustive_reducts_match_plain_enumeration(table):
     assert set(reducts) == minimal_preserving_subsets_oracle(table)
     core = core_attributes(table)
     assert all(core <= r for r in reducts)
+
+
+def _first_seen_numbering(keys) -> list[int]:
+    """``keys`` renumbered by first occurrence: equal exactly when two key
+    lists group the objects alike."""
+    ids: dict[object, int] = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+@given(tables_with_redundant_columns(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_leave_one_out_matches_direct_projections(table, data):
+    attrs = data.draw(st.permutations(conditional_attributes(table)))
+    walk = _leave_one_out(table, attrs)
+    full = next(walk)
+    assert _first_seen_numbering(full) == _first_seen_numbering(projections(table, attrs))
+    kept: list[str] = []
+    keep = True
+    for i, attribute in enumerate(attrs):
+        keys = walk.send(keep)
+        expected = kept + list(attrs[i + 1:])
+        assert _first_seen_numbering(keys) == _first_seen_numbering(projections(table, expected))
+        assert len(set(keys)) == block_count(table, expected)
+        keep = data.draw(st.booleans())
+        if keep:
+            kept.append(attribute)
+
+
+def _identity_table(n: int, m: int, k: int):
+    rng = random.Random(f"refine-guard/{n}/{m}/{k}")
+    return make_table([[str(rng.randrange(k)) for _ in range(m)] for _ in range(n)],
+                      [f"c{i + 1}" for i in range(m)])
+
+
+def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
+    """Rank, eliminate and verify each make one leave-one-out walk of O(m)
+    refinements; a rebuilt projection per candidate would make O(m²)."""
+    calls = 0
+    refine = partition._refine
+
+    def counting_refine(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(partition, "_refine", counting_refine)
+    counts = []
+    for m in (8, 16):
+        calls = 0
+        eliminate(_identity_table(300, m, 3))
+        counts.append(calls)
+    # Per walk over r attributes: r suffix refinements and r - 1 prefix ones.
+    # Here nothing is redundant at m = 8, so all three walks cover 8.
+    assert counts[0] == 45
+    assert counts[1] <= 2.2 * counts[0]
