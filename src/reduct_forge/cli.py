@@ -93,26 +93,33 @@ def _parse_attrs(table: InformationSystem, text: str | None) -> list[str]:
     return names
 
 
-def _emit(report: dict, args: argparse.Namespace, render_text) -> None:
+def _run(args: argparse.Namespace, command: str, work, render) -> int:
+    """Load the table, time ``work(table)`` and report the fields it returns
+    between ``dataset`` and ``elapsed_ms``: as JSON, or through ``render``."""
+    table = _load_table(args)
+    start = time.perf_counter()
+    fields = work(table)
+    report = {
+        "command": command,
+        "dataset": _dataset_summary(table),
+        **fields,
+        "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
+    }
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        render_text(report)
+        render(report)
+    return EXIT_OK
 
 
 def _cmd_significance(args: argparse.Namespace) -> int:
-    table = _load_table(args)
-    start = time.perf_counter()
-    ranked = rank_attributes(table)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    report = {
-        "command": "significance",
-        "dataset": _dataset_summary(table),
-        "ranked": [
-            {"attribute": a, "significance": _fraction_json(v)} for a, v in ranked.ranked
-        ],
-        "elapsed_ms": round(elapsed, 3),
-    }
+    def work(table: InformationSystem) -> dict:
+        return {
+            "ranked": [
+                {"attribute": a, "significance": _fraction_json(v)}
+                for a, v in rank_attributes(table).ranked
+            ],
+        }
 
     def render(rep: dict) -> None:
         print(f"significance ({rep['dataset']['objects']} objects, "
@@ -122,49 +129,45 @@ def _cmd_significance(args: argparse.Namespace) -> int:
             print(f"  {row['attribute']:<12} {frac['num']}/{frac['den']}"
                   f"  ({frac['decimal']})")
 
-    _emit(report, args, render)
-    return EXIT_OK
+    return _run(args, "significance", work, render)
 
 
 def _cmd_reduct(args: argparse.Namespace) -> int:
-    table = _load_table(args)
-    policy = _parse_group_policy(args.group)
-    m = len(conditional_attributes(table))
-    if isinstance(policy, CountSplit) and not 0 <= policy.count <= m:
-        raise ReductForgeError(f"bad --group value: {args.group!r} (N must be in [0, {m}])")
-    cap = os.environ.get("REDUCT_FORGE_MAX_ATTRS", str(DEFAULT_MAX_ATTRS))
-    if args.exhaustive:
-        if not cap.strip().isdecimal():
-            raise ReductForgeError(f"REDUCT_FORGE_MAX_ATTRS is not a nonnegative integer: {cap!r}")
-        if m > int(cap):  # before elimination, which would only be thrown away
-            raise TooManyAttributes(m, int(cap))
-    start = time.perf_counter()
-    result = eliminate(table, policy)
-    payload: dict = {
-        "command": "reduct",
-        "dataset": _dataset_summary(table),
-        "reduct": list(result.reduct),
-        "removed": list(result.removed),
-        "verified_minimal": result.verified_minimal,
-    }
-    if args.trace:
-        payload["trace"] = [
-            {
-                "attribute": entry.attribute,
-                "significance": _fraction_json(entry.significance),
-                "group": entry.group,
-                "verdict": entry.verdict,
-                "base_size_before": entry.base_size_before,
-                "base_size_after": entry.base_size_after,
-            }
-            for entry in result.trace
-        ]
-    if args.exhaustive:
-        all_reducts = exhaustive_reducts(table, int(cap))
-        ordered = sorted(sorted(r) for r in all_reducts)
-        payload["all_reducts"] = ordered
-        payload["heuristic_is_minimal"] = result.reduct_set in all_reducts
-    payload["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+    def work(table: InformationSystem) -> dict:
+        policy = _parse_group_policy(args.group)
+        m = len(conditional_attributes(table))
+        if isinstance(policy, CountSplit) and not 0 <= policy.count <= m:
+            raise ReductForgeError(f"bad --group value: {args.group!r} (N must be in [0, {m}])")
+        all_reducts = None
+        if args.exhaustive:
+            cap = os.environ.get("REDUCT_FORGE_MAX_ATTRS", str(DEFAULT_MAX_ATTRS))
+            if not cap.strip().isdecimal():
+                raise ReductForgeError(
+                    f"REDUCT_FORGE_MAX_ATTRS is not a nonnegative integer: {cap!r}")
+            # First, so that its cap check refuses a wide table before elimination.
+            all_reducts = exhaustive_reducts(table, int(cap))
+        result = eliminate(table, policy)
+        fields: dict = {
+            "reduct": list(result.reduct),
+            "removed": list(result.removed),
+            "verified_minimal": result.verified_minimal,
+        }
+        if args.trace:
+            fields["trace"] = [
+                {
+                    "attribute": entry.attribute,
+                    "significance": _fraction_json(entry.significance),
+                    "group": entry.group,
+                    "verdict": entry.verdict,
+                    "base_size_before": entry.base_size_before,
+                    "base_size_after": entry.base_size_after,
+                }
+                for entry in result.trace
+            ]
+        if all_reducts is not None:
+            fields["all_reducts"] = sorted(sorted(r) for r in all_reducts)
+            fields["heuristic_is_minimal"] = result.reduct_set in all_reducts
+        return fields
 
     def render(rep: dict) -> None:
         print(f"reduct:  {{{', '.join(rep['reduct'])}}}")
@@ -183,22 +186,16 @@ def _cmd_reduct(args: argparse.Namespace) -> int:
                 print(f"  {{{', '.join(r)}}}")
             print(f"heuristic result is minimal: {rep['heuristic_is_minimal']}")
 
-    _emit(payload, args, render)
-    return EXIT_OK
+    return _run(args, "reduct", work, render)
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    table = _load_table(args)
-    attrs = _parse_attrs(table, args.attrs)
-    start = time.perf_counter()
-    part = ind_partition(table, attrs)
-    report = {
-        "command": "partition",
-        "dataset": _dataset_summary(table),
-        "attributes": attrs,
-        "blocks": [list(b) for b in part.blocks],
-        "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
-    }
+    def work(table: InformationSystem) -> dict:
+        attrs = _parse_attrs(table, args.attrs)
+        return {
+            "attributes": attrs,
+            "blocks": [list(b) for b in ind_partition(table, attrs).blocks],
+        }
 
     def render(rep: dict) -> None:
         print(f"partition over {{{', '.join(rep['attributes'])}}}: "
@@ -206,27 +203,22 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         for block in rep["blocks"]:
             print("  {" + ",".join(str(i) for i in block) + "}")
 
-    _emit(report, args, render)
-    return EXIT_OK
+    return _run(args, "partition", work, render)
 
 
 def _cmd_base(args: argparse.Namespace) -> int:
-    table = _load_table(args)
-    attrs = _parse_attrs(table, args.attrs)
-    start = time.perf_counter()
-    subbase = subbase_of(table, attrs)
-    direct = minimal_neighborhoods(subbase)
-    iterated = base_from_indiscernibility_matrix(subbase)
-    report = {
-        "command": "base",
-        "dataset": _dataset_summary(table),
-        "attributes": attrs,
-        "subbase_size": len(subbase),
-        "base": [list(m) for m in direct.members],
-        "base_from_matrix": [list(m) for m in iterated.members],
-        "methods_agree": family_equal(direct, iterated),
-        "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
-    }
+    def work(table: InformationSystem) -> dict:
+        attrs = _parse_attrs(table, args.attrs)
+        subbase = subbase_of(table, attrs)
+        direct = minimal_neighborhoods(subbase)
+        iterated = base_from_indiscernibility_matrix(subbase)
+        return {
+            "attributes": attrs,
+            "subbase_size": len(subbase),
+            "base": [list(m) for m in direct.members],
+            "base_from_matrix": [list(m) for m in iterated.members],
+            "methods_agree": family_equal(direct, iterated),
+        }
 
     def render(rep: dict) -> None:
         print(f"sub-base over {{{', '.join(rep['attributes'])}}}: "
@@ -236,8 +228,7 @@ def _cmd_base(args: argparse.Namespace) -> int:
             print("  {" + ",".join(str(i) for i in member) + "}")
         print(f"matrix method agrees: {rep['methods_agree']}")
 
-    _emit(report, args, render)
-    return EXIT_OK
+    return _run(args, "base", work, render)
 
 
 def build_parser() -> argparse.ArgumentParser:

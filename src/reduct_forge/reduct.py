@@ -12,9 +12,11 @@ their block counts do.  The pass takes that composition at every candidate:
 ``R - a`` is the meet of the kept attributes ranked before ``a`` and all
 attributes ranked after it, so one prefix/suffix walk
 (``partition._leave_one_out``) gives every candidate's labels in O(n·m).
-The minimality check and the core use the same walk.  The neighbourhood and
-matrix methods of :mod:`.topology` are now reference paths that the tests
-check this against.
+That walk is the only multi-attribute path: ranking, elimination, the
+minimality check, the core and the oracle's starting block counts all come
+from it, and the oracle then refines one attribute per node.  The
+neighbourhood and matrix methods of :mod:`.topology` are now reference paths
+that the tests check this against.
 """
 
 from __future__ import annotations
@@ -54,13 +56,13 @@ class ReductResult:
 
 
 def _indispensable(
-    table: InformationSystem, attrs: tuple[str, ...], full_count: int
-) -> frozenset[str]:
-    """Members of ``attrs`` whose removal coarsens the full conditional
-    partition, which has ``full_count`` blocks."""
+    table: InformationSystem, attrs: tuple[str, ...]
+) -> tuple[int, frozenset[str]]:
+    """The block count of ``attrs`` and the members whose removal lowers it,
+    both from one leave-one-out walk."""
     walk = _leave_one_out(table, attrs)
-    next(walk)
-    return frozenset(a for a in attrs if len(set(walk.send(True))) != full_count)
+    count = len(set(next(walk)))
+    return count, frozenset(a for a in attrs if len(set(walk.send(True))) != count)
 
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
@@ -84,6 +86,8 @@ def eliminate(
     Each attribute is tested once, in ascending-significance order; a
     redundant attribute is removed immediately and stays removed.  One
     leave-one-out walk over the ranked order gives every candidate's labels.
+    The result is verified minimal when a walk over it finds the full block
+    count and no member that can be dropped.
     """
     cond = conditional_attributes(table)
     grouping = split_groups(rank_attributes(table), policy)
@@ -112,11 +116,12 @@ def eliminate(
             removed.append(attribute)
 
     reduct = tuple(a for a in cond if a not in removed)
+    count, core = _indispensable(table, reduct)
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
         trace=tuple(trace),
-        verified_minimal=_indispensable(table, reduct, full_count) == frozenset(reduct),
+        verified_minimal=count == full_count and core == frozenset(reduct),
     )
 
 
@@ -136,23 +141,25 @@ def exhaustive_reducts(
     cond = conditional_attributes(table)
     if len(cond) > max_attrs:
         raise TooManyAttributes(len(cond), max_attrs)
-    full_count = block_count(table, cond)
-    core = _indispensable(table, cond, full_count)
+    full_count, core = _indispensable(table, cond)
     rest = [a for a in cond if a not in core]
     core_labels = projections(table, core)
     recorded: list[frozenset[str]] = []
-
-    def extend(attrs: frozenset[str], labels: list[int], count: int, start: int) -> None:
+    # An explicit stack of (attrs, labels, count, next child), so that depth is
+    # not bounded by the recursion limit; a node resumes after each child.
+    stack = [(core, core_labels, len(set(core_labels)), 0)]
+    while stack:
+        attrs, labels, count, start = stack.pop()
         if count == full_count:
             recorded.append(attrs)
-            return
+            continue
         for i in range(start, len(rest)):
             child = _refine(table, labels, rest[i])
             child_count = len(set(child))
             if child_count != count:
-                extend(attrs | {rest[i]}, child, child_count, i + 1)
-
-    extend(core, core_labels, len(set(core_labels)), 0)
+                stack.append((attrs, labels, count, i + 1))
+                stack.append((attrs | {rest[i]}, child, child_count, i + 1))
+                break
     recorded.sort(key=len)
     return frozenset(
         r for i, r in enumerate(recorded) if not any(s < r for s in recorded[:i])
@@ -161,5 +168,4 @@ def exhaustive_reducts(
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:
     """Attributes whose individual removal already coarsens the partition."""
-    cond = conditional_attributes(table)
-    return _indispensable(table, cond, block_count(table, cond))
+    return _indispensable(table, conditional_attributes(table))[1]

@@ -9,7 +9,7 @@ from typing import Union
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import UnknownAttribute
-from .partition import _dependency_of, _leave_one_out, dependency
+from .partition import _dependency_of, _leave_one_out
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,14 @@ class SignificanceTable:
 
 
 def significance(table: InformationSystem, attribute: str) -> Fraction:
-    """Dependency-degree drop caused by removing the attribute.
+    """Dependency-degree drop caused by removing the attribute: its entry in
+    :func:`rank_attributes`.
 
     Computed against the full conditional set, so the value is nonnegative by
     monotonicity and zero exactly when the attribute adds no positive-region
     objects.
     """
-    cond = conditional_attributes(table)
-    if attribute not in cond:
-        raise UnknownAttribute(attribute)
-    with_all = dependency(table, cond)
-    without = dependency(table, [a for a in cond if a != attribute])
-    return with_all - without
+    return rank_attributes(table).significance_of(attribute)
 
 
 def rank_attributes(table: InformationSystem) -> SignificanceTable:

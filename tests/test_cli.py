@@ -241,6 +241,52 @@ def test_json_matches_golden_file(golden, argv):
     assert masked(out) == (DATA / golden).read_text()
 
 
+TEXT_CASES = [
+    (
+        ["partition", "--builtin", "seven-segment", "--attrs", "b,e"],
+        "partition over {b, e}: 4 blocks\n"
+        "  {0,2,8}\n"
+        "  {1,3,4,7,9}\n"
+        "  {5}\n"
+        "  {6}\n",
+    ),
+    (
+        ["base", "--builtin", "seven-segment", "--attrs", "d,a,f,g"],
+        "sub-base over {d, a, f, g}: 8 members\n"
+        "base (6 members):\n"
+        "  {0}\n"
+        "  {1}\n"
+        "  {2,3}\n"
+        "  {4}\n"
+        "  {5,6,8,9}\n"
+        "  {7}\n"
+        "matrix method agrees: True\n",
+    ),
+    (
+        ["reduct", "--builtin", "seven-segment", "--trace", "--exhaustive"],
+        "reduct:  {a, b, e, f, g}\n"
+        "removed: [c, d]\n"
+        "verified minimal: True\n"
+        "trace:\n"
+        "  c        sig=0/1 group=low -> redundant (base 10 -> 10)\n"
+        "  d        sig=0/1 group=low -> redundant (base 10 -> 10)\n"
+        "  a        sig=1/5 group=low -> kept (base 10 -> 8)\n"
+        "  f        sig=1/5 group=low -> kept (base 10 -> 8)\n"
+        "  g        sig=1/5 group=low -> kept (base 10 -> 8)\n"
+        "  b        sig=2/5 group=high -> kept (base 10 -> 8)\n"
+        "  e        sig=2/5 group=high -> kept (base 10 -> 7)\n"
+        "all minimal reducts:\n"
+        "  {a, b, e, f, g}\n"
+        "heuristic result is minimal: True\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", TEXT_CASES, ids=[a[0] for a, _ in TEXT_CASES])
+def test_text_output_is_pinned(argv, expected):
+    assert run_cli(argv) == (0, expected, "")
+
+
 def test_json_deterministic_up_to_timing():
     argv = ["reduct", "--builtin", "seven-segment", "--trace", "--json"]
     first = masked(run_cli(argv)[1])

@@ -1,5 +1,6 @@
 """The projection-count kernel checked against the partition and topology
-reference paths, the leave-one-out walk checked against direct projections,
+reference paths, significance and the ranking checked against the gamma
+drop, the leave-one-out walk checked against direct projections,
 the shared grouping routine checked against direct grouping, and the
 exhaustive oracle checked against plain subset enumeration, on random tables
 with duplicate rows, under both decision policies."""
@@ -32,6 +33,8 @@ from reduct_forge import (
     is_redundant,
     meet,
     minimal_neighborhoods,
+    rank_attributes,
+    significance,
     subbase_of,
 )
 import reduct_forge.partition as partition
@@ -114,6 +117,22 @@ def test_eliminate_verdicts_match_composed_bases(table, count):
         if redundant:
             remaining = candidate
     assert tuple(remaining) == result.reduct
+
+
+@given(tables())
+@settings(max_examples=150, deadline=None)
+def test_significance_matches_the_gamma_drop(table):
+    """``significance`` reads its value off the ranking walk, so both are
+    checked here against the positive-region reference: the drop in gamma
+    when the attribute leaves the full conditional set."""
+    cond = conditional_attributes(table)
+    dec = decision_partition(table)
+    full = gamma(ind_partition(table, cond), dec)
+    ranked = dict(rank_attributes(table).ranked)
+    assert list(ranked) == sorted(cond, key=ranked.__getitem__)
+    for a in cond:
+        expected = full - gamma(ind_partition(table, [b for b in cond if b != a]), dec)
+        assert significance(table, a) == ranked[a] == expected
 
 
 def test_kernel_rejects_names_outside_the_conditional_set():

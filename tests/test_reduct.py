@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 from math import ceil
 
 import pytest
@@ -172,6 +174,33 @@ class TestExhaustiveReducts:
             exhaustive_reducts(seven_segment, max_attrs=6)
         # the default cap admits the seven attributes
         assert exhaustive_reducts(seven_segment)
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        """Nine pairs of identical one-hot columns: the search goes ten
+        levels deep and finds 2**9 reducts, one column from each pair.  A
+        search that recursed once per level overruns a limit set a few frames
+        above this test's own depth."""
+        pairs = 9
+        rows = [["1" if j == i else "0" for j in range(pairs) for _ in "ab"]
+                for i in range(pairs + 1)]
+        table = make_table(rows, [f"{x}{j}" for j in range(pairs) for x in "ab"])
+
+        def headroom(k=0):
+            try:
+                return headroom(k + 1)
+            except RecursionError:
+                return k
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit - headroom() + 8)
+        try:
+            reducts = exhaustive_reducts(table)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert reducts == frozenset(
+            frozenset(f"{x}{j}" for j, x in enumerate(choice))
+            for choice in product("ab", repeat=pairs)
+        )
 
 
 class TestCoreAttributes:
