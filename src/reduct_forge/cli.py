@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .dataset import (
@@ -154,14 +154,7 @@ def _cmd_reduct(args: argparse.Namespace) -> int:
         }
         if args.trace:
             fields["trace"] = [
-                {
-                    "attribute": entry.attribute,
-                    "significance": _fraction_json(entry.significance),
-                    "group": entry.group,
-                    "verdict": entry.verdict,
-                    "base_size_before": entry.base_size_before,
-                    "base_size_after": entry.base_size_after,
-                }
+                {**asdict(entry), "significance": _fraction_json(entry.significance)}
                 for entry in result.trace
             ]
         if all_reducts is not None:

@@ -9,6 +9,7 @@ all objects apart.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -106,48 +107,43 @@ def load_csv(
     header, a column literally named ``id`` is consumed as object labels
     rather than as an attribute; without one, attributes are auto-named
     ``c1..cn`` and labels are row ordinals.  ``decision`` may be an attribute
-    name or the string ``"identity"`` (same as ``None``).
+    name or the string ``"identity"`` (same as ``None``).  Blank and
+    whitespace-only lines are skipped, but ``MalformedTable.row`` is the
+    file's 1-based line number, counting them.
     """
     text = _read_text(source)
-    lines = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
-    lines = [(n, line) for n, line in lines if line]
-    if not lines:
+    lines = ((n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip())
+    first = next(lines, None)
+    if first is None:
         raise EmptyTable()
-
     if has_header:
-        names = [cell.strip() for cell in lines[0][1].split(",")]
-        body = lines[1:]
+        names = [cell.strip() for cell in first[1].split(",")]
     else:
-        names = [f"c{i + 1}" for i in range(len(lines[0][1].split(",")))]
-        body = lines
-
-    if not body:
-        raise EmptyTable()
-
+        names = [f"c{i + 1}" for i in range(first[1].count(",") + 1)]
+        lines = itertools.chain([first], lines)
     width = len(names)
-    parsed: list[tuple[int, list[str]]] = []
-    for line_no, line in body:
+    id_col = names.index("id") if "id" in names else None
+    if id_col is not None:
+        del names[id_col]
+
+    ids: list[str] = []
+    rows: list[tuple[str, ...]] = []
+    for line_no, line in lines:
         cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != width:
             raise MalformedTable(line_no, f"expected {width} cells, got {len(cells)}")
-        parsed.append((line_no, cells))
-
-    if "id" in names:
-        id_col = names.index("id")
-        del names[id_col]
-        object_ids = tuple(cells.pop(id_col) for _, cells in parsed)
-    else:
-        object_ids = tuple(str(i) for i in range(len(parsed)))
-    rows = tuple(tuple(cells) for _, cells in parsed)
+        if id_col is not None:
+            ids.append(cells.pop(id_col))
+        rows.append(tuple(cells))
+    if not rows:
+        raise EmptyTable()
 
     if decision == IDENTITY:
         decision = None
     if decision is not None and decision not in names:
         raise UnknownDecision(decision)
-
-    return InformationSystem(
-        object_ids=object_ids, attributes=tuple(names), rows=rows, decision=decision
-    )
+    object_ids = tuple(ids) if id_col is not None else tuple(map(str, range(len(rows))))
+    return InformationSystem(object_ids, tuple(names), tuple(rows), decision)
 
 
 # Ten digits of a seven-segment display; segment names a..g are the

@@ -1,17 +1,20 @@
 """Indiscernibility partitions and the positive-region machinery on top of them.
 
-The reduct path runs on :func:`projections`, :func:`block_count`,
-:func:`dependency` and ``_leave_one_out``.  The last is the paper's
-composition of a low- and a high-significance base, a partition meet, taken
-at every candidate: the labels of ``R - a`` pair the kept attributes before
-``a`` with all attributes after it, so ranking, elimination and the
-minimality check each cost O(n·m) instead of rebuilding an m-attribute
-projection per attribute.  Object sets are bitsets over ``0..n-1`` backed by
-Python big ints; they, :class:`Partition`, :func:`positive_region` and
-:func:`gamma` are the reference path the kernel is tested against.  Every
-partition, from :func:`ind_partition`, :func:`decision_partition`,
-:func:`meet` or :meth:`Partition.singletons`, is grouped from per-object keys
-by one routine, ``_grouped_partition``.  Dependency degrees are exact
+The reduct path runs on ``_leave_one_out``, ``_refine`` and
+``_dependency_of``, plus :func:`projections` for the exhaustive oracle's
+root.  ``_leave_one_out`` is the paper's composition of a low- and a
+high-significance base, a partition meet, taken at every candidate: the
+labels of ``R - a`` pair the kept attributes before ``a`` with all
+attributes after it, so ranking, elimination and the minimality check each
+cost O(n·m) instead of rebuilding an m-attribute projection per attribute.
+``_refine`` splits labels by one attribute, one pass per call, and
+``_dependency_of`` turns labels into a dependency degree against decision
+labels read once per ranking.  Object sets are bitsets over ``0..n-1``
+backed by Python big ints; they, :class:`Partition`, :func:`positive_region`
+and :func:`gamma` are the reference path the kernel is tested against.
+Every partition, from :func:`ind_partition`, :func:`decision_partition`,
+:func:`meet` or :meth:`Partition.singletons`, is grouped from per-object
+keys by one routine, ``_grouped_partition``.  Dependency degrees are exact
 :class:`fractions.Fraction` values; nothing downstream compares floats.
 """
 
@@ -234,18 +237,19 @@ def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
 
 def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
     """``gamma(ind_partition(table, attrs), decision_partition(table))``."""
-    return _dependency_of(table, projections(table, attrs))
+    return _dependency_of(_decision_labels(table), projections(table, attrs))
 
 
-def _dependency_of(table: InformationSystem, keys: list[int]) -> Fraction:
-    """The dependency degree of the grouping by ``keys``, in one dict pass
-    from key to decision label, or ``mixed`` once two differ."""
+def _dependency_of(labels: Sequence[object], keys: list[int]) -> Fraction:
+    """The dependency degree of the grouping by ``keys`` against the
+    per-object decision ``labels``, in one dict pass from key to label, or
+    ``mixed`` once two differ."""
     mixed = object()
     label_of: dict[int, object] = {}
-    for key, label in zip(keys, _decision_labels(table)):
+    for key, label in zip(keys, labels):
         if label_of.setdefault(key, label) != label:
             label_of[key] = mixed
-    return Fraction(sum(1 for key in keys if label_of[key] is not mixed), table.object_count)
+    return Fraction(sum(1 for key in keys if label_of[key] is not mixed), len(keys))
 
 
 def ind_partition(table: InformationSystem, attrs: Iterable[str]) -> Partition:

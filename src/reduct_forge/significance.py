@@ -9,7 +9,7 @@ from typing import Union
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import UnknownAttribute
-from .partition import _dependency_of, _leave_one_out
+from .partition import _decision_labels, _dependency_of, _leave_one_out
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,10 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
     composition taken at every attribute, so ranking is O(n·m), not O(n·m²).
     """
     cond = conditional_attributes(table)
+    labels = _decision_labels(table)
     walk = _leave_one_out(table, cond)
-    with_all = _dependency_of(table, next(walk))
-    values = [(a, with_all - _dependency_of(table, walk.send(True))) for a in cond]
+    with_all = _dependency_of(labels, next(walk))
+    values = [(a, with_all - _dependency_of(labels, walk.send(True))) for a in cond]
     values.sort(key=lambda pair: pair[1])
     return SignificanceTable(ranked=tuple(values))
 

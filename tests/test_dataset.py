@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reduct_forge import (
     DuplicateAttribute,
@@ -140,6 +142,66 @@ class TestLoadCsv:
         assert table.attributes == ("p", "q")
         assert table.object_ids == ids
         assert table.rows == rows
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("has_header", [True, False], ids=["header", "headerless"])
+    def test_malformed_row_is_the_file_line(self, eol, has_header):
+        # Blank and whitespace-only lines before the first line and between
+        # rows still count: the ragged row "3" is line 8 of the file.
+        first = "p,q" if has_header else "0,0"
+        lines = ["", "  ", first, "\t", "1,2", "", " \t ", "3", "4,5"]
+        with pytest.raises(MalformedTable) as exc:
+            load_csv(eol.join(lines).encode("utf-8"), has_header=has_header)
+        assert exc.value.row == 8
+        assert "expected 2 cells, got 1" in str(exc.value)
+
+    def test_header_only_with_id_column_is_empty(self):
+        with pytest.raises(EmptyTable):
+            load_csv(b"id,p\n")
+        with pytest.raises(EmptyTable):
+            load_csv(b"\n id , p \n \n")
+
+    def test_header_only_reports_empty_before_unknown_decision(self):
+        with pytest.raises(EmptyTable):
+            load_csv(b"p,q\n", decision="zz")
+
+    def test_unknown_decision_reported_before_duplicate_header(self):
+        with pytest.raises(UnknownDecision):
+            load_csv(b"p,p\n1,2\n", decision="zz")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_matches_direct_construction(self, data):
+        m = data.draw(st.integers(1, 4))
+        attrs = [f"a{i}" for i in range(m)]
+        cell = st.text("xyz01", min_size=1, max_size=3)
+        rows = data.draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                                  min_size=1, max_size=6))
+        id_col = data.draw(st.none() | st.integers(0, m))
+        ids = [f"o{i}" for i in range(len(rows))]
+        decision = data.draw(st.none() | st.sampled_from(attrs))
+        pad = st.sampled_from(["", " ", "\t", " \t "])
+        blank = st.lists(st.sampled_from(["", " ", "\t", " \t"]), max_size=2)
+
+        def line(cells):
+            return ",".join(data.draw(pad) + c + data.draw(pad) for c in cells)
+
+        lines = data.draw(blank)
+        for i, cells in enumerate([attrs] + rows):
+            cells = list(cells)
+            if id_col is not None:
+                cells.insert(id_col, "id" if i == 0 else ids[i - 1])
+            lines += [line(cells)] + data.draw(blank)
+        text = data.draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+        bom = data.draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+
+        table = load_csv(bom + text.encode("utf-8"), decision=decision)
+        assert table == InformationSystem(
+            object_ids=tuple(ids) if id_col is not None else tuple(map(str, range(len(rows)))),
+            attributes=tuple(attrs),
+            rows=tuple(map(tuple, rows)),
+            decision=decision,
+        )
 
 
 class TestInformationSystem:

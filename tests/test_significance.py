@@ -9,6 +9,7 @@ import pytest
 
 from reduct_forge import (
     CountSplit,
+    InformationSystem,
     ThresholdSplit,
     UnknownAttribute,
     core_attributes,
@@ -118,6 +119,23 @@ class TestRankAttributes:
         assert [
             (a, v) for a, v in rank_attributes(shuffled).ranked
         ] == list(rank_attributes(seven_segment).ranked)
+
+    def test_decision_column_read_once_per_ranking(self, monkeypatch):
+        rng = random.Random("decision-read/16")
+        m = 16
+        rows = [[str(rng.randrange(3)) for _ in range(m)] + [rng.choice("xy")]
+                for _ in range(60)]
+        table = make_table(rows, [f"c{i + 1}" for i in range(m)] + ["d"], decision="d")
+        reads = []
+        column = InformationSystem.column
+
+        def counting_column(self, attribute):
+            reads.append(attribute)
+            return column(self, attribute)
+
+        monkeypatch.setattr(InformationSystem, "column", counting_column)
+        assert len(rank_attributes(table).ranked) == m
+        assert reads == ["d"]
 
 
 class TestSplitGroups:
