@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 
 from .dataset import (
@@ -48,14 +48,11 @@ def _fraction_json(value: Fraction) -> dict:
 
 
 def _load_table(args: argparse.Namespace) -> InformationSystem:
-    decision = args.decision
-    if decision == "identity":
-        decision = None
     if args.builtin:
-        return replace(load_builtin(args.builtin), decision=decision)
+        return load_builtin(args.builtin, args.decision)
     try:
         with open(args.input, "rb") as handle:
-            return load_csv(handle, has_header=True, decision=decision)
+            return load_csv(handle, decision=args.decision)
     except OSError as exc:
         raise ReductForgeError(f"cannot read {args.input}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -70,14 +67,18 @@ def _dataset_summary(table: InformationSystem) -> dict:
     }
 
 
-def _parse_group_policy(text: str) -> GroupPolicy:
+def _parse_group_policy(text: str, m: int) -> GroupPolicy:
+    """The ``--group`` policy for a table of ``m`` conditional attributes."""
     if text == "threshold":
         return ThresholdSplit()
     if text.startswith("count:"):
         try:
-            return CountSplit(int(text.split(":", 1)[1]))
+            count = int(text.split(":", 1)[1])
         except ValueError:
             raise ReductForgeError(f"bad --group value: {text!r}") from None
+        if not 0 <= count <= m:
+            raise ReductForgeError(f"bad --group value: {text!r} (N must be in [0, {m}])")
+        return CountSplit(count)
     raise ReductForgeError(f"bad --group value: {text!r} (use threshold or count:N)")
 
 
@@ -134,10 +135,7 @@ def _cmd_significance(args: argparse.Namespace) -> int:
 
 def _cmd_reduct(args: argparse.Namespace) -> int:
     def work(table: InformationSystem) -> dict:
-        policy = _parse_group_policy(args.group)
-        m = len(conditional_attributes(table))
-        if isinstance(policy, CountSplit) and not 0 <= policy.count <= m:
-            raise ReductForgeError(f"bad --group value: {args.group!r} (N must be in [0, {m}])")
+        policy = _parse_group_policy(args.group, len(conditional_attributes(table)))
         all_reducts = None
         if args.exhaustive:
             cap = os.environ.get("REDUCT_FORGE_MAX_ATTRS", str(DEFAULT_MAX_ATTRS))

@@ -83,15 +83,11 @@ def conditional_attributes(table: InformationSystem) -> tuple[str, ...]:
 
 
 def _read_text(source: CsvSource) -> str:
-    # utf-8-sig drops a byte-order mark that would otherwise hide an ``id`` header.
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8-sig")
-    return data
+    """The source's text, decoded as UTF-8 if it is bytes, without the one
+    leading byte-order mark that would otherwise hide an ``id`` header."""
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return text.removeprefix("\ufeff")
 
 
 def load_csv(
@@ -107,12 +103,15 @@ def load_csv(
     header, a column literally named ``id`` is consumed as object labels
     rather than as an attribute; without one, attributes are auto-named
     ``c1..cn`` and labels are row ordinals.  ``decision`` may be an attribute
-    name or the string ``"identity"`` (same as ``None``).  Blank and
-    whitespace-only lines are skipped, but ``MalformedTable.row`` is the
-    file's 1-based line number, counting them.
+    name or the string ``"identity"`` (same as ``None``).  The source may be
+    bytes, text or a binary or text file object; bytes are UTF-8, and a
+    leading byte-order mark is ignored for every source type.  Lines end at
+    LF, CRLF or CR only, so a cell may hold a form feed or a Unicode line
+    separator.  Blank and whitespace-only lines are skipped, but
+    ``MalformedTable.row`` is the file's 1-based line number, counting them.
     """
-    text = _read_text(source)
-    lines = ((n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip())
+    text = _read_text(source).replace("\r\n", "\n").replace("\r", "\n")
+    lines = ((n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip())
     first = next(lines, None)
     if first is None:
         raise EmptyTable()
@@ -163,21 +162,22 @@ id,a,b,c,d,e,f,g
 """
 
 
+_BUILTINS = {"seven-segment": SEVEN_SEGMENT_CSV}
+
+
 def builtin_seven_segment() -> InformationSystem:
     """The bundled ten-digit seven-segment table (identity decision)."""
-    return load_csv(SEVEN_SEGMENT_CSV.encode("utf-8"), has_header=True, decision=None)
-
-
-_BUILTINS = {"seven-segment": builtin_seven_segment}
+    return load_builtin("seven-segment")
 
 
 def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTINS))
 
 
-def load_builtin(name: str) -> InformationSystem:
+def load_builtin(name: str, decision: str | None = None) -> InformationSystem:
+    """The bundled table ``name``, read by :func:`load_csv` with ``decision``."""
     try:
-        factory = _BUILTINS[name]
+        text = _BUILTINS[name]
     except KeyError:
         raise ReductForgeError(f"unknown builtin dataset: {name!r}") from None
-    return factory()
+    return load_csv(text.encode(), decision=decision)

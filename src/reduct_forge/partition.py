@@ -52,10 +52,6 @@ class ObjectSet:
     def full(cls, universe_size: int) -> "ObjectSet":
         return cls((1 << universe_size) - 1, universe_size)
 
-    @classmethod
-    def empty(cls, universe_size: int) -> "ObjectSet":
-        return cls(0, universe_size)
-
     def _check(self, other: "ObjectSet") -> None:
         if self.universe_size != other.universe_size:
             raise UniverseMismatch(self.universe_size, other.universe_size)
@@ -205,17 +201,18 @@ def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
 
 def _leave_one_out(
     table: InformationSystem, attrs: Sequence[str]
-) -> Generator[list[int], bool, None]:
+) -> Generator[list[int], bool | None, None]:
     """Per-object keys for every attribute set that leaves one of ``attrs`` out.
 
     The first value yielded is the projections of all of ``attrs``.  Then, for
     each ``attrs[i]`` in turn, it yields keys of the kept attributes before
-    ``attrs[i]`` together with all of ``attrs[i + 1:]``; the value sent back
-    for them says whether ``attrs[i]`` is kept (the value sent back for the
-    first yield is ignored).  This is the paper's composition of a low and a
-    high base, a partition meet, taken at every candidate: the suffix labels
-    are refined once from the back, the kept prefix one attribute at a time,
-    and each candidate pairs them in one pass, so the walk is O(n·m) in all.
+    ``attrs[i]`` together with all of ``attrs[i + 1:]``; ``attrs[i]`` is kept
+    unless the value sent back for them is ``False``, so plain iteration
+    keeps every attribute (the value sent back for the first yield is
+    ignored).  This is the paper's composition of a low and a high base, a
+    partition meet, taken at every candidate: the suffix labels are refined
+    once from the back, the kept prefix one attribute at a time, and each
+    candidate pairs them in one pass, so the walk is O(n·m) in all.
     """
     n = table.object_count
     suffixes = [[0] * n]  # suffixes[-1 - j] holds the labels of attrs[j:]
@@ -226,7 +223,7 @@ def _leave_one_out(
     for name in attrs:
         suffix = suffixes.pop()
         width = max(suffix, default=0) + 1
-        if (yield [p * width + s for p, s in zip(prefix, suffix)]):
+        if (yield [p * width + s for p, s in zip(prefix, suffix)]) is not False:
             prefix = _refine(table, prefix, name)
 
 

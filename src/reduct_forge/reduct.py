@@ -12,9 +12,10 @@ their block counts do.  The pass takes that composition at every candidate:
 ``R - a`` is the meet of the kept attributes ranked before ``a`` and all
 attributes ranked after it, so one prefix/suffix walk
 (``partition._leave_one_out``) gives every candidate's labels in O(n·m).
-That walk is the only multi-attribute path: ranking, elimination, the
-minimality check, the core and the oracle's starting block counts all come
-from it, and the oracle then refines one attribute per node.  The
+Ranking, elimination, the minimality check, the core and the block count of
+``C`` all come from that walk.  Here ``projections`` builds only the
+oracle's root, the core's labels, which the oracle refines one attribute per
+node, and the two block counts of :func:`is_redundant`'s one candidate.  The
 neighbourhood and matrix methods of :mod:`.topology` are now reference paths
 that the tests check this against.
 """
@@ -62,7 +63,7 @@ def _indispensable(
     both from one leave-one-out walk."""
     walk = _leave_one_out(table, attrs)
     count = len(set(next(walk)))
-    return count, frozenset(a for a in attrs if len(set(walk.send(True))) != count)
+    return count, frozenset(a for a, keys in zip(attrs, walk) if len(set(keys)) != count)
 
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:

@@ -80,7 +80,7 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
     labels = _decision_labels(table)
     walk = _leave_one_out(table, cond)
     with_all = _dependency_of(labels, next(walk))
-    values = [(a, with_all - _dependency_of(labels, walk.send(True))) for a in cond]
+    values = [(a, with_all - _dependency_of(labels, keys)) for a, keys in zip(cond, walk)]
     values.sort(key=lambda pair: pair[1])
     return SignificanceTable(ranked=tuple(values))
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +15,28 @@ from reduct_forge import (
     InformationSystem,
     MalformedTable,
     UnknownDecision,
+    builtin_seven_segment,
     conditional_attributes,
     eliminate,
     ind_partition,
+    load_builtin,
     load_csv,
     rank_attributes,
 )
 from reduct_forge.dataset import SEVEN_SEGMENT_CSV
 
 from conftest import make_table
+
+# What str.splitlines also breaks at; a CSV line ends at LF, CRLF or CR only.
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# Every source type load_csv reads, built from the same text.
+SOURCES = {
+    "bytes": str.encode,
+    "str": str,
+    "BytesIO": lambda text: io.BytesIO(text.encode()),
+    "StringIO": io.StringIO,
+}
 
 # Attribute-wise equivalence classes of the bundled table, keyed by attribute.
 SEGMENT_CLASSES = {
@@ -62,6 +78,15 @@ class TestBuiltinSevenSegment:
 
     def test_digit_eight_row(self, seven_segment):
         assert set(seven_segment.rows[8]) == {"1"}
+
+    @pytest.mark.parametrize("decision", [None, "g"])
+    def test_load_builtin_with_decision(self, decision):
+        assert load_builtin("seven-segment", decision) == dataclasses.replace(
+            builtin_seven_segment(), decision=decision)
+
+    def test_load_builtin_unknown_decision(self):
+        with pytest.raises(UnknownDecision, match="^decision column 'zz' not found in table$"):
+            load_builtin("seven-segment", "zz")
 
 
 class TestLoadCsv:
@@ -129,6 +154,22 @@ class TestLoadCsv:
         assert table.object_ids == ("x", "y")
         assert table == load_csv(data)
 
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_byte_order_mark_ignored_for_every_source_type(self, kind):
+        table = load_csv(SOURCES[kind]("\ufeffid,p\nx,1\n"))
+        assert table.attributes == ("p",)
+        assert table.object_ids == ("x",)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_only_lf_crlf_and_cr_end_a_line(self, eol, sep):
+        lines = ["p,q", f"1,x{sep}y", "", "2,z"]
+        table = load_csv(eol.join(lines).encode())
+        assert table.rows == (("1", f"x{sep}y"), ("2", "z"))
+        with pytest.raises(MalformedTable) as exc:
+            load_csv(eol.join(lines + ["3"]).encode())
+        assert exc.value.row == 5
+
     @pytest.mark.parametrize(
         "data, ids, rows",
         [
@@ -174,7 +215,8 @@ class TestLoadCsv:
     def test_round_trip_matches_direct_construction(self, data):
         m = data.draw(st.integers(1, 4))
         attrs = [f"a{i}" for i in range(m)]
-        cell = st.text("xyz01", min_size=1, max_size=3)
+        plain = st.text("xyz01", min_size=1, max_size=3)
+        cell = plain | st.builds("{}{}{}".format, plain, st.sampled_from(SEPARATORS), plain)
         rows = data.draw(st.lists(st.lists(cell, min_size=m, max_size=m),
                                   min_size=1, max_size=6))
         id_col = data.draw(st.none() | st.integers(0, m))
@@ -193,9 +235,10 @@ class TestLoadCsv:
                 cells.insert(id_col, "id" if i == 0 else ids[i - 1])
             lines += [line(cells)] + data.draw(blank)
         text = data.draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
-        bom = data.draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+        bom = data.draw(st.sampled_from(["", "\ufeff"]))
+        source = SOURCES[data.draw(st.sampled_from(sorted(SOURCES)))](bom + text)
 
-        table = load_csv(bom + text.encode("utf-8"), decision=decision)
+        table = load_csv(source, decision=decision)
         assert table == InformationSystem(
             object_ids=tuple(ids) if id_col is not None else tuple(map(str, range(len(rows)))),
             attributes=tuple(attrs),
