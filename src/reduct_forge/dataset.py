@@ -5,11 +5,19 @@ one column per attribute, with an optional designated decision column.  When
 no decision column is named the table uses the ``identity`` policy: every
 object is its own decision class, so preserving discernibility means keeping
 all objects apart.
+
+A table stores its cells as coded columns: per column, each object's value
+as a dense int in first-occurrence order, and the column's distinct values
+in code order.  The partition kernel groups on those ints.  ``rows`` is a
+read-only view that derives row tuples from the codes when asked; nothing
+else is stored, and :func:`load_csv` codes each column as it reads it,
+without building row tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -27,17 +35,80 @@ IDENTITY = "identity"
 CsvSource = Union[bytes, str, IO[bytes], IO[str]]
 
 
+def _coded(
+    cells: Sequence[Hashable], strip: bool = False
+) -> tuple[tuple[int, ...], tuple[Hashable, ...]]:
+    """Each cell's dense code, in first-occurrence order, and the distinct
+    values in code order.  With ``strip``, cells that strip to the same string
+    share one code and the stripped string is the value; each distinct cell
+    is stripped once."""
+    index = dict.fromkeys(cells)
+    values: dict[Hashable, int] = {}
+    for cell in index:
+        index[cell] = values.setdefault(cell.strip() if strip else cell, len(values))
+    return tuple(map(index.__getitem__, cells)), tuple(values)
+
+
+class _Rows(Sequence):
+    """Read-only row tuples of a table, derived from its coded columns.
+
+    ``codes[c][i]`` is object ``i``'s code in column ``c`` and
+    ``values[c][code]`` the cell it stands for.  The view compares equal to
+    the tuple of row tuples it stands for, and hashes like it.
+    """
+
+    __slots__ = ("n", "codes", "values")
+
+    def __init__(self, n: int,
+                 columns: list[tuple[tuple[int, ...], tuple[Hashable, ...]]]) -> None:
+        """``n`` rows of the columns ``columns``, given as ``_coded`` gives them."""
+        self.n = n
+        self.codes = tuple(codes for codes, _ in columns)
+        self.values = tuple(values for _, values in columns)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(self.n)))
+        if not -self.n <= index < self.n:
+            raise IndexError("row index out of range")
+        return tuple(vals[codes[index]] for codes, vals in zip(self.codes, self.values))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(*(map(vals.__getitem__, codes)
+                     for codes, vals in zip(self.codes, self.values)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Rows):
+            # Codes are canonical, so equal rows have equal codes and values.
+            return (self.n, self.codes, self.values) == (
+                other.n, other.codes, other.values)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class InformationSystem:
     """Immutable decision table over categorical values.
 
     ``decision`` is either the name of an attribute (excluded from the
-    conditional set) or ``None`` for the identity policy.
+    conditional set) or ``None`` for the identity policy.  ``rows`` may be
+    given as any sequence of row tuples; the table codes it by column and
+    keeps ``rows`` as a read-only view of those codes.
     """
 
     object_ids: tuple[str, ...]
     attributes: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    rows: Sequence[tuple[str, ...]]
     decision: str | None = None
 
     def __post_init__(self) -> None:
@@ -49,17 +120,25 @@ class InformationSystem:
                 raise DuplicateAttribute(name)
             seen.add(name)
         width = len(self.attributes)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise MalformedTable(i + 1, f"expected {width} cells, got {len(row)}")
-        if len(self.rows) != len(self.object_ids):
-            raise MalformedTable(len(self.rows), "object id count differs from row count")
+        rows = self.rows
+        if isinstance(rows, _Rows):
+            if len(rows.codes) != width:
+                raise MalformedTable(1, f"expected {width} cells, got {len(rows.codes)}")
+        else:
+            for i, row in enumerate(rows):
+                if len(row) != width:
+                    raise MalformedTable(i + 1, f"expected {width} cells, got {len(row)}")
+        if len(rows) != len(self.object_ids):
+            raise MalformedTable(len(rows), "object id count differs from row count")
         if self.decision is not None and self.decision not in self.attributes:
             raise UnknownDecision(self.decision)
+        if not isinstance(rows, _Rows):
+            columns = [_coded(col) for col in zip(*rows)]
+            object.__setattr__(self, "rows", _Rows(len(rows), columns))
 
     @property
     def object_count(self) -> int:
-        return len(self.rows)
+        return self.rows.n
 
     def column_index(self, attribute: str) -> int:
         try:
@@ -68,11 +147,12 @@ class InformationSystem:
             raise UnknownAttribute(attribute) from None
 
     def value(self, obj: int, attribute: str) -> str:
-        return self.rows[obj][self.column_index(attribute)]
+        idx = self.column_index(attribute)
+        return self.rows.values[idx][self.rows.codes[idx][obj]]
 
     def column(self, attribute: str) -> tuple[str, ...]:
         idx = self.column_index(attribute)
-        return tuple(row[idx] for row in self.rows)
+        return tuple(map(self.rows.values[idx].__getitem__, self.rows.codes[idx]))
 
 
 def conditional_attributes(table: InformationSystem) -> tuple[str, ...]:
@@ -110,39 +190,47 @@ def load_csv(
     separator.  Blank and whitespace-only lines are skipped, but
     ``MalformedTable.row`` is the file's 1-based line number, counting them.
     """
-    text = _read_text(source).replace("\r\n", "\n").replace("\r", "\n")
-    lines = ((n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip())
-    first = next(lines, None)
-    if first is None:
+    lines = _read_text(source).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    body = list(filter(str.strip, lines))
+    if not body:
         raise EmptyTable()
     if has_header:
-        names = [cell.strip() for cell in first[1].split(",")]
+        names = [cell.strip() for cell in body.pop(0).split(",")]
     else:
-        names = [f"c{i + 1}" for i in range(first[1].count(",") + 1)]
-        lines = itertools.chain([first], lines)
+        names = [f"c{i + 1}" for i in range(body[0].count(",") + 1)]
     width = len(names)
     id_col = names.index("id") if "id" in names else None
     if id_col is not None:
         del names[id_col]
 
-    ids: list[str] = []
-    rows: list[tuple[str, ...]] = []
-    for line_no, line in lines:
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != width:
-            raise MalformedTable(line_no, f"expected {width} cells, got {len(cells)}")
-        if id_col is not None:
-            ids.append(cells.pop(id_col))
-        rows.append(tuple(cells))
-    if not rows:
+    # The comma counts are checked in one C-level pass; only a ragged table
+    # walks its lines, to report the first ragged one by its line number.
+    if set(map(str.count, body, itertools.repeat(","))) - {width - 1}:
+        for j, line in enumerate(body, int(has_header)):
+            if line.count(",") != width - 1:
+                numbers = (number for number, text in enumerate(lines, 1) if text.strip())
+                raise MalformedTable(next(itertools.islice(numbers, j, None)),
+                                     f"expected {width} cells, got {line.count(',') + 1}")
+    if not body:
         raise EmptyTable()
+
+    # Every line has width - 1 commas, so one split gives the cells row by row.
+    n = len(body)
+    cells = ",".join(body).split(",")
+    del lines, body
+    columns = [cells[c::width] for c in range(width)]
+    del cells
+    object_ids = (tuple(map(str.strip, columns.pop(id_col))) if id_col is not None
+                  else tuple(map(str, range(n))))
+    coded = []
+    while columns:  # each raw column is freed once it is coded
+        coded.append(_coded(columns.pop(0), strip=True))
 
     if decision == IDENTITY:
         decision = None
     if decision is not None and decision not in names:
         raise UnknownDecision(decision)
-    object_ids = tuple(ids) if id_col is not None else tuple(map(str, range(len(rows))))
-    return InformationSystem(object_ids, tuple(names), tuple(rows), decision)
+    return InformationSystem(object_ids, tuple(names), _Rows(n, coded), decision)
 
 
 # Ten digits of a seven-segment display; segment names a..g are the

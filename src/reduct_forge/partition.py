@@ -7,9 +7,10 @@ high-significance base, a partition meet, taken at every candidate: the
 labels of ``R - a`` pair the kept attributes before ``a`` with all
 attributes after it, so ranking, elimination and the minimality check each
 cost O(n·m) instead of rebuilding an m-attribute projection per attribute.
-``_refine`` splits labels by one attribute, one pass per call, and
-``_dependency_of`` turns labels into a dependency degree against decision
-labels read once per ranking.  Object sets are bitsets over ``0..n-1``
+``_refine`` splits labels by one attribute, one pass per call over the
+table's coded column, keyed by the int ``label * k + code`` where ``k`` is
+the column's value count; ``_dependency_of`` turns labels into a dependency
+degree against decision labels read once per ranking.  Object sets are bitsets over ``0..n-1``
 backed by Python big ints; they, :class:`Partition`, :func:`positive_region`
 and :func:`gamma` are the reference path the kernel is tested against.
 Every partition, from :func:`ind_partition`, :func:`decision_partition`,
@@ -179,17 +180,20 @@ def _decision_labels(table: InformationSystem) -> Sequence[object]:
 def _refine(table: InformationSystem, keys: list[int], name: str) -> list[int]:
     """``keys`` split by attribute ``name`` in one pass: two rows get the same
     new number exactly when they had the same key and agree on ``name``.
-    Numbers are dense, ``0`` up to the block count minus one."""
+    Numbers are dense, ``0`` up to the block count minus one.  The pass groups
+    on ``key * k + code``, where ``code`` is the row's code in the column and
+    ``k`` the column's value count, so it allocates no tuple per row."""
     c = table.attributes.index(name)
-    ids: dict[tuple[int, str], int] = {}
-    return [ids.setdefault((key, row[c]), len(ids)) for key, row in zip(keys, table.rows)]
+    codes, k = table.rows.codes[c], len(table.rows.values[c])
+    ids: dict[int, int] = {}
+    return [ids.setdefault(key * k + code, len(ids)) for key, code in zip(keys, codes)]
 
 
 def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
     """Each row restricted to ``attrs``, as a number: two rows get the same
     number exactly when they agree on every attribute in ``attrs``."""
-    # Refined one attribute at a time from (number, value) pairs: row-tuple keys
-    # of many lengths would each leave up to 2000 tuples in CPython's free lists.
+    # Refined one attribute at a time on int keys: row-tuple keys of many
+    # lengths would each leave up to 2000 tuples in CPython's free lists.
     allowed = set(conditional_attributes(table))
     keys = [0] * table.object_count
     for name in attrs:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reduct_forge import builtin_seven_segment
 from reduct_forge.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -221,6 +222,39 @@ class TestInputHandling:
         code, _, err = run_cli(["significance", str(path), "--decision", "nope"])
         assert code == 2
         assert "nope" in err
+
+
+# An id column between attributes, cells padded with spaces and tabs, and a
+# duplicate row (o1 and o4).
+PADDED_CSV = "a, id ,b,\td\n 0,o1,x , y\n1 ,o2,\tx,y\n0, o3 ,z,n \n 0,o4,x,\ty\n1,o5,z ,n\n"
+PRODUCTION_ARGV = [
+    ["significance", "--decision", "d"],
+    ["reduct", "--trace", "--exhaustive"],
+    ["reduct", "--decision", "d", "--group", "count:2"],
+    ["partition"],
+]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", PRODUCTION_ARGV, ids=[" ".join(a) for a in PRODUCTION_ARGV])
+def test_production_path_reads_no_row_tuples(tmp_path, monkeypatch, argv, json_flag):
+    """The kernel groups a table's coded columns; its ``rows`` view only
+    derives row tuples for callers, so the CLI answers the same with the
+    view unreadable."""
+    path = tmp_path / "t.csv"
+    path.write_text(PADDED_CSV)
+    argv = [argv[0], str(path), *argv[1:], *json_flag]
+    code, expected, err = run_cli(argv)
+    assert (code, err) == (0, "")
+
+    def unreadable(*args):
+        raise AssertionError("row tuples read on the production path")
+
+    view = type(builtin_seven_segment().rows)
+    monkeypatch.setattr(view, "__getitem__", unreadable)
+    monkeypatch.setattr(view, "__iter__", unreadable)
+    code, out, err = run_cli(argv)
+    assert (code, masked(out), err) == (0, masked(expected), "")
 
 
 GOLDEN_CASES = [

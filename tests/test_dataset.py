@@ -17,6 +17,7 @@ from reduct_forge import (
     UnknownDecision,
     builtin_seven_segment,
     conditional_attributes,
+    decision_partition,
     eliminate,
     ind_partition,
     load_builtin,
@@ -245,6 +246,26 @@ class TestLoadCsv:
             rows=tuple(map(tuple, rows)),
             decision=decision,
         )
+        # The loaded table and the one built from row tuples are coded alike.
+        want = tuple(map(tuple, rows))
+        direct = InformationSystem(table.object_ids, table.attributes, want, decision)
+        assert hash(table) == hash(direct)
+        assert table.rows == direct.rows
+        assert table.rows == want
+        # Rows swapped in by dataclasses.replace are coded afresh, not
+        # grouped by the codes of the rows they replace.
+        other = data.draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                                   min_size=len(rows), max_size=len(rows)))
+        other = tuple(map(tuple, other))
+        swapped = dataclasses.replace(table, rows=other)
+        fresh = InformationSystem(table.object_ids, table.attributes, other, decision)
+        assert swapped == fresh
+        assert swapped.rows == other
+        cond = conditional_attributes(fresh)
+        for name in cond:
+            assert ind_partition(swapped, [name]) == ind_partition(fresh, [name])
+        assert ind_partition(swapped, cond) == ind_partition(fresh, cond)
+        assert decision_partition(swapped) == decision_partition(fresh)
 
 
 class TestInformationSystem:
@@ -257,6 +278,41 @@ class TestInformationSystem:
             InformationSystem(("0",), ("p", "p"), (("1", "2"),))
         with pytest.raises(UnknownDecision):
             InformationSystem(("0",), ("p",), (("1",),), decision="q")
+
+    def test_row_count_and_width_errors(self):
+        with pytest.raises(MalformedTable) as exc:
+            InformationSystem(("0",), ("p",), ())
+        assert exc.value.row == 0
+        with pytest.raises(MalformedTable, match="expected 2 cells, got 3") as exc:
+            InformationSystem(("0", "1"), ("p", "q"), (("1", "2"), ("1", "2", "3")))
+        assert exc.value.row == 2
+        table = make_table([["1", "2"], ["3", "4"]], ["p", "q"])
+        with pytest.raises(MalformedTable, match="expected 1 cells, got 2") as exc:
+            dataclasses.replace(table, attributes=("p",))
+        assert exc.value.row == 1
+        with pytest.raises(MalformedTable, match="object id count differs") as exc:
+            dataclasses.replace(table, object_ids=("0", "1", "2"))
+        assert exc.value.row == 2
+
+    def test_rows_view_reads_like_the_row_tuples(self):
+        rows = (("1", "x"), ("2", "y"), ("1", "x"))
+        table = InformationSystem(("a", "b", "c"), ("p", "q"), rows)
+        assert table.rows == rows
+        assert rows == table.rows
+        assert table.rows != rows[:2]
+        assert len(table.rows) == 3
+        assert table.rows[1] == ("2", "y")
+        assert table.rows[-1] == ("1", "x")
+        assert table.rows[1:] == rows[1:]
+        assert list(table.rows) == list(rows)
+        assert hash(table.rows) == hash(rows)
+        assert repr(table.rows) == repr(rows)
+        with pytest.raises(IndexError):
+            table.rows[3]
+        listed = InformationSystem(("a", "b", "c"), ("p", "q"), [list(r) for r in rows])
+        assert listed == table
+        assert hash(listed) == hash(table)
+        assert dataclasses.replace(table, decision="q").rows == rows
 
     def test_accessors(self):
         table = make_table([["1", "2"], ["3", "4"]], ["p", "q"])
