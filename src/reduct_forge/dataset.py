@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Union
 
 from .errors import (
@@ -153,6 +154,14 @@ class InformationSystem:
     def column(self, attribute: str) -> tuple[str, ...]:
         idx = self.column_index(attribute)
         return tuple(map(self.rows.values[idx].__getitem__, self.rows.codes[idx]))
+
+    @cached_property
+    def _granules(self):
+        """The partition kernel's view of this table, its distinct
+        conditional rows, built on first use and kept with the table."""
+        from .partition import _granulate  # partition imports this module
+
+        return _granulate(self)
 
 
 def conditional_attributes(table: InformationSystem) -> tuple[str, ...]:

@@ -1,18 +1,32 @@
 """Indiscernibility partitions and the positive-region machinery on top of them.
 
-The reduct path runs on ``_leave_one_out``, ``_refine`` and
-``_dependency_of``, plus :func:`projections` for the exhaustive oracle's
-root.  ``_leave_one_out`` is the paper's composition of a low- and a
+The reduct path walks the table's granules, not its objects: U/C, the
+distinct conditional rows in first-occurrence order, each with its object
+count and its decision label, or a mixed sentinel when its objects
+disagree.  ``InformationSystem._granules`` builds that view once per table
+in one pass over the coded columns, so after loading the kernel's cost
+scales with |U/C|, not with n; when few rows repeat, each object stays a
+granule of its own.  Any attribute set groups the granules as it
+groups their objects, so block counts agree, and a block lies in the
+positive region exactly when its granules share one unmixed label; the
+weights of those granules sum to its share of |POS|.
+
+On that view the kernel is ``_leave_one_out``, ``_refine`` and
+``_dependency_of``, plus :func:`block_count` and :func:`dependency`.
+``_leave_one_out`` is the paper's composition of a low- and a
 high-significance base, a partition meet, taken at every candidate: the
 labels of ``R - a`` pair the kept attributes before ``a`` with all
 attributes after it, so ranking, elimination and the minimality check each
-cost O(n·m) instead of rebuilding an m-attribute projection per attribute.
-``_refine`` splits labels by one attribute, one pass per call over the
-table's coded column, keyed by the int ``label * k + code`` where ``k`` is
-the column's value count; ``_dependency_of`` turns labels into a dependency
-degree against decision labels read once per ranking.  Object sets are bitsets over ``0..n-1``
-backed by Python big ints; they, :class:`Partition`, :func:`positive_region`
-and :func:`gamma` are the reference path the kernel is tested against.
+cost O(|U/C|·m) instead of rebuilding an m-attribute projection per
+attribute.  ``_refine`` splits labels by one attribute, one pass per call
+over a coded column, keyed by the int ``label * k + code`` where ``k`` is
+the column's value count; ``_dependency_of`` turns labels into a weighted
+dependency degree.
+
+:func:`projections`, :func:`ind_partition`, :func:`decision_partition`,
+:func:`meet`, :func:`positive_region` and :func:`gamma` stay per object:
+they, the bitset object sets over ``0..n-1`` backed by Python big ints and
+:class:`Partition` are the reference path the kernel is tested against.
 Every partition, from :func:`ind_partition`, :func:`decision_partition`,
 :func:`meet` or :meth:`Partition.singletons`, is grouped from per-object
 keys by one routine, ``_grouped_partition``.  Dependency degrees are exact
@@ -21,11 +35,14 @@ keys by one routine, ``_grouped_partition``.  Dependency degrees are exact
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import is_not
 from typing import Generator, Iterable, Iterator, Sequence
 
-from .dataset import InformationSystem, conditional_attributes
+from .dataset import InformationSystem, _Rows, conditional_attributes
 from .errors import UnknownAttribute, UniverseMismatch
 
 
@@ -177,36 +194,109 @@ def _decision_labels(table: InformationSystem) -> Sequence[object]:
     return range(table.object_count) if table.decision is None else table.column(table.decision)
 
 
-def _refine(table: InformationSystem, keys: list[int], name: str) -> list[int]:
-    """``keys`` split by attribute ``name`` in one pass: two rows get the same
-    new number exactly when they had the same key and agree on ``name``.
-    Numbers are dense, ``0`` up to the block count minus one.  The pass groups
-    on ``key * k + code``, where ``code`` is the row's code in the column and
+_MIXED = object()  # the label of a granule whose objects disagree on the decision
+
+
+class _Granules:
+    """U/C, the table's distinct conditional rows in first-occurrence order,
+    or, when few rows repeat, its objects, each a granule of its own.
+
+    It has a table's shape, ``attributes`` (the conditional ones) over coded
+    ``rows``, so the kernel refines it as it would the table.  ``weights``
+    holds each granule's object count, or is ``None`` when every granule is
+    one object, and ``labels`` its decision label, or ``_MIXED`` when its
+    objects disagree on the decision.  The kernel needs only that each
+    granule's objects agree on every conditional attribute.  A plain class,
+    not a dataclass: building one costs about 1 ms at every import.
+    """
+
+    __slots__ = ("attributes", "rows", "weights", "labels", "object_count")
+
+    def __init__(self, attributes: tuple[str, ...], rows: _Rows,
+                 weights: Sequence[int] | None, labels: Sequence[object],
+                 object_count: int) -> None:
+        self.attributes, self.rows, self.weights = attributes, rows, weights
+        self.labels, self.object_count = labels, object_count
+
+
+def _granulate(table: InformationSystem) -> _Granules:
+    """The granule view of ``table``, from one pass over its conditional code
+    columns; ``table._granules`` builds it once per table.
+
+    When fewer than one row in 16 repeats, folding the repeats costs about
+    what the smaller walks save, and on tables with almost no repeats it
+    only costs, so every object stays a granule of its own and the view
+    shares the table's code columns and decision labels."""
+    rows, n = table.rows, table.object_count
+    attrs = conditional_attributes(table)
+    cols = [table.attributes.index(a) for a in attrs]
+    labels = _decision_labels(table)
+    # Each object's granule is named by the granule's first object, so names
+    # and the counts and labels keyed by them come in first-occurrence order.
+    # zip() of no columns is empty, but with no conditional attribute every
+    # object falls in one granule.
+    first: dict[tuple[int, ...], int] = {}
+    owner = list(map(first.setdefault,
+                     zip(*(rows.codes[c] for c in cols)) if cols else repeat((), n), count()))
+    if 16 * (n - len(first)) < n:
+        codes: Iterable[Sequence[int]] = (rows.codes[c] for c in cols)
+        weights = None
+    else:
+        codes = zip(*first)
+        weights = list(Counter(owner).values())
+        label_of: dict[int, object] = {}
+        for g, label in dict.fromkeys(zip(owner, labels)):
+            if label_of.setdefault(g, label) != label:
+                label_of[g] = _MIXED
+        labels = tuple(label_of.values())
+    view = _Rows(len(labels), [(c, rows.values[i]) for c, i in zip(codes, cols)])
+    return _Granules(attrs, view, weights, labels, n)
+
+
+def _refine(source: InformationSystem | _Granules, keys: list[int], name: str) -> list[int]:
+    """``keys`` split by attribute ``name`` in one pass over the rows of
+    ``source``, a table or its granule view: two rows get the same new number
+    exactly when they had the same key and agree on ``name``.  Numbers are
+    dense, ``0`` up to the block count minus one.  The pass groups on
+    ``key * k + code``, where ``code`` is the row's code in the column and
     ``k`` the column's value count, so it allocates no tuple per row."""
-    c = table.attributes.index(name)
-    codes, k = table.rows.codes[c], len(table.rows.values[c])
+    c = source.attributes.index(name)
+    codes, k = source.rows.codes[c], len(source.rows.values[c])
     ids: dict[int, int] = {}
     return [ids.setdefault(key * k + code, len(ids)) for key, code in zip(keys, codes)]
 
 
-def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
-    """Each row restricted to ``attrs``, as a number: two rows get the same
-    number exactly when they agree on every attribute in ``attrs``."""
+def _projections(source: InformationSystem | _Granules, attrs: Iterable[str]) -> list[int]:
+    """Each row of ``source`` restricted to ``attrs``, as a dense number."""
     # Refined one attribute at a time on int keys: row-tuple keys of many
     # lengths would each leave up to 2000 tuples in CPython's free lists.
-    allowed = set(conditional_attributes(table))
-    keys = [0] * table.object_count
+    keys = [0] * len(source.rows)
     for name in attrs:
-        if name not in allowed:
-            raise UnknownAttribute(name)
-        keys = _refine(table, keys, name)
+        keys = _refine(source, keys, name)
     return keys
 
 
+def _checked(table: InformationSystem, attrs: Iterable[str]) -> list[str]:
+    """``attrs`` as a list, once each is known to be a conditional attribute."""
+    attrs = list(attrs)
+    allowed = conditional_attributes(table)
+    for name in attrs:
+        if name not in allowed:
+            raise UnknownAttribute(name)
+    return attrs
+
+
+def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
+    """Each object restricted to ``attrs``, as a number: two objects get the
+    same number exactly when they agree on every attribute in ``attrs``."""
+    return _projections(table, _checked(table, attrs))
+
+
 def _leave_one_out(
-    table: InformationSystem, attrs: Sequence[str]
+    source: InformationSystem | _Granules, attrs: Sequence[str]
 ) -> Generator[list[int], bool | None, None]:
-    """Per-object keys for every attribute set that leaves one of ``attrs`` out.
+    """Per-row keys of ``source``, a table or its granule view, for every
+    attribute set that leaves one of ``attrs`` out.
 
     The first value yielded is the projections of all of ``attrs``.  Then, for
     each ``attrs[i]`` in turn, it yields keys of the kept attributes before
@@ -216,41 +306,53 @@ def _leave_one_out(
     ignored).  This is the paper's composition of a low and a high base, a
     partition meet, taken at every candidate: the suffix labels are refined
     once from the back, the kept prefix one attribute at a time, and each
-    candidate pairs them in one pass, so the walk is O(n·m) in all.
+    candidate pairs them in one pass, so the walk is O(rows·m) in all.
     """
-    n = table.object_count
-    suffixes = [[0] * n]  # suffixes[-1 - j] holds the labels of attrs[j:]
+    size = len(source.rows)
+    suffixes = [[0] * size]  # suffixes[-1 - j] holds the labels of attrs[j:]
     for name in reversed(attrs):
-        suffixes.append(_refine(table, suffixes[-1], name))
+        suffixes.append(_refine(source, suffixes[-1], name))
     yield suffixes.pop()
-    prefix = [0] * n
+    prefix = none_kept = [0] * size
     for name in attrs:
         suffix = suffixes.pop()
         width = max(suffix, default=0) + 1
-        if (yield [p * width + s for p, s in zip(prefix, suffix)]) is not False:
-            prefix = _refine(table, prefix, name)
+        # A side that discerns nothing leaves the other side's labels as they are.
+        if prefix is none_kept:
+            keys = suffix
+        elif width == 1:
+            keys = prefix
+        else:
+            keys = [p * width + s for p, s in zip(prefix, suffix)]
+        if (yield keys) is not False:
+            prefix = _refine(source, prefix, name)
 
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
     """Number of blocks of ``ind_partition(table, attrs)``, without building it."""
-    return len(set(projections(table, attrs)))
+    return len(set(_projections(table._granules, _checked(table, attrs))))
 
 
 def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
     """``gamma(ind_partition(table, attrs), decision_partition(table))``."""
-    return _dependency_of(_decision_labels(table), projections(table, attrs))
+    view = table._granules
+    return _dependency_of(view, _projections(view, _checked(table, attrs)))
 
 
-def _dependency_of(labels: Sequence[object], keys: list[int]) -> Fraction:
-    """The dependency degree of the grouping by ``keys`` against the
-    per-object decision ``labels``, in one dict pass from key to label, or
-    ``mixed`` once two differ."""
-    mixed = object()
+def _dependency_of(view: _Granules, keys: list[int]) -> Fraction:
+    """The dependency degree of the grouping of ``view``'s granules by
+    ``keys``: the weight of the blocks whose granules all carry one label
+    other than ``_MIXED``, over the object count.  One dict pass maps each
+    key to its label, or to ``_MIXED`` once two differ; the weights of the
+    granules whose key kept a label are then summed without a Python loop."""
     label_of: dict[int, object] = {}
-    for key, label in zip(keys, labels):
+    for key, label in zip(keys, view.labels):
         if label_of.setdefault(key, label) != label:
-            label_of[key] = mixed
-    return Fraction(sum(1 for key in keys if label_of[key] is not mixed), len(keys))
+            label_of[key] = _MIXED
+    pure = map(is_not, map(label_of.__getitem__, keys), repeat(_MIXED))
+    if view.weights is not None:
+        pure = compress(view.weights, pure)
+    return Fraction(sum(pure), view.object_count)
 
 
 def ind_partition(table: InformationSystem, attrs: Iterable[str]) -> Partition:

@@ -11,13 +11,15 @@ and as ``R - a`` is a subset of ``C`` the two partitions agree exactly when
 their block counts do.  The pass takes that composition at every candidate:
 ``R - a`` is the meet of the kept attributes ranked before ``a`` and all
 attributes ranked after it, so one prefix/suffix walk
-(``partition._leave_one_out``) gives every candidate's labels in O(n·m).
-Ranking, elimination, the minimality check, the core and the block count of
-``C`` all come from that walk.  Here ``projections`` builds only the
-oracle's root, the core's labels, which the oracle refines one attribute per
-node, and the two block counts of :func:`is_redundant`'s one candidate.  The
-neighbourhood and matrix methods of :mod:`.topology` are now reference paths
-that the tests check this against.
+(``partition._leave_one_out``) gives every candidate's labels in
+O(|U/C|·m).  Ranking, elimination, the minimality check, the core and the
+block count of ``C`` all come from that walk.  The oracle starts from the
+core's labels and refines them one attribute per node.  All of it runs on
+the table's granules, its distinct conditional rows, built once per table
+and shared by every phase; any attribute set groups them as it groups the
+objects, so every block count, and with it every verdict and trace size,
+is the per-object one.  The neighbourhood and matrix methods of
+:mod:`.topology` are now reference paths that the tests check this against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterable
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
-from .partition import _leave_one_out, _refine, block_count, projections
+from .partition import _Granules, _leave_one_out, _projections, _refine, block_count
 from .significance import GroupPolicy, ThresholdSplit, rank_attributes, split_groups
 
 DEFAULT_MAX_ATTRS = 20
@@ -56,12 +58,10 @@ class ReductResult:
         return frozenset(self.reduct)
 
 
-def _indispensable(
-    table: InformationSystem, attrs: tuple[str, ...]
-) -> tuple[int, frozenset[str]]:
+def _indispensable(view: _Granules, attrs: tuple[str, ...]) -> tuple[int, frozenset[str]]:
     """The block count of ``attrs`` and the members whose removal lowers it,
-    both from one leave-one-out walk."""
-    walk = _leave_one_out(table, attrs)
+    both from one leave-one-out walk over the granules."""
+    walk = _leave_one_out(view, attrs)
     count = len(set(next(walk)))
     return count, frozenset(a for a, keys in zip(attrs, walk) if len(set(keys)) != count)
 
@@ -94,7 +94,8 @@ def eliminate(
     grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
 
-    walk = _leave_one_out(table, grouping.attributes)
+    view = table._granules
+    walk = _leave_one_out(view, grouping.attributes)
     full_count = len(set(next(walk)))
     removed: list[str] = []
     trace: list[TraceEntry] = []
@@ -117,7 +118,7 @@ def eliminate(
             removed.append(attribute)
 
     reduct = tuple(a for a in cond if a not in removed)
-    count, core = _indispensable(table, reduct)
+    count, core = _indispensable(view, reduct)
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
@@ -142,9 +143,10 @@ def exhaustive_reducts(
     cond = conditional_attributes(table)
     if len(cond) > max_attrs:
         raise TooManyAttributes(len(cond), max_attrs)
-    full_count, core = _indispensable(table, cond)
+    view = table._granules
+    full_count, core = _indispensable(view, cond)
     rest = [a for a in cond if a not in core]
-    core_labels = projections(table, core)
+    core_labels = _projections(view, core)
     recorded: list[frozenset[str]] = []
     # An explicit stack of (attrs, labels, count, next child), so that depth is
     # not bounded by the recursion limit; a node resumes after each child.
@@ -155,7 +157,7 @@ def exhaustive_reducts(
             recorded.append(attrs)
             continue
         for i in range(start, len(rest)):
-            child = _refine(table, labels, rest[i])
+            child = _refine(view, labels, rest[i])
             child_count = len(set(child))
             if child_count != count:
                 stack.append((attrs, labels, count, i + 1))
@@ -169,4 +171,4 @@ def exhaustive_reducts(
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:
     """Attributes whose individual removal already coarsens the partition."""
-    return _indispensable(table, conditional_attributes(table))[1]
+    return _indispensable(table._granules, conditional_attributes(table))[1]

@@ -1,5 +1,10 @@
 """Positive-region significance: how much each attribute contributes to
-discernment, and the low/high grouping used by the elimination pass."""
+discernment, and the low/high grouping used by the elimination pass.
+
+The ranking walks the table's granules, its distinct conditional rows
+weighted by their object counts (see :mod:`.partition`), so its cost after
+loading scales with the number of distinct rows, not with the object count.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from typing import Union
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import UnknownAttribute
-from .partition import _decision_labels, _dependency_of, _leave_one_out
+from .partition import _dependency_of, _leave_one_out
 
 
 @dataclass(frozen=True)
@@ -72,15 +77,16 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
 
     The sort is stable with respect to table column order, which is the only
     tie-break.  Significance is computed once, on the full table.  The labels
-    of each ``C - a`` come from the leave-one-out walk: the meet of the
-    attributes before ``a`` and those after it, the paper's low/high base
-    composition taken at every attribute, so ranking is O(n·m), not O(n·m²).
+    of each ``C - a`` come from the leave-one-out walk over the granules: the
+    meet of the attributes before ``a`` and those after it, the paper's
+    low/high base composition taken at every attribute, so ranking is
+    O(|U/C|·m), not O(n·m²).
     """
     cond = conditional_attributes(table)
-    labels = _decision_labels(table)
-    walk = _leave_one_out(table, cond)
-    with_all = _dependency_of(labels, next(walk))
-    values = [(a, with_all - _dependency_of(labels, keys)) for a, keys in zip(cond, walk)]
+    view = table._granules
+    walk = _leave_one_out(view, cond)
+    with_all = _dependency_of(view, next(walk))
+    values = [(a, with_all - _dependency_of(view, keys)) for a, keys in zip(cond, walk)]
     values.sort(key=lambda pair: pair[1])
     return SignificanceTable(ranked=tuple(values))
 

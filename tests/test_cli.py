@@ -265,6 +265,16 @@ GOLDEN_CASES = [
     ),
     ("base_dafg.json", ["base", "--builtin", "seven-segment", "--attrs", "d,a,f,g", "--json"]),
     ("partition_be.json", ["partition", "--builtin", "seven-segment", "--attrs", "b,e", "--json"]),
+    # Repeated rows, repeats with conflicting decisions and a copied column.
+    (
+        "significance_duplicates.json",
+        ["significance", str(DATA / "duplicates.csv"), "--decision", "d", "--json"],
+    ),
+    (
+        "reduct_duplicates_trace_exhaustive.json",
+        ["reduct", str(DATA / "duplicates.csv"), "--decision", "d", "--trace", "--exhaustive",
+         "--json"],
+    ),
 ]
 
 

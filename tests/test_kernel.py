@@ -38,20 +38,41 @@ from reduct_forge import (
     subbase_of,
 )
 import reduct_forge.partition as partition
+import reduct_forge.reduct as reduct
 from reduct_forge.partition import _leave_one_out, block_count, dependency, projections
 
 from conftest import make_table, minimal_preserving_subsets_oracle
 
 
 @st.composite
-def tables(draw):
+def tables(draw, max_repeats=None):
     """Rows drawn from a small pool, so duplicate rows are common; a named
-    decision column may give duplicates different decisions."""
+    decision column may give duplicates different decisions.
+
+    With ``max_repeats``, every pool row appears 1 to ``max_repeats`` times,
+    in shuffled order.  Under a named decision its copies either share one
+    decision or draw their own, so the table has repeats with equal and with
+    conflicting decisions."""
     m = draw(st.integers(1, 5))
     pool = draw(st.lists(st.lists(st.sampled_from("012"), min_size=m, max_size=m),
                          min_size=1, max_size=6))
-    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
     attrs = [f"c{i + 1}" for i in range(m)]
+    if max_repeats is not None:
+        named = draw(st.booleans())
+        rows = []
+        for row in pool:
+            copies = draw(st.integers(1, max_repeats))
+            if named and draw(st.booleans()):
+                decisions = draw(st.lists(st.sampled_from("xyz"), min_size=copies,
+                                          max_size=copies))
+            else:
+                decisions = [draw(st.sampled_from("xyz"))] * copies
+            rows += [row + [d] if named else row for d in decisions]
+        rows = draw(st.permutations(rows))
+        if named:
+            return make_table(rows, attrs + ["d"], decision="d")
+        return make_table(rows, attrs)
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
     if not draw(st.booleans()):
         return make_table(rows, attrs)
     decisions = draw(st.lists(st.sampled_from("xy"), min_size=len(rows), max_size=len(rows)))
@@ -234,3 +255,119 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     # Here nothing is redundant at m = 8, so all three walks cover 8.
     assert counts[0] == 45
     assert counts[1] <= 2.2 * counts[0]
+
+
+def _gamma_via(table, attrs):
+    """The object-level reference: gamma of the indiscernibility partition."""
+    return gamma(ind_partition(table, attrs), decision_partition(table))
+
+
+def _assert_matches_object_level_reference(table):
+    """Ranking, ``block_count``, ``dependency``, the elimination trace, the
+    core and the oracle, each checked against the per-object partitions."""
+    cond = conditional_attributes(table)
+    full = _gamma_via(table, cond)
+    full_blocks = len(ind_partition(table, cond))
+    for a, value in rank_attributes(table).ranked:
+        assert value == full - _gamma_via(table, [b for b in cond if b != a])
+    for size in range(len(cond) + 1):
+        for attrs in combinations(cond, size):
+            assert block_count(table, attrs) == len(ind_partition(table, attrs))
+            assert dependency(table, attrs) == _gamma_via(table, attrs)
+
+    result = eliminate(table)
+    remaining = list(cond)
+    for entry in result.trace:
+        candidate = [a for a in remaining if a != entry.attribute]
+        after = len(ind_partition(table, candidate))
+        assert (entry.base_size_before, entry.base_size_after) == (full_blocks, after)
+        assert entry.verdict == ("redundant" if after == full_blocks else "kept")
+        if after == full_blocks:
+            remaining = candidate
+    assert tuple(remaining) == result.reduct
+    assert result.verified_minimal
+
+    core = {a for a in cond
+            if len(ind_partition(table, [b for b in cond if b != a])) != full_blocks}
+    assert core_attributes(table) == core
+    assert set(exhaustive_reducts(table)) == minimal_preserving_subsets_oracle(table)
+
+
+@given(tables(max_repeats=40))
+@settings(max_examples=100, deadline=None)
+def test_kernel_on_repeated_rows_matches_object_level_reference(table):
+    """The kernel walks the table's distinct conditional rows, weighted by
+    their object counts; on tables of few rows repeated many times each of
+    its answers is checked against the per-object partitions."""
+    _assert_matches_object_level_reference(table)
+
+
+@pytest.mark.parametrize("decision", [None, "d"])
+def test_kernel_keeps_objects_when_few_rows_repeat(decision):
+    """Under one repeat in 16 rows the view keeps every object as a granule
+    of its own, repeats included, and the answers still match."""
+    rng = random.Random("few-repeats")
+    distinct: set[tuple[str, ...]] = set()
+    while len(distinct) < 195:
+        distinct.add(tuple(str(rng.randrange(3)) for _ in range(7)))
+    rows = sorted(distinct)
+    rows += rows[:5]
+    rng.shuffle(rows)
+    attrs = [f"c{i + 1}" for i in range(7)]
+    if decision is None:
+        table = make_table([list(r) for r in rows], attrs)
+    else:
+        table = make_table([[*r, rng.choice("xy")] for r in rows], attrs + ["d"], decision="d")
+    assert len(table._granules.rows) == 200
+    _assert_matches_object_level_reference(table)
+
+
+@given(tables(max_repeats=40).filter(lambda t: t.decision is not None),
+       st.sampled_from([2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_significance_unchanged_when_every_row_repeats(table, times):
+    """Under a named decision, repeating every row scales each positive
+    region and the universe alike, so no significance moves."""
+    repeated = make_table([list(row) for row in table.rows for _ in range(times)],
+                          list(table.attributes), decision="d")
+    assert rank_attributes(repeated).ranked == rank_attributes(table).ranked
+
+
+def _repeated_rows_table(n: int, distinct: int):
+    rng = random.Random(f"granule-guard/{n}/{distinct}")
+    pool = set()
+    while len(pool) < distinct:
+        pool.add(tuple(str(rng.randrange(3)) for _ in range(6)))
+    pool = sorted(pool)
+    rows = [[*pool[i % distinct], rng.choice("xyz")] for i in range(n)]
+    rng.shuffle(rows)
+    return make_table(rows, [f"c{i + 1}" for i in range(6)] + ["d"], decision="d")
+
+
+def test_kernel_refines_granules_not_objects(monkeypatch):
+    """Every refinement made by ``eliminate`` and ``exhaustive_reducts``
+    walks the 12 distinct conditional rows, keys and codes alike, not the 600
+    objects, and one
+    ``eliminate`` call builds the granule view once."""
+    sizes = []
+    builds = 0
+    refine, granulate = partition._refine, partition._granulate
+
+    def recording_refine(source, keys, name):
+        sizes.append((len(source.rows), len(keys)))
+        return refine(source, keys, name)
+
+    def counting_granulate(table):
+        nonlocal builds
+        builds += 1
+        return granulate(table)
+
+    monkeypatch.setattr(partition, "_refine", recording_refine)
+    monkeypatch.setattr(reduct, "_refine", recording_refine)
+    monkeypatch.setattr(partition, "_granulate", counting_granulate)
+    eliminate(_repeated_rows_table(600, 12))
+    assert builds == 1
+    assert sizes and set(sizes) == {(12, 12)}
+    sizes.clear()
+    exhaustive_reducts(_repeated_rows_table(600, 12))
+    assert sizes and set(sizes) == {(12, 12)}
