@@ -3,7 +3,10 @@ reference paths, significance and the ranking checked against the gamma
 drop, the leave-one-out walk checked against direct projections,
 the shared grouping routine checked against direct grouping, and the
 exhaustive oracle checked against plain subset enumeration, on random tables
-with duplicate rows, under both decision policies."""
+with duplicate rows, under both decision policies.  The kernel walks a
+table's distinct conditional rows, so it is also checked against the
+per-object partitions on tables of a few rows repeated many times, and a
+work guard pins that it refines those rows, not the objects."""
 
 from __future__ import annotations
 
