@@ -67,16 +67,24 @@ def _dataset_summary(table: InformationSystem) -> dict:
     }
 
 
+def _decimal(text: str, error: str) -> int:
+    """``text`` as an int if it is decimal digits only, with no sign or
+    space; otherwise ``error`` is raised as an input error."""
+    if text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ReductForgeError(error)
+
+
 def _parse_group_policy(text: str, m: int) -> GroupPolicy:
     """The ``--group`` policy for a table of ``m`` conditional attributes."""
     if text == "threshold":
         return ThresholdSplit()
     if text.startswith("count:"):
-        try:
-            count = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ReductForgeError(f"bad --group value: {text!r}") from None
-        if not 0 <= count <= m:
+        count = _decimal(text.removeprefix("count:"), f"bad --group value: {text!r}")
+        if count > m:
             raise ReductForgeError(f"bad --group value: {text!r} (N must be in [0, {m}])")
         return CountSplit(count)
     raise ReductForgeError(f"bad --group value: {text!r} (use threshold or count:N)")
@@ -138,12 +146,10 @@ def _cmd_reduct(args: argparse.Namespace) -> int:
         policy = _parse_group_policy(args.group, len(conditional_attributes(table)))
         all_reducts = None
         if args.exhaustive:
-            cap = os.environ.get("REDUCT_FORGE_MAX_ATTRS", str(DEFAULT_MAX_ATTRS))
-            if not cap.strip().isdecimal():
-                raise ReductForgeError(
-                    f"REDUCT_FORGE_MAX_ATTRS is not a nonnegative integer: {cap!r}")
+            raw = os.environ.get("REDUCT_FORGE_MAX_ATTRS", str(DEFAULT_MAX_ATTRS))
+            cap = _decimal(raw, f"REDUCT_FORGE_MAX_ATTRS is not a nonnegative integer: {raw!r}")
             # First, so that its cap check refuses a wide table before elimination.
-            all_reducts = exhaustive_reducts(table, int(cap))
+            all_reducts = exhaustive_reducts(table, cap)
         result = eliminate(table, policy)
         fields: dict = {
             "reduct": list(result.reduct),

@@ -189,8 +189,8 @@ def load_csv(
 
     Cells are split on bare commas (no quoting in v1, so a cell containing a
     comma shows up as a ragged row) and stored as trimmed strings.  With a
-    header, a column literally named ``id`` is consumed as object labels
-    rather than as an attribute; without one, attributes are auto-named
+    header, the one column literally named ``id`` (a second is a duplicate)
+    holds object labels, not an attribute; without one, attributes are named
     ``c1..cn`` and labels are row ordinals.  ``decision`` may be an attribute
     name or the string ``"identity"`` (same as ``None``).  The source may be
     bytes, text or a binary or text file object; bytes are UTF-8, and a
@@ -211,6 +211,8 @@ def load_csv(
     id_col = names.index("id") if "id" in names else None
     if id_col is not None:
         del names[id_col]
+        if "id" in names:
+            raise DuplicateAttribute("id")
 
     # The comma counts are checked in one C-level pass; only a ragged table
     # walks its lines, to report the first ragged one by its line number.

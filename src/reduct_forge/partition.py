@@ -2,14 +2,14 @@
 
 The reduct path walks the table's granules, not its objects: U/C, the
 distinct conditional rows in first-occurrence order, each with its object
-count and its decision label, or a mixed sentinel when its objects
-disagree.  ``InformationSystem._granules`` builds that view once per table
-in one pass over the coded columns, so after loading the kernel's cost
-scales with |U/C|, not with n; when few rows repeat, each object stays a
-granule of its own.  Any attribute set groups the granules as it
-groups their objects, so block counts agree, and a block lies in the
-positive region exactly when its granules share one unmixed label; the
-weights of those granules sum to its share of |POS|.
+count and its decision code, or a mixed sentinel when its objects disagree.
+``InformationSystem._granules`` folds ``_objects``, the per-object view and
+the kernel's only reader of a table, once per table, so after loading the
+kernel's cost scales with |U/C|; when few rows repeat, it keeps that view.
+Any attribute set groups the granules as it groups their objects, so block
+counts agree, and a block lies in the positive region exactly when its
+granules share one unmixed label; the weights of those granules sum to its
+share of |POS|.
 
 On that view the kernel is ``_leave_one_out``, ``_refine`` and
 ``_dependency_of``, plus :func:`block_count` and :func:`dependency`.
@@ -42,7 +42,7 @@ from itertools import compress, count, repeat
 from operator import is_not
 from typing import Generator, Iterable, Iterator, Sequence
 
-from .dataset import InformationSystem, _Rows, conditional_attributes
+from .dataset import InformationSystem
 from .errors import UnknownAttribute, UniverseMismatch
 
 
@@ -189,114 +189,104 @@ def _block_labels(p: Partition) -> list[int]:
     return labels
 
 
-def _decision_labels(table: InformationSystem) -> Sequence[object]:
-    """Each object's decision label; under the identity policy, its own index."""
-    return range(table.object_count) if table.decision is None else table.column(table.decision)
-
-
 _MIXED = object()  # the label of a granule whose objects disagree on the decision
 
 
 class _Granules:
-    """U/C, the table's distinct conditional rows in first-occurrence order,
-    or, when few rows repeat, its objects, each a granule of its own.
+    """The kernel's view of a table: U/C in first-occurrence order or, when
+    few rows repeat, its objects, each a granule of its own.
 
-    It has a table's shape, ``attributes`` (the conditional ones) over coded
-    ``rows``, so the kernel refines it as it would the table.  ``weights``
-    holds each granule's object count, or is ``None`` when every granule is
-    one object, and ``labels`` its decision label, or ``_MIXED`` when its
-    objects disagree on the decision.  The kernel needs only that each
-    granule's objects agree on every conditional attribute.  A plain class,
-    not a dataclass: building one costs about 1 ms at every import.
+    ``columns`` maps each conditional attribute, in table order, to the
+    granules' codes and the column's value count; ``weights`` holds each
+    granule's object count, or is ``None`` when each is one object, and
+    ``labels`` its decision code (its object index under the identity
+    policy), or ``_MIXED`` when its objects disagree on the decision.  A
+    plain class, not a dataclass: building one costs about 1 ms at import.
     """
 
-    __slots__ = ("attributes", "rows", "weights", "labels", "object_count")
+    __slots__ = ("columns", "weights", "labels", "object_count")
 
-    def __init__(self, attributes: tuple[str, ...], rows: _Rows,
+    def __init__(self, columns: dict[str, tuple[Sequence[int], int]],
                  weights: Sequence[int] | None, labels: Sequence[object],
                  object_count: int) -> None:
-        self.attributes, self.rows, self.weights = attributes, rows, weights
+        self.columns, self.weights = columns, weights
         self.labels, self.object_count = labels, object_count
 
 
-def _granulate(table: InformationSystem) -> _Granules:
-    """The granule view of ``table``, from one pass over its conditional code
-    columns; ``table._granules`` builds it once per table.
+def _objects(table: InformationSystem) -> _Granules:
+    """The per-object view of ``table`` over its code columns, each object
+    labelled by its decision code, or by its own index under the identity
+    policy; the kernel's only reader of the table's storage."""
+    rows = table.rows
+    columns = {name: (codes, len(values))
+               for name, codes, values in zip(table.attributes, rows.codes, rows.values)}
+    if table.decision is None:
+        labels: Sequence[int] = range(rows.n)
+    else:
+        labels = columns.pop(table.decision)[0]
+    return _Granules(columns, None, labels, rows.n)
 
-    When fewer than one row in 16 repeats, folding the repeats costs about
-    what the smaller walks save, and on tables with almost no repeats it
-    only costs, so every object stays a granule of its own and the view
-    shares the table's code columns and decision labels."""
-    rows, n = table.rows, table.object_count
-    attrs = conditional_attributes(table)
-    cols = [table.attributes.index(a) for a in attrs]
-    labels = _decision_labels(table)
+
+def _granulate(table: InformationSystem) -> _Granules:
+    """The granule view of ``table``, folded from ``_objects(table)`` in one
+    pass; ``table._granules`` builds it once per table.  When fewer than one
+    row in 16 repeats, folding would cost about what the smaller walks save,
+    or more, so the per-object view is returned as it is."""
+    objects = _objects(table)
+    n, columns = objects.object_count, objects.columns
     # Each object's granule is named by the granule's first object, so names
     # and the counts and labels keyed by them come in first-occurrence order.
     # zip() of no columns is empty, but with no conditional attribute every
     # object falls in one granule.
     first: dict[tuple[int, ...], int] = {}
-    owner = list(map(first.setdefault,
-                     zip(*(rows.codes[c] for c in cols)) if cols else repeat((), n), count()))
+    owner = list(map(first.setdefault, zip(*(c for c, _ in columns.values()))
+                     if columns else repeat((), n), count()))
     if 16 * (n - len(first)) < n:
-        codes: Iterable[Sequence[int]] = (rows.codes[c] for c in cols)
-        weights = None
-    else:
-        codes = zip(*first)
-        weights = list(Counter(owner).values())
-        label_of: dict[int, object] = {}
-        for g, label in dict.fromkeys(zip(owner, labels)):
-            if label_of.setdefault(g, label) != label:
-                label_of[g] = _MIXED
-        labels = tuple(label_of.values())
-    view = _Rows(len(labels), [(c, rows.values[i]) for c, i in zip(codes, cols)])
-    return _Granules(attrs, view, weights, labels, n)
+        return objects
+    label_of: dict[int, object] = {}
+    for g, label in dict.fromkeys(zip(owner, objects.labels)):
+        if label_of.setdefault(g, label) != label:
+            label_of[g] = _MIXED
+    folded = {name: (codes, k) for (name, (_, k)), codes in zip(columns.items(), zip(*first))}
+    return _Granules(folded, list(Counter(owner).values()), tuple(label_of.values()), n)
 
 
-def _refine(source: InformationSystem | _Granules, keys: list[int], name: str) -> list[int]:
-    """``keys`` split by attribute ``name`` in one pass over the rows of
-    ``source``, a table or its granule view: two rows get the same new number
-    exactly when they had the same key and agree on ``name``.  Numbers are
-    dense, ``0`` up to the block count minus one.  The pass groups on
-    ``key * k + code``, where ``code`` is the row's code in the column and
-    ``k`` the column's value count, so it allocates no tuple per row."""
-    c = source.attributes.index(name)
-    codes, k = source.rows.codes[c], len(source.rows.values[c])
+def _refine(view: _Granules, keys: list[int], name: str) -> list[int]:
+    """``keys`` split by attribute ``name`` in one pass over the granules of
+    ``view``: two granules get the same new number exactly when they had the
+    same key and agree on ``name``.  Numbers are dense, ``0`` up to the block
+    count minus one.  The pass groups on ``key * k + code``, where ``code``
+    is the granule's code in the column and ``k`` the column's value count,
+    so it allocates no tuple per granule."""
+    codes, k = view.columns[name]
     ids: dict[int, int] = {}
     return [ids.setdefault(key * k + code, len(ids)) for key, code in zip(keys, codes)]
 
 
-def _projections(source: InformationSystem | _Granules, attrs: Iterable[str]) -> list[int]:
-    """Each row of ``source`` restricted to ``attrs``, as a dense number."""
+def _projections(view: _Granules, attrs: Iterable[str]) -> list[int]:
+    """Each granule of ``view`` restricted to ``attrs``, as a dense number; a
+    name outside ``view.columns`` raises ``UnknownAttribute``."""
     # Refined one attribute at a time on int keys: row-tuple keys of many
     # lengths would each leave up to 2000 tuples in CPython's free lists.
-    keys = [0] * len(source.rows)
+    keys = [0] * len(view.labels)
     for name in attrs:
-        keys = _refine(source, keys, name)
-    return keys
-
-
-def _checked(table: InformationSystem, attrs: Iterable[str]) -> list[str]:
-    """``attrs`` as a list, once each is known to be a conditional attribute."""
-    attrs = list(attrs)
-    allowed = conditional_attributes(table)
-    for name in attrs:
-        if name not in allowed:
+        if name not in view.columns:
             raise UnknownAttribute(name)
-    return attrs
+        keys = _refine(view, keys, name)
+    return keys
 
 
 def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
     """Each object restricted to ``attrs``, as a number: two objects get the
     same number exactly when they agree on every attribute in ``attrs``."""
-    return _projections(table, _checked(table, attrs))
+    return _projections(_objects(table), attrs)
 
 
 def _leave_one_out(
-    source: InformationSystem | _Granules, attrs: Sequence[str]
+    view: _Granules, attrs: Sequence[str]
 ) -> Generator[list[int], bool | None, None]:
-    """Per-row keys of ``source``, a table or its granule view, for every
-    attribute set that leaves one of ``attrs`` out.
+    """Per-granule keys of ``view`` for every attribute set that leaves one
+    of ``attrs`` out.
 
     The first value yielded is the projections of all of ``attrs``.  Then, for
     each ``attrs[i]`` in turn, it yields keys of the kept attributes before
@@ -306,12 +296,12 @@ def _leave_one_out(
     ignored).  This is the paper's composition of a low and a high base, a
     partition meet, taken at every candidate: the suffix labels are refined
     once from the back, the kept prefix one attribute at a time, and each
-    candidate pairs them in one pass, so the walk is O(rows·m) in all.
+    candidate pairs them in one pass, so the walk is O(granules·m) in all.
     """
-    size = len(source.rows)
+    size = len(view.labels)
     suffixes = [[0] * size]  # suffixes[-1 - j] holds the labels of attrs[j:]
     for name in reversed(attrs):
-        suffixes.append(_refine(source, suffixes[-1], name))
+        suffixes.append(_refine(view, suffixes[-1], name))
     yield suffixes.pop()
     prefix = none_kept = [0] * size
     for name in attrs:
@@ -325,18 +315,18 @@ def _leave_one_out(
         else:
             keys = [p * width + s for p, s in zip(prefix, suffix)]
         if (yield keys) is not False:
-            prefix = _refine(source, prefix, name)
+            prefix = _refine(view, prefix, name)
 
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
     """Number of blocks of ``ind_partition(table, attrs)``, without building it."""
-    return len(set(_projections(table._granules, _checked(table, attrs))))
+    return len(set(_projections(table._granules, attrs)))
 
 
 def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
     """``gamma(ind_partition(table, attrs), decision_partition(table))``."""
     view = table._granules
-    return _dependency_of(view, _projections(view, _checked(table, attrs)))
+    return _dependency_of(view, _projections(view, attrs))
 
 
 def _dependency_of(view: _Granules, keys: list[int]) -> Fraction:
@@ -367,7 +357,7 @@ def ind_partition(table: InformationSystem, attrs: Iterable[str]) -> Partition:
 def decision_partition(table: InformationSystem) -> Partition:
     """Decision classes: singletons under the identity policy, else the
     grouping induced by the decision column."""
-    return _grouped_partition(_decision_labels(table), table.object_count)
+    return _grouped_partition(_objects(table).labels, table.object_count)
 
 
 def meet(p: Partition, q: Partition) -> Partition:

@@ -115,6 +115,14 @@ class TestReductCommand:
         assert (code, out) == (3, "")
         assert err == "error: exhaustive search refused: 7 attributes exceeds cap 2\n"
 
+    @pytest.mark.parametrize("group", ["count:+1", "count: 1", "count:1 ", "count:-1",
+                                       "count:", "count:x",
+                                       pytest.param("count:" + "1" * 5000, id="5000-digits")])
+    def test_group_count_needs_decimal_digits(self, group):
+        code, out, err = run_cli(["reduct", "--builtin", "seven-segment", "--group", group])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --group value: {group!r}\n"
+
     def test_group_count_out_of_range(self):
         code, _, err = run_cli(
             ["reduct", "--builtin", "seven-segment", "--group", "count:99"]
@@ -122,7 +130,8 @@ class TestReductCommand:
         assert code == 2
         assert "count:99" in err and "[0, 7]" in err
 
-    @pytest.mark.parametrize("cap", ["abc", "-1"])
+    @pytest.mark.parametrize("cap", ["abc", "-1", "+7", " 7", "7 ", "",
+                                     pytest.param("9" * 5000, id="5000-digits")])
     def test_bad_cap_is_input_error(self, monkeypatch, cap):
         monkeypatch.setenv("REDUCT_FORGE_MAX_ATTRS", cap)
         code, _, err = run_cli(["reduct", "--builtin", "seven-segment", "--exhaustive"])

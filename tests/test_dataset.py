@@ -113,8 +113,11 @@ class TestLoadCsv:
         assert exc.value.row == 3
 
     def test_duplicate_attribute(self):
-        with pytest.raises(DuplicateAttribute):
-            load_csv(b"p,p\n1,2\n")
+        # A second ``id`` header is an attribute named like the label column.
+        for text, name in [(b"p,p\n1,2\n", "p"), (b"id,a,id\n1,x,2\n", "id")]:
+            with pytest.raises(DuplicateAttribute) as exc:
+                load_csv(text)
+            assert exc.value.name == name
 
     def test_unknown_decision(self):
         with pytest.raises(UnknownDecision):

@@ -166,6 +166,8 @@ def test_kernel_rejects_names_outside_the_conditional_set():
             block_count(table, attrs)
         with pytest.raises(UnknownAttribute):
             dependency(table, attrs)
+        with pytest.raises(UnknownAttribute):
+            projections(table, attrs)
     with pytest.raises(UnknownAttribute):
         is_redundant(table, "p", ["p", "q", "d"])
 
@@ -214,21 +216,31 @@ def _first_seen_numbering(keys) -> list[int]:
 @given(tables_with_redundant_columns(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_leave_one_out_matches_direct_projections(table, data):
+    """The walk yields, for the full set and each leave-one-out set, keys
+    that group the view's granules as that set does: on the per-object view
+    they number the objects as ``projections`` does, and on the granule view
+    the kernel walks they have the block count of the set's partition."""
     attrs = data.draw(st.permutations(conditional_attributes(table)))
-    walk = _leave_one_out(table, attrs)
-    full = next(walk)
-    assert _first_seen_numbering(full) == _first_seen_numbering(projections(table, attrs))
-    kept: list[str] = []
-    keep = True
-    for i, attribute in enumerate(attrs):
-        # ``None`` advances with plain next(), which must keep the attribute.
-        keys = next(walk) if keep is None else walk.send(keep)
-        expected = kept + list(attrs[i + 1:])
-        assert _first_seen_numbering(keys) == _first_seen_numbering(projections(table, expected))
-        assert len(set(keys)) == block_count(table, expected)
-        keep = data.draw(st.none() | st.booleans())
-        if keep is not False:
-            kept.append(attribute)
+    # ``None`` advances with plain next(), which must keep the attribute.
+    keeps = data.draw(st.lists(st.none() | st.booleans(),
+                               min_size=len(attrs), max_size=len(attrs)))
+    objects = partition._objects(table)
+    for view in (objects, table._granules):
+        walk = _leave_one_out(view, attrs)
+        yields = [(next(walk), list(attrs))]
+        kept: list[str] = []
+        keep = True
+        for i, attribute in enumerate(attrs):
+            keys = next(walk) if keep is None else walk.send(keep)
+            yields.append((keys, kept + list(attrs[i + 1:])))
+            keep = keeps[i]
+            if keep is not False:
+                kept.append(attribute)
+        for keys, expected in yields:
+            assert len(set(keys)) == len(ind_partition(table, expected))
+            if view is objects:
+                assert (_first_seen_numbering(keys)
+                        == _first_seen_numbering(projections(table, expected)))
 
 
 def _identity_table(n: int, m: int, k: int):
@@ -321,7 +333,8 @@ def test_kernel_keeps_objects_when_few_rows_repeat(decision):
         table = make_table([list(r) for r in rows], attrs)
     else:
         table = make_table([[*r, rng.choice("xy")] for r in rows], attrs + ["d"], decision="d")
-    assert len(table._granules.rows) == 200
+    view = table._granules
+    assert len(view.labels) == 200 and view.weights is None
     _assert_matches_object_level_reference(table)
 
 
@@ -356,9 +369,9 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     builds = 0
     refine, granulate = partition._refine, partition._granulate
 
-    def recording_refine(source, keys, name):
-        sizes.append((len(source.rows), len(keys)))
-        return refine(source, keys, name)
+    def recording_refine(view, keys, name):
+        sizes.append((len(view.labels), len(keys)))
+        return refine(view, keys, name)
 
     def counting_granulate(table):
         nonlocal builds
