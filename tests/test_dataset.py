@@ -113,7 +113,7 @@ class TestLoadCsv:
         assert exc.value.row == 3
 
     def test_duplicate_attribute(self):
-        # A second ``id`` header is an attribute named like the label column.
+        # A second ``id`` header column is a duplicate name, not an attribute.
         for text, name in [(b"p,p\n1,2\n", "p"), (b"id,a,id\n1,x,2\n", "id")]:
             with pytest.raises(DuplicateAttribute) as exc:
                 load_csv(text)
