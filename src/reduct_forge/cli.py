@@ -1,6 +1,7 @@
 """Command-line surface: load a table, run one pipeline stage, print a report.
 
-Exit codes: 0 success, 2 input/dataset error, 3 resource cap exceeded.
+Exit codes: 0 success, 2 input/dataset error, 3 resource cap exceeded.  A
+reader that closes stdout early (``| head``) ends the run with exit code 0.
 Machine output (``--json``) has a stable key schema; rationals are emitted as
 ``{"num", "den", "decimal"}`` and only the ``elapsed_ms`` field varies between
 identical runs.
@@ -279,7 +280,14 @@ def main(argv: list[str] | None = None) -> int:
         print("error: give exactly one of INPUT.csv or --builtin", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed stdout is caught below
+        return code
+    except BrokenPipeError:
+        # The reader stopped early, as ``| head`` does; that is not an error.
+        # Point stdout at the null device so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except TooManyAttributes as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -6,17 +6,24 @@ no decision column is named the table uses the ``identity`` policy: every
 object is its own decision class, so preserving discernibility means keeping
 all objects apart.
 
-A table stores its cells as coded columns: per column, each object's value
-as a dense int in first-occurrence order, and the column's distinct values
-in code order.  The partition kernel groups on those ints.  ``rows`` is a
-read-only view that derives row tuples from the codes when asked; nothing
-else is stored, and :func:`load_csv` codes each column as it reads it,
-without building row tuples.
+A table is stored factorized: its distinct rows once, as coded columns (per
+column, each stored row's value as a dense int in first-occurrence order,
+and the column's distinct values in code order), plus each object's row
+index and each row's object count.  One step, ``_factorized``, builds that
+storage for :func:`load_csv` and for row tuples given to
+:class:`InformationSystem`: it keys each object by its raw cells in one
+dictionary pass and strips and codes only the distinct rows.  When fewer
+than one row in 16 repeats, the rows are stored per object instead: a
+table with few repeats then keeps one form, not two.  The partition kernel
+folds the stored rows, weighted by their object counts; per-object codes are
+derived only when ``rows``, ``column``, ``value``, equality or the per-object
+reference path asks for them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,21 +58,41 @@ def _coded(
 
 
 class _Rows(Sequence):
-    """Read-only row tuples of a table, derived from its coded columns.
+    """Read-only row tuples of a table, stored factorized.
 
-    ``codes[c][i]`` is object ``i``'s code in column ``c`` and
-    ``values[c][code]`` the cell it stands for.  The view compares equal to
-    the tuple of row tuples it stands for, and hashes like it.
+    ``codes[c][r]`` is stored row ``r``'s code in column ``c`` and
+    ``values[c][code]`` the cell it stands for.  ``index[i]`` is object
+    ``i``'s stored row and ``weights[r]`` the number of objects on row
+    ``r``; when the rows are stored per object, both are ``None``.  Stored
+    rows come in first-occurrence order, so codes are those of the objects.
+    Cells that differ only in whitespace share a code, so two stored rows
+    may carry the same codes.  :meth:`object_codes` derives the per-object
+    code columns on first use.  The view compares equal to the tuple of row
+    tuples it stands for, and hashes like it.
     """
 
-    __slots__ = ("n", "codes", "values")
+    __slots__ = ("n", "codes", "values", "index", "weights", "_object_codes")
 
     def __init__(self, n: int,
-                 columns: list[tuple[tuple[int, ...], tuple[Hashable, ...]]]) -> None:
-        """``n`` rows of the columns ``columns``, given as ``_coded`` gives them."""
+                 columns: list[tuple[tuple[int, ...], tuple[Hashable, ...]]],
+                 index: Sequence[int] | None = None,
+                 weights: Sequence[int] | None = None) -> None:
+        """``n`` objects over the stored rows of ``columns``, given as
+        ``_coded`` gives them, with each object's stored row ``index`` and
+        each row's object count ``weights``, or neither for per-object rows."""
         self.n = n
         self.codes = tuple(codes for codes, _ in columns)
         self.values = tuple(values for _, values in columns)
+        self.index, self.weights = index, weights
+        self._object_codes = self.codes if index is None else None
+
+    def object_codes(self) -> tuple[Sequence[int], ...]:
+        """Each column's per-object codes, derived from the stored rows on
+        first use and kept."""
+        if self._object_codes is None:
+            self._object_codes = tuple(tuple(map(codes.__getitem__, self.index))
+                                       for codes in self.codes)
+        return self._object_codes
 
     def __len__(self) -> int:
         return self.n
@@ -75,17 +102,19 @@ class _Rows(Sequence):
             return tuple(self[i] for i in range(*index.indices(self.n)))
         if not -self.n <= index < self.n:
             raise IndexError("row index out of range")
-        return tuple(vals[codes[index]] for codes, vals in zip(self.codes, self.values))
+        row = index if self.index is None else self.index[index]
+        return tuple(vals[codes[row]] for codes, vals in zip(self.codes, self.values))
 
     def __iter__(self) -> Iterator[tuple]:
-        return zip(*(map(vals.__getitem__, codes)
+        rows = zip(*(map(vals.__getitem__, codes)
                      for codes, vals in zip(self.codes, self.values)))
+        return rows if self.index is None else map(list(rows).__getitem__, self.index)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Rows):
             # Codes are canonical, so equal rows have equal codes and values.
-            return (self.n, self.codes, self.values) == (
-                other.n, other.codes, other.values)
+            return (self.n, self.object_codes(), self.values) == (
+                other.n, other.object_codes(), other.values)
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -97,14 +126,44 @@ class _Rows(Sequence):
         return repr(tuple(self))
 
 
+def _factorized(n: int, columns: list[Sequence[Hashable]], strip: bool = False) -> _Rows:
+    """``n`` rows given as raw cell ``columns``, stored factorized.
+
+    One dictionary pass keys each object by its raw cells.  When at least one
+    row in 16 repeats, only the distinct rows are coded (and, with
+    ``strip``, stripped), with each object's row index and each row's object
+    count; otherwise every row is stored as it is.  ``columns`` is consumed,
+    each raw column freed once it is coded.
+    """
+    # Each object is named by the first object with its cells, so the
+    # distinct rows, and the counts keyed by those names, come in
+    # first-occurrence order.  zip() of no columns is empty, but with no
+    # column every object has the one empty row.
+    first: dict[tuple, int] = {}
+    owner = list(map(first.setdefault,
+                     zip(*columns) if columns else itertools.repeat((), n),
+                     itertools.count()))
+    if 16 * (n - len(first)) < n:
+        del first, owner
+        coded = []
+        while columns:
+            coded.append(_coded(columns.pop(0), strip))
+        return _Rows(n, coded)
+    columns.clear()
+    row_of = dict(zip(first.values(), itertools.count()))
+    index = list(map(row_of.__getitem__, owner))
+    weights = list(Counter(owner).values())
+    return _Rows(n, [_coded(col, strip) for col in zip(*first)], index, weights)
+
+
 @dataclass(frozen=True)
 class InformationSystem:
     """Immutable decision table over categorical values.
 
     ``decision`` is either the name of an attribute (excluded from the
     conditional set) or ``None`` for the identity policy.  ``rows`` may be
-    given as any sequence of row tuples; the table codes it by column and
-    keeps ``rows`` as a read-only view of those codes.
+    given as any sequence of row tuples; the table stores it factorized and
+    keeps ``rows`` as a read-only view of that storage.
     """
 
     object_ids: tuple[str, ...]
@@ -123,8 +182,9 @@ class InformationSystem:
         width = len(self.attributes)
         rows = self.rows
         if isinstance(rows, _Rows):
-            if len(rows.codes) != width:
-                raise MalformedTable(1, f"expected {width} cells, got {len(rows.codes)}")
+            # The stored columns give the width; per-object codes are not built.
+            if len(rows.values) != width:
+                raise MalformedTable(1, f"expected {width} cells, got {len(rows.values)}")
         else:
             for i, row in enumerate(rows):
                 if len(row) != width:
@@ -134,8 +194,7 @@ class InformationSystem:
         if self.decision is not None and self.decision not in self.attributes:
             raise UnknownDecision(self.decision)
         if not isinstance(rows, _Rows):
-            columns = [_coded(col) for col in zip(*rows)]
-            object.__setattr__(self, "rows", _Rows(len(rows), columns))
+            object.__setattr__(self, "rows", _factorized(len(rows), list(zip(*rows))))
 
     @property
     def object_count(self) -> int:
@@ -149,11 +208,11 @@ class InformationSystem:
 
     def value(self, obj: int, attribute: str) -> str:
         idx = self.column_index(attribute)
-        return self.rows.values[idx][self.rows.codes[idx][obj]]
+        return self.rows[obj][idx]
 
     def column(self, attribute: str) -> tuple[str, ...]:
         idx = self.column_index(attribute)
-        return tuple(map(self.rows.values[idx].__getitem__, self.rows.codes[idx]))
+        return tuple(map(self.rows.values[idx].__getitem__, self.rows.object_codes()[idx]))
 
     @cached_property
     def _granules(self):
@@ -197,7 +256,11 @@ def load_csv(
     leading byte-order mark is ignored for every source type.  Lines end at
     LF, CRLF or CR only, so a cell may hold a form feed or a Unicode line
     separator.  Blank and whitespace-only lines are skipped, but
-    ``MalformedTable.row`` is the file's 1-based line number, counting them.
+    ``MalformedTable.row`` is the file's 1-based line number, counting them;
+    an empty or whitespace-only header cell is reported at the header's line.
+    Every line's commas are counted, then one split gives all cells, and
+    ``_factorized`` keys each line by its cells other than the ``id`` one and
+    strips and codes only the distinct lines.
     """
     lines = _read_text(source).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     body = list(filter(str.strip, lines))
@@ -205,6 +268,9 @@ def load_csv(
         raise EmptyTable()
     if has_header:
         names = [cell.strip() for cell in body.pop(0).split(",")]
+        if "" in names:
+            header = next(number for number, text in enumerate(lines, 1) if text.strip())
+            raise MalformedTable(header, f"header cell {names.index('') + 1} is empty")
     else:
         names = [f"c{i + 1}" for i in range(body[0].count(",") + 1)]
     width = len(names)
@@ -233,15 +299,13 @@ def load_csv(
     del cells
     object_ids = (tuple(map(str.strip, columns.pop(id_col))) if id_col is not None
                   else tuple(map(str, range(n))))
-    coded = []
-    while columns:  # each raw column is freed once it is coded
-        coded.append(_coded(columns.pop(0), strip=True))
+    rows = _factorized(n, columns, strip=True)
 
     if decision == IDENTITY:
         decision = None
     if decision is not None and decision not in names:
         raise UnknownDecision(decision)
-    return InformationSystem(object_ids, tuple(names), _Rows(n, coded), decision)
+    return InformationSystem(object_ids, tuple(names), rows, decision)
 
 
 # Ten digits of a seven-segment display; segment names a..g are the

@@ -3,9 +3,12 @@
 The reduct path walks the table's granules, not its objects: U/C, the
 distinct conditional rows in first-occurrence order, each with its object
 count and its decision code, or a mixed sentinel when its objects disagree.
-``InformationSystem._granules`` folds ``_objects``, the per-object view and
-the kernel's only reader of a table, once per table, so after loading the
-kernel's cost scales with |U/C|; when few rows repeat, it keeps that view.
+``InformationSystem._granules`` folds the table's stored distinct rows,
+weighted by their object counts, once per table (``_granulate``), so neither
+loading nor the fold touches each object again and the kernel's cost scales
+with |U/C|.  A table stored per object, because few of its rows repeat, is
+walked through ``_objects``, the per-object view; ``_objects`` and
+``_granulate`` are the kernel's only readers of a table's storage.
 Any attribute set groups the granules as it groups their objects, so block
 counts agree, and a block lies in the positive region exactly when its
 granules share one unmixed label; the weights of those granules sum to its
@@ -35,7 +38,6 @@ keys by one routine, ``_grouped_partition``.  Dependency degrees are exact
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
@@ -193,14 +195,15 @@ _MIXED = object()  # the label of a granule whose objects disagree on the decisi
 
 
 class _Granules:
-    """The kernel's view of a table: U/C in first-occurrence order or, when
-    few rows repeat, its objects, each a granule of its own.
+    """The kernel's view of a table: U/C in first-occurrence order or, for a
+    table stored per object, its objects, each a granule of its own.
 
     ``columns`` maps each conditional attribute, in table order, to the
     granules' codes and the column's value count; ``weights`` holds each
     granule's object count, or is ``None`` when each is one object, and
-    ``labels`` its decision code (its object index under the identity
-    policy), or ``_MIXED`` when its objects disagree on the decision.  A
+    ``labels`` its decision code (under the identity policy, its object's
+    or its one stored row's index), or ``_MIXED`` when its objects disagree
+    on the decision.  A
     plain class, not a dataclass: building one costs about 1 ms at import.
     """
 
@@ -213,13 +216,21 @@ class _Granules:
         self.labels, self.object_count = labels, object_count
 
 
+def _columns(table: InformationSystem,
+             codes: Sequence[Sequence[int]]) -> dict[str, tuple[Sequence[int], int]]:
+    """Each attribute of ``table``, in table order, mapped to its column in
+    ``codes`` and the column's value count."""
+    return {name: (column, len(values))
+            for name, column, values in zip(table.attributes, codes, table.rows.values)}
+
+
 def _objects(table: InformationSystem) -> _Granules:
-    """The per-object view of ``table`` over its code columns, each object
-    labelled by its decision code, or by its own index under the identity
-    policy; the kernel's only reader of the table's storage."""
+    """The per-object view of ``table`` over its per-object code columns,
+    each object labelled by its decision code, or by its own index under the
+    identity policy; with ``_granulate``, the kernel's only reader of the
+    table's storage."""
     rows = table.rows
-    columns = {name: (codes, len(values))
-               for name, codes, values in zip(table.attributes, rows.codes, rows.values)}
+    columns = _columns(table, rows.object_codes())
     if table.decision is None:
         labels: Sequence[int] = range(rows.n)
     else:
@@ -228,27 +239,36 @@ def _objects(table: InformationSystem) -> _Granules:
 
 
 def _granulate(table: InformationSystem) -> _Granules:
-    """The granule view of ``table``, folded from ``_objects(table)`` in one
-    pass; ``table._granules`` builds it once per table.  When fewer than one
-    row in 16 repeats, folding would cost about what the smaller walks save,
-    or more, so the per-object view is returned as it is."""
-    objects = _objects(table)
-    n, columns = objects.object_count, objects.columns
-    # Each object's granule is named by the granule's first object, so names
-    # and the counts and labels keyed by them come in first-occurrence order.
+    """The granule view of ``table``, folded in one pass over its stored
+    rows, each weighted by its object count; ``table._granules`` builds it
+    once per table.  Stored rows that differ only in the decision, or in
+    whitespace, fall in one granule.  A table stored per object, because
+    fewer than one row in 16 repeats, is walked per object."""
+    rows = table.rows
+    if rows.index is None:
+        return _objects(table)
+    columns = _columns(table, rows.codes)
+    if table.decision is None:
+        # Each object is its own decision class, so a row of two or more
+        # objects is mixed; a row of one is labelled by its own index.
+        labels = [r if w == 1 else _MIXED for r, w in enumerate(rows.weights)]
+    else:
+        labels = columns.pop(table.decision)[0]
+    # Each row's granule is named by the granule's first row, so names and
+    # the weights and labels keyed by them come in first-occurrence order.
     # zip() of no columns is empty, but with no conditional attribute every
-    # object falls in one granule.
+    # row falls in one granule.
     first: dict[tuple[int, ...], int] = {}
-    owner = list(map(first.setdefault, zip(*(c for c, _ in columns.values()))
-                     if columns else repeat((), n), count()))
-    if 16 * (n - len(first)) < n:
-        return objects
+    owner = map(first.setdefault, zip(*(c for c, _ in columns.values()))
+                if columns else repeat((), len(labels)), count())
     label_of: dict[int, object] = {}
-    for g, label in dict.fromkeys(zip(owner, objects.labels)):
+    weight_of: dict[int, int] = {}
+    for g, label, weight in zip(owner, labels, rows.weights):
         if label_of.setdefault(g, label) != label:
             label_of[g] = _MIXED
+        weight_of[g] = weight_of.get(g, 0) + weight
     folded = {name: (codes, k) for (name, (_, k)), codes in zip(columns.items(), zip(*first))}
-    return _Granules(folded, list(Counter(owner).values()), tuple(label_of.values()), n)
+    return _Granules(folded, list(weight_of.values()), tuple(label_of.values()), rows.n)
 
 
 def _refine(view: _Granules, keys: list[int], name: str) -> list[int]:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,6 +20,7 @@ from reduct_forge import builtin_seven_segment
 from reduct_forge.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 MASK = re.compile(r'"elapsed_ms": [0-9.]+')
 
 
@@ -338,6 +342,25 @@ TEXT_CASES = [
 @pytest.mark.parametrize("argv,expected", TEXT_CASES, ids=[a[0] for a, _ in TEXT_CASES])
 def test_text_output_is_pinned(argv, expected):
     assert run_cli(argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_is_not_an_error(json_flag):
+    """A reader that stops early, as ``| head -1`` does, leaves the CLI
+    writing to a closed pipe; the run still exits 0 with nothing on stderr.
+    The pipe's read end is closed before the CLI starts, so every write
+    fails and the test does not race the reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "reduct_forge.cli", "partition",
+            str(DATA / "duplicates.csv"), *json_flag]
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_json_deterministic_up_to_timing():

@@ -25,6 +25,7 @@ from reduct_forge import (
     rank_attributes,
 )
 from reduct_forge.dataset import SEVEN_SEGMENT_CSV
+from reduct_forge.partition import block_count, dependency
 
 from conftest import make_table
 
@@ -122,6 +123,14 @@ class TestLoadCsv:
     def test_unknown_decision(self):
         with pytest.raises(UnknownDecision):
             load_csv(b"p,q\n1,2\n", decision="missing")
+
+    @pytest.mark.parametrize("header", ["a,,b", "a, ,b", "id,a,\t,b"],
+                             ids=["empty", "space", "tab-after-id"])
+    def test_empty_header_cell_is_the_header_line(self, header):
+        # An attribute named "" could not be named by --attrs.
+        with pytest.raises(MalformedTable, match="is empty") as exc:
+            load_csv(f"\n \n{header}\n1,2,3,4\n".encode())
+        assert exc.value.row == 3
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyTable):
@@ -269,6 +278,87 @@ class TestLoadCsv:
             assert ind_partition(swapped, [name]) == ind_partition(fresh, [name])
         assert ind_partition(swapped, cond) == ind_partition(fresh, cond)
         assert decision_partition(swapped) == decision_partition(fresh)
+
+
+@st.composite
+def repeated_csv(draw):
+    """A CSV text of a few rows repeated many times, in shuffled order, with
+    whitespace drawn around cells, an ``id`` column first, in the middle,
+    last or absent, or no header, and the identity or a named decision;
+    returned with the rows, ids, names and decision it stands for."""
+    has_header = draw(st.booleans())
+    m = draw(st.integers(1, 4))
+    names = [f"a{i}" for i in range(m)] if has_header else [f"c{i + 1}" for i in range(m)]
+    pool = draw(st.lists(st.lists(st.sampled_from(["0", "1", "x y"]), min_size=m, max_size=m),
+                         min_size=1, max_size=4))
+    rows = [list(row) for row in pool for _ in range(draw(st.integers(1, 12)))]
+    rows = draw(st.permutations(rows))
+    id_col = draw(st.none() | st.integers(0, m)) if has_header else None
+    decision = draw(st.none() | st.sampled_from(names))
+    ids = [f"o{i}" for i in range(len(rows))] if id_col is not None else None
+    pad = st.sampled_from(["", "", "", " ", "\t"])
+
+    def line(cells):
+        return ",".join(draw(pad) + cell + draw(pad) for cell in cells)
+
+    lines = []
+    for i, cells in enumerate(([names] if has_header else []) + rows):
+        cells = list(cells)
+        if id_col is not None:
+            cells.insert(id_col, "id" if has_header and i == 0 else ids[i - 1])
+        lines.append(line(cells))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " "])))
+    return "\n".join(lines) + "\n", has_header, rows, ids, names, decision
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_csv(), st.data())
+def test_factorized_load_matches_direct_construction(drawn, data):
+    """A loaded table keys each line by its raw cells and codes only the
+    distinct lines; every accessor and every answer must equal those of the
+    table built from the row tuples, which keys the stripped cells."""
+    text, has_header, rows, ids, names, decision = drawn
+    table = load_csv(text, has_header=has_header, decision=decision)
+    ids = tuple(ids) if ids is not None else tuple(map(str, range(len(rows))))
+    direct = InformationSystem(ids, tuple(names), tuple(map(tuple, rows)), decision)
+    assert table.object_ids == direct.object_ids
+    assert table == direct
+    assert table.rows == direct.rows == tuple(map(tuple, rows))
+    assert list(table.rows) == list(direct.rows)
+    obj = data.draw(st.integers(-len(rows), len(rows) - 1))
+    assert table.rows[obj] == direct.rows[obj]
+    for name in names:
+        assert table.column(name) == direct.column(name)
+        assert table.value(obj, name) == direct.value(obj, name)
+    cond = conditional_attributes(table)
+    for attrs in [cond, *([a] for a in cond)]:
+        assert block_count(table, attrs) == block_count(direct, attrs)
+        assert dependency(table, attrs) == dependency(direct, attrs)
+    for view in (table._granules, direct._granules):
+        assert sum(view.weights or [1] * len(view.labels)) == len(rows)
+    assert rank_attributes(table) == rank_attributes(direct)
+    assert eliminate(table) == eliminate(direct)
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_csv(), st.data())
+def test_ragged_repeat_reports_its_own_line(drawn, data):
+    """A ragged line, a copy of a row with one cell dropped or added, placed
+    among repeated lines and itself repeated, is reported at the file line of
+    its first copy: every line's commas are checked, not one per key."""
+    text, has_header, *_ = drawn
+    lines = text.split("\n")[:-1]
+    copy = data.draw(st.sampled_from(lines[int(has_header):]).filter(str.strip))
+    ragged = copy + ",1" if data.draw(st.booleans()) or "," not in copy else \
+        copy.rpartition(",")[0]
+    # After the first line, which sets the width of a headerless table.
+    at = sorted(data.draw(st.lists(st.integers(1, len(lines)), min_size=1, max_size=3)))
+    for offset, position in enumerate(at):
+        lines.insert(position + offset, ragged)
+    with pytest.raises(MalformedTable) as exc:
+        load_csv("\n".join(lines), has_header=has_header)
+    assert exc.value.row == at[0] + 1
 
 
 class TestInformationSystem:

@@ -34,12 +34,14 @@ from reduct_forge import (
     gamma,
     ind_partition,
     is_redundant,
+    load_csv,
     meet,
     minimal_neighborhoods,
     rank_attributes,
     significance,
     subbase_of,
 )
+import reduct_forge.dataset as dataset
 import reduct_forge.partition as partition
 import reduct_forge.reduct as reduct
 from reduct_forge.partition import _leave_one_out, block_count, dependency, projections
@@ -387,3 +389,29 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     sizes.clear()
     exhaustive_reducts(_repeated_rows_table(600, 12))
     assert sizes and set(sizes) == {(12, 12)}
+
+
+@pytest.mark.parametrize("decision", [None, "d"])
+def test_ranking_and_elimination_build_no_per_object_codes(monkeypatch, decision):
+    """On a factorized table the kernel folds the stored distinct rows, so
+    ranking and elimination never derive per-object code columns; deriving
+    them would cost what factorizing saved."""
+    rows = _repeated_rows_table(600, 12).rows
+    csv = "\n".join(["id,c1,c2,c3,c4,c5,c6,d"]
+                     + [",".join([f"o{i}", *row]) for i, row in enumerate(rows)])
+    calls = 0
+    object_codes = dataset._Rows.object_codes
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return object_codes(self)
+
+    monkeypatch.setattr(dataset._Rows, "object_codes", counting)
+    table = load_csv(csv, decision=decision)
+    assert table.rows.index is not None and len(table.rows.weights) < 600
+    rank_attributes(table)
+    eliminate(table)
+    assert calls == 0
+    ind_partition(table, ["c1"])  # the per-object reference path derives them
+    assert calls == 1
