@@ -4,9 +4,9 @@ The reduct path walks the table's granules, not its objects: U/C, the
 distinct conditional rows in first-occurrence order, each with its object
 count and its decision code, or a mixed sentinel when its objects disagree.
 ``InformationSystem._granules`` folds the table's stored distinct rows,
-weighted by their object counts, once per table (``_granulate``), so neither
-loading nor the fold touches each object again and the kernel's cost scales
-with |U/C|.  A table stored per object, because few of its rows repeat, is
+weighted by their object counts, once per table (``_granulate``), so after
+the one keying pass at load nothing touches each object and the kernel's
+cost scales with |U/C|.  A table stored per object, because few of its rows repeat, is
 walked through ``_objects``, the per-object view; ``_objects`` and
 ``_granulate`` are the kernel's only readers of a table's storage.
 Any attribute set groups the granules as it groups their objects, so block
