@@ -11,22 +11,26 @@ column, each stored row's value as a dense int in first-occurrence order,
 and the column's distinct values in code order), plus each object's row
 index and each row's object count.  One step, ``_factorized``, builds that
 storage for :func:`load_csv` and for row tuples given to
-:class:`InformationSystem`: it keys each object by its raw cells in one
-dictionary pass and strips and codes only the distinct rows.  When fewer
-than one row in 16 repeats, the rows are stored per object instead: a
-table with few repeats then keeps one form, not two.  The partition kernel
-folds the stored rows, weighted by their object counts; per-object codes are
-derived only when ``rows``, ``column``, ``value``, equality or the per-object
-reference path asks for them.
+:class:`InformationSystem`: it groups the objects by one hashable key each
+in one dictionary pass and splits, strips and codes only the distinct keys.
+:func:`load_csv` keys a line by its text without the ``id`` cell (by its
+tuple of cells when the id sits between other columns), and row tuples
+are their own keys.  When fewer than one row in 16 repeats, the rows
+are stored per object instead: a table with few repeats then keeps one
+form, not two.  The partition kernel folds the stored rows, weighted by
+their object counts; per-object codes are derived only when ``rows``,
+``column``, ``value``, equality or the per-object reference path asks for
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import IO, Union
 
 from .errors import (
@@ -126,34 +130,40 @@ class _Rows(Sequence):
         return repr(tuple(self))
 
 
-def _factorized(n: int, columns: list[Sequence[Hashable]], strip: bool = False) -> _Rows:
-    """``n`` rows given as raw cell ``columns``, stored factorized.
+def _factorized(keys: Iterable[Hashable],
+                columns_of: Callable[[list[Hashable] | None], list[Sequence[Hashable]]],
+                strip: bool = False) -> _Rows:
+    """Rows given as one hashable key per object, stored factorized.
 
-    One dictionary pass keys each object by its raw cells.  When at least one
-    row in 16 repeats, only the distinct rows are coded (and, with
-    ``strip``, stripped), with each object's row index and each row's object
-    count; otherwise every row is stored as it is.  ``columns`` is consumed,
-    each raw column freed once it is coded.
+    One dictionary pass groups the objects by key.  When at least one row in
+    16 repeats, ``columns_of(distinct)`` gives the raw cell columns of the
+    list of distinct keys alone, which are coded (and, with ``strip``,
+    stripped), with each object's row index and each row's object count;
+    otherwise ``columns_of(None)`` gives those of every row, in order, and
+    the rows are stored per object, each raw column freed once it is coded.
     """
-    # Each object is named by the first object with its cells, so the
-    # distinct rows, and the counts keyed by those names, come in
-    # first-occurrence order.  zip() of no columns is empty, but with no
-    # column every object has the one empty row.
-    first: dict[tuple, int] = {}
-    owner = list(map(first.setdefault,
-                     zip(*columns) if columns else itertools.repeat((), n),
-                     itertools.count()))
+    # Each object is named by the first object with its key, so the distinct
+    # rows, and the counts keyed by those names, come in first-occurrence order.
+    first: dict[Hashable, int] = {}
+    owner = list(map(first.setdefault, keys, itertools.count()))
+    del keys  # a lazy iterator of keys may hold every cell
+    n = len(owner)
     if 16 * (n - len(first)) < n:
         del first, owner
+        columns = columns_of(None)
         coded = []
         while columns:
             coded.append(_coded(columns.pop(0), strip))
         return _Rows(n, coded)
-    columns.clear()
     row_of = dict(zip(first.values(), itertools.count()))
     index = list(map(row_of.__getitem__, owner))
     weights = list(Counter(owner).values())
-    return _Rows(n, [_coded(col, strip) for col in zip(*first)], index, weights)
+    return _Rows(n, [_coded(col, strip) for col in columns_of(list(first))], index, weights)
+
+
+def _transposed(rows: list[tuple]) -> list[tuple]:
+    """The columns of a list of row tuples."""
+    return list(zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -194,7 +204,8 @@ class InformationSystem:
         if self.decision is not None and self.decision not in self.attributes:
             raise UnknownDecision(self.decision)
         if not isinstance(rows, _Rows):
-            object.__setattr__(self, "rows", _factorized(len(rows), list(zip(*rows))))
+            object.__setattr__(self, "rows", _factorized(
+                map(tuple, rows), lambda distinct: _transposed(rows if distinct is None else distinct)))
 
     @property
     def object_count(self) -> int:
@@ -258,9 +269,12 @@ def load_csv(
     separator.  Blank and whitespace-only lines are skipped, but
     ``MalformedTable.row`` is the file's 1-based line number, counting them;
     an empty or whitespace-only header cell is reported at the header's line.
-    Every line's commas are counted, then one split gives all cells, and
-    ``_factorized`` keys each line by its cells other than the ``id`` one and
-    strips and codes only the distinct lines.
+    Each line is keyed by its text without the ``id`` cell, cut off with one
+    ``str.partition`` (id first) or ``str.rpartition`` (id last) per line,
+    or by the whole line when there is no id, and ``_factorized`` checks
+    the comma counts of, splits, strips and codes only the distinct keys; a
+    table whose id sits between other columns is split whole and keyed by
+    its tuples of cells.
     """
     lines = _read_text(source).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     body = list(filter(str.strip, lines))
@@ -279,27 +293,68 @@ def load_csv(
         del names[id_col]
         if "id" in names:
             raise DuplicateAttribute("id")
+    if not body:
+        raise EmptyTable()
 
-    # The comma counts are checked in one C-level pass; only a ragged table
-    # walks its lines, to report the first ragged one by its line number.
-    if set(map(str.count, body, itertools.repeat(","))) - {width - 1}:
+    def ragged() -> None:
+        """Report the first line whose comma count is wrong, by its file
+        line number; called once some line is known to be ragged."""
         for j, line in enumerate(body, int(has_header)):
             if line.count(",") != width - 1:
                 numbers = (number for number, text in enumerate(lines, 1) if text.strip())
                 raise MalformedTable(next(itertools.islice(numbers, j, None)),
                                      f"expected {width} cells, got {line.count(',') + 1}")
-    if not body:
-        raise EmptyTable()
 
-    # Every line has width - 1 commas, so one split gives the cells row by row.
-    n = len(body)
-    cells = ",".join(body).split(",")
+    def split(distinct: list[str] | None) -> list[list[str]]:
+        """The cell columns of the ``distinct`` keys, or of every key when
+        None, after one C-level check of their comma counts."""
+        rows = keys if distinct is None else distinct
+        if set(map(str.count, rows, itertools.repeat(","))) - {len(names) - 1}:
+            ragged()
+        cells = ",".join(rows).split(",")
+        return [cells[c::len(names)] for c in range(len(names))]
+
+    # Lines are keyed by their text without the id cell, so only the distinct
+    # ones are split and coded.  A key's comma count stands for every line
+    # with that key, and a line without the comma that cuts off its id shows
+    # up in one more C-level check, so every line's width is still checked.
+    # An id between other columns cannot be cut off in C (mapping
+    # str.split(",", j + 1) over the lines measured no faster with the id
+    # first and 2x slower in the middle), so such a table, and one whose id
+    # is its only column, is split whole and keyed by its tuples of cells.
+    if id_col is None:
+        object_ids = tuple(map(str, range(len(body))))
+        keys = body
+        rows = _factorized(keys, split, strip=True)
+    elif width > 1 and id_col in (0, width - 1):
+        parts = list(map(str.partition if id_col == 0 else str.rpartition,
+                         body, itertools.repeat(",")))
+        if not all(map(itemgetter(1), parts)):
+            ragged()
+        cut, kept = (0, 2) if id_col == 0 else (2, 0)
+        object_ids = tuple(map(str.strip, map(itemgetter(cut), parts)))
+        keys = list(map(itemgetter(kept), parts))
+        del parts
+        rows = _factorized(keys, split, strip=True)
+    else:
+        if set(map(str.count, body, itertools.repeat(","))) - {width - 1}:
+            ragged()
+        cells = ",".join(body).split(",")
+        columns = [cells[c::width] for c in range(width)]
+        del cells
+        object_ids = tuple(map(str.strip, columns.pop(id_col)))
+
+        def cells_of(distinct: list[tuple[str, ...]] | None) -> list[Sequence[str]]:
+            if distinct is None:
+                return columns
+            columns.clear()  # frees every cell but those the distinct rows hold
+            return _transposed(distinct)
+
+        # zip() of no columns is empty, but with no column every line has
+        # the one empty row.
+        rows = _factorized(zip(*columns) if columns else itertools.repeat((), len(body)),
+                           cells_of, strip=True)
     del lines, body
-    columns = [cells[c::width] for c in range(width)]
-    del cells
-    object_ids = (tuple(map(str.strip, columns.pop(id_col))) if id_col is not None
-                  else tuple(map(str, range(n))))
-    rows = _factorized(n, columns, strip=True)
 
     if decision == IDENTITY:
         decision = None

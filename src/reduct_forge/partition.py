@@ -6,9 +6,11 @@ count and its decision code, or a mixed sentinel when its objects disagree.
 ``InformationSystem._granules`` folds the table's stored distinct rows,
 weighted by their object counts, once per table (``_granulate``), so after
 the one keying pass at load nothing touches each object and the kernel's
-cost scales with |U/C|.  A table stored per object, because few of its rows repeat, is
-walked through ``_objects``, the per-object view; ``_objects`` and
-``_granulate`` are the kernel's only readers of a table's storage.
+cost scales with |U/C|.  A table stored per object, because few of its
+lines repeat, is folded on its conditional rows when at least one in 16 of
+those repeats, and otherwise walked through ``_objects``, the per-object
+view; ``_objects`` and ``_granulate`` are the kernel's only readers of a
+table's storage.
 Any attribute set groups the granules as it groups their objects, so block
 counts agree, and a block lies in the positive region exactly when its
 granules share one unmixed label; the weights of those granules sum to its
@@ -196,7 +198,8 @@ _MIXED = object()  # the label of a granule whose objects disagree on the decisi
 
 class _Granules:
     """The kernel's view of a table: U/C in first-occurrence order or, for a
-    table stored per object, its objects, each a granule of its own.
+    table stored per object whose conditional rows seldom repeat, its
+    objects, each a granule of its own.
 
     ``columns`` maps each conditional attribute, in table order, to the
     granules' codes and the column's value count; ``weights`` holds each
@@ -242,10 +245,14 @@ def _granulate(table: InformationSystem) -> _Granules:
     """The granule view of ``table``, folded in one pass over its stored
     rows, each weighted by its object count; ``table._granules`` builds it
     once per table.  Stored rows that differ only in the decision, or in
-    whitespace, fall in one granule.  A table stored per object, because
-    fewer than one row in 16 repeats, is walked per object."""
+    whitespace, fall in one granule.  A table stored per object is folded
+    on its conditional rows when at least one in 16 repeats, as when its
+    lines are distinct only through a many-valued decision, and otherwise
+    walked per object."""
     rows = table.rows
-    if rows.index is None:
+    if rows.index is None and table.decision is None:
+        # Under the identity decision the conditional rows are the stored
+        # ones, so a table stored per object has few repeats to fold.
         return _objects(table)
     columns = _columns(table, rows.codes)
     if table.decision is None:
@@ -259,11 +266,16 @@ def _granulate(table: InformationSystem) -> _Granules:
     # zip() of no columns is empty, but with no conditional attribute every
     # row falls in one granule.
     first: dict[tuple[int, ...], int] = {}
-    owner = map(first.setdefault, zip(*(c for c, _ in columns.values()))
-                if columns else repeat((), len(labels)), count())
+    owner = list(map(first.setdefault, zip(*(c for c, _ in columns.values()))
+                     if columns else repeat((), len(labels)), count()))
+    weights = rows.weights
+    if weights is None:
+        if 16 * (len(owner) - len(first)) < len(owner):
+            return _objects(table)
+        weights = repeat(1)
     label_of: dict[int, object] = {}
     weight_of: dict[int, int] = {}
-    for g, label, weight in zip(owner, labels, rows.weights):
+    for g, label, weight in zip(owner, labels, weights):
         if label_of.setdefault(g, label) != label:
             label_of[g] = _MIXED
         weight_of[g] = weight_of.get(g, 0) + weight

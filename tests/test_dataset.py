@@ -188,8 +188,10 @@ class TestLoadCsv:
         [
             (b"p,id,q\nx,1,2\ny,3,4\n", ("1", "3"), (("x", "2"), ("y", "4"))),
             (b"p,q,id\nx,1,2\ny,3,4\n", ("2", "4"), (("x", "1"), ("y", "3"))),
+            (b"p,q,id\r\nx,1,2\r\ny,3,4\r\n", ("2", "4"), (("x", "1"), ("y", "3"))),
+            (b"p,q,id\rx,1,2\ry,3,4\r", ("2", "4"), (("x", "1"), ("y", "3"))),
         ],
-        ids=["middle", "last"],
+        ids=["middle", "last", "last-crlf", "last-cr"],
     )
     def test_id_column_anywhere(self, data, ids, rows):
         table = load_csv(data)
@@ -198,14 +200,22 @@ class TestLoadCsv:
         assert table.rows == rows
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    @pytest.mark.parametrize("has_header", [True, False], ids=["header", "headerless"])
-    def test_malformed_row_is_the_file_line(self, eol, has_header):
+    @pytest.mark.parametrize("layout", ["header", "headerless", "id-first", "id-last"])
+    def test_malformed_row_is_the_file_line(self, eol, layout):
         # Blank and whitespace-only lines before the first line and between
-        # rows still count: the ragged row "3" is line 8 of the file.
-        first = "p,q" if has_header else "0,0"
-        lines = ["", "  ", first, "\t", "1,2", "", " \t ", "3", "4,5"]
+        # rows still count: the ragged row "3" is line 8 of the file.  With
+        # an id column, line 8 holds only its id, among repeated lines that
+        # are keyed by their text without the id; with one attribute, that
+        # text has no comma, so only the missing id comma shows the line.
+        first, row, ragged, last = {
+            "header": ("p,q", "1,2", "3", "4,5"),
+            "headerless": ("0,0", "1,2", "3", "4,5"),
+            "id-first": ("id,p", "o,1", "o", "o,4"),
+            "id-last": ("p,id", "1,o", "o", "4,o"),
+        }[layout]
+        lines = ["", "  ", first, "\t", row, "", " \t ", ragged, *[last] * 20]
         with pytest.raises(MalformedTable) as exc:
-            load_csv(eol.join(lines).encode("utf-8"), has_header=has_header)
+            load_csv(eol.join(lines).encode("utf-8"), has_header=layout != "headerless")
         assert exc.value.row == 8
         assert "expected 2 cells, got 1" in str(exc.value)
 
@@ -214,6 +224,8 @@ class TestLoadCsv:
             load_csv(b"id,p\n")
         with pytest.raises(EmptyTable):
             load_csv(b"\n id , p \n \n")
+        with pytest.raises(EmptyTable):  # rows, but no attribute
+            load_csv(b"id\no1\no2\n")
 
     def test_header_only_reports_empty_before_unknown_decision(self):
         with pytest.raises(EmptyTable):
@@ -315,8 +327,9 @@ def repeated_csv(draw):
 @settings(max_examples=200, deadline=None)
 @given(repeated_csv(), st.data())
 def test_factorized_load_matches_direct_construction(drawn, data):
-    """A loaded table keys each line by its raw cells and codes only the
-    distinct lines; every accessor and every answer must equal those of the
+    """A loaded table keys each line by its text without the id cell, or by
+    its raw cells when the id is in the middle, and codes only the distinct
+    lines; every accessor and every answer must equal those of the
     table built from the row tuples, which keys the stripped cells."""
     text, has_header, rows, ids, names, decision = drawn
     table = load_csv(text, has_header=has_header, decision=decision)
@@ -344,14 +357,21 @@ def test_factorized_load_matches_direct_construction(drawn, data):
 @settings(max_examples=100, deadline=None)
 @given(repeated_csv(), st.data())
 def test_ragged_repeat_reports_its_own_line(drawn, data):
-    """A ragged line, a copy of a row with one cell dropped or added, placed
-    among repeated lines and itself repeated, is reported at the file line of
-    its first copy: every line's commas are checked, not one per key."""
+    """A ragged line, a copy of a row with one cell dropped or added or only
+    its id cell, placed among repeated lines and itself repeated, is
+    reported at the file line of its first copy: a key's comma count stands
+    for every line with that key, and a line without the comma that cuts off
+    its id fails a check of its own, so every line's width is checked."""
     text, has_header, *_ = drawn
     lines = text.split("\n")[:-1]
     copy = data.draw(st.sampled_from(lines[int(has_header):]).filter(str.strip))
-    ragged = copy + ",1" if data.draw(st.booleans()) or "," not in copy else \
-        copy.rpartition(",")[0]
+    header = [cell.strip() for cell in lines[0].split(",")] if has_header else []
+    choices = [copy + ",1"]
+    if "," in copy:
+        choices.append(copy.rpartition(",")[0])
+    if "id" in header:
+        choices.append(copy.split(",")[header.index("id")])
+    ragged = data.draw(st.sampled_from(choices))
     # After the first line, which sets the width of a headerless table.
     at = sorted(data.draw(st.lists(st.integers(1, len(lines)), min_size=1, max_size=3)))
     for offset, position in enumerate(at):

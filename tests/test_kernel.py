@@ -340,6 +340,25 @@ def test_kernel_keeps_objects_when_few_rows_repeat(decision):
     _assert_matches_object_level_reference(table)
 
 
+def test_kernel_folds_rows_distinct_only_through_the_decision():
+    """A table whose lines are distinct only through a many-valued decision
+    is stored per object, but its conditional rows repeat: the view folds
+    them into granules, and ranking still matches the per-object reference."""
+    rng = random.Random("many-valued-decision")
+    rows = [[*(str(rng.getrandbits(1)) for _ in range(8)), str(i // 2)] for i in range(600)]
+    table = make_table(rows, [f"c{i + 1}" for i in range(8)] + ["d"], decision="d")
+    assert table.rows.index is None
+    view = table._granules
+    assert len(view.labels) == len({tuple(row[:8]) for row in rows}) == 225
+    assert sum(view.weights) == 600
+    cond = conditional_attributes(table)
+    full = _gamma_via(table, cond)
+    ranked = rank_attributes(table).ranked
+    assert any(value for _, value in ranked)
+    for a, value in ranked:
+        assert value == full - _gamma_via(table, [b for b in cond if b != a])
+
+
 @given(tables(max_repeats=40).filter(lambda t: t.decision is not None),
        st.sampled_from([2, 3]))
 @settings(max_examples=100, deadline=None)
