@@ -24,9 +24,13 @@ labels of ``R - a`` pair the kept attributes before ``a`` with all
 attributes after it, so ranking, elimination and the minimality check each
 cost O(|U/C|·m) instead of rebuilding an m-attribute projection per
 attribute.  ``_refine`` splits labels by one attribute, one pass per call
-over a coded column, keyed by the int ``label * k + code`` where ``k`` is
-the column's value count; ``_dependency_of`` turns labels into a weighted
-dependency degree.
+over a coded column: the new label is the mixed-radix int
+``label * k + code``, where ``k`` is the column's value count, and labels
+are renumbered densely only when they could pass ``2**30``, one CPython
+int digit.  Labels are therefore neither dense nor in first-occurrence
+order; every reader takes them only as set members or dict keys, or, for
+a pairing, by their maximum.  ``_dependency_of`` turns labels into a
+weighted dependency degree.
 
 :func:`projections`, :func:`ind_partition`, :func:`decision_partition`,
 :func:`meet`, :func:`positive_region` and :func:`gamma` stay per object:
@@ -283,21 +287,31 @@ def _granulate(table: InformationSystem) -> _Granules:
     return _Granules(folded, list(weight_of.values()), tuple(label_of.values()), rows.n)
 
 
+_DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
+
+
 def _refine(view: _Granules, keys: list[int], name: str) -> list[int]:
     """``keys`` split by attribute ``name`` in one pass over the granules of
     ``view``: two granules get the same new number exactly when they had the
-    same key and agree on ``name``.  Numbers are dense, ``0`` up to the block
-    count minus one.  The pass groups on ``key * k + code``, where ``code``
-    is the granule's code in the column and ``k`` the column's value count,
-    so it allocates no tuple per granule."""
+    same key and agree on ``name``.  The new number is the mixed-radix
+    ``key * k + code``, where ``code`` is the granule's code in the column
+    and ``k`` the column's value count: as ``0 <= code < k`` it tells the
+    (key, code) pairs apart, so the pass needs no dict and no tuple per
+    granule.  Numbers are not dense, but stay below ``2**30``: when
+    ``(max(keys) + 1) * k`` would pass that, the pairs are renumbered
+    densely by first occurrence instead, ``0`` up to the block count minus
+    one, so keys never outgrow one int digit."""
     codes, k = view.columns[name]
+    if (max(keys, default=0) + 1) * k <= _DIGIT:
+        return [key * k + code for key, code in zip(keys, codes)]
     ids: dict[int, int] = {}
     return [ids.setdefault(key * k + code, len(ids)) for key, code in zip(keys, codes)]
 
 
 def _projections(view: _Granules, attrs: Iterable[str]) -> list[int]:
-    """Each granule of ``view`` restricted to ``attrs``, as a dense number; a
-    name outside ``view.columns`` raises ``UnknownAttribute``."""
+    """Each granule of ``view`` restricted to ``attrs``, as a number below
+    ``2**30``, as ``_refine`` gives it; a name outside ``view.columns``
+    raises ``UnknownAttribute``."""
     # Refined one attribute at a time on int keys: row-tuple keys of many
     # lengths would each leave up to 2000 tuples in CPython's free lists.
     keys = [0] * len(view.labels)
@@ -310,7 +324,10 @@ def _projections(view: _Granules, attrs: Iterable[str]) -> list[int]:
 
 def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
     """Each object restricted to ``attrs``, as a number: two objects get the
-    same number exactly when they agree on every attribute in ``attrs``."""
+    same number exactly when they agree on every attribute in ``attrs``.
+    The numbers are not dense: with each column's value count as a radix
+    they are mixed-radix until they would pass ``2**30``, so only their
+    grouping, not their values, is meant to be read."""
     return _projections(_objects(table), attrs)
 
 

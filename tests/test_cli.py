@@ -288,6 +288,9 @@ GOLDEN_CASES = [
         ["reduct", str(DATA / "duplicates.csv"), "--decision", "d", "--trace", "--exhaustive",
          "--json"],
     ),
+    # 200 rows of 30 seeded ternary columns and 4 copies of them, under the
+    # identity decision: the walk's mixed-radix keys pass one int digit.
+    ("reduct_wide_trace.json", ["reduct", str(DATA / "wide.csv"), "--trace", "--json"]),
 ]
 
 

@@ -6,12 +6,15 @@ exhaustive oracle checked against plain subset enumeration, on random tables
 with duplicate rows, under both decision policies.  The kernel walks a
 table's distinct conditional rows, so it is also checked against the
 per-object partitions on tables of a few rows repeated many times, and a
-work guard pins that it refines those rows, not the objects."""
+work guard pins that it refines those rows, not the objects.  Its keys are
+mixed-radix numbers renumbered before they pass one int digit, so wide
+tables check the walk across that switch and a guard pins the bound."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +229,13 @@ def test_leave_one_out_matches_direct_projections(table, data):
     # ``None`` advances with plain next(), which must keep the attribute.
     keeps = data.draw(st.lists(st.none() | st.booleans(),
                                min_size=len(attrs), max_size=len(attrs)))
+    _assert_walk_matches_projections(table, attrs, keeps)
+
+
+def _assert_walk_matches_projections(table, attrs, keeps):
+    """Walk ``attrs`` on the per-object and the granule view, keeping or
+    dropping each attribute as ``keeps`` says, and check every yield against
+    ``projections`` and ``ind_partition`` of its attribute set."""
     objects = partition._objects(table)
     for view in (objects, table._granules):
         walk = _leave_one_out(view, attrs)
@@ -274,6 +284,24 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     assert counts[1] <= 2.2 * counts[0]
 
 
+def test_refined_keys_stay_within_one_int_digit(monkeypatch):
+    """Keys are mixed-radix numbers, which would reach ``3**40`` at 40
+    ternary columns, so ``_refine`` must renumber them before they pass
+    ``2**30``."""
+    largest = 0
+    refine = partition._refine
+
+    def recording_refine(*args):
+        nonlocal largest
+        keys = refine(*args)
+        largest = max(largest, *keys)
+        return keys
+
+    monkeypatch.setattr(partition, "_refine", recording_refine)
+    eliminate(_identity_table(300, 40, 3))
+    assert 0 < largest < 2**30
+
+
 def _gamma_via(table, attrs):
     """The object-level reference: gamma of the indiscernibility partition."""
     return gamma(ind_partition(table, attrs), decision_partition(table))
@@ -283,14 +311,22 @@ def _assert_matches_object_level_reference(table):
     """Ranking, ``block_count``, ``dependency``, the elimination trace, the
     core and the oracle, each checked against the per-object partitions."""
     cond = conditional_attributes(table)
-    full = _gamma_via(table, cond)
-    full_blocks = len(ind_partition(table, cond))
-    for a, value in rank_attributes(table).ranked:
-        assert value == full - _gamma_via(table, [b for b in cond if b != a])
     for size in range(len(cond) + 1):
         for attrs in combinations(cond, size):
             assert block_count(table, attrs) == len(ind_partition(table, attrs))
             assert dependency(table, attrs) == _gamma_via(table, attrs)
+    _assert_walks_match_object_level_reference(table)
+    assert set(exhaustive_reducts(table)) == minimal_preserving_subsets_oracle(table)
+
+
+def _assert_walks_match_object_level_reference(table):
+    """Ranking, the elimination trace and the core, the answers of the
+    leave-one-out walks, each checked against the per-object partitions."""
+    cond = conditional_attributes(table)
+    full = _gamma_via(table, cond)
+    full_blocks = len(ind_partition(table, cond))
+    for a, value in rank_attributes(table).ranked:
+        assert value == full - _gamma_via(table, [b for b in cond if b != a])
 
     result = eliminate(table)
     remaining = list(cond)
@@ -307,7 +343,6 @@ def _assert_matches_object_level_reference(table):
     core = {a for a in cond
             if len(ind_partition(table, [b for b in cond if b != a])) != full_blocks}
     assert core_attributes(table) == core
-    assert set(exhaustive_reducts(table)) == minimal_preserving_subsets_oracle(table)
 
 
 @given(tables(max_repeats=40))
@@ -317,6 +352,58 @@ def test_kernel_on_repeated_rows_matches_object_level_reference(table):
     their object counts; on tables of few rows repeated many times each of
     its answers is checked against the per-object partitions."""
     _assert_matches_object_level_reference(table)
+
+
+@st.composite
+def wide_tables(draw):
+    """Tables whose value-count product passes ``2**30``, so a walk's
+    mixed-radix keys outgrow one int digit and are renumbered: 31 to 40
+    binary columns, or 6 to 10 columns of 24 to 40 values, each column
+    holding all of its values.  Copied columns make some attributes
+    redundant, repeated rows fold into granules, rows that differ in one
+    cell are told apart by one attribute only, and the decision is the
+    identity or a named one of up to three values."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        ks = [2] * draw(st.integers(31, 40))
+    else:
+        ks = draw(st.lists(st.integers(24, 40), min_size=6, max_size=10)
+                  .filter(lambda ks: prod(ks) > 2**30))
+    n = draw(st.integers(max(ks), 60))
+    columns = []
+    for k in ks:
+        column = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(column)
+        columns.append([str(v) for v in column])
+    for _ in range(draw(st.integers(0, 3))):
+        columns.insert(rng.randrange(len(columns) + 1), rng.choice(columns))
+    rows = [list(row) for row in zip(*columns)]
+    for _ in range(draw(st.integers(0, n // 2))):
+        # A copy of a row with at most one cell redrawn: only that column
+        # tells the two rows apart, so a refinement that lost it would show.
+        row = list(rng.choice(rows))
+        j = rng.randrange(len(row))
+        row[j] = rng.choice(columns[j])
+        rows.append(row)
+    rng.shuffle(rows)
+    attrs = [f"c{i + 1}" for i in range(len(columns))]
+    if draw(st.booleans()):
+        return make_table(rows, attrs)
+    return make_table([r + [rng.choice("xyz")] for r in rows], attrs + ["d"], decision="d")
+
+
+@given(wide_tables(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_past_one_int_digit_matches_object_level_reference(table, data):
+    """Past ``2**30`` the walk's keys are renumbered densely; across that
+    switch they must still group as ``projections`` and ``ind_partition``
+    do, and ranking, elimination and the core must match the per-object
+    partitions."""
+    attrs = data.draw(st.permutations(conditional_attributes(table)))
+    keeps = data.draw(st.lists(st.none() | st.booleans(),
+                               min_size=len(attrs), max_size=len(attrs)))
+    _assert_walk_matches_projections(table, attrs, keeps)
+    _assert_walks_match_object_level_reference(table)
 
 
 @pytest.mark.parametrize("decision", [None, "d"])
