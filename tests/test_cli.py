@@ -289,7 +289,8 @@ GOLDEN_CASES = [
          "--json"],
     ),
     # 200 rows of 30 seeded ternary columns and 4 copies of them, under the
-    # identity decision: the walk's mixed-radix keys pass one int digit.
+    # identity decision: the walk's mixed-radix keys would pass one int
+    # digit, so the kernel renumbers them.
     ("reduct_wide_trace.json", ["reduct", str(DATA / "wide.csv"), "--trace", "--json"]),
 ]
 
