@@ -1,20 +1,20 @@
 """Indiscernibility partitions and the positive-region machinery on top of them.
 
-The reduct path walks the table's granules, not its objects: U/C, the
-distinct conditional rows in first-occurrence order, each with its object
-count and its decision code, or a mixed sentinel when its objects disagree.
-``InformationSystem._granules`` folds the table's stored distinct rows,
-weighted by their object counts, once per table (``_granulate``), so after
-the one keying pass at load nothing touches each object and the kernel's
-cost scales with |U/C|.  A table stored per object, because few of its
-lines repeat, is folded on its conditional rows when at least one in 16 of
-those repeats, and otherwise walked through ``_objects``, the per-object
-view; ``_objects`` and ``_granulate`` are the kernel's only readers of a
-table's storage.
-Any attribute set groups the granules as it groups their objects, so block
-counts agree, and a block lies in the positive region exactly when its
-granules share one unmixed label; the weights of those granules sum to its
-share of |POS|.
+The reduct path walks the table's granules, not its objects: its stored
+distinct rows, or those rows folded into U/C, the distinct conditional
+rows, each in first-occurrence order with its object count and its
+decision code, or a mixed sentinel when its objects disagree.
+``InformationSystem._granules`` builds the view once per table
+(``_granulate``), so after the one keying pass at load nothing touches each
+object and the kernel's cost scales with the stored rows.  ``_granulate``
+alone decides whether folding pays: under the identity decision the stored
+rows are the granules, and under a named decision they are folded on their
+conditional codes when at least one in 16 repeats there.  It and
+``_objects``, the per-object view of the reference path, are the kernel's
+only readers of a table's storage.  Any attribute set groups the granules
+as it groups their objects, so block counts agree, and a block lies in the
+positive region exactly when its granules share one unmixed label; the
+weights of those granules sum to its share of |POS|.
 
 On that view the kernel is ``_leave_one_out``, ``_refine`` and
 ``_dependency_of``, plus :func:`block_count` and :func:`dependency`.
@@ -201,23 +201,25 @@ _MIXED = object()  # the label of a granule whose objects disagree on the decisi
 
 
 class _Granules:
-    """The kernel's view of a table: U/C in first-occurrence order or, for a
-    table stored per object whose conditional rows seldom repeat, its
-    objects, each a granule of its own.
+    """The kernel's view of a table: its granules, each a stored row or a
+    fold of stored rows, in first-occurrence order, or, for the per-object
+    reference path, its objects.
 
     ``columns`` maps each conditional attribute, in table order, to the
     granules' codes and the column's value count; ``weights`` holds each
-    granule's object count, or is ``None`` when each is one object, and
-    ``labels`` its decision code (under the identity policy, its object's
-    or its one stored row's index), or ``_MIXED`` when its objects disagree
-    on the decision.  A
-    plain class, not a dataclass: building one costs about 1 ms at import.
+    granule's object count and ``labels`` its decision code (under the
+    identity policy, its stored row's or its object's index), or ``_MIXED``
+    when its objects disagree on the decision.  Two granules may carry the
+    same codes, when stored rows that differ only in the decision or in
+    whitespace are not folded; every reader groups granules by their keys,
+    so such granules share each block.  A plain class, not a dataclass:
+    building one costs about 1 ms at import.
     """
 
     __slots__ = ("columns", "weights", "labels", "object_count")
 
     def __init__(self, columns: dict[str, tuple[Sequence[int], int]],
-                 weights: Sequence[int] | None, labels: Sequence[object],
+                 weights: Sequence[int], labels: Sequence[object],
                  object_count: int) -> None:
         self.columns, self.weights = columns, weights
         self.labels, self.object_count = labels, object_count
@@ -234,37 +236,36 @@ def _columns(table: InformationSystem,
 def _objects(table: InformationSystem) -> _Granules:
     """The per-object view of ``table`` over its per-object code columns,
     each object labelled by its decision code, or by its own index under the
-    identity policy; with ``_granulate``, the kernel's only reader of the
-    table's storage."""
+    identity policy; only the per-object reference path, ``projections``
+    and ``decision_partition``, reads it."""
     rows = table.rows
     columns = _columns(table, rows.object_codes())
     if table.decision is None:
         labels: Sequence[int] = range(rows.n)
     else:
         labels = columns.pop(table.decision)[0]
-    return _Granules(columns, None, labels, rows.n)
+    return _Granules(columns, [1] * rows.n, labels, rows.n)
 
 
 def _granulate(table: InformationSystem) -> _Granules:
-    """The granule view of ``table``, folded in one pass over its stored
-    rows, each weighted by its object count; ``table._granules`` builds it
-    once per table.  Stored rows that differ only in the decision, or in
-    whitespace, fall in one granule.  A table stored per object is folded
-    on its conditional rows when at least one in 16 repeats, as when its
-    lines are distinct only through a many-valued decision, and otherwise
-    walked per object."""
+    """The granule view of ``table``, built from its stored rows, each
+    weighted by its object count; ``table._granules`` builds it once per
+    table.  Under the identity decision the stored rows are the granules:
+    a row of two or more objects is mixed, and rows that differ only in
+    whitespace share every block, where their labels of their own leave it
+    impure, as their objects would.  Under a named
+    decision the rows are folded on their conditional codes when at least
+    one in 16 repeats there, so rows that differ only in the decision, or
+    in whitespace, fall in one granule; otherwise they are kept as they
+    are."""
     rows = table.rows
-    if rows.index is None and table.decision is None:
-        # Under the identity decision the conditional rows are the stored
-        # ones, so a table stored per object has few repeats to fold.
-        return _objects(table)
     columns = _columns(table, rows.codes)
     if table.decision is None:
         # Each object is its own decision class, so a row of two or more
         # objects is mixed; a row of one is labelled by its own index.
         labels = [r if w == 1 else _MIXED for r, w in enumerate(rows.weights)]
-    else:
-        labels = columns.pop(table.decision)[0]
+        return _Granules(columns, rows.weights, labels, rows.n)
+    labels = columns.pop(table.decision)[0]
     # Each row's granule is named by the granule's first row, so names and
     # the weights and labels keyed by them come in first-occurrence order.
     # zip() of no columns is empty, but with no conditional attribute every
@@ -272,14 +273,11 @@ def _granulate(table: InformationSystem) -> _Granules:
     first: dict[tuple[int, ...], int] = {}
     owner = list(map(first.setdefault, zip(*(c for c, _ in columns.values()))
                      if columns else repeat((), len(labels)), count()))
-    weights = rows.weights
-    if weights is None:
-        if 16 * (len(owner) - len(first)) < len(owner):
-            return _objects(table)
-        weights = repeat(1)
+    if 16 * (len(owner) - len(first)) < len(owner):
+        return _Granules(columns, rows.weights, labels, rows.n)
     label_of: dict[int, object] = {}
     weight_of: dict[int, int] = {}
-    for g, label, weight in zip(owner, labels, weights):
+    for g, label, weight in zip(owner, labels, rows.weights):
         if label_of.setdefault(g, label) != label:
             label_of[g] = _MIXED
         weight_of[g] = weight_of.get(g, 0) + weight
@@ -389,9 +387,7 @@ def _dependency_of(view: _Granules, keys: list[int]) -> Fraction:
         if label_of.setdefault(key, label) != label:
             label_of[key] = _MIXED
     pure = map(is_not, map(label_of.__getitem__, keys), repeat(_MIXED))
-    if view.weights is not None:
-        pure = compress(view.weights, pure)
-    return Fraction(sum(pure), view.object_count)
+    return Fraction(sum(compress(view.weights, pure)), view.object_count)
 
 
 def ind_partition(table: InformationSystem, attrs: Iterable[str]) -> Partition:

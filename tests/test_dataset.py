@@ -294,16 +294,20 @@ class TestLoadCsv:
 
 @st.composite
 def repeated_csv(draw):
-    """A CSV text of a few rows repeated many times, in shuffled order, with
-    whitespace drawn around cells, an ``id`` column first, in the middle,
-    last or absent, or no header, and the identity or a named decision;
-    returned with the rows, ids, names and decision it stands for."""
+    """A CSV text of a few rows repeated many times, or of up to 40 distinct
+    rows each drawn once, in shuffled order, with whitespace drawn around
+    cells, an ``id`` column first, in the middle, last or absent, or no
+    header, and the identity or a named decision; returned with the rows,
+    ids, names and decision it stands for."""
     has_header = draw(st.booleans())
     m = draw(st.integers(1, 4))
     names = [f"a{i}" for i in range(m)] if has_header else [f"c{i + 1}" for i in range(m)]
-    pool = draw(st.lists(st.lists(st.sampled_from(["0", "1", "x y"]), min_size=m, max_size=m),
-                         min_size=1, max_size=4))
-    rows = [list(row) for row in pool for _ in range(draw(st.integers(1, 12)))]
+    cells = st.lists(st.sampled_from(["0", "1", "x y"]), min_size=m, max_size=m)
+    if draw(st.booleans()):
+        rows = draw(st.lists(cells, min_size=1, max_size=40, unique_by=tuple))
+    else:
+        pool = draw(st.lists(cells, min_size=1, max_size=4))
+        rows = [list(row) for row in pool for _ in range(draw(st.integers(1, 12)))]
     rows = draw(st.permutations(rows))
     id_col = draw(st.none() | st.integers(0, m)) if has_header else None
     decision = draw(st.none() | st.sampled_from(names))
@@ -349,7 +353,7 @@ def test_factorized_load_matches_direct_construction(drawn, data):
         assert block_count(table, attrs) == block_count(direct, attrs)
         assert dependency(table, attrs) == dependency(direct, attrs)
     for view in (table._granules, direct._granules):
-        assert sum(view.weights or [1] * len(view.labels)) == len(rows)
+        assert sum(view.weights) == len(rows)
     assert rank_attributes(table) == rank_attributes(direct)
     assert eliminate(table) == eliminate(direct)
 

@@ -13,7 +13,7 @@ tables check the walk across that switch and a guard pins the bound."""
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -407,9 +407,10 @@ def test_kernel_past_one_int_digit_matches_object_level_reference(table, data):
 
 
 @pytest.mark.parametrize("decision", [None, "d"])
-def test_kernel_keeps_objects_when_few_rows_repeat(decision):
-    """Under one repeat in 16 rows the view keeps every object as a granule
-    of its own, repeats included, and the answers still match."""
+def test_kernel_keeps_stored_rows_when_few_rows_repeat(decision):
+    """Under one repeat in 16 rows the view is the table's stored rows, not
+    a fold of them, weighted by their object counts, and the answers still
+    match."""
     rng = random.Random("few-repeats")
     distinct: set[tuple[str, ...]] = set()
     while len(distinct) < 195:
@@ -423,18 +424,23 @@ def test_kernel_keeps_objects_when_few_rows_repeat(decision):
     else:
         table = make_table([[*r, rng.choice("xy")] for r in rows], attrs + ["d"], decision="d")
     view = table._granules
-    assert len(view.labels) == 200 and view.weights is None
+    assert view.weights == table.rows.weights and sum(view.weights) == 200
+    for name in conditional_attributes(table):
+        assert view.columns[name][0] == table.rows.codes[table.column_index(name)]
+    if decision is None:
+        assert len(view.labels) == 195
+    else:
+        assert view.labels == table.rows.codes[table.column_index("d")]
     _assert_matches_object_level_reference(table)
 
 
 def test_kernel_folds_rows_distinct_only_through_the_decision():
     """A table whose lines are distinct only through a many-valued decision
-    is stored per object, but its conditional rows repeat: the view folds
+    has few repeated lines, but its conditional rows repeat: the view folds
     them into granules, and ranking still matches the per-object reference."""
     rng = random.Random("many-valued-decision")
     rows = [[*(str(rng.getrandbits(1)) for _ in range(8)), str(i // 2)] for i in range(600)]
     table = make_table(rows, [f"c{i + 1}" for i in range(8)] + ["d"], decision="d")
-    assert table.rows.index is None
     view = table._granules
     assert len(view.labels) == len({tuple(row[:8]) for row in rows}) == 225
     assert sum(view.weights) == 600
@@ -497,14 +503,18 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     assert sizes and set(sizes) == {(12, 12)}
 
 
+def _csv(rows) -> str:
+    """CSV text of 6 conditional columns and ``d``, with an ``id`` first."""
+    return "\n".join(["id,c1,c2,c3,c4,c5,c6,d"]
+                     + [",".join([f"o{i}", *row]) for i, row in enumerate(rows)])
+
+
 @pytest.mark.parametrize("decision", [None, "d"])
 def test_ranking_and_elimination_build_no_per_object_codes(monkeypatch, decision):
-    """On a factorized table the kernel folds the stored distinct rows, so
-    ranking and elimination never derive per-object code columns; deriving
-    them would cost what factorizing saved."""
-    rows = _repeated_rows_table(600, 12).rows
-    csv = "\n".join(["id,c1,c2,c3,c4,c5,c6,d"]
-                     + [",".join([f"o{i}", *row]) for i, row in enumerate(rows)])
+    """The kernel walks a table's stored distinct rows, folded or not, so
+    ranking and elimination never derive per-object code columns, whether
+    the table's lines repeat or not; deriving them would cost what
+    factorizing saved."""
     calls = 0
     object_codes = dataset._Rows.object_codes
 
@@ -514,10 +524,19 @@ def test_ranking_and_elimination_build_no_per_object_codes(monkeypatch, decision
         return object_codes(self)
 
     monkeypatch.setattr(dataset._Rows, "object_codes", counting)
-    table = load_csv(csv, decision=decision)
+    table = load_csv(_csv(_repeated_rows_table(600, 12).rows), decision=decision)
     assert table.rows.index is not None and len(table.rows.weights) < 600
     rank_attributes(table)
     eliminate(table)
     assert calls == 0
     ind_partition(table, ["c1"])  # the per-object reference path derives them
     assert calls == 1
+    # No line repeats, and no conditional row either.
+    rng = random.Random("distinct-rows")
+    rows = [[*row, rng.choice("xyz")] for row in rng.sample(sorted(product("012", repeat=6)), 600)]
+    calls = 0
+    table = load_csv(_csv(rows), decision=decision)
+    rank_attributes(table)
+    eliminate(table)
+    assert calls == 0
+    assert table.rows.weights == [1] * 600
