@@ -4,9 +4,10 @@ drop, the leave-one-out walk checked against direct projections,
 the shared grouping routine checked against direct grouping, and the
 exhaustive oracle checked against plain subset enumeration, on random tables
 with duplicate rows, under both decision policies.  The kernel walks a
-table's distinct conditional rows, so it is also checked against the
-per-object partitions on tables of a few rows repeated many times, and a
-work guard pins that it refines those rows, not the objects.  Its keys are
+table's stored distinct rows, folded on their conditional codes when that
+pays, so it is also checked against the per-object partitions on tables of
+a few rows repeated many times, and a work guard pins that it refines
+those rows, not the objects.  Its keys are
 mixed-radix numbers renumbered before they pass one int digit, so wide
 tables check the walk across that switch and a guard pins the bound."""
 
@@ -348,8 +349,8 @@ def _assert_walks_match_object_level_reference(table):
 @given(tables(max_repeats=40))
 @settings(max_examples=100, deadline=None)
 def test_kernel_on_repeated_rows_matches_object_level_reference(table):
-    """The kernel walks the table's distinct conditional rows, weighted by
-    their object counts; on tables of few rows repeated many times each of
+    """The kernel walks the table's stored distinct rows, folded or not,
+    weighted by their object counts; on tables of few rows repeated many times each of
     its answers is checked against the per-object partitions."""
     _assert_matches_object_level_reference(table)
 
