@@ -7,9 +7,9 @@ with duplicate rows, under both decision policies.  The kernel walks a
 table's stored distinct rows, folded on their conditional codes when that
 pays, so it is also checked against the per-object partitions on tables of
 a few rows repeated many times, and a work guard pins that it refines
-those rows, not the objects.  Its keys are
-mixed-radix numbers renumbered before they pass one int digit, so wide
-tables check the walk across that switch and a guard pins the bound."""
+those rows, not the objects.  Its keys are mixed-radix numbers renumbered
+before they pass one int digit, so wide tables check the walk across that
+switch and a guard pins the bound."""
 
 from __future__ import annotations
 
@@ -350,8 +350,9 @@ def _assert_walks_match_object_level_reference(table):
 @settings(max_examples=100, deadline=None)
 def test_kernel_on_repeated_rows_matches_object_level_reference(table):
     """The kernel walks the table's stored distinct rows, folded or not,
-    weighted by their object counts; on tables of few rows repeated many times each of
-    its answers is checked against the per-object partitions."""
+    weighted by their object counts; on tables of few rows repeated many
+    times each of its answers is checked against the per-object
+    partitions."""
     _assert_matches_object_level_reference(table)
 
 
