@@ -15,10 +15,15 @@ row tuples given to :class:`InformationSystem`: it numbers the objects' keys
 in one dictionary pass and splits, strips and codes only the distinct keys.
 :func:`load_csv` keys a line by its text without the ``id`` cell (by its
 tuple of cells when the id sits between other columns), and row tuples are
-their own keys.  The partition kernel walks the stored rows, weighted by
-their object counts, and alone decides whether folding them pays;
-per-object codes are derived only when ``rows``, ``column``, ``value``,
-equality or the per-object reference path asks for them.
+their own keys.  The loader cuts each line and takes its key in that one
+pass, so no per-line object outlives its step.  It does not build the
+object ids either: ``object_ids`` is a read-only view that builds them on
+first read, from the text (id first or last), the split id column (id in
+the middle) or the object numbers (no id).  The partition kernel walks the
+stored rows, weighted by their object counts, and alone decides whether
+folding them pays; per-object codes are derived only when ``rows``,
+``column``, ``value``, equality or the per-object reference path asks for
+them.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import itertools
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import contains, itemgetter
 from typing import IO, Union
 
 from .errors import (
@@ -125,6 +130,68 @@ class _Rows(Sequence):
         return repr(tuple(self))
 
 
+class _Ids(Sequence):
+    """Read-only object ids of a table, built on first read.
+
+    ``ids`` is a lazy iterator of the ids, consumed into a tuple the first
+    time an id is read and kept; ``len`` is known without it.  The loader
+    gives it ``map(str, range(n))`` when there is no ``id`` column, the
+    split id column when the id sits between other columns, and, when the
+    id is first or last, :func:`_cut_ids` over the table's text.  The view
+    compares equal to the tuple of ids it stands for, and hashes and reprs
+    like it.
+    """
+
+    __slots__ = ("n", "_pending", "_ids")
+
+    def __init__(self, n: int, ids: Iterator[str]) -> None:
+        self.n = n
+        self._pending: Iterator[str] | None = ids
+        self._ids: tuple[str, ...] | None = None
+
+    def _tuple(self) -> tuple[str, ...]:
+        if self._ids is None:
+            self._ids, self._pending = tuple(self._pending), None
+        return self._ids
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Ids):
+            return self.n == other.n and self._tuple() == other._tuple()
+        if isinstance(other, tuple):
+            return self._tuple() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+    def __reduce__(self):
+        # A copy must not share the one-shot iterator: it is a plain tuple.
+        return tuple, (self._tuple(),)
+
+
+def _cut_ids(text: str, id_first: bool) -> Iterator[str]:
+    """The ids of a table whose ``id`` is its first or last column, cut from
+    its text (LF line ends, no byte-order mark) by the loader's own line
+    rules: blank and whitespace-only lines skipped, the header dropped, each
+    line cut at its first or last comma and its id cell stripped."""
+    lines = filter(str.strip, text.split("\n"))
+    next(lines)  # the header
+    cut = map(str.partition if id_first else str.rpartition, lines, itertools.repeat(","))
+    yield from map(str.strip, map(itemgetter(0 if id_first else 2), cut))
+
+
 def _factorized(keys: Iterable[Hashable],
                 columns_of: Callable[[list[Hashable]], list[Sequence[Hashable]]],
                 strip: bool = False) -> _Rows:
@@ -168,16 +235,18 @@ class InformationSystem:
     ``decision`` is either the name of an attribute (excluded from the
     conditional set) or ``None`` for the identity policy.  ``rows`` may be
     given as any sequence of row tuples; the table stores it factorized and
-    keeps ``rows`` as a read-only view of that storage.
+    keeps ``rows`` as a read-only view of that storage.  ``object_ids`` may
+    be any sequence of ids; :func:`load_csv` gives a read-only view that
+    builds them on first read and compares equal to their tuple.
     """
 
-    object_ids: tuple[str, ...]
+    object_ids: Sequence[str]
     attributes: tuple[str, ...]
     rows: Sequence[tuple[str, ...]]
     decision: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.object_ids or not self.attributes:
+        if not len(self.object_ids) or not self.attributes:
             raise EmptyTable()
         seen: set[str] = set()
         for name in self.attributes:
@@ -268,9 +337,16 @@ def load_csv(
     or by the whole line when there is no id, and ``_factorized`` checks
     the comma counts of, splits, strips and codes only the distinct keys; a
     table whose id sits between other columns is split whole and keyed by
-    its tuples of cells.
+    its tuples of cells.  The cuts are fed to ``_factorized`` as they are
+    made, so each is dropped once its key is taken.  The table's
+    ``object_ids`` is a read-only view that compares equal to the tuple of
+    ids and builds it only when an id is read; with the id first or last it
+    keeps the text and cuts the ids from it again by these line rules.
     """
-    lines = _read_text(source).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    text = _read_text(source)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     body = list(filter(str.strip, lines))
     if not body:
         raise EmptyTable()
@@ -304,37 +380,38 @@ def load_csv(
         of their comma counts."""
         if set(map(str.count, distinct, itertools.repeat(","))) - {len(names) - 1}:
             ragged()
+        # A line without the comma that cuts off its id keys as "", as does
+        # an empty cell after the id; with one attribute both pass the comma
+        # count, so only then is every line checked for that comma.
+        if len(names) == 1 and "" in distinct and not all(
+                map(contains, body, itertools.repeat(","))):
+            ragged()
         cells = ",".join(distinct).split(",")
         return [cells[c::len(names)] for c in range(len(names))]
 
     # Lines are keyed by their text without the id cell, so only the distinct
     # ones are split and coded.  A key's comma count stands for every line
-    # with that key, and a line without the comma that cuts off its id shows
-    # up in one more C-level check, so every line's width is still checked.
+    # with that key, and split() catches a line without the comma that cuts
+    # off its id, so every line's width is still checked.  No line's cut is
+    # kept, and the ids are cut from the text again only if they are read.
     # An id between other columns cannot be cut off in C (mapping
     # str.split(",", j + 1) over the lines measured no faster with the id
     # first and 2x slower in the middle), so such a table, and one whose id
     # is its only column, is split whole and keyed by its tuples of cells.
     if id_col is None:
-        object_ids = tuple(map(str, range(len(body))))
+        object_ids = _Ids(len(body), map(str, range(len(body))))
         rows = _factorized(body, split, strip=True)
     elif width > 1 and id_col in (0, width - 1):
-        parts = list(map(str.partition if id_col == 0 else str.rpartition,
-                         body, itertools.repeat(",")))
-        if not all(map(itemgetter(1), parts)):
-            ragged()
-        cut, kept = (0, 2) if id_col == 0 else (2, 0)
-        object_ids = tuple(map(str.strip, map(itemgetter(cut), parts)))
-        keys = list(map(itemgetter(kept), parts))
-        del parts
-        rows = _factorized(keys, split, strip=True)
+        object_ids = _Ids(len(body), _cut_ids(text, id_col == 0))
+        cut = map(str.partition if id_col == 0 else str.rpartition, body, itertools.repeat(","))
+        rows = _factorized(map(itemgetter(2 if id_col == 0 else 0), cut), split, strip=True)
     else:
         if set(map(str.count, body, itertools.repeat(","))) - {width - 1}:
             ragged()
         cells = ",".join(body).split(",")
         columns = [cells[c::width] for c in range(width)]
         del cells
-        object_ids = tuple(map(str.strip, columns.pop(id_col)))
+        object_ids = _Ids(len(body), map(str.strip, columns.pop(id_col)))
 
         def cells_of(distinct: list[tuple[str, ...]]) -> list[Sequence[str]]:
             if len(distinct) == len(body):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import pickle
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings
@@ -297,7 +299,8 @@ def repeated_csv(draw):
     """A CSV text of a few rows repeated many times, or of up to 40 distinct
     rows each drawn once, in shuffled order, with whitespace drawn around
     cells, an ``id`` column first, in the middle, last or absent, or no
-    header, and the identity or a named decision; returned with the rows,
+    header, LF, CRLF or CR line ends, an optional byte-order mark, and the
+    identity or a named decision; returned with its line end and the rows,
     ids, names and decision it stands for."""
     has_header = draw(st.booleans())
     m = draw(st.integers(1, 4))
@@ -325,7 +328,9 @@ def repeated_csv(draw):
         lines.append(line(cells))
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(["", " "])))
-    return "\n".join(lines) + "\n", has_header, rows, ids, names, decision
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + eol.join(lines) + eol, eol, has_header, rows, ids, names, decision
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,11 +340,24 @@ def test_factorized_load_matches_direct_construction(drawn, data):
     its raw cells when the id is in the middle, and codes only the distinct
     lines; every accessor and every answer must equal those of the
     table built from the row tuples, which keys the stripped cells."""
-    text, has_header, rows, ids, names, decision = drawn
+    text, _, has_header, rows, ids, names, decision = drawn
     table = load_csv(text, has_header=has_header, decision=decision)
     ids = tuple(ids) if ids is not None else tuple(map(str, range(len(rows))))
     direct = InformationSystem(ids, tuple(names), tuple(map(tuple, rows)), decision)
-    assert table.object_ids == direct.object_ids
+    # The loaded ids are a view that reads like the tuple of ids.
+    view = table.object_ids
+    assert len(view) == len(ids)
+    assert view == direct.object_ids
+    assert direct.object_ids == view
+    assert hash(view) == hash(ids)
+    assert repr(view) == repr(ids)
+    assert tuple(view) == ids
+    at = data.draw(st.integers(-len(ids), len(ids) - 1))
+    assert view[at] == ids[at]
+    assert view[-1] == ids[-1]
+    bounds = st.none() | st.integers(-len(ids) - 1, len(ids) + 1)
+    cut = slice(data.draw(bounds), data.draw(bounds), data.draw(st.none() | st.sampled_from([1, 2, -1])))
+    assert view[cut] == ids[cut]
     assert table == direct
     assert table.rows == direct.rows == tuple(map(tuple, rows))
     assert list(table.rows) == list(direct.rows)
@@ -366,8 +384,10 @@ def test_ragged_repeat_reports_its_own_line(drawn, data):
     reported at the file line of its first copy: a key's comma count stands
     for every line with that key, and a line without the comma that cuts off
     its id fails a check of its own, so every line's width is checked."""
-    text, has_header, *_ = drawn
-    lines = text.split("\n")[:-1]
+    text, eol, has_header, *_ = drawn
+    body = text.removeprefix("\ufeff")
+    bom = text[:len(text) - len(body)]
+    lines = body.split(eol)[:-1]
     copy = data.draw(st.sampled_from(lines[int(has_header):]).filter(str.strip))
     header = [cell.strip() for cell in lines[0].split(",")] if has_header else []
     choices = [copy + ",1"]
@@ -381,8 +401,58 @@ def test_ragged_repeat_reports_its_own_line(drawn, data):
     for offset, position in enumerate(at):
         lines.insert(position + offset, ragged)
     with pytest.raises(MalformedTable) as exc:
-        load_csv("\n".join(lines), has_header=has_header)
+        load_csv(bom + eol.join(lines), has_header=has_header)
     assert exc.value.row == at[0] + 1
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("id_first", [True, False], ids=["id-first", "id-last"])
+def test_lone_id_line_among_empty_cells(eol, id_first):
+    """With the id first or last and one attribute, a line that holds only
+    its id keys as "", as an empty cell does, so it passes the comma count
+    of the distinct keys; the check of every line for the id's comma, run
+    because "" is a key, still reports it at its file line."""
+    def line(obj, cell):
+        return f"{obj},{cell}" if id_first else f"{cell},{obj}"
+
+    lines = [line("id", "a"), line("o1", ""), line("o2", "x"), "", line("o3", " "),
+             "o4", line("o5", ""), line("o6", "x")]
+    with pytest.raises(MalformedTable, match="^malformed table at row 6: expected 2 cells, got 1$"):
+        load_csv(eol.join(lines) + eol)
+    del lines[5]
+    table = load_csv(eol.join(lines) + eol)
+    assert table.object_ids == ("o1", "o2", "o3", "o5", "o6")
+    assert table.rows == (("",), ("x",), ("",), ("",), ("x",))
+
+
+@pytest.mark.parametrize("text", ["id,p\no1,1\no2,2\n", "p,id,q\n1,o1,2\n3,o2,4\n",
+                                  "p,q\n1,2\n3,4\n"], ids=["id-first", "id-middle", "no-id"])
+def test_loaded_table_copies_and_pickles(text):
+    """A copy of a table whose ids are not yet built holds the ids, not a
+    share of the one pass that builds them."""
+    table = load_csv(text)
+    copied = deepcopy(table)
+    pickled = pickle.loads(pickle.dumps(table))
+    assert copied == pickled == table
+    assert copied.object_ids == pickled.object_ids == tuple(table.object_ids)
+
+
+def test_loaded_ids_are_built_only_when_read():
+    """Ranking and elimination never read the object ids, so a loaded
+    table with its id first keeps only its text until an id is read; the
+    ids are then the stripped first cells of its lines."""
+    lines = ["id,p,q,d"] + [f" o{i} ,{i % 7},{i % 3},{i % 5}" for i in range(20000)]
+    table = load_csv("\n".join(lines), decision="d")
+    rank_attributes(table)
+    eliminate(table)
+    assert table.object_ids._ids is None
+    assert table.object_ids[5] == "o5"
+    assert table.object_ids._ids is not None
+    assert table.object_ids == tuple(line.split(",")[0].strip() for line in lines[1:])
+    given_ids = tuple(f"x{i}" for i in range(3))
+    given = InformationSystem(given_ids, ("p",), (("1",), ("2",), ("1",)))
+    assert given.object_ids == given_ids
+    assert given_ids == given.object_ids
 
 
 class TestInformationSystem:
