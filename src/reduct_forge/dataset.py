@@ -399,6 +399,7 @@ def load_csv(
     # first and 2x slower in the middle), so such a table, and one whose id
     # is its only column, is split whole and keyed by its tuples of cells.
     if id_col is None:
+        del text  # only an id first or last is cut from the text again
         object_ids = _Ids(len(body), map(str, range(len(body))))
         rows = _factorized(body, split, strip=True)
     elif width > 1 and id_col in (0, width - 1):
@@ -406,6 +407,7 @@ def load_csv(
         cut = map(str.partition if id_col == 0 else str.rpartition, body, itertools.repeat(","))
         rows = _factorized(map(itemgetter(2 if id_col == 0 else 0), cut), split, strip=True)
     else:
+        del text
         if set(map(str.count, body, itertools.repeat(","))) - {width - 1}:
             ragged()
         cells = ",".join(body).split(",")
