@@ -17,20 +17,30 @@ positive region exactly when its granules share one unmixed label; the
 weights of those granules sum to its share of |POS|.
 
 On that view the kernel is ``_leave_one_out``, ``_refine`` and
-``_dependency_of``, plus :func:`block_count` and :func:`dependency`.
+:class:`_Labels`, plus :func:`block_count` and :func:`dependency`.
 ``_leave_one_out`` is the paper's composition of a low- and a
 high-significance base, a partition meet, taken at every candidate: the
-labels of ``R - a`` pair the kept attributes before ``a`` with all
+grouping of ``R - a`` meets the kept attributes before ``a`` with all
 attributes after it, so ranking, elimination and the minimality check each
-cost O(|U/C|·m) instead of rebuilding an m-attribute projection per
-attribute.  ``_refine`` splits labels by one attribute, one pass per call
-over a coded column: the new label is the mixed-radix int
+make O(m) refinements and meets instead of rebuilding an m-attribute
+projection per attribute.  Each yield is a :class:`_Labels` that gives its
+own block count and dependency degree, so its readers never measure key
+lists.  Refinement never merges blocks, so a granule alone in its block
+stays alone in every finer grouping: a list drops such granules, the
+stripped partitions of TANE (Huhtala et al., 1999), once at least half of
+its rows are, and keeps only the rest.  On a wide table almost every
+granule is alone after about log_k |U/C| attributes, so a walk touches
+O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m).  ``_refine`` splits
+labels by one attribute, one pass per call over a coded column or over the
+rows a stripped list keeps: the new label is the mixed-radix int
 ``label * k + code``, where ``k`` is the column's value count, and labels
 are renumbered densely only when they could pass ``2**30``, one CPython
 int digit.  Labels are therefore neither dense nor in first-occurrence
-order; every reader takes them only as set members or dict keys, or, for
-a pairing, by their maximum.  ``_dependency_of`` turns labels into a
-weighted dependency degree.
+order, and a stripped list has none for its lone granules; readers take
+the block count and the dependency from the walk's :class:`_Labels`, and
+the exhaustive oracle takes dense labels from ``_projections`` and
+``_refine`` only as set members: its depth-first search stays on dense
+lists, where stripping its nodes did not pay.
 
 :func:`projections`, :func:`ind_partition`, :func:`decision_partition`,
 :func:`meet`, :func:`positive_region` and :func:`gamma` stay per object:
@@ -216,13 +226,21 @@ class _Granules:
     building one costs about 1 ms at import.
     """
 
-    __slots__ = ("columns", "weights", "labels", "object_count")
+    __slots__ = ("columns", "weights", "labels", "object_count", "_unmixed")
 
     def __init__(self, columns: dict[str, tuple[Sequence[int], int]],
                  weights: Sequence[int], labels: Sequence[object],
                  object_count: int) -> None:
         self.columns, self.weights = columns, weights
         self.labels, self.object_count = labels, object_count
+        self._unmixed: int | None = None
+
+    def unmixed(self) -> int:
+        """The weight of the granules whose objects agree on the decision,
+        summed on first use."""
+        if self._unmixed is None:
+            self._unmixed = _unmixed_weight(self.labels, self.weights)
+        return self._unmixed
 
 
 def _columns(table: InformationSystem,
@@ -288,19 +306,26 @@ def _granulate(table: InformationSystem) -> _Granules:
 _DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
 
 
-def _refine(view: _Granules, keys: list[int], name: str) -> list[int]:
+def _refine(view: _Granules, keys: list[int], name: str,
+            rows: list[int] | None = None, top: int | None = None) -> list[int]:
     """``keys`` split by attribute ``name`` in one pass over the granules of
-    ``view``: two granules get the same new number exactly when they had the
-    same key and agree on ``name``.  The new number is the mixed-radix
-    ``key * k + code``, where ``code`` is the granule's code in the column
-    and ``k`` the column's value count: as ``0 <= code < k`` it tells the
-    (key, code) pairs apart, so the pass needs no dict and no tuple per
-    granule.  Numbers are not dense, but stay below ``2**30``: when
-    ``(max(keys) + 1) * k`` would pass that, the pairs are renumbered
-    densely by first occurrence instead, ``0`` up to the block count minus
-    one, so keys never outgrow one int digit."""
+    ``view``, or over the granules ``rows`` when ``keys`` are theirs: two
+    granules get the same new number exactly when they had the same key and
+    agree on ``name``.  The new number is the mixed-radix ``key * k + code``,
+    where ``code`` is the granule's code in the column and ``k`` the
+    column's value count: as ``0 <= code < k`` it tells the (key, code)
+    pairs apart, so the pass needs no dict and no tuple per granule.
+    Numbers are not dense, but stay below ``2**30``: when ``top * k`` would
+    pass that, ``top`` being a bound above every key (``max(keys) + 1``
+    unless given), the pairs are renumbered densely by first occurrence
+    instead, ``0`` up to the block count minus one, so keys never outgrow
+    one int digit."""
     codes, k = view.columns[name]
-    if (max(keys, default=0) + 1) * k <= _DIGIT:
+    if rows is not None:
+        codes = map(codes.__getitem__, rows)
+    if top is None:
+        top = max(keys, default=0) + 1
+    if top * k <= _DIGIT:
         return [key * k + code for key, code in zip(keys, codes)]
     ids: dict[int, int] = {}
     return [ids.setdefault(key * k + code, len(ids)) for key, code in zip(keys, codes)]
@@ -329,40 +354,158 @@ def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
     return _projections(_objects(table), attrs)
 
 
+class _Labels:
+    """A grouping of ``view``'s granules, as ``_leave_one_out`` yields it,
+    with its block count ``blocks`` and its dependency degree
+    ``dependency``.
+
+    Dense, ``rows`` is None and ``keys[g]`` is granule ``g``'s label.
+    Stripped, ``keys`` are the labels of the granules ``rows``, in ascending
+    order, and each granule outside ``rows`` is alone in its block; a
+    granule in ``rows`` may be alone too.  Two granules share a block
+    exactly when both carry a label and the labels are equal.  A list the
+    walk refines further also keeps ``top``, a bound above every key, and
+    ``most``, a bound on the distinct keys.  A plain class, not a
+    dataclass, so that importing the module stays cheap.
+    """
+
+    __slots__ = ("view", "keys", "rows", "top", "most", "_blocks")
+
+    def __init__(self, view: _Granules, keys: list[int], rows: list[int] | None,
+                 top: int = 0, most: int = 0, blocks: int | None = None) -> None:
+        self.view, self.keys, self.rows = view, keys, rows
+        self.top, self.most, self._blocks = top, most, blocks
+
+    @property
+    def blocks(self) -> int:
+        if self._blocks is None:
+            shared = len(set(self.keys))
+            self._blocks = (shared if self.rows is None
+                            else len(self.view.labels) - len(self.rows) + shared)
+        return self._blocks
+
+    @property
+    def dependency(self) -> Fraction:
+        """|POS| over the object count.  A block is in the positive region
+        when its granules share one label other than ``_MIXED``; so a
+        stripped grouping's |POS| is the unmixed weight of all granules,
+        less that of ``rows``, plus the weight of ``rows`` in pure blocks."""
+        view, rows = self.view, self.rows
+        if rows is None:
+            pos = _pure_weight(self.keys, view.labels, view.weights)
+        else:
+            labels = list(map(view.labels.__getitem__, rows))
+            weights = list(map(view.weights.__getitem__, rows))
+            pos = (view.unmixed() - _unmixed_weight(labels, weights)
+                   + _pure_weight(self.keys, labels, weights))
+        return Fraction(pos, view.object_count)
+
+
+def _split(view: _Granules, labels: _Labels, name: str) -> _Labels:
+    """``labels`` refined by attribute ``name``, and stripped of the granules
+    alone in their block once at least half of its rows are.  A set of the
+    keys is paid for only when ``most``, the free bound on their distinct
+    values, lets that many rows be alone.  It gives the block count; with b
+    distinct keys over s rows at least 2b - s rows are alone, and only when
+    that reaches s / 2 are the rows counted and stripped."""
+    rows = labels.rows
+    if rows == []:
+        return labels  # every granule is alone in its block already
+    k = view.columns[name][1]
+    keys = _refine(view, labels.keys, name, rows, labels.top)
+    size = len(keys)
+    if labels.top * k <= _DIGIT:  # mixed-radix, as _refine decides
+        top, most = labels.top * k, min(labels.most * k, size)
+    else:  # renumbered densely, so the bound is the block count
+        top = most = max(keys, default=-1) + 1
+    if 2 * most < size:
+        return _Labels(view, keys, rows, top, most)
+    shared = len(set(keys))
+    blocks = len(view.labels) - size + shared
+    if shared == size:
+        return _Labels(view, [], [], top, 0, blocks)
+    if 4 * shared < 3 * size:
+        return _Labels(view, keys, rows, top, shared, blocks)
+    # A plain loop, not a Counter: the walk runs under the oracle's search,
+    # which must not lean on spare recursion depth.
+    seen: set[int] = set()
+    again: set[int] = set()
+    for key in keys:
+        if key in seen:
+            again.add(key)
+        else:
+            seen.add(key)
+    kept = list(map(again.__contains__, keys))
+    return _Labels(view, list(compress(keys, kept)),
+                   list(compress(range(size) if rows is None else rows, kept)),
+                   top, len(again), blocks)
+
+
+def _meet(view: _Granules, a: _Labels, b: _Labels) -> _Labels:
+    """The grouping of ``view``'s granules by both ``a`` and ``b``.  A
+    granule alone in either is alone in the meet, so a stripped side limits
+    the pass to its rows: a dense side is indexed at them, and of two
+    stripped sides the shorter is looked up in a dict."""
+    if a.rows is None and b.rows is None:
+        width = b.top
+        return _Labels(view, [p * width + s for p, s in zip(a.keys, b.keys)], None)
+    if b.rows is None:
+        a, b = b, a
+    if a.rows is None:
+        at: Sequence[int] = a.keys
+        rows = b.rows
+        keys = b.keys
+    else:
+        if len(b.rows) < len(a.rows):
+            a, b = b, a
+        at = dict(zip(a.rows, a.keys))
+        inside = list(map(at.__contains__, b.rows))
+        rows = list(compress(b.rows, inside))
+        keys = compress(b.keys, inside)
+    width = b.top
+    return _Labels(view, [at[r] * width + s for r, s in zip(rows, keys)], rows)
+
+
 def _leave_one_out(
     view: _Granules, attrs: Sequence[str]
-) -> Generator[list[int], bool | None, None]:
-    """Per-granule keys of ``view`` for every attribute set that leaves one
-    of ``attrs`` out.
+) -> Generator[_Labels, bool | None, None]:
+    """The grouping of ``view``'s granules, as a :class:`_Labels`, for every
+    attribute set that leaves one of ``attrs`` out.
 
-    The first value yielded is the projections of all of ``attrs``.  Then, for
-    each ``attrs[i]`` in turn, it yields keys of the kept attributes before
-    ``attrs[i]`` together with all of ``attrs[i + 1:]``; ``attrs[i]`` is kept
-    unless the value sent back for them is ``False``, so plain iteration
-    keeps every attribute (the value sent back for the first yield is
-    ignored).  This is the paper's composition of a low and a high base, a
-    partition meet, taken at every candidate: the suffix labels are refined
-    once from the back, the kept prefix one attribute at a time, and each
-    candidate pairs them in one pass, so the walk is O(granules·m) in all.
+    The first value yielded is the grouping by all of ``attrs``.  Then, for
+    each ``attrs[i]`` in turn, it yields the grouping by the kept attributes
+    before ``attrs[i]`` together with all of ``attrs[i + 1:]``; ``attrs[i]``
+    is kept unless the value sent back for it is ``False``, so plain
+    iteration keeps every attribute (the value sent back for the first
+    yield is ignored).  This is the paper's composition of a low and a high
+    base, a partition meet, taken at every candidate: the suffix groupings
+    are refined once from the back, the kept prefix one attribute at a time,
+    and each candidate meets them in one pass.  Refinement never merges
+    blocks, so a granule alone in its block stays alone in every finer
+    grouping and meet: each list drops such granules once at least half of
+    its rows are, and the walk then touches only the rest.  On a wide table
+    almost every granule is alone after about log_k |U/C| attributes, so
+    the walk touches O(|U/C|·log_k |U/C|) granule entries rather than
+    O(|U/C|·m).
     """
     size = len(view.labels)
-    suffixes = [[0] * size]  # suffixes[-1 - j] holds the labels of attrs[j:]
+    none_kept = _Labels(view, [0] * size, None, 1, 1)
+    suffixes = [none_kept]  # suffixes[-1 - j] groups by attrs[j:]
     for name in reversed(attrs):
-        suffixes.append(_refine(view, suffixes[-1], name))
+        suffixes.append(_split(view, suffixes[-1], name))
     yield suffixes.pop()
-    prefix = none_kept = [0] * size
+    prefix = none_kept
     for name in attrs:
         suffix = suffixes.pop()
-        width = max(suffix, default=0) + 1
-        # A side that discerns nothing leaves the other side's labels as they are.
-        if prefix is none_kept:
-            keys = suffix
-        elif width == 1:
-            keys = prefix
+        # A side that discerns nothing leaves the other side as it is.
+        if prefix.rows is None and prefix.top == 1:
+            labels = suffix
+        elif suffix.rows is None and suffix.top == 1:
+            labels = prefix
         else:
-            keys = [p * width + s for p, s in zip(prefix, suffix)]
-        if (yield keys) is not False:
-            prefix = _refine(view, prefix, name)
+            labels = _meet(view, prefix, suffix)
+        if (yield labels) is not False:
+            prefix = _split(view, prefix, name)
 
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
@@ -373,21 +516,24 @@ def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
 def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
     """``gamma(ind_partition(table, attrs), decision_partition(table))``."""
     view = table._granules
-    return _dependency_of(view, _projections(view, attrs))
+    return _Labels(view, _projections(view, attrs), None).dependency
 
 
-def _dependency_of(view: _Granules, keys: list[int]) -> Fraction:
-    """The dependency degree of the grouping of ``view``'s granules by
-    ``keys``: the weight of the blocks whose granules all carry one label
-    other than ``_MIXED``, over the object count.  One dict pass maps each
-    key to its label, or to ``_MIXED`` once two differ; the weights of the
+def _unmixed_weight(labels: Iterable[object], weights: Iterable[int]) -> int:
+    """The weight of the granules whose label is not ``_MIXED``."""
+    return sum(compress(weights, map(is_not, labels, repeat(_MIXED))))
+
+
+def _pure_weight(keys: list[int], labels: Sequence[object], weights: Iterable[int]) -> int:
+    """The weight of the granules grouped by ``keys`` whose block's granules
+    all carry one label other than ``_MIXED``.  One dict pass maps each key
+    to its label, or to ``_MIXED`` once two differ; the weights of the
     granules whose key kept a label are then summed without a Python loop."""
     label_of: dict[int, object] = {}
-    for key, label in zip(keys, view.labels):
+    for key, label in zip(keys, labels):
         if label_of.setdefault(key, label) != label:
             label_of[key] = _MIXED
-    pure = map(is_not, map(label_of.__getitem__, keys), repeat(_MIXED))
-    return Fraction(sum(compress(view.weights, pure)), view.object_count)
+    return _unmixed_weight(map(label_of.__getitem__, keys), weights)
 
 
 def ind_partition(table: InformationSystem, attrs: Iterable[str]) -> Partition:

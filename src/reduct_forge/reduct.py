@@ -11,10 +11,14 @@ and as ``R - a`` is a subset of ``C`` the two partitions agree exactly when
 their block counts do.  The pass takes that composition at every candidate:
 ``R - a`` is the meet of the kept attributes ranked before ``a`` and all
 attributes ranked after it, so one prefix/suffix walk
-(``partition._leave_one_out``) gives every candidate's labels in
-O(|U/C|·m).  Ranking, elimination, the minimality check, the core and the
-block count of ``C`` all come from that walk.  The oracle starts from the
-core's labels and refines them one attribute per node.  All of it runs on
+(``partition._leave_one_out``) gives every candidate's block count with
+O(m) refinements and meets.  The walk drops the granules already alone in
+their block, so on a wide table it touches O(|U/C|·log_k |U/C|) granule
+entries rather than O(|U/C|·m).  Ranking, elimination, the minimality
+check, the core and the block count of ``C`` all come from that walk, and
+read only each grouping's ``blocks`` and ``dependency``.  The oracle starts
+from the core's labels and refines them one attribute per node, on dense
+label lists.  All of it runs on
 the table's granules, its distinct conditional rows, built once per table
 and shared by every phase; any attribute set groups them as it groups the
 objects, so every block count, and with it every verdict and trace size,
@@ -62,8 +66,8 @@ def _indispensable(view: _Granules, attrs: tuple[str, ...]) -> tuple[int, frozen
     """The block count of ``attrs`` and the members whose removal lowers it,
     both from one leave-one-out walk over the granules."""
     walk = _leave_one_out(view, attrs)
-    count = len(set(next(walk)))
-    return count, frozenset(a for a, keys in zip(attrs, walk) if len(set(keys)) != count)
+    count = next(walk).blocks
+    return count, frozenset(a for a, labels in zip(attrs, walk) if labels.blocks != count)
 
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
@@ -96,13 +100,13 @@ def eliminate(
 
     view = table._granules
     walk = _leave_one_out(view, grouping.attributes)
-    full_count = len(set(next(walk)))
+    full_count = next(walk).blocks
     removed: list[str] = []
     trace: list[TraceEntry] = []
     redundant = False
     for attribute, sig in grouping.ranked:
         # What is sent back says whether the previous candidate stays.
-        candidate_count = len(set(walk.send(not redundant)))
+        candidate_count = walk.send(not redundant).blocks
         redundant = candidate_count == full_count
         trace.append(
             TraceEntry(

@@ -4,6 +4,8 @@ discernment, and the low/high grouping used by the elimination pass.
 The ranking walks the table's granules, its distinct conditional rows
 weighted by their object counts (see :mod:`.partition`), so its cost after
 loading scales with the number of distinct rows, not with the object count.
+It reads each leave-one-out grouping's ``dependency`` and never its labels,
+which leave out the granules already alone in their block.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Union
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import UnknownAttribute
-from .partition import _dependency_of, _leave_one_out
+from .partition import _leave_one_out
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,17 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
     """All conditional attributes sorted by ascending significance.
 
     The sort is stable with respect to table column order, which is the only
-    tie-break.  Significance is computed once, on the full table.  The labels
-    of each ``C - a`` come from the leave-one-out walk over the granules: the
-    meet of the attributes before ``a`` and those after it, the paper's
-    low/high base composition taken at every attribute, so ranking is
-    O(|U/C|·m), not O(n·m²).
+    tie-break.  Significance is computed once, on the full table.  The
+    grouping of each ``C - a`` comes from the leave-one-out walk over the
+    granules: the meet of the attributes before ``a`` and those after it,
+    the paper's low/high base composition taken at every attribute, so
+    ranking makes O(m) refinements and meets, not O(m²), and touches
+    O(|U/C|·log_k |U/C|) granule entries on a wide table.
     """
     cond = conditional_attributes(table)
-    view = table._granules
-    walk = _leave_one_out(view, cond)
-    with_all = _dependency_of(view, next(walk))
-    values = [(a, with_all - _dependency_of(view, keys)) for a, keys in zip(cond, walk)]
+    walk = _leave_one_out(table._granules, cond)
+    with_all = next(walk).dependency
+    values = [(a, with_all - labels.dependency) for a, labels in zip(cond, walk)]
     values.sort(key=lambda pair: pair[1])
     return SignificanceTable(ranked=tuple(values))
 
