@@ -5,11 +5,22 @@ reader that closes stdout early (``| head``) ends the run with exit code 0.
 Machine output (``--json``) has a stable key schema; rationals are emitted as
 ``{"num", "den", "decimal"}`` and only the ``elapsed_ms`` field varies between
 identical runs.
+
+:func:`main` parses with one parser per process, built by
+:func:`build_parser` on its first call and reused by every later call, so
+a long-lived process does not rebuild it per call.  The parser holds the
+``_cmd_*`` handlers and the ``--builtin`` choices as they were at that
+first call: a patch of a ``_cmd_*`` function or of the builtin names made
+after it is not seen.  The names a handler calls (``load_csv``,
+``rank_attributes``, ``eliminate`` and the others) are looked up on each
+call.  ``build_parser()`` returns a new parser to any other caller, so
+editing the one it returns cannot change ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -273,9 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser ``main`` reuses, built on its first call.
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     if bool(args.input) == bool(args.builtin):
         print("error: give exactly one of INPUT.csv or --builtin", file=sys.stderr)
         return EXIT_INPUT

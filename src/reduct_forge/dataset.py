@@ -296,6 +296,21 @@ class InformationSystem:
 
         return _granulate(self)
 
+    @cached_property
+    def _table_walk(self) -> tuple:
+        """The table-order leave-one-out walk over ``_granules``, kept with
+        the table: the grouping by all conditional attributes, then the one
+        that leaves out each of them, in table order.  Ranking, the core and
+        the oracle all read it, so a table pays for one such walk.  It is
+        kept here, not on the view, which its groupings refer to."""
+        from .partition import _leave_one_out
+
+        cond = conditional_attributes(self)
+        walk = _leave_one_out(self._granules, cond)
+        # zip stops at the last attribute, so the walk's final prefix
+        # refine, which nothing reads, is never made.
+        return (next(walk), *(labels for _, labels in zip(cond, walk)))
+
 
 def conditional_attributes(table: InformationSystem) -> tuple[str, ...]:
     """Attributes minus the decision column, in table order."""

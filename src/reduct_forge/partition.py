@@ -54,6 +54,7 @@ keys by one routine, ``_grouped_partition``.  Dependency degrees are exact
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
@@ -112,11 +113,15 @@ class ObjectSet:
         return 0 <= index < self.universe_size and (self.mask >> index) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        # Bit i is the character ``top - i`` of the binary digits, so each
+        # str.rfind skips a run of zeros in C: one pass over the mask, where
+        # clearing the low bit per element would copy the mask each time.
+        bits = bin(self.mask)
+        top = len(bits) - 1
+        j = bits.rfind("1")
+        while j >= 0:
+            yield top - j
+            j = bits.rfind("1", 0, j)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -191,11 +196,23 @@ class Partition:
 
 def _grouped_partition(keys: Iterable[object], universe_size: int) -> Partition:
     """One block per distinct key.  Keys enter the dict at their first object,
-    so blocks come out ordered by minimum element, as Partition requires."""
-    groups: dict[object, int] = {}
+    so blocks come out ordered by minimum element, as Partition requires.
+    Each key's objects are listed first and its mask built once from them:
+    an OR per object would copy the growing mask each time."""
+    groups: defaultdict[object, list[int]] = defaultdict(list)
     for i, key in enumerate(keys):
-        groups[key] = groups.get(key, 0) | (1 << i)
-    return Partition(universe_size, tuple(ObjectSet(m, universe_size) for m in groups.values()))
+        groups[key].append(i)
+    return Partition(universe_size, tuple(ObjectSet(_mask(indices), universe_size)
+                                          for indices in groups.values()))
+
+
+def _mask(indices: list[int]) -> int:
+    """The big-int mask of the ascending ``indices``, set bit by bit in a
+    byte buffer and converted once."""
+    bits = bytearray((indices[-1] >> 3) + 1)
+    for i in indices:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
 
 
 def _block_labels(p: Partition) -> list[int]:

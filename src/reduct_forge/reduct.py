@@ -15,14 +15,19 @@ attributes ranked after it, so one prefix/suffix walk
 O(m) refinements and meets.  The walk drops the granules already alone in
 their block, so on a wide table it touches O(|U/C|·log_k |U/C|) granule
 entries rather than O(|U/C|·m).  Ranking, elimination, the minimality
-check, the core and the block count of ``C`` all come from that walk, and
-read only each grouping's ``blocks`` and ``dependency``.  The oracle starts
+check, the core and the block count of ``C`` all come from such walks, and
+read only each grouping's ``blocks`` and ``dependency``.  A ``reduct`` call
+makes three.  The table-order walk is made once per table and kept with it
+(``InformationSystem._table_walk``): ranking, the core and the oracle all
+read it, so under ``--exhaustive`` the oracle, which runs first, pays for
+it and ranking reuses it.  ``eliminate`` then walks the ranked order, and
+verifies its result with a walk of its own over the reduct, kept separate
+so that ``verified_minimal`` stays an independent check.  The oracle starts
 from the core's labels and refines them one attribute per node, on dense
-label lists.  All of it runs on
-the table's granules, its distinct conditional rows, built once per table
-and shared by every phase; any attribute set groups them as it groups the
-objects, so every block count, and with it every verdict and trace size,
-is the per-object one.  The neighbourhood and matrix methods of
+label lists.  All of it runs on the table's granules, its distinct
+conditional rows, built once per table and shared by every phase; any
+attribute set groups them as it groups the objects, so every block count,
+and with it every verdict and trace size, is the per-object one.  The neighbourhood and matrix methods of
 :mod:`.topology` are now reference paths that the tests check this against.
 """
 
@@ -34,7 +39,7 @@ from typing import Iterable
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
-from .partition import _Granules, _leave_one_out, _projections, _refine, block_count
+from .partition import _Labels, _leave_one_out, _projections, _refine, block_count
 from .significance import GroupPolicy, ThresholdSplit, rank_attributes, split_groups
 
 DEFAULT_MAX_ATTRS = 20
@@ -62,10 +67,11 @@ class ReductResult:
         return frozenset(self.reduct)
 
 
-def _indispensable(view: _Granules, attrs: tuple[str, ...]) -> tuple[int, frozenset[str]]:
+def _indispensable(walk: Iterable[_Labels],
+                   attrs: tuple[str, ...]) -> tuple[int, frozenset[str]]:
     """The block count of ``attrs`` and the members whose removal lowers it,
-    both from one leave-one-out walk over the granules."""
-    walk = _leave_one_out(view, attrs)
+    both from ``walk``, the leave-one-out walk over ``attrs``."""
+    walk = iter(walk)
     count = next(walk).blocks
     return count, frozenset(a for a, labels in zip(attrs, walk) if labels.blocks != count)
 
@@ -122,7 +128,7 @@ def eliminate(
             removed.append(attribute)
 
     reduct = tuple(a for a in cond if a not in removed)
-    count, core = _indispensable(view, reduct)
+    count, core = _indispensable(_leave_one_out(view, reduct), reduct)
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
@@ -148,7 +154,7 @@ def exhaustive_reducts(
     if len(cond) > max_attrs:
         raise TooManyAttributes(len(cond), max_attrs)
     view = table._granules
-    full_count, core = _indispensable(view, cond)
+    full_count, core = _indispensable(table._table_walk, cond)
     rest = [a for a in cond if a not in core]
     core_labels = _projections(view, core)
     recorded: list[frozenset[str]] = []
@@ -175,4 +181,4 @@ def exhaustive_reducts(
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:
     """Attributes whose individual removal already coarsens the partition."""
-    return _indispensable(table._granules, conditional_attributes(table))[1]
+    return _indispensable(table._table_walk, conditional_attributes(table))[1]

@@ -6,6 +6,14 @@ weighted by their object counts (see :mod:`.partition`), so its cost after
 loading scales with the number of distinct rows, not with the object count.
 It reads each leave-one-out grouping's ``dependency`` and never its labels,
 which leave out the granules already alone in their block.
+
+The groupings come from the table-order walk, ``table._table_walk``: one
+leave-one-out walk over the conditional attributes in column order, made
+on first use and kept with the table.  The core and the exhaustive oracle
+of :mod:`.reduct` read their block counts off the same walk, so a table
+pays for it once.  A ``reduct`` call makes three walks in all, with or
+without ``--exhaustive``: that shared one, ``eliminate``'s walk over the
+ranked order and the walk over its result that verifies it minimal.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from typing import Union
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import UnknownAttribute
-from .partition import _leave_one_out
 
 
 @dataclass(frozen=True)
@@ -79,16 +86,16 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
 
     The sort is stable with respect to table column order, which is the only
     tie-break.  Significance is computed once, on the full table.  The
-    grouping of each ``C - a`` comes from the leave-one-out walk over the
-    granules: the meet of the attributes before ``a`` and those after it,
+    grouping of each ``C - a`` comes from the table's kept table-order
+    leave-one-out walk over the granules: the meet of the attributes before ``a`` and those after it,
     the paper's low/high base composition taken at every attribute, so
     ranking makes O(m) refinements and meets, not O(m²), and touches
     O(|U/C|·log_k |U/C|) granule entries on a wide table.
     """
-    cond = conditional_attributes(table)
-    walk = _leave_one_out(table._granules, cond)
-    with_all = next(walk).dependency
-    values = [(a, with_all - labels.dependency) for a, labels in zip(cond, walk)]
+    with_all, *without = table._table_walk
+    full = with_all.dependency
+    values = [(a, full - labels.dependency)
+              for a, labels in zip(conditional_attributes(table), without)]
     values.sort(key=lambda pair: pair[1])
     return SignificanceTable(ranked=tuple(values))
 

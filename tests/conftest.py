@@ -152,6 +152,20 @@ def minimal_preserving_subsets_oracle(table: InformationSystem) -> set[frozenset
     return set(found)
 
 
+def members_oracle(mask: int, n: int) -> list[int]:
+    """The members of a bitset over ``0..n-1``, one bit test per index."""
+    return [i for i in range(n) if mask >> i & 1]
+
+
+def grouping_oracle(keys: list[object]) -> list[int]:
+    """One mask per distinct key, in first-occurrence order, built by ORing
+    ``1 << i`` into its key's mask once per object."""
+    groups: dict[object, int] = {}
+    for i, key in enumerate(keys):
+        groups[key] = groups.get(key, 0) | (1 << i)
+    return list(groups.values())
+
+
 def random_cover(rng: random.Random, n: int) -> list[frozenset[int]]:
     """A random family of nonempty subsets of 0..n-1 whose union is everything."""
     fam: set[frozenset[int]] = set()

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reduct_forge.cli as cli
 from reduct_forge import builtin_seven_segment
 from reduct_forge.cli import main
 
@@ -365,6 +366,61 @@ def test_closed_stdout_is_not_an_error(json_flag):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def _outcome(argv: list[str]) -> tuple[int, str, str]:
+    """``run_cli`` with argparse's exits read as exit codes and the timing
+    masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error or --help
+            code = exc.code
+    return code, masked(out.getvalue()), err.getvalue()
+
+
+def test_reused_parser_leaks_nothing_between_calls(monkeypatch):
+    """``main`` keeps one parser per process.  A sequence of calls through
+    it, after errors, help, every subcommand, flags that the next call
+    leaves out and a changed cap, answers as freshly built parsers do."""
+    builtin = ["--builtin", "seven-segment"]
+    csv = str(DATA / "duplicates.csv")
+    steps = [
+        (["reduct", "--no-such-flag"], None),
+        (["--help"], None),
+        (["significance", *builtin, "--json"], None),
+        (["significance", csv, "--decision", "d"], None),
+        (["reduct", *builtin, "--trace", "--exhaustive", "--json"], None),
+        (["reduct", *builtin, "--json"], None),
+        (["reduct", csv, "--decision", "d", "--group", "count:2", "--trace"], None),
+        (["partition", *builtin, "--attrs", "b,e", "--json"], None),
+        (["partition", csv], None),
+        (["base", *builtin, "--attrs", "d,a,f,g", "--json"], None),
+        (["base", csv, *builtin], None),
+        (["reduct", *builtin, "--exhaustive", "--json"], "6"),
+        (["reduct", *builtin, "--exhaustive", "--json"], "7"),
+        (["significance"], None),
+    ]
+
+    def run_all() -> list[tuple[int, str, str]]:
+        results = []
+        for argv, cap in steps:
+            if cap is None:
+                monkeypatch.delenv("REDUCT_FORGE_MAX_ATTRS", raising=False)
+            else:
+                monkeypatch.setenv("REDUCT_FORGE_MAX_ATTRS", cap)
+            results.append(_outcome(argv))
+        return results
+
+    assert cli._main_parser() is cli._main_parser()
+    shared = run_all()
+    monkeypatch.setattr(cli, "_main_parser", cli.build_parser)
+    fresh = run_all()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 0, 2]
+    assert "trace" in json.loads(shared[4][1]) and "trace" not in json.loads(shared[5][1])
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_json_deterministic_up_to_timing():

@@ -14,6 +14,7 @@ switch and a guard pins the bound."""
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, product
 from math import prod
 
@@ -336,6 +337,37 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     # Here nothing is redundant at m = 8, so all three walks cover 8.
     assert counts[0] == 45
     assert counts[1] <= 2.2 * counts[0]
+
+
+def test_table_order_walk_is_made_once_per_table(monkeypatch):
+    """A table keeps its table-order leave-one-out walk, so ranking, the
+    core and the oracle share one; ``eliminate`` adds its ranked-order walk
+    and the walk that verifies its result."""
+    calls = 0
+    walk = partition._leave_one_out
+
+    def counting_walk(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    # Each module that holds the walk, so that a reader importing it by
+    # name is counted too.
+    for module in (partition, reduct, sys.modules["reduct_forge.significance"]):
+        if getattr(module, "_leave_one_out", None) is walk:
+            monkeypatch.setattr(module, "_leave_one_out", counting_walk)
+
+    def walks(*steps) -> int:
+        nonlocal calls
+        calls = 0
+        table = _identity_table(300, 8, 3)
+        for step in steps:
+            step(table)
+        return calls
+
+    assert walks(exhaustive_reducts, eliminate) == 3
+    assert walks(rank_attributes, core_attributes) == 1
+    assert walks(eliminate) == 3
 
 
 def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):

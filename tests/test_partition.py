@@ -20,9 +20,9 @@ from reduct_forge import (
     meet,
     positive_region,
 )
-from reduct_forge.partition import decision_partition
+from reduct_forge.partition import _grouped_partition, decision_partition
 
-from conftest import make_table, positive_region_oracle
+from conftest import grouping_oracle, make_table, members_oracle, positive_region_oracle
 
 ALL_SEGS = list("abcdefg")
 
@@ -311,3 +311,38 @@ def test_partition_validation():
             ],
             n,
         )  # overlap
+
+
+@st.composite
+def masks(draw):
+    n = draw(st.integers(0, 300))
+    return draw(st.integers(0, (1 << n) - 1)), n
+
+
+@given(masks())
+@settings(max_examples=300, deadline=None)
+def test_object_set_lists_members_in_ascending_order(drawn):
+    mask, n = drawn
+    assert list(ObjectSet(mask, n)) == members_oracle(mask, n)
+
+
+@st.composite
+def object_keys(draw):
+    """Keys for 1 to 300 objects: one block, one block per object, or a
+    random number of blocks in between."""
+    n = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(["one", "each", "random"]))
+    if shape == "one":
+        return ["k"] * n
+    if shape == "each":
+        return draw(st.permutations(range(n)))
+    return draw(st.lists(st.integers(0, draw(st.integers(0, n))), min_size=n, max_size=n))
+
+
+@given(object_keys())
+@settings(max_examples=300, deadline=None)
+def test_grouped_partition_matches_one_or_per_object(keys):
+    n = len(keys)
+    p = _grouped_partition(keys, n)
+    assert [block.mask for block in p.blocks] == grouping_oracle(keys)
+    assert all(block.universe_size == n for block in p.blocks)
