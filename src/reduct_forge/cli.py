@@ -7,14 +7,10 @@ Machine output (``--json``) has a stable key schema; rationals are emitted as
 identical runs.
 
 :func:`main` parses with one parser per process, built by
-:func:`build_parser` on its first call and reused by every later call, so
-a long-lived process does not rebuild it per call.  The parser holds the
-``_cmd_*`` handlers and the ``--builtin`` choices as they were at that
-first call: a patch of a ``_cmd_*`` function or of the builtin names made
-after it is not seen.  The names a handler calls (``load_csv``,
-``rank_attributes``, ``eliminate`` and the others) are looked up on each
-call.  ``build_parser()`` returns a new parser to any other caller, so
-editing the one it returns cannot change ``main``.
+:func:`build_parser` on its first call.  That parser holds the ``_cmd_*``
+handlers and the ``--builtin`` choices of that moment, so a patch of
+either made later is not seen; the names the handlers call are looked up
+per call.  ``build_parser()`` returns a new parser to any other caller.
 """
 
 from __future__ import annotations
@@ -284,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The parser ``main`` reuses, built on its first call.
 _main_parser = functools.cache(build_parser)
 
 

@@ -302,7 +302,8 @@ class InformationSystem:
         the table: the grouping by all conditional attributes, then the one
         that leaves out each of them, in table order.  Ranking, the core and
         the oracle all read it, so a table pays for one such walk.  It is
-        kept here, not on the view, which its groupings refer to."""
+        kept on the table, not on the view: each grouping refers to the
+        view, so a cache there would make a reference cycle."""
         from .partition import _leave_one_out
 
         cond = conditional_attributes(self)

@@ -27,8 +27,9 @@ from the core's labels and refines them one attribute per node, on dense
 label lists.  All of it runs on the table's granules, its distinct
 conditional rows, built once per table and shared by every phase; any
 attribute set groups them as it groups the objects, so every block count,
-and with it every verdict and trace size, is the per-object one.  The neighbourhood and matrix methods of
-:mod:`.topology` are now reference paths that the tests check this against.
+and with it every verdict and trace size, is the per-object one.  The
+neighbourhood and matrix methods of :mod:`.topology` are now reference
+paths that the tests check this against.
 """
 
 from __future__ import annotations

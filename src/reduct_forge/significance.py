@@ -87,10 +87,11 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
     The sort is stable with respect to table column order, which is the only
     tie-break.  Significance is computed once, on the full table.  The
     grouping of each ``C - a`` comes from the table's kept table-order
-    leave-one-out walk over the granules: the meet of the attributes before ``a`` and those after it,
-    the paper's low/high base composition taken at every attribute, so
-    ranking makes O(m) refinements and meets, not O(m²), and touches
-    O(|U/C|·log_k |U/C|) granule entries on a wide table.
+    leave-one-out walk over the granules: the meet of the attributes before
+    ``a`` and those after it, the paper's low/high base composition taken
+    at every attribute, so ranking makes O(m) refinements and meets, not
+    O(m²), and touches O(|U/C|·log_k |U/C|) granule entries on a wide
+    table.
     """
     with_all, *without = table._table_walk
     full = with_all.dependency

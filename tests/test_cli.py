@@ -28,7 +28,10 @@ MASK = re.compile(r'"elapsed_ms": [0-9.]+')
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a usage error or --help
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -368,18 +371,6 @@ def test_closed_stdout_is_not_an_error(json_flag):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-def _outcome(argv: list[str]) -> tuple[int, str, str]:
-    """``run_cli`` with argparse's exits read as exit codes and the timing
-    masked."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # a usage error or --help
-            code = exc.code
-    return code, masked(out.getvalue()), err.getvalue()
-
-
 def test_reused_parser_leaks_nothing_between_calls(monkeypatch):
     """``main`` keeps one parser per process.  A sequence of calls through
     it, after errors, help, every subcommand, flags that the next call
@@ -410,7 +401,8 @@ def test_reused_parser_leaks_nothing_between_calls(monkeypatch):
                 monkeypatch.delenv("REDUCT_FORGE_MAX_ATTRS", raising=False)
             else:
                 monkeypatch.setenv("REDUCT_FORGE_MAX_ATTRS", cap)
-            results.append(_outcome(argv))
+            code, out, err = run_cli(argv)
+            results.append((code, masked(out), err))
         return results
 
     assert cli._main_parser() is cli._main_parser()
