@@ -300,10 +300,12 @@ class InformationSystem:
     def _table_walk(self) -> tuple:
         """The table-order leave-one-out walk over ``_granules``, kept with
         the table: the grouping by all conditional attributes, then the one
-        that leaves out each of them, in table order.  Ranking, the core and
-        the oracle all read it, so a table pays for one such walk.  It is
-        kept on the table, not on the view: each grouping refers to the
-        view, so a cache there would make a reference cycle."""
+        that leaves out each of them, in table order.  Ranking, the core,
+        the oracle and ``eliminate``, whose candidates are some ``C - a``
+        until its first removal, all read it, so a table pays for one such
+        walk.  It is kept on the table, not on the view: each grouping
+        refers to the view, so a cache there would make a reference
+        cycle."""
         from .partition import _leave_one_out
 
         cond = conditional_attributes(self)

@@ -16,13 +16,20 @@ O(m) refinements and meets.  The walk drops the granules already alone in
 their block, so on a wide table it touches O(|U/C|·log_k |U/C|) granule
 entries rather than O(|U/C|·m).  Ranking, elimination, the minimality
 check, the core and the block count of ``C`` all come from such walks, and
-read only each grouping's ``blocks`` and ``dependency``.  A ``reduct`` call
-makes three.  The table-order walk is made once per table and kept with it
-(``InformationSystem._table_walk``): ranking, the core and the oracle all
-read it, so under ``--exhaustive`` the oracle, which runs first, pays for
-it and ranking reuses it.  ``eliminate`` then walks the ranked order, and
-verifies its result with a walk of its own over the reduct, kept separate
-so that ``verified_minimal`` stays an independent check.  The oracle starts
+read only each grouping's ``blocks`` and ``dependency``.  The table-order
+walk is made once per table and kept with it
+(``InformationSystem._table_walk``): ranking, the core, the oracle and
+``eliminate`` all read it, so under ``--exhaustive`` the oracle, which runs
+first, pays for it and ranking reuses it.  Until its first removal every
+candidate of ``eliminate`` is some ``C - a``, read off that walk; the
+first removal starts a walk over the ranked order, the attributes kept so
+far and then the untested ones.  The result ``R`` is verified from the
+walk that covers exactly ``R``: the table walk when nothing was removed,
+the ranked-order walk when nothing was removed after it started, and a
+walk of its own over ``R`` only otherwise.  A ``reduct`` call therefore
+makes one walk on a table with no redundant attribute, two with one and
+three with more, and ``verified_minimal`` still compares the measured block
+counts of ``R`` and of every ``R - a`` with that of ``C``.  The oracle starts
 from the core's labels and refines them one attribute per node, on dense
 label lists.  All of it runs on the table's granules, its distinct
 conditional rows, built once per table and shared by every phase; any
@@ -96,45 +103,75 @@ def eliminate(
     """Run the full elimination pass and verify minimality of the result.
 
     Each attribute is tested once, in ascending-significance order; a
-    redundant attribute is removed immediately and stays removed.  One
-    leave-one-out walk over the ranked order gives every candidate's labels.
-    The result is verified minimal when a walk over it finds the full block
-    count and no member that can be dropped.
+    redundant attribute is removed immediately and stays removed.  Until
+    the first removal each candidate's labels come from the table's kept
+    table-order walk; from then on one leave-one-out walk over the kept
+    attributes and the untested ones, in ranked order, gives them.  The
+    result is verified minimal when a walk over it finds the full block
+    count and no member that can be dropped: the table walk or the
+    ranked-order walk when one of them covers exactly the result, else a
+    walk of its own.
     """
     cond = conditional_attributes(table)
     grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
+    ranked = grouping.attributes
 
     view = table._granules
-    walk = _leave_one_out(view, grouping.attributes)
-    full_count = next(walk).blocks
+    table_walk = table._table_walk
+    full_count = table_walk[0].blocks
+    # Until the first removal each candidate's set is C - a, whose grouping
+    # the table walk already holds.
+    without = dict(zip(cond, table_walk[1:]))
+    walk = None  # the ranked-order walk, made from the first removal on
+    # The block counts of R and of every R - a that the ranked-order walk
+    # yields while it has removed nothing, so while it covers the kept set R.
+    counts: list[int] | None = None
     removed: list[str] = []
     trace: list[TraceEntry] = []
-    redundant = False
-    for attribute, sig in grouping.ranked:
-        # What is sent back says whether the previous candidate stays.
-        candidate_count = walk.send(not redundant).blocks
-        redundant = candidate_count == full_count
+    keep = True
+    for i, (attribute, sig) in enumerate(grouping.ranked):
+        if walk is None:
+            candidate_count = without[attribute].blocks
+        else:
+            # What is sent back says whether the previous candidate stays.
+            candidate_count = walk.send(keep).blocks
+            if counts is not None:
+                counts.append(candidate_count)
+        keep = candidate_count != full_count
         trace.append(
             TraceEntry(
                 attribute=attribute,
                 significance=sig,
                 group="low" if attribute in low else "high",
-                verdict="redundant" if redundant else "kept",
+                verdict="kept" if keep else "redundant",
                 base_size_before=full_count,
                 base_size_after=candidate_count,
             )
         )
-        if redundant:
-            removed.append(attribute)
+        if keep:
+            continue
+        removed.append(attribute)
+        if walk is None:
+            # Every attribute tested so far was kept: walk them, then the
+            # untested ones, so that the walk covers the new kept set.
+            walk = _leave_one_out(view, ranked[:i] + ranked[i + 1:])
+            counts = [next(walk).blocks for _ in range(i + 1)]
+            keep = True
+        else:
+            counts = None
 
     reduct = tuple(a for a in cond if a not in removed)
-    count, core = _indispensable(_leave_one_out(view, reduct), reduct)
+    if walk is None:
+        counts = [labels.blocks for labels in table_walk]
+    elif counts is None:
+        walk = _leave_one_out(view, reduct)
+        counts = [next(walk).blocks, *(labels.blocks for _, labels in zip(reduct, walk))]
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
         trace=tuple(trace),
-        verified_minimal=count == full_count and core == frozenset(reduct),
+        verified_minimal=counts[0] == full_count and full_count not in counts[1:],
     )
 
 

@@ -9,11 +9,12 @@ which leave out the granules already alone in their block.
 
 The groupings come from the table-order walk, ``table._table_walk``: one
 leave-one-out walk over the conditional attributes in column order, made
-on first use and kept with the table.  The core and the exhaustive oracle
-of :mod:`.reduct` read their block counts off the same walk, so a table
-pays for it once.  A ``reduct`` call makes three walks in all, with or
-without ``--exhaustive``: that shared one, ``eliminate``'s walk over the
-ranked order and the walk over its result that verifies it minimal.
+on first use and kept with the table.  The core, the exhaustive oracle and
+``eliminate`` of :mod:`.reduct` read their block counts off the same walk,
+so a table pays for it once.  ``eliminate`` makes its own walks only from
+its first removal on, so a ``reduct`` call makes one walk in all on a
+table with no redundant attribute, two with one and three with more, with
+or without ``--exhaustive``.
 """
 
 from __future__ import annotations

@@ -296,6 +296,15 @@ GOLDEN_CASES = [
     # identity decision: the walk's mixed-radix keys would pass one int
     # digit, so the kernel renumbers them.
     ("reduct_wide_trace.json", ["reduct", str(DATA / "wide.csv"), "--trace", "--json"]),
+    # No attribute is redundant, so elimination reads every candidate off
+    # the table-order walk and verifies off it too.
+    ("reduct_irredundant_trace.json",
+     ["reduct", str(DATA / "irredundant.csv"), "--trace", "--json"]),
+    # The only redundant attribute is tested after a kept one, which splits
+    # a block without changing the positive region: the ranked-order walk
+    # starts at it and covers the reduct.
+    ("reduct_late_redundant_trace.json",
+     ["reduct", str(DATA / "late_redundant.csv"), "--decision", "d", "--trace", "--json"]),
 ]
 
 

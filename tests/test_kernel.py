@@ -15,19 +15,22 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations, product
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reduct_forge import (
     CountSplit,
     ObjectSet,
     Partition,
+    ReductResult,
     SetFamily,
     ThresholdSplit,
+    TraceEntry,
     UnknownAttribute,
     compose_bases,
     conditional_attributes,
@@ -44,6 +47,7 @@ from reduct_forge import (
     minimal_neighborhoods,
     rank_attributes,
     significance,
+    split_groups,
     subbase_of,
 )
 import reduct_forge.dataset as dataset
@@ -148,6 +152,110 @@ def test_eliminate_verdicts_match_composed_bases(table, count):
         if redundant:
             remaining = candidate
     assert tuple(remaining) == result.reduct
+
+
+@st.composite
+def elimination_tables(draw):
+    """Tables on which ``eliminate`` meets each of its cases: no removal, one
+    removal at the first candidate, one after a kept candidate, and several.
+
+    Each base attribute gets a witness row that differs from another row in
+    that attribute only, so it stays indispensable; the removals are then
+    exactly the copied or constant columns shuffled in, as many as the case
+    drawn asks for.  For a removal after a kept candidate, a column ``s``
+    comes first that splits only a block of two equal rows with one named
+    decision: it ranks first at significance 0 and is kept."""
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from("012"), min_size=m, max_size=m),
+                         min_size=1, max_size=6))
+    for i in range(m):
+        witness = list(draw(st.sampled_from(rows)))
+        witness[i] = "9"
+        rows.append(witness)
+    case = draw(st.sampled_from(("none", "first", "after kept", "several")))
+    removals = draw(st.integers(2, 3)) if case == "several" else int(case != "none")
+    split = case == "after kept"
+    named = split or draw(st.booleans())
+    if split:
+        rows += [["8"] * m] * 2
+    columns = [tuple(column) for column in zip(*rows)]
+    for _ in range(removals):
+        source = draw(st.none() | st.sampled_from(range(len(columns))))
+        columns.append(("k",) * len(rows) if source is None else columns[source])
+    columns = draw(st.permutations(columns))
+    attrs = [f"c{i + 1}" for i in range(len(columns))]
+    if split:
+        columns.insert(0, ("0",) * (len(rows) - 1) + ("1",))
+        attrs.insert(0, "s")
+    rows = [list(row) for row in zip(*columns)]
+    if not named:
+        return make_table(rows, attrs)
+    decisions = draw(st.lists(st.sampled_from("xy"), min_size=len(rows), max_size=len(rows)))
+    if split:
+        decisions[-1] = decisions[-2]
+    return make_table([r + [d] for r, d in zip(rows, decisions)], attrs + ["d"], decision="d")
+
+
+def _eliminate_with_plain_walks(table, policy):
+    """``eliminate`` as one ranked-order leave-one-out walk whose yields are
+    the candidates, then a separate walk over the result that verifies it."""
+    cond = conditional_attributes(table)
+    grouping = split_groups(rank_attributes(table), policy)
+    view = table._granules
+    walk = _leave_one_out(view, grouping.attributes)
+    full_count = next(walk).blocks
+    removed, trace = [], []
+    redundant = False
+    for attribute, sig in grouping.ranked:
+        candidate_count = walk.send(not redundant).blocks
+        redundant = candidate_count == full_count
+        trace.append(TraceEntry(
+            attribute=attribute, significance=sig,
+            group="low" if attribute in grouping.low_group else "high",
+            verdict="redundant" if redundant else "kept",
+            base_size_before=full_count, base_size_after=candidate_count))
+        if redundant:
+            removed.append(attribute)
+    reduct = tuple(a for a in cond if a not in removed)
+    verify = _leave_one_out(view, reduct)
+    count = next(verify).blocks
+    minimal = count == full_count and all(labels.blocks != count
+                                          for _, labels in zip(reduct, verify))
+    return ReductResult(reduct, tuple(removed), tuple(trace), minimal)
+
+
+def _elimination_case(result) -> str:
+    verdicts = [entry.verdict for entry in result.trace]
+    removals = verdicts.count("redundant")
+    if removals != 1:
+        return "none" if removals == 0 else "several"
+    return "first" if verdicts[0] == "redundant" else "after kept"
+
+
+def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
+    """``eliminate`` reads its candidates off the table walk until the first
+    removal and verifies off whichever walk covers exactly the reduct; the
+    plain reference walks the ranked order and then the reduct.  Both give
+    the same reduct, removals, trace and ``verified_minimal``."""
+    seen = Counter()
+
+    @given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
+    @example(make_table([["0", "0"], ["1", "0"], ["0", "1"]], ["p", "q"]), 5)
+    @example(make_table([["0", "0"], ["1", "1"]], ["p", "q"]), 5)
+    @example(make_table([["0", "0", "0", "x"], ["1", "0", "0", "x"], ["0", "1", "1", "y"]],
+                        ["s", "p", "q", "d"], decision="d"), 5)
+    @example(make_table([["0", "0", "0"], ["1", "1", "1"]], ["p", "q", "r"]), 1)
+    @settings(max_examples=200, deadline=None)
+    def check(table, count):
+        cond = conditional_attributes(table)
+        policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
+        result = eliminate(table, policy)
+        assert result == _eliminate_with_plain_walks(table, policy)
+        seen[_elimination_case(result)] += 1
+
+    check()
+    # One explicit example per case, so a count above one means it was drawn.
+    assert all(seen[case] > 1 for case in ("none", "first", "after kept", "several")), seen
 
 
 @given(tables())
@@ -317,8 +425,10 @@ def _identity_table(n: int, m: int, k: int):
 
 
 def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
-    """Rank, eliminate and verify each make one leave-one-out walk of O(m)
-    refinements; a rebuilt projection per candidate would make O(m²)."""
+    """Each leave-one-out walk makes O(m) refinements; a rebuilt projection
+    per candidate would make O(m²).  ``eliminate`` makes one to three walks,
+    as the table has no, one or more redundant attributes, so the growth is
+    bounded on one walk, the table walk that ranking makes."""
     calls = 0
     refine = partition._refine
 
@@ -328,21 +438,31 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
         return refine(*args)
 
     monkeypatch.setattr(partition, "_refine", counting_refine)
-    counts = []
+    ranking, elimination = [], []
     for m in (8, 16):
         calls = 0
+        rank_attributes(_identity_table(300, m, 3))
+        ranking.append(calls)
+        calls = 0
         eliminate(_identity_table(300, m, 3))
-        counts.append(calls)
-    # Per walk over r attributes: r suffix refinements and r - 1 prefix ones.
-    # Here nothing is redundant at m = 8, so all three walks cover 8.
-    assert counts[0] == 45
-    assert counts[1] <= 2.2 * counts[0]
+        elimination.append(calls)
+    # A walk over r attributes makes r suffix refinements and at most r - 1
+    # prefix ones; the table walk stops before its last prefix one, and a
+    # stripped list whose granules are all alone is not refined again.
+    # Nothing is redundant at m = 8, so eliminate makes only the table walk;
+    # at m = 16 seven attributes are, so it makes all three.
+    assert ranking == [15, 23]
+    assert elimination == [15, 61]
+    assert ranking[1] <= 2.2 * ranking[0]
 
 
 def test_table_order_walk_is_made_once_per_table(monkeypatch):
     """A table keeps its table-order leave-one-out walk, so ranking, the
-    core and the oracle share one; ``eliminate`` adds its ranked-order walk
-    and the walk that verifies its result."""
+    core, the oracle and ``eliminate`` share one.  ``eliminate`` reads its
+    candidates off it until the first removal, then walks the ranked order,
+    and walks its result once more only after a second removal: one walk on
+    a table with no redundant attribute (m = 8), two with one (m = 10) and
+    three with more (m = 16, seven)."""
     calls = 0
     walk = partition._leave_one_out
 
@@ -357,24 +477,28 @@ def test_table_order_walk_is_made_once_per_table(monkeypatch):
         if getattr(module, "_leave_one_out", None) is walk:
             monkeypatch.setattr(module, "_leave_one_out", counting_walk)
 
-    def walks(*steps) -> int:
+    def walks(m, *steps) -> int:
         nonlocal calls
         calls = 0
-        table = _identity_table(300, 8, 3)
+        table = _identity_table(300, m, 3)
         for step in steps:
             step(table)
         return calls
 
-    assert walks(exhaustive_reducts, eliminate) == 3
-    assert walks(rank_attributes, core_attributes) == 1
-    assert walks(eliminate) == 3
+    assert walks(8, exhaustive_reducts, eliminate) == 1
+    assert walks(8, rank_attributes, core_attributes) == 1
+    assert walks(8, eliminate) == 1
+    assert walks(10, eliminate) == 2
+    assert walks(16, eliminate) == 3
 
 
 def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
     """Once most granules are alone in their block the walk drops them, so
-    the granule entries that the refines and meets of ``eliminate`` touch
-    stop growing with the attribute count: a dense walk touches 300 per
-    pass, 27000 at m = 10 and 108000 at m = 40."""
+    the granule entries that one walk's refines and meets touch stop growing
+    with the attribute count: a dense walk touches 300 per pass, 27000 at
+    m = 10 and 108000 at m = 40.  ``eliminate`` makes two walks at m = 10,
+    where one attribute is redundant, and three at m = 40, so the bound is
+    put on one walk, the table walk that ranking makes."""
     touched = 0
     stripped = dense = 0
     refine, meet = partition._refine, partition._meet
@@ -397,14 +521,18 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
 
     monkeypatch.setattr(partition, "_refine", counting_refine)
     monkeypatch.setattr(partition, "_meet", counting_meet)
-    counts = []
+    ranking, elimination = [], []
     for m in (10, 40):
         touched = 0
+        rank_attributes(_identity_table(300, m, 3))
+        ranking.append(touched)
+        touched = 0
         eliminate(_identity_table(300, m, 3))
-        counts.append(touched)
+        elimination.append(touched)
     assert dense and stripped  # lists switch mid-walk
-    assert counts == [14986, 13538]
-    assert counts[1] <= 1.2 * counts[0]
+    assert ranking == [4828, 4292]
+    assert elimination == [9862, 13538]
+    assert ranking[1] <= 1.2 * ranking[0]
 
 
 def test_refined_keys_stay_within_one_int_digit(monkeypatch):
