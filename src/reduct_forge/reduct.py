@@ -123,13 +123,12 @@ def eliminate(
     # Until the first removal each candidate's set is C - a, whose grouping
     # the table walk already holds.
     without = dict(zip(cond, table_walk[1:]))
-    walk = None  # the ranked-order walk, made from the first removal on
-    # The block counts of R and of every R - a that the ranked-order walk
-    # yields while it has removed nothing, so while it covers the kept set R.
+    walk = None  # the ranked-order walk, made at the first removal
+    # The block counts of the ranked-order walk's groupings, R and each
+    # R - a, while it covers the kept set R: until a second removal.
     counts: list[int] | None = None
     removed: list[str] = []
     trace: list[TraceEntry] = []
-    keep = True
     for i, (attribute, sig) in enumerate(grouping.ranked):
         if walk is None:
             candidate_count = without[attribute].blocks
@@ -157,7 +156,7 @@ def eliminate(
             # untested ones, so that the walk covers the new kept set.
             walk = _leave_one_out(view, ranked[:i] + ranked[i + 1:])
             counts = [next(walk).blocks for _ in range(i + 1)]
-            keep = True
+            keep = True  # the walk's last candidate so far was kept, if any
         else:
             counts = None
 

@@ -1,8 +1,9 @@
 """The projection-count kernel checked against the partition and topology
 reference paths, significance and the ranking checked against the gamma
 drop, the leave-one-out walk checked against direct projections,
-the shared grouping routine checked against direct grouping, and the
-exhaustive oracle checked against plain subset enumeration, on random tables
+the shared grouping routine checked against direct grouping, the
+elimination pass checked against plain walks, and the exhaustive oracle
+checked against plain subset enumeration, on random tables
 with duplicate rows, under both decision policies.  The kernel walks a
 table's stored distinct rows, folded on their conditional codes when that
 pays, so it is also checked against the per-object partitions on tables of
