@@ -21,9 +21,9 @@ object ids either: ``object_ids`` is a read-only view that builds them on
 first read, from the text (id first or last), the split id column (id in
 the middle) or the object numbers (no id).  The partition kernel walks the
 stored rows, weighted by their object counts, and alone decides whether
-folding them pays; per-object codes are derived only when ``rows``,
-``column``, ``value``, equality or the per-object reference path asks for
-them.
+folding them pays; every per-object reader, ``rows``, ``column``,
+``value``, equality and the per-object partitions, reads a stored row
+through the object's row index.
 """
 
 from __future__ import annotations
@@ -72,12 +72,11 @@ class _Rows(Sequence):
     ``r``; a table whose rows never repeat has as many stored rows as
     objects, each of weight one.  Stored rows come in first-occurrence
     order.  Cells that differ only in whitespace share a code, so two
-    stored rows may carry the same codes.  :meth:`object_codes` derives the
-    per-object code columns on first use.  The view compares equal to the
+    stored rows may carry the same codes.  The view compares equal to the
     tuple of row tuples it stands for, and hashes like it.
     """
 
-    __slots__ = ("n", "codes", "values", "index", "weights", "_object_codes")
+    __slots__ = ("n", "codes", "values", "index", "weights")
 
     def __init__(self, columns: list[tuple[tuple[int, ...], tuple[Hashable, ...]]],
                  index: Sequence[int], weights: Sequence[int]) -> None:
@@ -88,15 +87,6 @@ class _Rows(Sequence):
         self.codes = tuple(codes for codes, _ in columns)
         self.values = tuple(values for _, values in columns)
         self.index, self.weights = index, weights
-        self._object_codes: tuple[Sequence[int], ...] | None = None
-
-    def object_codes(self) -> tuple[Sequence[int], ...]:
-        """Each column's per-object codes, derived from the stored rows on
-        first use and kept."""
-        if self._object_codes is None:
-            self._object_codes = tuple(tuple(map(codes.__getitem__, self.index))
-                                       for codes in self.codes)
-        return self._object_codes
 
     def __len__(self) -> int:
         return self.n
@@ -115,12 +105,8 @@ class _Rows(Sequence):
         return map(list(rows).__getitem__, self.index)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _Rows):
-            # Codes are canonical, so equal rows have equal codes and values.
-            return (self.n, self.object_codes(), self.values) == (
-                other.n, other.object_codes(), other.values)
-        if isinstance(other, tuple):
-            return tuple(self) == other
+        if isinstance(other, (_Rows, tuple)):
+            return tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -256,7 +242,7 @@ class InformationSystem:
         width = len(self.attributes)
         rows = self.rows
         if isinstance(rows, _Rows):
-            # The stored columns give the width; per-object codes are not built.
+            # The stored columns give the width; no row tuple is built.
             if len(rows.values) != width:
                 raise MalformedTable(1, f"expected {width} cells, got {len(rows.values)}")
         else:
@@ -286,7 +272,8 @@ class InformationSystem:
 
     def column(self, attribute: str) -> tuple[str, ...]:
         idx = self.column_index(attribute)
-        return tuple(map(self.rows.values[idx].__getitem__, self.rows.object_codes()[idx]))
+        codes, values = self.rows.codes[idx], self.rows.values[idx]
+        return tuple(map(values.__getitem__, map(codes.__getitem__, self.rows.index)))
 
     @cached_property
     def _granules(self):

@@ -9,12 +9,11 @@ decision code, or a mixed sentinel when its objects disagree.
 object and the kernel's cost scales with the stored rows.  ``_granulate``
 alone decides whether folding pays: under the identity decision the stored
 rows are the granules, and under a named decision they are folded on their
-conditional codes when at least one in 16 repeats there.  It and
-``_objects``, the per-object view of the reference path, are the kernel's
-only readers of a table's storage.  Any attribute set groups the granules
-as it groups their objects, so block counts agree, and a block lies in the
-positive region exactly when its granules share one unmixed label; the
-weights of those granules sum to its share of |POS|.
+conditional codes when at least one in 16 repeats there.  It is the
+kernel's only reader of a table's storage.  Any attribute set groups the
+granules as it groups their objects, so block counts agree, and a block
+lies in the positive region exactly when its granules share one unmixed
+label; the weights of those granules sum to its share of |POS|.
 
 On that view the kernel is ``_leave_one_out``, ``_refine`` and
 :class:`_Labels`, plus :func:`block_count` and :func:`dependency`.
@@ -43,9 +42,12 @@ the exhaustive oracle takes dense labels from ``_projections`` and
 lists, where stripping its nodes did not pay.
 
 :func:`projections`, :func:`ind_partition`, :func:`decision_partition`,
-:func:`meet`, :func:`positive_region` and :func:`gamma` stay per object:
+:func:`meet`, :func:`positive_region` and :func:`gamma` answer per object:
 they, the bitset object sets over ``0..n-1`` backed by Python big ints and
 :class:`Partition` are the reference path the kernel is tested against.
+It shares none of the kernel's code: :func:`projections` and
+:func:`decision_partition` group the stored rows by their codes in one
+dict pass and read each object's group through its row index.
 Every partition, from :func:`ind_partition`, :func:`decision_partition`,
 :func:`meet` or :meth:`Partition.singletons`, is grouped from per-object
 keys by one routine, ``_grouped_partition``.  Dependency degrees are exact
@@ -229,15 +231,14 @@ _MIXED = object()  # the label of a granule whose objects disagree on the decisi
 
 class _Granules:
     """The kernel's view of a table: its granules, each a stored row or a
-    fold of stored rows, in first-occurrence order, or, for the per-object
-    reference path, its objects.
+    fold of stored rows, in first-occurrence order.
 
     ``columns`` maps each conditional attribute, in table order, to the
     granules' codes and the column's value count; ``weights`` holds each
     granule's object count and ``labels`` its decision code (under the
-    identity policy, its stored row's or its object's index), or ``_MIXED``
-    when its objects disagree on the decision.  Two granules may carry the
-    same codes, when stored rows that differ only in the decision or in
+    identity policy, its stored row's index), or ``_MIXED`` when its
+    objects disagree on the decision.  Two granules may carry the same
+    codes, when stored rows that differ only in the decision or in
     whitespace are not folded; every reader groups granules by their keys,
     so such granules share each block.  A plain class, not a dataclass:
     building one costs about 1 ms at import.
@@ -260,28 +261,6 @@ class _Granules:
         return self._unmixed
 
 
-def _columns(table: InformationSystem,
-             codes: Sequence[Sequence[int]]) -> dict[str, tuple[Sequence[int], int]]:
-    """Each attribute of ``table``, in table order, mapped to its column in
-    ``codes`` and the column's value count."""
-    return {name: (column, len(values))
-            for name, column, values in zip(table.attributes, codes, table.rows.values)}
-
-
-def _objects(table: InformationSystem) -> _Granules:
-    """The per-object view of ``table`` over its per-object code columns,
-    each object labelled by its decision code, or by its own index under the
-    identity policy; only the per-object reference path, ``projections``
-    and ``decision_partition``, reads it."""
-    rows = table.rows
-    columns = _columns(table, rows.object_codes())
-    if table.decision is None:
-        labels: Sequence[int] = range(rows.n)
-    else:
-        labels = columns.pop(table.decision)[0]
-    return _Granules(columns, [1] * rows.n, labels, rows.n)
-
-
 def _granulate(table: InformationSystem) -> _Granules:
     """The granule view of ``table``, built from its stored rows, each
     weighted by its object count; ``table._granules`` builds it once per
@@ -294,7 +273,8 @@ def _granulate(table: InformationSystem) -> _Granules:
     in whitespace, fall in one granule; otherwise they are kept as they
     are."""
     rows = table.rows
-    columns = _columns(table, rows.codes)
+    columns = {name: (codes, len(values))
+               for name, codes, values in zip(table.attributes, rows.codes, rows.values)}
     if table.decision is None:
         # Each object is its own decision class, so a row of two or more
         # objects is mixed; a row of one is labelled by its own index.
@@ -365,10 +345,24 @@ def _projections(view: _Granules, attrs: Iterable[str]) -> list[int]:
 def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
     """Each object restricted to ``attrs``, as a number: two objects get the
     same number exactly when they agree on every attribute in ``attrs``.
-    The numbers are not dense: with each column's value count as a radix
-    they are mixed-radix until they would pass ``2**30``, so only their
-    grouping, not their values, is meant to be read."""
-    return _projections(_objects(table), attrs)
+    The stored rows are numbered by their codes over ``attrs``, each by the
+    first stored row with the same codes, and each object takes its row's
+    number through ``table.rows.index``; a name outside the conditional
+    attributes raises ``UnknownAttribute``."""
+    rows = table.rows
+    coded = {name: codes for name, codes in zip(table.attributes, rows.codes)
+             if name != table.decision}
+    columns = []
+    for name in attrs:
+        if name not in coded:
+            raise UnknownAttribute(name)
+        columns.append(coded[name])
+    first: dict[tuple[int, ...], int] = {}
+    # zip() of no columns is empty, but with no attribute every row has one
+    # number.
+    numbers = list(map(first.setdefault, zip(*columns) if columns
+                       else repeat((), len(rows.weights)), count()))
+    return list(map(numbers.__getitem__, rows.index))
 
 
 class _Labels:
@@ -564,8 +558,13 @@ def ind_partition(table: InformationSystem, attrs: Iterable[str]) -> Partition:
 
 def decision_partition(table: InformationSystem) -> Partition:
     """Decision classes: singletons under the identity policy, else the
-    grouping induced by the decision column."""
-    return _grouped_partition(_objects(table).labels, table.object_count)
+    grouping induced by the decision column, read through each object's
+    stored row."""
+    rows = table.rows
+    if table.decision is None:
+        return Partition.singletons(rows.n)
+    codes = rows.codes[table.column_index(table.decision)]
+    return _grouped_partition(map(codes.__getitem__, rows.index), rows.n)
 
 
 def meet(p: Partition, q: Partition) -> Partition:

@@ -282,6 +282,11 @@ GOLDEN_CASES = [
     ),
     ("base_dafg.json", ["base", "--builtin", "seven-segment", "--attrs", "d,a,f,g", "--json"]),
     ("partition_be.json", ["partition", "--builtin", "seven-segment", "--attrs", "b,e", "--json"]),
+    # Repeated rows, whose objects are read through the row index.
+    (
+        "partition_duplicates.json",
+        ["partition", str(DATA / "duplicates.csv"), "--decision", "d", "--json"],
+    ),
     # Repeated rows, repeats with conflicting decisions and a copied column.
     (
         "significance_duplicates.json",

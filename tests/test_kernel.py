@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from itertools import combinations, product
 from math import prod
 
@@ -51,12 +52,11 @@ from reduct_forge import (
     split_groups,
     subbase_of,
 )
-import reduct_forge.dataset as dataset
 import reduct_forge.partition as partition
 import reduct_forge.reduct as reduct
 from reduct_forge.partition import _leave_one_out, block_count, dependency, projections
 
-from conftest import make_table, minimal_preserving_subsets_oracle
+from conftest import grouping_oracle, make_table, minimal_preserving_subsets_oracle
 
 
 @st.composite
@@ -381,10 +381,8 @@ def stripping_tables(draw):
 def test_leave_one_out_matches_direct_projections(table, data):
     """The walk yields, for the full set and each leave-one-out set, a
     grouping of the view's granules as that set groups them, with that
-    set's block count and dependency degree: on the per-object view it
-    numbers the objects as ``projections`` does, and on the granule view
-    the kernel walks it numbers the granules as ``_projections`` does,
-    through the stripped form too."""
+    set's block count and dependency degree: it numbers the granules as
+    ``_projections`` does, through the stripped form too."""
     attrs = data.draw(st.permutations(conditional_attributes(table)))
     # ``None`` advances with plain next(), which must keep the attribute.
     keeps = data.draw(st.lists(st.none() | st.booleans(),
@@ -393,30 +391,28 @@ def test_leave_one_out_matches_direct_projections(table, data):
 
 
 def _assert_walk_matches_projections(table, attrs, keeps):
-    """Walk ``attrs`` on the per-object and the granule view, keeping or
-    dropping each attribute as ``keeps`` says, and check every yield against
-    the direct projections, ``ind_partition`` and ``gamma`` of its
+    """Walk ``attrs`` on the granule view, keeping or dropping each
+    attribute as ``keeps`` says, and check every yield against the direct
+    projections of the view, ``ind_partition`` and ``gamma`` of its
     attribute set."""
-    objects = partition._objects(table)
-    for view in (objects, table._granules):
-        walk = _leave_one_out(view, attrs)
-        yields = [(next(walk), list(attrs))]
-        kept: list[str] = []
-        keep = True
-        for i, attribute in enumerate(attrs):
-            labels = next(walk) if keep is None else walk.send(keep)
-            yields.append((labels, kept + list(attrs[i + 1:])))
-            keep = keeps[i]
-            if keep is not False:
-                kept.append(attribute)
-        for labels, expected in yields:
-            assert labels.blocks == len(ind_partition(table, expected))
-            assert labels.dependency == _gamma_via(table, expected)
-            direct = (projections(table, expected) if view is objects
-                      else partition._projections(view, expected))
-            assert _spelled_out(labels) == _first_seen_numbering(direct)
-            if labels.rows is not None:
-                assert labels.rows == sorted(set(labels.rows))
+    view = table._granules
+    walk = _leave_one_out(view, attrs)
+    yields = [(next(walk), list(attrs))]
+    kept: list[str] = []
+    keep = True
+    for i, attribute in enumerate(attrs):
+        labels = next(walk) if keep is None else walk.send(keep)
+        yields.append((labels, kept + list(attrs[i + 1:])))
+        keep = keeps[i]
+        if keep is not False:
+            kept.append(attribute)
+    for labels, expected in yields:
+        assert labels.blocks == len(ind_partition(table, expected))
+        assert labels.dependency == _gamma_via(table, expected)
+        direct = partition._projections(view, expected)
+        assert _spelled_out(labels) == _first_seen_numbering(direct)
+        if labels.rows is not None:
+            assert labels.rows == sorted(set(labels.rows))
 
 
 def _identity_table(n: int, m: int, k: int):
@@ -659,6 +655,53 @@ def test_kernel_past_one_int_digit_matches_object_level_reference(table, data):
     _assert_walks_match_object_level_reference(table)
 
 
+@st.composite
+def laid_out_tables(draw):
+    """``tables(max_repeats=40)`` written as CSV text, with some cells
+    padded by whitespace and an ``id`` column first, in the middle, last or
+    absent, and loaded back.  The loader keys a line by its text without
+    the id when the id is first, last or absent, and by its tuple of cells
+    when it sits in the middle (last too, for a table of one column), so
+    ``rows.index`` comes from both of its keying paths."""
+    table = draw(tables(max_repeats=40))
+    rng = draw(st.randoms(use_true_random=False))
+    pads = ["{}", "{}", "{}", " {}", "{} ", "\t{}"]
+    lines = [[rng.choice(pads).format(cell) for cell in row] for row in table.rows]
+    header = list(table.attributes)
+    at = {"first": 0, "middle": max(1, len(header) // 2), "last": len(header),
+          "none": None}[draw(st.sampled_from(["first", "middle", "last", "none"]))]
+    if at is not None:
+        header.insert(at, "id")
+        for i, line in enumerate(lines):
+            line.insert(at, f"o{i}")
+    text = "\n".join(",".join(line) for line in [header] + lines)
+    return load_csv(text, decision=table.decision)
+
+
+@given(tables(max_repeats=40) | wide_tables() | stripping_tables() | laid_out_tables(),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_per_object_partitions_group_objects_by_their_cells(table, data):
+    """``projections``, ``ind_partition`` and ``decision_partition`` group
+    the stored rows and read each object's group through its row index; two
+    objects must share a block exactly when their row tuples agree on the
+    attributes, or on the decision.  The expected grouping is built from the
+    row tuples alone, with none of the partition module's code."""
+    n = table.object_count
+    attrs = data.draw(st.lists(st.sampled_from(conditional_attributes(table)), unique=True))
+    cells = [table.rows[i] for i in range(n)]
+    columns = [table.attributes.index(a) for a in attrs]
+    expected = grouping_oracle([tuple(row[c] for c in columns) for row in cells])
+    assert grouping_oracle(projections(table, attrs)) == expected
+    assert [block.mask for block in ind_partition(table, attrs).blocks] == expected
+    if table.decision is None:
+        classes = list(range(n))
+    else:
+        d = table.attributes.index(table.decision)
+        classes = [row[d] for row in cells]
+    assert [block.mask for block in decision_partition(table).blocks] == grouping_oracle(classes)
+
+
 @pytest.mark.parametrize("decision", [None, "d"])
 def test_kernel_keeps_stored_rows_when_few_rows_repeat(decision):
     """Under one repeat in 16 rows the view is the table's stored rows, not
@@ -765,34 +808,41 @@ def _csv(rows) -> str:
                      + [",".join([f"o{i}", *row]) for i, row in enumerate(rows)])
 
 
+class _IndexRead(Exception):
+    pass
+
+
+class _Unreadable(Sequence):
+    """A row index that raises on any read."""
+
+    def __getitem__(self, i):
+        raise _IndexRead
+
+    def __len__(self):
+        raise _IndexRead
+
+    def __iter__(self):
+        raise _IndexRead
+
+
 @pytest.mark.parametrize("decision", [None, "d"])
-def test_ranking_and_elimination_build_no_per_object_codes(monkeypatch, decision):
+def test_ranking_and_elimination_build_no_per_object_codes(decision):
     """The kernel walks a table's stored distinct rows, folded or not, so
-    ranking and elimination never derive per-object code columns, whether
-    the table's lines repeat or not; deriving them would cost what
-    factorizing saved."""
-    calls = 0
-    object_codes = dataset._Rows.object_codes
-
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return object_codes(self)
-
-    monkeypatch.setattr(dataset._Rows, "object_codes", counting)
-    table = load_csv(_csv(_repeated_rows_table(600, 12).rows), decision=decision)
-    assert table.rows.index is not None and len(table.rows.weights) < 600
-    rank_attributes(table)
-    eliminate(table)
-    assert calls == 0
-    ind_partition(table, ["c1"])  # the per-object reference path derives them
-    assert calls == 1
+    ranking, the core, elimination and the oracle never read an object's
+    row index, whether the table's lines repeat or not; a per-object pass
+    would cost what factorizing saved.  The per-object reference path
+    does read it."""
     # No line repeats, and no conditional row either.
     rng = random.Random("distinct-rows")
-    rows = [[*row, rng.choice("xyz")] for row in rng.sample(sorted(product("012", repeat=6)), 600)]
-    calls = 0
-    table = load_csv(_csv(rows), decision=decision)
-    rank_attributes(table)
-    eliminate(table)
-    assert calls == 0
-    assert table.rows.weights == [1] * 600
+    distinct = [[*row, rng.choice("xyz")]
+                for row in rng.sample(sorted(product("012", repeat=6)), 600)]
+    for rows, repeats in ((_repeated_rows_table(600, 12).rows, True), (distinct, False)):
+        table = load_csv(_csv(rows), decision=decision)
+        assert (len(table.rows.weights) < 600) == repeats
+        table.rows.index = _Unreadable()
+        rank_attributes(table)
+        core_attributes(table)
+        eliminate(table)
+        exhaustive_reducts(table)
+        with pytest.raises(_IndexRead):
+            ind_partition(table, ["c1"])
