@@ -4,7 +4,9 @@ drop, the leave-one-out walk checked against direct projections,
 the shared grouping routine checked against direct grouping, the
 elimination pass checked against plain walks, and the exhaustive oracle
 checked against plain subset enumeration, on random tables
-with duplicate rows, under both decision policies.  The kernel walks a
+with duplicate rows, under both decision policies.  The per-object
+partitions that the kernel is checked against are themselves checked
+against plain groupings of the row tuples.  The kernel walks a
 table's stored distinct rows, folded on their conditional codes when that
 pays, so it is also checked against the per-object partitions on tables of
 a few rows repeated many times, and a work guard pins that it refines
