@@ -45,7 +45,7 @@ lists, where stripping its nodes did not pay.
 :func:`meet`, :func:`positive_region` and :func:`gamma` answer per object:
 they, the bitset object sets over ``0..n-1`` backed by Python big ints and
 :class:`Partition` are the reference path the kernel is tested against.
-It shares none of the kernel's code: :func:`projections` and
+That path shares none of the kernel's code: :func:`projections` and
 :func:`decision_partition` group the stored rows by their codes in one
 dict pass and read each object's group through its row index.
 Every partition, from :func:`ind_partition`, :func:`decision_partition`,
