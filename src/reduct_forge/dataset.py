@@ -43,6 +43,7 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
+from .partition import _granulate, _leave_one_out
 
 IDENTITY = "identity"
 
@@ -279,8 +280,6 @@ class InformationSystem:
     def _granules(self):
         """The partition kernel's view of this table, its distinct
         conditional rows, built on first use and kept with the table."""
-        from .partition import _granulate  # partition imports this module
-
         return _granulate(self)
 
     @cached_property
@@ -293,8 +292,6 @@ class InformationSystem:
         walk.  It is kept on the table, not on the view: each grouping
         refers to the view, so a cache there would make a reference
         cycle."""
-        from .partition import _leave_one_out
-
         cond = conditional_attributes(self)
         walk = _leave_one_out(self._granules, cond)
         # zip stops at the last attribute, so the walk's final prefix

@@ -15,31 +15,29 @@ granules as it groups their objects, so block counts agree, and a block
 lies in the positive region exactly when its granules share one unmixed
 label; the weights of those granules sum to its share of |POS|.
 
-On that view the kernel is ``_leave_one_out``, ``_refine`` and
-:class:`_Labels`, plus :func:`block_count` and :func:`dependency`.
-``_leave_one_out`` is the paper's composition of a low- and a
+On that view the kernel has one grouping form, :class:`_Labels`, and one
+refinement, ``_split``, which splits a grouping by one attribute.
+``_grouping`` splits the one-block grouping by each of a set's attributes;
+:func:`block_count`, :func:`dependency` and the exhaustive oracle's root
+start there, and the oracle's depth-first search splits one attribute per
+node.  ``_leave_one_out`` is the paper's composition of a low- and a
 high-significance base, a partition meet, taken at every candidate: the
 grouping of ``R - a`` meets the kept attributes before ``a`` with all
 attributes after it, so ranking, elimination and the minimality check each
 make O(m) refinements and meets instead of rebuilding an m-attribute
-projection per attribute.  Each yield is a :class:`_Labels` that gives its
-own block count and dependency degree, so its readers never measure key
-lists.  Refinement never merges blocks, so a granule alone in its block
-stays alone in every finer grouping: a list drops such granules, the
-stripped partitions of TANE (Huhtala et al., 1999), once at least half of
-its rows are, and keeps only the rest.  On a wide table almost every
-granule is alone after about log_k |U/C| attributes, so a walk touches
-O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m).  ``_refine`` splits
-labels by one attribute, one pass per call over a coded column or over the
-rows a stripped list keeps: the new label is the mixed-radix int
+projection per attribute.  Every reader takes only a grouping's block
+count and dependency degree, never its label lists.  Refinement never
+merges blocks, so a granule alone in its block stays alone in every finer
+grouping: a list drops such granules, the stripped partitions of TANE
+(Huhtala et al., 1999), once at least half of its rows are, and keeps only
+the rest.  On a wide table almost every granule is alone after about
+log_k |U/C| attributes, so a walk touches O(|U/C|·log_k |U/C|) granule
+entries, not O(|U/C|·m).  ``_split`` makes one pass over a coded column or
+over the rows a stripped list keeps: the new label is the mixed-radix int
 ``label * k + code``, where ``k`` is the column's value count, and labels
 are renumbered densely only when they could pass ``2**30``, one CPython
 int digit.  Labels are therefore neither dense nor in first-occurrence
-order, and a stripped list has none for its lone granules; readers take
-the block count and the dependency from the walk's :class:`_Labels`, and
-the exhaustive oracle takes dense labels from ``_projections`` and
-``_refine`` only as set members: its depth-first search stays on dense
-lists, where stripping its nodes did not pay.
+order, and a stripped list has none for its lone granules.
 
 :func:`projections`, :func:`ind_partition`, :func:`decision_partition`,
 :func:`meet`, :func:`positive_region` and :func:`gamma` answer per object:
@@ -61,10 +59,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import is_not
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Generator, Iterable, Iterator, Sequence
 
-from .dataset import InformationSystem
 from .errors import UnknownAttribute, UniverseMismatch
+
+if TYPE_CHECKING:  # only annotations name it: the table module imports this one
+    from .dataset import InformationSystem
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -300,48 +300,6 @@ def _granulate(table: InformationSystem) -> _Granules:
     return _Granules(folded, list(weight_of.values()), tuple(label_of.values()), rows.n)
 
 
-_DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
-
-
-def _refine(view: _Granules, keys: list[int], name: str,
-            rows: list[int] | None = None, top: int | None = None) -> list[int]:
-    """``keys`` split by attribute ``name`` in one pass over the granules of
-    ``view``, or over the granules ``rows`` when ``keys`` are theirs: two
-    granules get the same new number exactly when they had the same key and
-    agree on ``name``.  The new number is the mixed-radix ``key * k + code``,
-    where ``code`` is the granule's code in the column and ``k`` the
-    column's value count: as ``0 <= code < k`` it tells the (key, code)
-    pairs apart, so the pass needs no dict and no tuple per granule.
-    Numbers are not dense, but stay below ``2**30``: when ``top * k`` would
-    pass that, ``top`` being a bound above every key (``max(keys) + 1``
-    unless given), the pairs are renumbered densely by first occurrence
-    instead, ``0`` up to the block count minus one, so keys never outgrow
-    one int digit."""
-    codes, k = view.columns[name]
-    if rows is not None:
-        codes = map(codes.__getitem__, rows)
-    if top is None:
-        top = max(keys, default=0) + 1
-    if top * k <= _DIGIT:
-        return [key * k + code for key, code in zip(keys, codes)]
-    ids: dict[int, int] = {}
-    return [ids.setdefault(key * k + code, len(ids)) for key, code in zip(keys, codes)]
-
-
-def _projections(view: _Granules, attrs: Iterable[str]) -> list[int]:
-    """Each granule of ``view`` restricted to ``attrs``, as a number below
-    ``2**30``, as ``_refine`` gives it; a name outside ``view.columns``
-    raises ``UnknownAttribute``."""
-    # Refined one attribute at a time on int keys: row-tuple keys of many
-    # lengths would each leave up to 2000 tuples in CPython's free lists.
-    keys = [0] * len(view.labels)
-    for name in attrs:
-        if name not in view.columns:
-            raise UnknownAttribute(name)
-        keys = _refine(view, keys, name)
-    return keys
-
-
 def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
     """Each object restricted to ``attrs``, as a number: two objects get the
     same number exactly when they agree on every attribute in ``attrs``.
@@ -366,18 +324,20 @@ def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
 
 
 class _Labels:
-    """A grouping of ``view``'s granules, as ``_leave_one_out`` yields it,
+    """A grouping of ``view``'s granules, the kernel's only form of one,
     with its block count ``blocks`` and its dependency degree
-    ``dependency``.
+    ``dependency``.  ``_grouping`` and ``_split`` build it and ``_meet``
+    joins two; code outside this module reads only those two properties.
 
     Dense, ``rows`` is None and ``keys[g]`` is granule ``g``'s label.
     Stripped, ``keys`` are the labels of the granules ``rows``, in ascending
     order, and each granule outside ``rows`` is alone in its block; a
     granule in ``rows`` may be alone too.  Two granules share a block
-    exactly when both carry a label and the labels are equal.  A list the
-    walk refines further also keeps ``top``, a bound above every key, and
-    ``most``, a bound on the distinct keys.  A plain class, not a
-    dataclass, so that importing the module stays cheap.
+    exactly when both carry a label and the labels are equal.  A list that
+    ``_split`` makes also keeps ``top``, a bound above every key, and
+    ``most``, a bound on the distinct keys, so that it can be split again.
+    A plain class, not a dataclass, so that importing the module stays
+    cheap.
     """
 
     __slots__ = ("view", "keys", "rows", "top", "most", "_blocks")
@@ -412,23 +372,43 @@ class _Labels:
         return Fraction(pos, view.object_count)
 
 
+_DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
+
+
 def _split(view: _Granules, labels: _Labels, name: str) -> _Labels:
     """``labels`` refined by attribute ``name``, and stripped of the granules
-    alone in their block once at least half of its rows are.  A set of the
-    keys is paid for only when ``most``, the free bound on their distinct
-    values, lets that many rows be alone.  It gives the block count; with b
-    distinct keys over s rows at least 2b - s rows are alone, and only when
-    that reaches s / 2 are the rows counted and stripped."""
+    alone in their block once at least half of its rows are.
+
+    One pass over the column's codes, or over those of the rows a stripped
+    list keeps: two granules get the same new key exactly when they had the
+    same key and agree on ``name``.  The new key is the mixed-radix
+    ``key * k + code``, ``k`` being the column's value count: as
+    ``0 <= code < k`` it tells the (key, code) pairs apart, so the pass
+    needs no dict and no tuple per granule.  Keys are not dense, but stay
+    below ``2**30``: when ``top * k`` would pass that, the pairs are
+    renumbered densely by first occurrence instead, so keys never outgrow
+    one int digit.
+
+    A set of the keys is paid for only when ``most``, the free bound on
+    their distinct values, lets that many rows be alone.  It gives the block
+    count; with b distinct keys over s rows at least 2b - s rows are alone,
+    and only when that reaches s / 2 are the rows counted and stripped."""
     rows = labels.rows
     if rows == []:
         return labels  # every granule is alone in its block already
-    k = view.columns[name][1]
-    keys = _refine(view, labels.keys, name, rows, labels.top)
-    size = len(keys)
-    if labels.top * k <= _DIGIT:  # mixed-radix, as _refine decides
-        top, most = labels.top * k, min(labels.most * k, size)
+    codes, k = view.columns[name]
+    if rows is not None:
+        codes = map(codes.__getitem__, rows)
+    top = labels.top * k
+    if top <= _DIGIT:
+        keys = [key * k + code for key, code in zip(labels.keys, codes)]
+        most = min(labels.most * k, len(keys))
     else:  # renumbered densely, so the bound is the block count
-        top = most = max(keys, default=-1) + 1
+        ids: dict[int, int] = {}
+        keys = [ids.setdefault(key * k + code, len(ids))
+                for key, code in zip(labels.keys, codes)]
+        top = most = len(ids)
+    size = len(keys)
     if 2 * most < size:
         return _Labels(view, keys, rows, top, most)
     shared = len(set(keys))
@@ -450,6 +430,18 @@ def _split(view: _Granules, labels: _Labels, name: str) -> _Labels:
     return _Labels(view, list(compress(keys, kept)),
                    list(compress(range(size) if rows is None else rows, kept)),
                    top, len(again), blocks)
+
+
+def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
+    """The grouping of ``view``'s granules by ``attrs``: the one-block
+    grouping split by each attribute in turn.  A name outside
+    ``view.columns`` raises ``UnknownAttribute``."""
+    labels = _Labels(view, [0] * len(view.labels), None, 1, 1)
+    for name in attrs:
+        if name not in view.columns:
+            raise UnknownAttribute(name)
+        labels = _split(view, labels, name)
+    return labels
 
 
 def _meet(view: _Granules, a: _Labels, b: _Labels) -> _Labels:
@@ -499,8 +491,7 @@ def _leave_one_out(
     the walk touches O(|U/C|·log_k |U/C|) granule entries rather than
     O(|U/C|·m).
     """
-    size = len(view.labels)
-    none_kept = _Labels(view, [0] * size, None, 1, 1)
+    none_kept = _grouping(view, ())
     suffixes = [none_kept]  # suffixes[-1 - j] groups by attrs[j:]
     for name in reversed(attrs):
         suffixes.append(_split(view, suffixes[-1], name))
@@ -521,13 +512,12 @@ def _leave_one_out(
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
     """Number of blocks of ``ind_partition(table, attrs)``, without building it."""
-    return len(set(_projections(table._granules, attrs)))
+    return _grouping(table._granules, attrs).blocks
 
 
 def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
     """``gamma(ind_partition(table, attrs), decision_partition(table))``."""
-    view = table._granules
-    return _Labels(view, _projections(view, attrs), None).dependency
+    return _grouping(table._granules, attrs).dependency
 
 
 def _unmixed_weight(labels: Iterable[object], weights: Iterable[int]) -> int:

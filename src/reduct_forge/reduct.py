@@ -30,8 +30,9 @@ walk of its own over ``R`` only otherwise.  A ``reduct`` call therefore
 makes one walk on a table with no redundant attribute, two with one and
 three with more, and ``verified_minimal`` still compares the measured block
 counts of ``R`` and of every ``R - a`` with that of ``C``.  The oracle starts
-from the core's labels and refines them one attribute per node, on dense
-label lists.  All of it runs on the table's granules, its distinct
+from the core's grouping and splits it one attribute per node with the
+walk's own refinement, so its nodes strip too, and it reads them, like
+everything here, only through their block counts.  All of it runs on the table's granules, its distinct
 conditional rows, built once per table and shared by every phase; any
 attribute set groups them as it groups the objects, so every block count,
 and with it every verdict and trace size, is the per-object one.  The
@@ -47,7 +48,7 @@ from typing import Iterable
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
-from .partition import _Labels, _leave_one_out, _projections, _refine, block_count
+from .partition import _Labels, _grouping, _leave_one_out, _split, block_count
 from .significance import GroupPolicy, ThresholdSplit, rank_attributes, split_groups
 
 DEFAULT_MAX_ATTRS = 20
@@ -160,7 +161,8 @@ def eliminate(
         else:
             counts = None
 
-    reduct = tuple(a for a in cond if a not in removed)
+    dropped = set(removed)
+    reduct = tuple(a for a in cond if a not in dropped)
     if walk is None:
         counts = [labels.blocks for labels in table_walk]
     elif counts is None:
@@ -181,8 +183,8 @@ def exhaustive_reducts(
 
     A core-first depth-first search; refuses tables wider than ``max_attrs``.
     Every reduct contains the core, so the search starts from the core's
-    labels and adds the other attributes in column order, one refinement per
-    node.  A node that reaches the full block count is recorded and not
+    grouping and adds the other attributes in column order, one ``_split``
+    per node.  A node that reaches the full block count is recorded and not
     extended, and a child that splits no block of its parent is cut, as
     every superset of it would keep a redundant attribute.  The recorded sets
     with no recorded proper subset are the reducts.
@@ -193,22 +195,20 @@ def exhaustive_reducts(
     view = table._granules
     full_count, core = _indispensable(table._table_walk, cond)
     rest = [a for a in cond if a not in core]
-    core_labels = _projections(view, core)
     recorded: list[frozenset[str]] = []
-    # An explicit stack of (attrs, labels, count, next child), so that depth is
-    # not bounded by the recursion limit; a node resumes after each child.
-    stack = [(core, core_labels, len(set(core_labels)), 0)]
+    # An explicit stack of (attrs, labels, next child), so that depth is not
+    # bounded by the recursion limit; a node resumes after each child.
+    stack = [(core, _grouping(view, core), 0)]
     while stack:
-        attrs, labels, count, start = stack.pop()
-        if count == full_count:
+        attrs, labels, start = stack.pop()
+        if labels.blocks == full_count:
             recorded.append(attrs)
             continue
         for i in range(start, len(rest)):
-            child = _refine(view, labels, rest[i])
-            child_count = len(set(child))
-            if child_count != count:
-                stack.append((attrs, labels, count, i + 1))
-                stack.append((attrs | {rest[i]}, child, child_count, i + 1))
+            child = _split(view, labels, rest[i])
+            if child.blocks != labels.blocks:
+                stack.append((attrs, labels, i + 1))
+                stack.append((attrs | {rest[i]}, child, i + 1))
                 break
     recorded.sort(key=len)
     return frozenset(

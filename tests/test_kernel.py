@@ -16,6 +16,7 @@ switch and a guard pins the bound."""
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
 from collections import Counter
@@ -54,6 +55,7 @@ from reduct_forge import (
     split_groups,
     subbase_of,
 )
+import reduct_forge.dataset as dataset
 import reduct_forge.partition as partition
 import reduct_forge.reduct as reduct
 from reduct_forge.partition import _leave_one_out, block_count, dependency, projections
@@ -315,15 +317,6 @@ def test_shared_grouping_matches_direct_grouping(table, data):
     assert dec == Partition.from_blocks([ObjectSet.from_indices(c, n) for c in classes], n)
 
 
-@given(tables_with_redundant_columns())
-@settings(max_examples=200, deadline=None)
-def test_exhaustive_reducts_match_plain_enumeration(table):
-    reducts = exhaustive_reducts(table)
-    assert set(reducts) == minimal_preserving_subsets_oracle(table)
-    core = core_attributes(table)
-    assert all(core <= r for r in reducts)
-
-
 def _first_seen_numbering(keys) -> list[int]:
     """``keys`` renumbered by first occurrence: equal exactly when two key
     lists group the objects alike."""
@@ -383,8 +376,8 @@ def stripping_tables(draw):
 def test_leave_one_out_matches_direct_projections(table, data):
     """The walk yields, for the full set and each leave-one-out set, a
     grouping of the view's granules as that set groups them, with that
-    set's block count and dependency degree: it numbers the granules as
-    ``_projections`` does, through the stripped form too."""
+    set's block count and dependency degree: it groups the granules as
+    their code tuples over that set do, through the stripped form too."""
     attrs = data.draw(st.permutations(conditional_attributes(table)))
     # ``None`` advances with plain next(), which must keep the attribute.
     keeps = data.draw(st.lists(st.none() | st.booleans(),
@@ -394,9 +387,9 @@ def test_leave_one_out_matches_direct_projections(table, data):
 
 def _assert_walk_matches_projections(table, attrs, keeps):
     """Walk ``attrs`` on the granule view, keeping or dropping each
-    attribute as ``keeps`` says, and check every yield against the direct
-    projections of the view, ``ind_partition`` and ``gamma`` of its
-    attribute set."""
+    attribute as ``keeps`` says, and check every yield against the
+    granules' code tuples, ``ind_partition`` and ``gamma`` of its attribute
+    set."""
     view = table._granules
     walk = _leave_one_out(view, attrs)
     yields = [(next(walk), list(attrs))]
@@ -411,10 +404,16 @@ def _assert_walk_matches_projections(table, attrs, keeps):
     for labels, expected in yields:
         assert labels.blocks == len(ind_partition(table, expected))
         assert labels.dependency == _gamma_via(table, expected)
-        direct = partition._projections(view, expected)
-        assert _spelled_out(labels) == _first_seen_numbering(direct)
+        assert _spelled_out(labels) == _first_seen_numbering(_code_tuples(view, expected))
         if labels.rows is not None:
             assert labels.rows == sorted(set(labels.rows))
+
+
+def _code_tuples(view, attrs) -> list[tuple[int, ...]]:
+    """Each granule's codes over ``attrs``, read straight from
+    ``view.columns``: equal exactly when ``attrs`` do not tell two granules
+    apart."""
+    return list(zip(*(view.columns[a][0] for a in attrs))) if attrs else [()] * len(view.labels)
 
 
 def _identity_table(n: int, m: int, k: int):
@@ -429,14 +428,15 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     as the table has no, one or more redundant attributes, so the growth is
     bounded on one walk, the table walk that ranking makes."""
     calls = 0
-    refine = partition._refine
+    split = partition._split
 
-    def counting_refine(*args):
+    def counting_split(view, labels, name):
+        # A list whose granules are all alone comes back as it is, unrefined.
         nonlocal calls
-        calls += 1
-        return refine(*args)
+        calls += labels.rows != []
+        return split(view, labels, name)
 
-    monkeypatch.setattr(partition, "_refine", counting_refine)
+    monkeypatch.setattr(partition, "_split", counting_split)
     ranking, elimination = [], []
     for m in (8, 16):
         calls = 0
@@ -472,7 +472,7 @@ def test_table_order_walk_is_made_once_per_table(monkeypatch):
 
     # Each module that holds the walk, so that a reader importing it by
     # name is counted too.
-    for module in (partition, reduct, sys.modules["reduct_forge.significance"]):
+    for module in (partition, dataset, reduct, sys.modules["reduct_forge.significance"]):
         if getattr(module, "_leave_one_out", None) is walk:
             monkeypatch.setattr(module, "_leave_one_out", counting_walk)
 
@@ -500,12 +500,13 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
     put on one walk, the table walk that ranking makes."""
     touched = 0
     stripped = dense = 0
-    refine, meet = partition._refine, partition._meet
+    split, meet = partition._split, partition._meet
 
-    def counting_refine(view, keys, *args):
+    def counting_split(view, labels, name):
         nonlocal touched
-        touched += len(keys)
-        return refine(view, keys, *args)
+        if labels.rows != []:
+            touched += len(labels.keys)
+        return split(view, labels, name)
 
     def counting_meet(view, a, b):
         # A stripped side limits the pass to its rows; two dense sides pair
@@ -518,7 +519,7 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         dense += labels.rows is None
         return labels
 
-    monkeypatch.setattr(partition, "_refine", counting_refine)
+    monkeypatch.setattr(partition, "_split", counting_split)
     monkeypatch.setattr(partition, "_meet", counting_meet)
     ranking, elimination = [], []
     for m in (10, 40):
@@ -536,18 +537,20 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
 
 def test_refined_keys_stay_within_one_int_digit(monkeypatch):
     """Keys are mixed-radix numbers, which would reach ``3**40`` at 40
-    ternary columns, so ``_refine`` must renumber them before they pass
+    ternary columns, so ``_split`` must renumber them before they pass
     ``2**30``."""
     largest = 0
-    refine = partition._refine
+    split = partition._split
 
-    def recording_refine(*args):
+    def recording_split(view, labels, name):
         nonlocal largest
-        keys = refine(*args)
-        largest = max(largest, *keys)
-        return keys
+        refined = split(view, labels, name)
+        if labels.rows != []:
+            # A list stripped of every granule keeps no key.
+            largest = max(largest, *refined.keys, 0)
+        return refined
 
-    monkeypatch.setattr(partition, "_refine", recording_refine)
+    monkeypatch.setattr(partition, "_split", recording_split)
     eliminate(_identity_table(300, 40, 3))
     assert 0 < largest < 2**30
 
@@ -655,6 +658,33 @@ def test_kernel_past_one_int_digit_matches_object_level_reference(table, data):
                                min_size=len(attrs), max_size=len(attrs)))
     _assert_walk_matches_projections(table, attrs, keeps)
     _assert_walks_match_object_level_reference(table)
+
+
+def test_exhaustive_reducts_match_plain_enumeration():
+    """The oracle's nodes are stripped groupings, split one attribute per
+    node, so it is checked on small tables, on tables whose groupings strip
+    mid-search and on tables whose keys pass ``2**30`` and are renumbered;
+    the plain enumeration caps the last two at 13 attributes."""
+
+    def check(table):
+        reducts = exhaustive_reducts(table)
+        assert set(reducts) == minimal_preserving_subsets_oracle(table)
+        core = core_attributes(table)
+        assert all(core <= r for r in reducts)
+
+    @given(tables_with_redundant_columns())
+    @settings(max_examples=200, deadline=None)
+    def small(table):
+        check(table)
+
+    @given(wide_tables().filter(lambda t: len(conditional_attributes(t)) <= 13)
+           | stripping_tables())
+    @settings(max_examples=60, deadline=None)
+    def stripping_or_wide(table):
+        check(table)
+
+    small()
+    stripping_or_wide()
 
 
 @st.composite
@@ -780,20 +810,21 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     One ``eliminate`` call builds the granule view once."""
     sizes = []
     builds = 0
-    refine, granulate = partition._refine, partition._granulate
+    split, granulate = partition._split, partition._granulate
 
-    def recording_refine(view, keys, *args):
-        sizes.append((len(view.labels), len(keys)))
-        return refine(view, keys, *args)
+    def recording_split(view, labels, name):
+        if labels.rows != []:
+            sizes.append((len(view.labels), len(labels.keys)))
+        return split(view, labels, name)
 
     def counting_granulate(table):
         nonlocal builds
         builds += 1
         return granulate(table)
 
-    monkeypatch.setattr(partition, "_refine", recording_refine)
-    monkeypatch.setattr(reduct, "_refine", recording_refine)
-    monkeypatch.setattr(partition, "_granulate", counting_granulate)
+    monkeypatch.setattr(partition, "_split", recording_split)
+    monkeypatch.setattr(reduct, "_split", recording_split)
+    monkeypatch.setattr(dataset, "_granulate", counting_granulate)
     eliminate(_repeated_rows_table(600, 12))
     assert builds == 1
     assert sizes[0] == (12, 12)
@@ -848,3 +879,34 @@ def test_ranking_and_elimination_build_no_per_object_codes(decision):
         exhaustive_reducts(table)
         with pytest.raises(_IndexRead):
             ind_partition(table, ["c1"])
+
+
+_REFERENCE_PATH = {"ObjectSet", "Partition", "_grouped_partition", "_mask", "_block_labels",
+                   "projections", "ind_partition", "decision_partition", "meet",
+                   "positive_region", "gamma"}
+_KERNEL = {"_Granules", "_granulate", "_Labels", "_split", "_meet", "_grouping",
+           "_leave_one_out", "_DIGIT", "_MIXED", "_pure_weight", "_unmixed_weight"}
+
+
+def _syntax(module) -> ast.Module:
+    with open(module.__file__, encoding="utf-8") as source:
+        return ast.parse(source.read())
+
+
+def test_reference_path_and_kernel_readers_stay_apart():
+    """The per-object reference path in ``partition.py`` names nothing of
+    the kernel, so the tests that compare the two compare independent code;
+    and ``reduct`` and ``significance`` read a grouping only through its
+    block count and dependency, never its label lists or their bounds, and
+    import no routine that builds label lists outside ``_split``."""
+    for node in _syntax(partition).body:
+        if getattr(node, "name", None) in _REFERENCE_PATH:
+            named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            assert not named & _KERNEL, (node.name, named & _KERNEL)
+    for module in (reduct, sys.modules["reduct_forge.significance"]):
+        for node in ast.walk(_syntax(module)):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"keys", "rows", "top", "most"}, (module, node.attr)
+            if isinstance(node, ast.ImportFrom):
+                imported = {alias.name for alias in node.names}
+                assert not imported & {"_refine", "_projections"}, (module, imported)
