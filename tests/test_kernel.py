@@ -1,6 +1,6 @@
 """The projection-count kernel checked against the partition and topology
 reference paths, significance and the ranking checked against the gamma
-drop, the leave-one-out walk checked against direct projections,
+drop, the leave-one-out walk checked against the granules' code tuples,
 the shared grouping routine checked against direct grouping, the
 elimination pass checked against plain walks, and the exhaustive oracle
 checked against plain subset enumeration, on random tables
@@ -504,8 +504,7 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
 
     def counting_split(view, labels, name):
         nonlocal touched
-        if labels.rows != []:
-            touched += len(labels.keys)
+        touched += len(labels.keys)
         return split(view, labels, name)
 
     def counting_meet(view, a, b):
@@ -545,9 +544,8 @@ def test_refined_keys_stay_within_one_int_digit(monkeypatch):
     def recording_split(view, labels, name):
         nonlocal largest
         refined = split(view, labels, name)
-        if labels.rows != []:
-            # A list stripped of every granule keeps no key.
-            largest = max(largest, *refined.keys, 0)
+        # A list stripped of every granule keeps no key.
+        largest = max(largest, *refined.keys, 0)
         return refined
 
     monkeypatch.setattr(partition, "_split", recording_split)
