@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 
 from .dataset import (
@@ -32,7 +31,7 @@ from .dataset import (
     load_csv,
 )
 from .errors import DuplicateAttribute, ReductForgeError, TooManyAttributes
-from .partition import ind_partition
+from .partition import grouped, projections
 from .reduct import DEFAULT_MAX_ATTRS, eliminate, exhaustive_reducts
 from .significance import CountSplit, GroupPolicy, ThresholdSplit, rank_attributes
 from .topology import (
@@ -166,7 +165,7 @@ def _cmd_reduct(args: argparse.Namespace) -> int:
         }
         if args.trace:
             fields["trace"] = [
-                {**asdict(entry), "significance": _fraction_json(entry.significance)}
+                {**vars(entry), "significance": _fraction_json(entry.significance)}
                 for entry in result.trace
             ]
         if all_reducts is not None:
@@ -199,7 +198,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         attrs = _parse_attrs(table, args.attrs)
         return {
             "attributes": attrs,
-            "blocks": [list(b) for b in ind_partition(table, attrs).blocks],
+            "blocks": grouped(projections(table, attrs)),
         }
 
     def render(rep: dict) -> None:

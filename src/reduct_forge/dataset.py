@@ -13,13 +13,12 @@ in code order), plus each object's row index and each row's object count.
 One step, ``_factorized``, builds that storage for :func:`load_csv` and for
 row tuples given to :class:`InformationSystem`: it numbers the objects' keys
 in one dictionary pass and splits, strips and codes only the distinct keys.
-:func:`load_csv` keys a line by its text without the ``id`` cell (by its
-tuple of cells when the id sits between other columns), and row tuples are
-their own keys.  The loader cuts each line and takes its key in that one
-pass, so no per-line object outlives its step.  It does not build the
-object ids either: ``object_ids`` is a read-only view that builds them on
-first read, from the text (id first or last), the split id column (id in
-the middle) or the object numbers (no id).  The partition kernel walks the
+:func:`load_csv` keys a line by its text without the ``id`` cell, wherever
+the id sits, and row tuples are their own keys.  The loader cuts each line
+and takes its key in that one pass, so no per-line object outlives its
+step.  It does not build the object ids either: ``object_ids`` is a
+read-only view that builds them on first read, cut from the text again, or
+from the object numbers when there is no id.  The partition kernel walks the
 stored rows, weighted by their object counts, and alone decides whether
 folding them pays; every per-object reader, ``rows``, ``column``,
 ``value``, equality and the per-object partitions, reads a stored row
@@ -122,9 +121,8 @@ class _Ids(Sequence):
 
     ``ids`` is a lazy iterator of the ids, consumed into a tuple the first
     time an id is read and kept; ``len`` is known without it.  The loader
-    gives it ``map(str, range(n))`` when there is no ``id`` column, the
-    split id column when the id sits between other columns, and, when the
-    id is first or last, :func:`_cut_ids` over the table's text.  The view
+    gives it ``map(str, range(n))`` when there is no ``id`` column and
+    otherwise :func:`_cut_ids` over the table's text.  The view
     compares equal to the tuple of ids it stands for, and hashes and reprs
     like it.
     """
@@ -168,15 +166,15 @@ class _Ids(Sequence):
         return tuple, (self._tuple(),)
 
 
-def _cut_ids(text: str, id_first: bool) -> Iterator[str]:
-    """The ids of a table whose ``id`` is its first or last column, cut from
+def _cut_ids(text: str, column: int) -> Iterator[str]:
+    """The ids of a table whose ``id`` is its ``column``-th column, cut from
     its text (LF line ends, no byte-order mark) by the loader's own line
     rules: blank and whitespace-only lines skipped, the header dropped, each
-    line cut at its first or last comma and its id cell stripped."""
+    line split at its first ``column + 1`` commas and its id cell stripped."""
     lines = filter(str.strip, text.split("\n"))
     next(lines)  # the header
-    cut = map(str.partition if id_first else str.rpartition, lines, itertools.repeat(","))
-    yield from map(str.strip, map(itemgetter(0 if id_first else 2), cut))
+    cells = map(str.split, lines, itertools.repeat(","), itertools.repeat(column + 1))
+    yield from map(str.strip, map(itemgetter(column), cells))
 
 
 def _factorized(keys: Iterable[Hashable],
@@ -194,7 +192,6 @@ def _factorized(keys: Iterable[Hashable],
     # len(first) is read before each setdefault call, so a new key gets the
     # next row number and a seen one keeps its own.
     index = list(map(first.setdefault, keys, map(len, itertools.repeat(first))))
-    del keys  # a lazy iterator of keys may hold every cell
     if len(first) == len(index):
         # No key repeats: a range holds no int object per object.
         index, weights = range(len(index)), [1] * len(index)
@@ -206,13 +203,8 @@ def _factorized(keys: Iterable[Hashable],
     distinct = list(first)
     del first  # the keys' numbers are not needed while the keys are split
     columns = columns_of(distinct)
-    del distinct  # key tuples are not needed while their cells are coded
+    del distinct  # the keys are not needed while their cells are coded
     return _Rows([_coded(col, strip) for col in columns], index, weights)
-
-
-def _transposed(rows: list[tuple]) -> list[tuple]:
-    """The columns of a list of row tuples."""
-    return list(zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -255,7 +247,8 @@ class InformationSystem:
         if self.decision is not None and self.decision not in self.attributes:
             raise UnknownDecision(self.decision)
         if not isinstance(rows, _Rows):
-            object.__setattr__(self, "rows", _factorized(map(tuple, rows), _transposed))
+            stored = _factorized(map(tuple, rows), lambda keys: list(zip(*keys)))
+            object.__setattr__(self, "rows", stored)
 
     @property
     def object_count(self) -> int:
@@ -334,16 +327,16 @@ def load_csv(
     separator.  Blank and whitespace-only lines are skipped, but
     ``MalformedTable.row`` is the file's 1-based line number, counting them;
     an empty or whitespace-only header cell is reported at the header's line.
-    Each line is keyed by its text without the ``id`` cell, cut off with one
-    ``str.partition`` (id first) or ``str.rpartition`` (id last) per line,
-    or by the whole line when there is no id, and ``_factorized`` checks
-    the comma counts of, splits, strips and codes only the distinct keys; a
-    table whose id sits between other columns is split whole and keyed by
-    its tuples of cells.  The cuts are fed to ``_factorized`` as they are
-    made, so each is dropped once its key is taken.  The table's
-    ``object_ids`` is a read-only view that compares equal to the tuple of
-    ids and builds it only when an id is read; with the id first or last it
-    keeps the text and cuts the ids from it again by these line rules.
+    Each line is keyed by its text without the ``id`` cell, cut off in C:
+    the tail of ``str.partition`` (id first), the head of ``str.rpartition``
+    (id last), the cells around the id of ``str.split(",", j + 1)``, joined
+    again (id in column ``j`` between others), or the whole line when there
+    is no id.  ``_factorized`` checks the comma counts of, splits, strips
+    and codes only the distinct keys.  The cuts are fed to ``_factorized``
+    as they are made, so each is dropped once its key is taken.  The
+    table's ``object_ids`` is a read-only view that compares equal to the
+    tuple of ids and builds it only when an id is read; with an id it keeps
+    the text and cuts the ids from it again by these line rules.
     """
     text = _read_text(source)
     if "\r" in text:
@@ -391,42 +384,31 @@ def load_csv(
         cells = ",".join(distinct).split(",")
         return [cells[c::len(names)] for c in range(len(names))]
 
-    # Lines are keyed by their text without the id cell, so only the distinct
-    # ones are split and coded.  A key's comma count stands for every line
-    # with that key, and split() catches a line without the comma that cuts
-    # off its id, so every line's width is still checked.  No line's cut is
+    # Each line is keyed by its text without the id cell, cut off in C, so
+    # only the distinct keys are split and coded.  A key's comma count, its
+    # line's less any comma cut off with the id, stands for every line with
+    # that key; split() catches a line without the comma that cuts off a first
+    # or last id, and a line too short for the middle cut raises
+    # IndexError, so every line's width is still checked.  No line's cut is
     # kept, and the ids are cut from the text again only if they are read.
-    # An id between other columns cannot be cut off in C (mapping
-    # str.split(",", j + 1) over the lines measured no faster with the id
-    # first and 2x slower in the middle), so such a table, and one whose id
-    # is its only column, is split whole and keyed by its tuples of cells.
+    object_ids = _Ids(len(body), map(str, range(len(body))) if id_col is None
+                      else _cut_ids(text, id_col))
+    del text  # only the ids' generator holds it, when there is an id
     if id_col is None:
-        del text  # only an id first or last is cut from the text again
-        object_ids = _Ids(len(body), map(str, range(len(body))))
-        rows = _factorized(body, split, strip=True)
-    elif width > 1 and id_col in (0, width - 1):
-        object_ids = _Ids(len(body), _cut_ids(text, id_col == 0))
-        cut = map(str.partition if id_col == 0 else str.rpartition, body, itertools.repeat(","))
-        rows = _factorized(map(itemgetter(2 if id_col == 0 else 0), cut), split, strip=True)
+        keys = body
+    elif id_col == 0:
+        keys = map(itemgetter(2), map(str.partition, body, itertools.repeat(",")))
+    elif id_col == width - 1:
+        keys = map(itemgetter(0), map(str.rpartition, body, itertools.repeat(",")))
     else:
-        del text
-        if set(map(str.count, body, itertools.repeat(","))) - {width - 1}:
-            ragged()
-        cells = ",".join(body).split(",")
-        columns = [cells[c::width] for c in range(width)]
-        del cells
-        object_ids = _Ids(len(body), map(str.strip, columns.pop(id_col)))
-
-        def cells_of(distinct: list[tuple[str, ...]]) -> list[Sequence[str]]:
-            if len(distinct) == len(body):
-                return columns  # no line repeats: the columns are the distinct rows'
-            columns.clear()  # frees every cell but those the distinct rows hold
-            return _transposed(distinct)
-
-        # zip() of no columns is empty, but with no column every line has
-        # the one empty row.
-        rows = _factorized(zip(*columns) if columns else itertools.repeat((), len(body)),
-                           cells_of, strip=True)
+        keys = map(",".join, map(itemgetter(*range(id_col), id_col + 1),
+                                 map(str.split, body, itertools.repeat(","),
+                                     itertools.repeat(id_col + 1))))
+    try:
+        rows = _factorized(keys, split, strip=True)
+    except IndexError:  # a line too short for the middle cut
+        ragged()
+        raise
     del lines, body
 
     if decision == IDENTITY:

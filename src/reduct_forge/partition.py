@@ -47,8 +47,9 @@ That path shares none of the kernel's code: :func:`projections` and
 :func:`decision_partition` group the stored rows by their codes in one
 dict pass and read each object's group through its row index.
 Every partition, from :func:`ind_partition`, :func:`decision_partition`,
-:func:`meet` or :meth:`Partition.singletons`, is grouped from per-object
-keys by one routine, ``_grouped_partition``.  Dependency degrees are exact
+:func:`meet` or :meth:`Partition.singletons`, and the object lists that the
+``partition`` command prints, are grouped from per-object keys by one
+routine, :func:`grouped`.  Dependency degrees are exact
 :class:`fractions.Fraction` values; nothing downstream compares floats.
 """
 
@@ -196,16 +197,22 @@ class Partition:
         return len(self.blocks)
 
 
-def _grouped_partition(keys: Iterable[object], universe_size: int) -> Partition:
-    """One block per distinct key.  Keys enter the dict at their first object,
-    so blocks come out ordered by minimum element, as Partition requires.
-    Each key's objects are listed first and its mask built once from them:
-    an OR per object would copy the growing mask each time."""
+def grouped(keys: Iterable[object]) -> list[list[int]]:
+    """The ascending list of objects of each distinct key, the ``i``-th key
+    being object ``i``'s.  Keys enter the dict at their first object, so
+    the lists come out ordered by their minimum element."""
     groups: defaultdict[object, list[int]] = defaultdict(list)
     for i, key in enumerate(keys):
         groups[key].append(i)
+    return list(groups.values())
+
+
+def _grouped_partition(keys: Iterable[object], universe_size: int) -> Partition:
+    """One block per distinct key, in the order :func:`grouped` gives, as
+    Partition requires.  Each block's mask is built once from its object
+    list: an OR per object would copy the growing mask each time."""
     return Partition(universe_size, tuple(ObjectSet(_mask(indices), universe_size)
-                                          for indices in groups.values()))
+                                          for indices in grouped(keys)))
 
 
 def _mask(indices: list[int]) -> int:

@@ -186,8 +186,10 @@ def exhaustive_reducts(
     grouping and adds the other attributes in column order, one ``_split``
     per node.  A node that reaches the full block count is recorded and not
     extended, and a child that splits no block of its parent is cut, as
-    every superset of it would keep a redundant attribute.  The recorded sets
-    with no recorded proper subset are the reducts.
+    every superset of it would keep a redundant attribute.  The search
+    records every reduct, and each recorded set that is not one holds a
+    reduct, which sorts before it by length; so, taken by length, a recorded
+    set is a reduct exactly when it holds none of the reducts kept so far.
     """
     cond = conditional_attributes(table)
     if len(cond) > max_attrs:
@@ -210,10 +212,11 @@ def exhaustive_reducts(
                 stack.append((attrs, labels, i + 1))
                 stack.append((attrs | {rest[i]}, child, i + 1))
                 break
-    recorded.sort(key=len)
-    return frozenset(
-        r for i, r in enumerate(recorded) if not any(s < r for s in recorded[:i])
-    )
+    reducts: list[frozenset[str]] = []
+    for r in sorted(recorded, key=len):
+        if not any(s < r for s in reducts):
+            reducts.append(r)
+    return frozenset(reducts)
 
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:

@@ -229,6 +229,22 @@ class TestLoadCsv:
         with pytest.raises(EmptyTable):  # rows, but no attribute
             load_csv(b"id\no1\no2\n")
 
+    def test_id_only_table_reports_a_ragged_line_before_empty(self):
+        # An id-only table is keyed like any id-first table, so a line with a
+        # second cell is reported at its line before the table is found to
+        # have no attribute.
+        with pytest.raises(MalformedTable, match="^malformed table at row 3: expected 1 cells, got 2$"):
+            load_csv(b"id\no1\no2,x\n")
+
+    def test_line_too_short_for_the_middle_cut(self):
+        # A line with fewer commas than the cut of a middle id needs is
+        # reported at its line, and a ragged line before it first.
+        for text, row, got in [(b"p,q,id,r\n1,2,o1,3\n\n1,2\n", 4, 2),
+                               (b"p,q,id,r\n1,2,o1,3,4\n1\n", 2, 5)]:
+            with pytest.raises(MalformedTable, match=f"expected 4 cells, got {got}$") as exc:
+                load_csv(text)
+            assert exc.value.row == row
+
     def test_header_only_reports_empty_before_unknown_decision(self):
         with pytest.raises(EmptyTable):
             load_csv(b"p,q\n", decision="zz")
@@ -336,10 +352,10 @@ def repeated_csv(draw):
 @settings(max_examples=200, deadline=None)
 @given(repeated_csv(), st.data())
 def test_factorized_load_matches_direct_construction(drawn, data):
-    """A loaded table keys each line by its text without the id cell, or by
-    its raw cells when the id is in the middle, and codes only the distinct
-    lines; every accessor and every answer must equal those of the
-    table built from the row tuples, which keys the stripped cells."""
+    """A loaded table keys each line by its text without the id cell,
+    wherever the id sits, and codes only the distinct lines; every accessor
+    and every answer must equal those of the table built from the row
+    tuples, which keys the stripped cells."""
     text, _, has_header, rows, ids, names, decision = drawn
     table = load_csv(text, has_header=has_header, decision=decision)
     ids = tuple(ids) if ids is not None else tuple(map(str, range(len(rows))))

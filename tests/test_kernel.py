@@ -690,9 +690,8 @@ def laid_out_tables(draw):
     """``tables(max_repeats=40)`` written as CSV text, with some cells
     padded by whitespace and an ``id`` column first, in the middle, last or
     absent, and loaded back.  The loader keys a line by its text without
-    the id when the id is first, last or absent, and by its tuple of cells
-    when it sits in the middle (last too, for a table of one column), so
-    ``rows.index`` comes from both of its keying paths."""
+    the id, cut off by a cut of its own for each layout, so ``rows.index``
+    comes from each of those cuts."""
     table = draw(tables(max_repeats=40))
     rng = draw(st.randoms(use_true_random=False))
     pads = ["{}", "{}", "{}", " {}", "{} ", "\t{}"]
@@ -879,9 +878,9 @@ def test_ranking_and_elimination_build_no_per_object_codes(decision):
             ind_partition(table, ["c1"])
 
 
-_REFERENCE_PATH = {"ObjectSet", "Partition", "_grouped_partition", "_mask", "_block_labels",
-                   "projections", "ind_partition", "decision_partition", "meet",
-                   "positive_region", "gamma"}
+_REFERENCE_PATH = {"ObjectSet", "Partition", "grouped", "_grouped_partition", "_mask",
+                   "_block_labels", "projections", "ind_partition", "decision_partition",
+                   "meet", "positive_region", "gamma"}
 _KERNEL = {"_Granules", "_granulate", "_Labels", "_split", "_meet", "_grouping",
            "_leave_one_out", "_DIGIT", "_MIXED", "_pure_weight", "_unmixed_weight"}
 
