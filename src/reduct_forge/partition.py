@@ -81,12 +81,13 @@ class ObjectSet:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], universe_size: int) -> "ObjectSet":
-        mask = 0
+        indices = list(indices)
         for i in indices:
             if not 0 <= i < universe_size:
                 raise ValueError(f"object index {i} outside universe of {universe_size}")
-            mask |= 1 << i
-        return cls(mask, universe_size)
+        # One mask from the sorted indices: an OR per index would copy the
+        # growing mask each time.
+        return cls(_mask(sorted(indices)) if indices else 0, universe_size)
 
     @classmethod
     def full(cls, universe_size: int) -> "ObjectSet":
@@ -575,10 +576,12 @@ def positive_region(cond: Partition, dec: Partition) -> ObjectSet:
     """Union of condition blocks wholly inside a single decision block."""
     if cond.universe_size != dec.universe_size:
         raise UniverseMismatch(cond.universe_size, dec.universe_size)
+    # Each object's decision block, looked up once: Partition.block_of scans
+    # the blocks, so a call per condition block would make this quadratic.
+    home = _block_labels(dec)
     mask = 0
     for block in cond.blocks:
-        home = dec.block_of(block.min_element())
-        if block.mask & ~home.mask == 0:
+        if block.mask & ~dec.blocks[home[block.min_element()]].mask == 0:
             mask |= block.mask
     return ObjectSet(mask, cond.universe_size)
 

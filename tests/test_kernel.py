@@ -882,7 +882,8 @@ _REFERENCE_PATH = {"ObjectSet", "Partition", "grouped", "_grouped_partition", "_
                    "_block_labels", "projections", "ind_partition", "decision_partition",
                    "meet", "positive_region", "gamma"}
 _KERNEL = {"_Granules", "_granulate", "_Labels", "_split", "_meet", "_grouping",
-           "_leave_one_out", "_DIGIT", "_MIXED", "_pure_weight", "_unmixed_weight"}
+           "_leave_one_out", "_DIGIT", "_MIXED", "_pure_weight", "_unmixed_weight",
+           "_Numbering"}
 
 
 def _syntax(module) -> ast.Module:

@@ -157,6 +157,30 @@ class TestPositiveRegion:
         with pytest.raises(UniverseMismatch):
             positive_region(Partition.trivial(3), Partition.singletons(4))
 
+    @pytest.mark.parametrize("decision", [None, "c1"])
+    def test_oracle_agreement_without_block_of(self, monkeypatch, decision):
+        """Each object's decision block is looked up once, not by scanning
+        the decision blocks per condition block, which made the identity
+        decision quadratic."""
+        def scan(self, index):
+            raise AssertionError("positive_region scans the decision blocks")
+
+        monkeypatch.setattr(Partition, "block_of", scan)
+        rng = random.Random(f"positive-region/{decision}")
+        for _ in range(30):
+            n_attrs = rng.randint(2, 4)
+            values = rng.randint(2, 4)
+            table = make_table(
+                [[str(rng.randrange(values)) for _ in range(n_attrs)]
+                 for _ in range(rng.randint(1, 60))],
+                [f"c{i + 1}" for i in range(n_attrs)], decision)
+            cond = [a for a in table.attributes if a != decision]
+            attrs = rng.sample(cond, rng.randint(0, len(cond)))
+            pos = positive_region(ind_partition(table, attrs), decision_partition(table))
+            assert set(pos) == positive_region_oracle(table, attrs)
+            assert members_oracle(pos.mask, pos.universe_size) == sorted(
+                positive_region_oracle(table, attrs))
+
     def test_oracle_agreement_on_random_tables(self):
         rng = random.Random(42)
         for _ in range(80):
@@ -324,6 +348,24 @@ def masks(draw):
 def test_object_set_lists_members_in_ascending_order(drawn):
     mask, n = drawn
     assert list(ObjectSet(mask, n)) == members_oracle(mask, n)
+
+
+@given(st.integers(0, 300).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-2, n + 1), max_size=2 * n + 2))))
+@settings(max_examples=300, deadline=None)
+def test_object_set_from_indices_builds_one_mask(drawn):
+    """Indices in any order, repeated or not, give the mask whose members
+    are the distinct indices; the first index outside the universe is
+    reported, as it was when each index was ORed in turn."""
+    n, indices = drawn
+    outside = [i for i in indices if not 0 <= i < n]
+    if outside:
+        with pytest.raises(ValueError, match=f"^object index {outside[0]} outside "):
+            ObjectSet.from_indices(iter(indices), n)
+        return
+    s = ObjectSet.from_indices(iter(indices), n)
+    assert members_oracle(s.mask, n) == sorted(set(indices))
+    assert s.universe_size == n
 
 
 @st.composite
