@@ -57,12 +57,14 @@ def cell_columns(draw):
     if shape == "distinct":
         n = draw(st.integers(0, 600))
         base = [f"v{i}" for i in range(n)]
-    else:
-        k = draw(st.integers(1, 4)) if shape == "few" else draw(st.integers(257, 400))
-        n = draw(st.integers(0, 3000 if shape == "few" else 600))
-        seed = draw(st.integers(0, 2**16))
-        rng = random.Random(seed)
-        base = [str(rng.randrange(k)) for _ in range(n)]
+    elif shape == "few":
+        k = draw(st.integers(1, 4))
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        base = [str(rng.randrange(k)) for _ in range(draw(st.integers(0, 3000)))]
+    else:  # k > 256 values, each drawn at least once
+        k = draw(st.integers(257, 400))
+        base = [str(i % k) for i in range(draw(st.integers(k, 3 * k)))]
+        random.Random(draw(st.integers(0, 2**16))).shuffle(base)
     pads = draw(st.lists(st.tuples(st.sampled_from(PAD), st.sampled_from(PAD)),
                          min_size=1, max_size=4))
     rng = random.Random(draw(st.integers(0, 2**16)))
