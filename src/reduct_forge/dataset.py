@@ -15,10 +15,8 @@ row tuples given to :class:`InformationSystem`: it numbers the objects' keys
 densely in first-occurrence order and splits, strips and codes only the
 distinct keys.  Both passes number keys with a :class:`_Numbering`, a dict
 that hands a missing key the next number, so a repeated key costs one
-C-level lookup and only a new one a Python call; where the first lines
-barely repeat, ``_factorized`` numbers the rest by ``setdefault`` in C
-instead.  A column's cells that strip alike are merged by looking at its
-distinct cells alone.
+C-level lookup and only a new one a Python call.  A column's cells that
+strip alike are merged by looking at its distinct cells alone.
 :func:`load_csv` keys a line by its text without the ``id`` cell, wherever
 the id sits, and row tuples are their own keys.  The loader cuts each line
 and takes its key in that one pass, so no per-line object outlives its
@@ -66,9 +64,6 @@ class _Numbering(dict):
     def __missing__(self, key: Hashable) -> int:
         self[key] = number = len(self)
         return number
-
-
-_PROBE = 1024  # the lines ``_factorized`` numbers before it picks its idiom
 
 
 def _coded(
@@ -218,21 +213,12 @@ def _factorized(keys: Iterable[Hashable],
     order, which gives each object's row index, and each row's object count
     is counted from those; ``columns_of(distinct)`` then gives the raw cell
     columns of the list of distinct keys alone, which are coded (and, with
-    ``strip``, stripped).  The first ``_PROBE`` keys are looked up, one C
-    call per key and a Python call per new one.  When at least half of
-    them were new, the keys barely repeat and those Python calls would cost
-    more than the lookups save, so the rest are numbered by
-    ``setdefault(key, len(numbering))``, two C calls per key.
+    ``strip``, stripped).  A repeated key costs one C-level lookup and a new
+    one a Python call, so keys that never repeat are numbered more slowly
+    than by ``setdefault(key, len(numbering))``, two C calls per key.
     """
     numbering = _Numbering()
-    keys = iter(keys)
-    index = list(map(numbering.__getitem__, itertools.islice(keys, _PROBE)))
-    if 2 * len(numbering) > len(index):
-        # len(numbering) is read before each setdefault call, so a new key
-        # gets the next row number and a seen one keeps its own.
-        index += map(numbering.setdefault, keys, map(len, itertools.repeat(numbering)))
-    else:
-        index += map(numbering.__getitem__, keys)
+    index = list(map(numbering.__getitem__, keys))
     if len(numbering) == len(index):
         # No key repeats: a range holds no int object per object.
         index, weights = range(len(index)), [1] * len(index)

@@ -85,9 +85,9 @@ class ObjectSet:
         for i in indices:
             if not 0 <= i < universe_size:
                 raise ValueError(f"object index {i} outside universe of {universe_size}")
-        # One mask from the sorted indices: an OR per index would copy the
-        # growing mask each time.
-        return cls(_mask(sorted(indices)) if indices else 0, universe_size)
+        # One mask for all indices: an OR per index would copy the growing
+        # mask each time.
+        return cls(_mask(indices, max(indices)) if indices else 0, universe_size)
 
     @classmethod
     def full(cls, universe_size: int) -> "ObjectSet":
@@ -212,14 +212,14 @@ def _grouped_partition(keys: Iterable[object], universe_size: int) -> Partition:
     """One block per distinct key, in the order :func:`grouped` gives, as
     Partition requires.  Each block's mask is built once from its object
     list: an OR per object would copy the growing mask each time."""
-    return Partition(universe_size, tuple(ObjectSet(_mask(indices), universe_size)
+    return Partition(universe_size, tuple(ObjectSet(_mask(indices, indices[-1]), universe_size)
                                           for indices in grouped(keys)))
 
 
-def _mask(indices: list[int]) -> int:
-    """The big-int mask of the ascending ``indices``, set bit by bit in a
-    byte buffer and converted once."""
-    bits = bytearray((indices[-1] >> 3) + 1)
+def _mask(indices: Iterable[int], top: int) -> int:
+    """The big-int mask of ``indices``, none above ``top``, set bit by bit
+    in a byte buffer and converted once."""
+    bits = bytearray((top >> 3) + 1)
     for i in indices:
         bits[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(bits, "little")

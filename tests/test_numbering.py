@@ -4,8 +4,8 @@ stored row and each row's object count, and ``_coded`` codes a column,
 merging cells that differ only in whitespace.  ``_factorized`` is checked
 against a plain-dict reference, and ``_coded`` against the
 ``dict.fromkeys`` coding it replaced, kept here verbatim; the loader's
-errors keep their precedence, message and line on either side of
-``_PROBE``, where ``_factorized`` picks its idiom."""
+errors keep their precedence, message and line, on lines that repeat and
+on lines that do not."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reduct_forge import EmptyTable, MalformedTable, load_csv
-from reduct_forge.dataset import _PROBE, _coded, _factorized, _Numbering
+from reduct_forge.dataset import _coded, _factorized, _Numbering
 
 
 def coded_reference(
@@ -109,12 +109,12 @@ def test_whitespace_twins_share_a_code():
 
 @st.composite
 def key_lists(draw):
-    """Keys that repeat or not, on either side of ``_PROBE``: a distinct
-    run and a repeated run, in either order."""
+    """Keys that repeat or not: a distinct run and a repeated run, in
+    either order."""
     seed = draw(st.integers(0, 2**16))
     rng = random.Random(seed)
-    distinct = draw(st.integers(0, 2 * _PROBE))
-    repeated = draw(st.integers(0, 2 * _PROBE))
+    distinct = draw(st.integers(0, 2000))
+    repeated = draw(st.integers(0, 2000))
     pool = draw(st.integers(1, 50))
     runs = [[("d", i) for i in range(distinct)],
             [("r", rng.randrange(pool)) for _ in range(repeated)]]
@@ -151,12 +151,11 @@ def _lines(n: int, repeat: bool) -> list[str]:
 
 
 @pytest.mark.parametrize("repeat", [True, False], ids=["repeated", "distinct"])
-@pytest.mark.parametrize("at", [5, _PROBE + 7, 2 * _PROBE + 3])
-def test_loader_errors_keep_their_line_past_the_probe(repeat, at):
+@pytest.mark.parametrize("at", [5, 1031, 2051])
+def test_loader_errors_keep_their_line(repeat, at):
     """A ragged line, a middle id's line too short for its cut, and an
-    id-only table are reported as before, whichever idiom numbers the lines
-    and on whichever side of ``_PROBE`` the bad line sits."""
-    n = 3 * _PROBE
+    id-only table are reported as before, wherever the bad line sits."""
+    n = 3072
     body = _lines(n, repeat)
     ragged = body[:at] + ["o,1"] + body[at:]
     with pytest.raises(MalformedTable, match="^malformed table at row "
