@@ -26,7 +26,9 @@ from the object numbers when there is no id.  The partition kernel walks the
 stored rows, weighted by their object counts, and alone decides whether
 folding them pays; every per-object reader, ``rows``, ``column``,
 ``value``, equality and the per-object partitions, reads a stored row
-through the object's row index.
+through the object's row index.  A table keeps the kernel's view of its
+rows and its table-order leave-one-out walk, each built on first use, so
+ranking, the core, the oracle and elimination share one of each.
 """
 
 from __future__ import annotations
@@ -308,17 +310,14 @@ class InformationSystem:
     def _table_walk(self) -> tuple:
         """The table-order leave-one-out walk over ``_granules``, kept with
         the table: the grouping by all conditional attributes, then the one
-        that leaves out each of them, in table order.  Ranking, the core,
-        the oracle and ``eliminate``, whose candidates are some ``C - a``
-        until its first removal, all read it, so a table pays for one such
-        walk.  It is kept on the table, not on the view: each grouping
-        refers to the view, so a cache there would make a reference
-        cycle."""
-        cond = conditional_attributes(self)
-        walk = _leave_one_out(self._granules, cond)
-        # zip stops at the last attribute, so the walk's final prefix
-        # refine, which nothing reads, is never made.
-        return (next(walk), *(labels for _, labels in zip(cond, walk)))
+        that leaves out each of them, in table order.  The walk ends at its
+        last candidate, so ``tuple`` takes all of it with no refinement
+        that nothing reads.  Ranking, the core, the oracle and the first
+        phase of ``eliminate``, whose candidates are some ``C - a`` until
+        its first removal, all read it, so a table pays for one such walk.
+        It is kept on the table, not on the view: each grouping refers to
+        the view, so a cache there would make a reference cycle."""
+        return tuple(_leave_one_out(self._granules, conditional_attributes(self)))
 
 
 def conditional_attributes(table: InformationSystem) -> tuple[str, ...]:

@@ -16,17 +16,21 @@ lies in the positive region exactly when its granules share one unmixed
 label; the weights of those granules sum to its share of |POS|.
 
 On that view the kernel has one grouping form, :class:`_Labels`, and one
-refinement, ``_split``, which splits a grouping by one attribute.
-``_grouping`` splits the one-block grouping by each of a set's attributes;
-:func:`block_count`, :func:`dependency` and the exhaustive oracle's root
-start there, and the oracle's depth-first search splits one attribute per
-node.  ``_leave_one_out`` is the paper's composition of a low- and a
-high-significance base, a partition meet, taken at every candidate: the
-grouping of ``R - a`` meets the kept attributes before ``a`` with all
-attributes after it, so ranking, elimination and the minimality check each
-make O(m) refinements and meets instead of rebuilding an m-attribute
-projection per attribute.  Every reader takes only a grouping's block
-count and dependency degree, never its label lists.  Refinement never
+refinement, ``_split``, which splits a grouping by one attribute.  A
+grouping carries its view, so ``_split`` and ``_meet`` take groupings
+alone; only ``_grouping`` and ``_leave_one_out``, which start from the
+view, take one.  ``_grouping`` splits the one-block grouping by each of a
+set's attributes; :func:`block_count`, :func:`dependency` and the
+exhaustive oracle's root start there, and the oracle's depth-first search
+splits one attribute per node.  ``_leave_one_out`` is the paper's
+composition of a low- and a high-significance base, a partition meet,
+taken at every candidate: the grouping of ``R - a`` meets the kept
+attributes before ``a`` with all attributes after it, so ranking,
+elimination and the minimality check each make O(m) refinements and meets
+instead of rebuilding an m-attribute projection per attribute.  The walk
+ends at its last candidate, so its readers take it with one plain loop or
+``tuple``.  Every reader takes only a grouping's block count and
+dependency degree, never its label lists.  Refinement never
 merges blocks, so a granule alone in its block stays alone in every finer
 grouping: a list drops such granules, the stripped partitions of TANE
 (Huhtala et al., 1999), once at least half of its rows are, and keeps only
@@ -245,28 +249,25 @@ class _Granules:
     granules' codes and the column's value count; ``weights`` holds each
     granule's object count and ``labels`` its decision code (under the
     identity policy, its stored row's index), or ``_MIXED`` when its
-    objects disagree on the decision.  Two granules may carry the same
-    codes, when stored rows that differ only in the decision or in
-    whitespace are not folded; every reader groups granules by their keys,
-    so such granules share each block.  A plain class, not a dataclass:
+    objects disagree on the decision.  ``unmixed`` is the weight of the
+    granules whose objects agree on the decision, summed once here: a
+    stripped grouping's ``dependency`` starts from it.  Two granules may
+    carry the same codes, when stored rows that differ only in the decision
+    or in whitespace are not folded; every reader groups granules by their
+    keys, so such granules share each block.  A plain class, not a dataclass:
     building one costs about 1 ms at import.
     """
 
-    __slots__ = ("columns", "weights", "labels", "object_count", "_unmixed")
+    __slots__ = ("columns", "weights", "labels", "object_count", "unmixed")
 
     def __init__(self, columns: dict[str, tuple[Sequence[int], int]],
                  weights: Sequence[int], labels: Sequence[object],
                  object_count: int) -> None:
         self.columns, self.weights = columns, weights
         self.labels, self.object_count = labels, object_count
-        self._unmixed: int | None = None
-
-    def unmixed(self) -> int:
-        """The weight of the granules whose objects agree on the decision,
-        summed on first use."""
-        if self._unmixed is None:
-            self._unmixed = _unmixed_weight(self.labels, self.weights)
-        return self._unmixed
+        # _unmixed_weight's sum, spelled out: the oracle may build the view,
+        # and it must not lean on spare recursion depth.
+        self.unmixed = sum(compress(weights, map(is_not, labels, repeat(_MIXED))))
 
 
 def _granulate(table: InformationSystem) -> _Granules:
@@ -336,6 +337,8 @@ class _Labels:
     with its block count ``blocks`` and its dependency degree
     ``dependency``.  ``_grouping`` and ``_split`` build it and ``_meet``
     joins two; code outside this module reads only those two properties.
+    It carries its view, so ``_split`` and ``_meet`` read the view there
+    and take groupings alone.
 
     Dense, ``rows`` is None and ``keys[g]`` is granule ``g``'s label.
     Stripped, ``keys`` are the labels of the granules ``rows``, in ascending
@@ -375,7 +378,7 @@ class _Labels:
         else:
             labels = list(map(view.labels.__getitem__, rows))
             weights = list(map(view.weights.__getitem__, rows))
-            pos = (view.unmixed() - _unmixed_weight(labels, weights)
+            pos = (view.unmixed - _unmixed_weight(labels, weights)
                    + _pure_weight(self.keys, labels, weights))
         return Fraction(pos, view.object_count)
 
@@ -383,12 +386,13 @@ class _Labels:
 _DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
 
 
-def _split(view: _Granules, labels: _Labels, name: str) -> _Labels:
+def _split(labels: _Labels, name: str) -> _Labels:
     """``labels`` refined by attribute ``name``, and stripped of the granules
     alone in their block once at least half of its rows are.
 
-    One pass over the column's codes, or over those of the rows a stripped
-    list keeps: two granules get the same new key exactly when they had the
+    The column is read from the view that ``labels`` carries.  One pass
+    over the column's codes, or over those of the rows a stripped list
+    keeps: two granules get the same new key exactly when they had the
     same key and agree on ``name``.  The new key is the mixed-radix
     ``key * k + code``, ``k`` being the column's value count: as
     ``0 <= code < k`` it tells the (key, code) pairs apart, so the pass
@@ -404,6 +408,7 @@ def _split(view: _Granules, labels: _Labels, name: str) -> _Labels:
     rows = labels.rows
     if rows == []:
         return labels  # every granule is alone in its block already
+    view = labels.view
     codes, k = view.columns[name]
     if rows is not None:
         codes = map(codes.__getitem__, rows)
@@ -448,15 +453,16 @@ def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
     for name in attrs:
         if name not in view.columns:
             raise UnknownAttribute(name)
-        labels = _split(view, labels, name)
+        labels = _split(labels, name)
     return labels
 
 
-def _meet(view: _Granules, a: _Labels, b: _Labels) -> _Labels:
-    """The grouping of ``view``'s granules by both ``a`` and ``b``.  A
-    granule alone in either is alone in the meet, so a stripped side limits
-    the pass to its rows: a dense side is indexed at them, and of two
-    stripped sides the shorter is looked up in a dict."""
+def _meet(a: _Labels, b: _Labels) -> _Labels:
+    """The grouping by both ``a`` and ``b`` of the granules of the view they
+    both carry.  A granule alone in either is alone in the meet, so a
+    stripped side limits the pass to its rows: a dense side is indexed at
+    them, and of two stripped sides the shorter is looked up in a dict."""
+    view = a.view
     if a.rows is None and b.rows is None:
         width = b.top
         return _Labels(view, [p * width + s for p, s in zip(a.keys, b.keys)], None)
@@ -488,9 +494,12 @@ def _leave_one_out(
     before ``attrs[i]`` together with all of ``attrs[i + 1:]``; ``attrs[i]``
     is kept unless the value sent back for it is ``False``, so plain
     iteration keeps every attribute (the value sent back for the first
-    yield is ignored).  This is the paper's composition of a low and a high
-    base, a partition meet, taken at every candidate: the suffix groupings
-    are refined once from the back, the kept prefix one attribute at a time,
+    yield is ignored).  The walk ends after its last candidate without
+    refining the prefix again, as no candidate would read it, so
+    ``tuple``, ``list`` or a ``for`` loop takes all of it for no extra
+    work.  This is the paper's composition of a low and a high base, a
+    partition meet, taken at every candidate: the suffix groupings are
+    refined once from the back, the kept prefix one attribute at a time,
     and each candidate meets them in one pass.  Refinement never merges
     blocks, so a granule alone in its block stays alone in every finer
     grouping and meet: each list drops such granules once at least half of
@@ -502,7 +511,7 @@ def _leave_one_out(
     none_kept = _grouping(view, ())
     suffixes = [none_kept]  # suffixes[-1 - j] groups by attrs[j:]
     for name in reversed(attrs):
-        suffixes.append(_split(view, suffixes[-1], name))
+        suffixes.append(_split(suffixes[-1], name))
     yield suffixes.pop()
     prefix = none_kept
     for name in attrs:
@@ -513,9 +522,10 @@ def _leave_one_out(
         elif suffix.rows is None and suffix.top == 1:
             labels = prefix
         else:
-            labels = _meet(view, prefix, suffix)
-        if (yield labels) is not False:
-            prefix = _split(view, prefix, name)
+            labels = _meet(prefix, suffix)
+        # After the last candidate no prefix is read, so none is refined.
+        if (yield labels) is not False and suffixes:
+            prefix = _split(prefix, name)
 
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:

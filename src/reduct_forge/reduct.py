@@ -20,19 +20,21 @@ read only each grouping's ``blocks`` and ``dependency``.  The table-order
 walk is made once per table and kept with it
 (``InformationSystem._table_walk``): ranking, the core, the oracle and
 ``eliminate`` all read it, so under ``--exhaustive`` the oracle, which runs
-first, pays for it and ranking reuses it.  Until its first removal every
-candidate of ``eliminate`` is some ``C - a``, read off that walk; the
-first removal starts a walk over the ranked order, the attributes kept so
-far and then the untested ones.  The result ``R`` is verified from the
-walk that covers exactly ``R``: the table walk when nothing was removed,
-the ranked-order walk when nothing was removed after it started, and a
-walk of its own over ``R`` only otherwise.  A ``reduct`` call therefore
-makes one walk on a table with no redundant attribute, two with one and
-three with more, and ``verified_minimal`` still compares the measured block
-counts of ``R`` and of every ``R - a`` with that of ``C``.  The oracle starts
-from the core's grouping and splits it one attribute per node with the
-walk's own refinement, so its nodes strip too, and it reads them, like
-everything here, only through their block counts.  All of it runs on the table's granules, its distinct
+first, pays for it and ranking reuses it.  ``eliminate`` runs in two
+phases.  The first reads each candidate ``C - a`` off that walk, up to the
+first removal.  The second walks the ranked order from there: the
+attributes kept so far, then the untested ones.  The result ``R`` is
+verified from the walk that covers exactly ``R``: the table walk when
+nothing was removed, the ranked-order walk when nothing was removed after
+it started, and a walk of its own over ``R`` only after a second removal.
+A ``reduct`` call therefore makes one walk on a table with no redundant
+attribute, two with one and three with more, and ``verified_minimal``
+still compares the measured block counts of ``R`` and of every ``R - a``
+with that of ``C``.  Every walk ends at its last candidate, so each reader
+takes it with one plain loop.  The oracle starts from the core's grouping
+and splits it one attribute per node with the walk's own refinement, so
+its nodes strip too, and it reads them, like everything here, only through
+their block counts.  All of it runs on the table's granules, its distinct
 conditional rows, built once per table and shared by every phase; any
 attribute set groups them as it groups the objects, so every block count,
 and with it every verdict and trace size, is the per-object one.  The
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
@@ -76,13 +78,12 @@ class ReductResult:
         return frozenset(self.reduct)
 
 
-def _indispensable(walk: Iterable[_Labels],
+def _indispensable(walk: Sequence[_Labels],
                    attrs: tuple[str, ...]) -> tuple[int, frozenset[str]]:
     """The block count of ``attrs`` and the members whose removal lowers it,
     both from ``walk``, the leave-one-out walk over ``attrs``."""
-    walk = iter(walk)
-    count = next(walk).blocks
-    return count, frozenset(a for a, labels in zip(attrs, walk) if labels.blocks != count)
+    count = walk[0].blocks
+    return count, frozenset(a for a, labels in zip(attrs, walk[1:]) if labels.blocks != count)
 
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
@@ -104,74 +105,64 @@ def eliminate(
     """Run the full elimination pass and verify minimality of the result.
 
     Each attribute is tested once, in ascending-significance order; a
-    redundant attribute is removed immediately and stays removed.  Until
-    the first removal each candidate's labels come from the table's kept
-    table-order walk; from then on one leave-one-out walk over the kept
-    attributes and the untested ones, in ranked order, gives them.  The
+    redundant attribute is removed immediately and stays removed.  The pass
+    runs in two phases.  Until the first removal each candidate is some
+    ``C - a``, read off the table's kept table-order walk.  From the first
+    removal on, one leave-one-out walk over the attributes kept so far and
+    then the untested ones, in ranked order, gives the candidates.  The
     result is verified minimal when a walk over it finds the full block
-    count and no member that can be dropped: the table walk or the
-    ranked-order walk when one of them covers exactly the result, else a
-    walk of its own.
+    count and no member that can be dropped: the table walk when nothing
+    was removed, the ranked-order walk when nothing was removed after it
+    started, and a walk over the result only after a second removal.
     """
     cond = conditional_attributes(table)
     grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
     ranked = grouping.attributes
-
-    view = table._granules
     table_walk = table._table_walk
     full_count = table_walk[0].blocks
-    # Until the first removal each candidate's set is C - a, whose grouping
-    # the table walk already holds.
+    # Phase 1: each candidate's set is C - a, whose grouping the table walk
+    # holds, up to and including the first redundant one.
     without = dict(zip(cond, table_walk[1:]))
-    walk = None  # the ranked-order walk, made at the first removal
-    # The block counts of the ranked-order walk's groupings, R and each
-    # R - a, while it covers the kept set R: until a second removal.
-    counts: list[int] | None = None
-    removed: list[str] = []
-    trace: list[TraceEntry] = []
-    for i, (attribute, sig) in enumerate(grouping.ranked):
-        if walk is None:
-            candidate_count = without[attribute].blocks
-        else:
-            # What is sent back says whether the previous candidate stays.
-            candidate_count = walk.send(keep).blocks
-            if counts is not None:
-                counts.append(candidate_count)
-        keep = candidate_count != full_count
-        trace.append(
+    candidate_counts: list[int] = []
+    for attribute in ranked:
+        candidate_counts.append(without[attribute].blocks)
+        if candidate_counts[-1] == full_count:
+            break
+    # The block counts of the walk that covers the kept set R: R's, then
+    # each R - a's.
+    counts = [labels.blocks for labels in table_walk]
+    if full_count in candidate_counts:
+        # Phase 2: drop the first removal, ranked[i], and walk the rest.  What
+        # is sent back says whether the previous candidate stays; those kept
+        # before ranked[i] stay, as R - a refines the C - a that kept them.
+        i = len(candidate_counts) - 1
+        rest = ranked[:i] + ranked[i + 1:]
+        walk = _leave_one_out(table._granules, rest)
+        counts = [next(walk).blocks]
+        for _ in rest:
+            counts.append(walk.send(counts[-1] != full_count).blocks)
+        candidate_counts += counts[i + 1:]
+    removed = tuple(a for a, count in zip(ranked, candidate_counts) if count == full_count)
+    dropped = set(removed)
+    reduct = tuple(a for a in cond if a not in dropped)
+    if len(removed) > 1:
+        # A second removal left no walk that covers exactly R.
+        counts = [labels.blocks for labels in _leave_one_out(table._granules, reduct)]
+    return ReductResult(
+        reduct=reduct,
+        removed=removed,
+        trace=tuple(
             TraceEntry(
                 attribute=attribute,
                 significance=sig,
                 group="low" if attribute in low else "high",
-                verdict="kept" if keep else "redundant",
+                verdict="redundant" if count == full_count else "kept",
                 base_size_before=full_count,
-                base_size_after=candidate_count,
+                base_size_after=count,
             )
-        )
-        if keep:
-            continue
-        removed.append(attribute)
-        if walk is None:
-            # Every attribute tested so far was kept: walk them, then the
-            # untested ones, so that the walk covers the new kept set.
-            walk = _leave_one_out(view, ranked[:i] + ranked[i + 1:])
-            counts = [next(walk).blocks for _ in range(i + 1)]
-            keep = True  # the walk's last candidate so far was kept, if any
-        else:
-            counts = None
-
-    dropped = set(removed)
-    reduct = tuple(a for a in cond if a not in dropped)
-    if walk is None:
-        counts = [labels.blocks for labels in table_walk]
-    elif counts is None:
-        walk = _leave_one_out(view, reduct)
-        counts = [next(walk).blocks, *(labels.blocks for _, labels in zip(reduct, walk))]
-    return ReductResult(
-        reduct=reduct,
-        removed=tuple(removed),
-        trace=tuple(trace),
+            for (attribute, sig), count in zip(grouping.ranked, candidate_counts)
+        ),
         verified_minimal=counts[0] == full_count and full_count not in counts[1:],
     )
 
@@ -207,7 +198,7 @@ def exhaustive_reducts(
             recorded.append(attrs)
             continue
         for i in range(start, len(rest)):
-            child = _split(view, labels, rest[i])
+            child = _split(labels, rest[i])
             if child.blocks != labels.blocks:
                 stack.append((attrs, labels, i + 1))
                 stack.append((attrs | {rest[i]}, child, i + 1))

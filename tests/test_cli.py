@@ -310,6 +310,12 @@ GOLDEN_CASES = [
     # starts at it and covers the reduct.
     ("reduct_late_redundant_trace.json",
      ["reduct", str(DATA / "late_redundant.csv"), "--decision", "d", "--trace", "--json"]),
+    # late_redundant with a copy of e, e2, before d: the verdicts run kept,
+    # redundant, kept, redundant, kept, so the ranked-order walk starts
+    # after a kept attribute, a second removal follows, and a walk over the
+    # reduct verifies it.
+    ("reduct_kept_then_redundant_trace.json",
+     ["reduct", str(DATA / "kept_then_redundant.csv"), "--decision", "d", "--trace", "--json"]),
 ]
 
 

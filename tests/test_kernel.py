@@ -159,15 +159,19 @@ def test_eliminate_verdicts_match_composed_bases(table, count):
     assert tuple(remaining) == result.reduct
 
 
+_ELIMINATION_CASES = ("none", "first", "several", "after kept", "kept, then several")
+
+
 @st.composite
 def elimination_tables(draw):
-    """Tables on which ``eliminate`` meets each of its cases: no removal, one
-    removal at the first candidate, one after a kept candidate, and several.
+    """Tables on which ``eliminate`` meets each of ``_ELIMINATION_CASES``: no
+    removal, one removal at the first candidate, several from the first
+    candidate on, and one or several after a kept candidate.
 
     Each base attribute gets a witness row that differs from another row in
     that attribute only, so it stays indispensable; the removals are then
     exactly the copied or constant columns shuffled in, as many as the case
-    drawn asks for.  For a removal after a kept candidate, a column ``s``
+    drawn asks for.  For removals after a kept candidate, a column ``s``
     comes first that splits only a block of two equal rows with one named
     decision: it ranks first at significance 0 and is kept."""
     m = draw(st.integers(1, 4))
@@ -177,9 +181,9 @@ def elimination_tables(draw):
         witness = list(draw(st.sampled_from(rows)))
         witness[i] = "9"
         rows.append(witness)
-    case = draw(st.sampled_from(("none", "first", "after kept", "several")))
-    removals = draw(st.integers(2, 3)) if case == "several" else int(case != "none")
-    split = case == "after kept"
+    case = draw(st.sampled_from(_ELIMINATION_CASES))
+    removals = draw(st.integers(2, 3)) if "several" in case else int(case != "none")
+    split = "kept" in case
     named = split or draw(st.booleans())
     if split:
         rows += [["8"] * m] * 2
@@ -222,26 +226,33 @@ def _eliminate_with_plain_walks(table, policy):
         if redundant:
             removed.append(attribute)
     reduct = tuple(a for a in cond if a not in removed)
-    verify = _leave_one_out(view, reduct)
-    count = next(verify).blocks
-    minimal = count == full_count and all(labels.blocks != count
-                                          for _, labels in zip(reduct, verify))
+    count, *without = (labels.blocks for labels in _leave_one_out(view, reduct))
+    minimal = count == full_count and count not in without
     return ReductResult(reduct, tuple(removed), tuple(trace), minimal)
 
 
+
 def _elimination_case(result) -> str:
+    """Which of ``_ELIMINATION_CASES`` a result's verdicts show: no removal,
+    or one or several removals, the first of them at the first candidate
+    or after a kept one."""
     verdicts = [entry.verdict for entry in result.trace]
     removals = verdicts.count("redundant")
-    if removals != 1:
-        return "none" if removals == 0 else "several"
-    return "first" if verdicts[0] == "redundant" else "after kept"
+    if removals == 0:
+        return "none"
+    if verdicts[0] == "redundant":
+        return "first" if removals == 1 else "several"
+    return "after kept" if removals == 1 else "kept, then several"
 
 
 def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     """``eliminate`` reads its candidates off the table walk until the first
     removal and verifies off whichever walk covers exactly the reduct; the
     plain reference walks the ranked order and then the reduct.  Both give
-    the same reduct, removals, trace and ``verified_minimal``."""
+    the same reduct, removals, trace and ``verified_minimal``.  A kept
+    candidate and then two or more removals moves the most: the
+    ranked-order walk starts after the kept one, and a walk over the
+    reduct verifies it."""
     seen = Counter()
 
     @given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
@@ -250,6 +261,8 @@ def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     @example(make_table([["0", "0", "0", "x"], ["1", "0", "0", "x"], ["0", "1", "1", "y"]],
                         ["s", "p", "q", "d"], decision="d"), 5)
     @example(make_table([["0", "0", "0"], ["1", "1", "1"]], ["p", "q", "r"]), 1)
+    @example(make_table([["0", "0", "0", "0", "x"], ["1", "0", "0", "0", "x"],
+                         ["0", "1", "1", "1", "y"]], ["s", "p", "q", "r", "d"], decision="d"), 5)
     @settings(max_examples=200, deadline=None)
     def check(table, count):
         cond = conditional_attributes(table)
@@ -260,7 +273,7 @@ def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
 
     check()
     # One explicit example per case, so a count above one means it was drawn.
-    assert all(seen[case] > 1 for case in ("none", "first", "after kept", "several")), seen
+    assert all(seen[case] > 1 for case in _ELIMINATION_CASES), seen
 
 
 @given(tables())
@@ -422,6 +435,33 @@ def _identity_table(n: int, m: int, k: int):
                       [f"c{i + 1}" for i in range(m)])
 
 
+def test_leave_one_out_stops_at_its_last_candidate(monkeypatch):
+    """A walk over r attributes makes r suffix splits and r - 1 prefix
+    splits: no prefix is read after the last candidate, so none is made,
+    and a reader can run the walk out with ``list``.  Two of the 21 stored
+    rows differ only in their decision, too few repeats to fold, so that
+    pair shares every block and no list strips to empty."""
+    calls = 0
+    split = partition._split
+
+    def counting_split(labels, name):
+        nonlocal calls
+        calls += 1
+        return split(labels, name)
+
+    monkeypatch.setattr(partition, "_split", counting_split)
+    rng = random.Random("walk-stops")
+    rows = [[*row, rng.choice("xy")] for row in rng.sample(sorted(product("012", repeat=5)), 20)]
+    rows.append([*rows[0][:5], "z"])
+    table = make_table(rows, [f"c{i + 1}" for i in range(5)] + ["d"], decision="d")
+    view = table._granules
+    assert len(view.labels) == 21
+    walk = list(_leave_one_out(view, conditional_attributes(table)))
+    assert len(walk) == 6
+    assert all(labels.rows != [] for labels in walk)
+    assert calls == 5 + 4
+
+
 def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     """Each leave-one-out walk makes O(m) refinements; a rebuilt projection
     per candidate would make O(m²).  ``eliminate`` makes one to three walks,
@@ -430,11 +470,11 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     calls = 0
     split = partition._split
 
-    def counting_split(view, labels, name):
+    def counting_split(labels, name):
         # A list whose granules are all alone comes back as it is, unrefined.
         nonlocal calls
         calls += labels.rows != []
-        return split(view, labels, name)
+        return split(labels, name)
 
     monkeypatch.setattr(partition, "_split", counting_split)
     ranking, elimination = [], []
@@ -502,18 +542,18 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
     stripped = dense = 0
     split, meet = partition._split, partition._meet
 
-    def counting_split(view, labels, name):
+    def counting_split(labels, name):
         nonlocal touched
         touched += len(labels.keys)
-        return split(view, labels, name)
+        return split(labels, name)
 
-    def counting_meet(view, a, b):
+    def counting_meet(a, b):
         # A stripped side limits the pass to its rows; two dense sides pair
         # every granule.
         nonlocal touched, stripped, dense
         sides = [len(x.rows) for x in (a, b) if x.rows is not None]
         touched += sum(sides) if sides else len(a.keys)
-        labels = meet(view, a, b)
+        labels = meet(a, b)
         stripped += labels.rows is not None
         dense += labels.rows is None
         return labels
@@ -541,9 +581,9 @@ def test_refined_keys_stay_within_one_int_digit(monkeypatch):
     largest = 0
     split = partition._split
 
-    def recording_split(view, labels, name):
+    def recording_split(labels, name):
         nonlocal largest
-        refined = split(view, labels, name)
+        refined = split(labels, name)
         # A list stripped of every granule keeps no key.
         largest = max(largest, *refined.keys, 0)
         return refined
@@ -809,10 +849,10 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     builds = 0
     split, granulate = partition._split, partition._granulate
 
-    def recording_split(view, labels, name):
+    def recording_split(labels, name):
         if labels.rows != []:
-            sizes.append((len(view.labels), len(labels.keys)))
-        return split(view, labels, name)
+            sizes.append((len(labels.view.labels), len(labels.keys)))
+        return split(labels, name)
 
     def counting_granulate(table):
         nonlocal builds
