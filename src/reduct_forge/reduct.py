@@ -135,7 +135,8 @@ def eliminate(
     if full_count in candidate_counts:
         # Phase 2: drop the first removal, ranked[i], and walk the rest.  What
         # is sent back says whether the previous candidate stays; those kept
-        # before ranked[i] stay, as R - a refines the C - a that kept them.
+        # before ranked[i] stay, as R - a has no more blocks than the C - a
+        # that kept them.
         i = len(candidate_counts) - 1
         rest = ranked[:i] + ranked[i + 1:]
         walk = _leave_one_out(table._granules, rest)

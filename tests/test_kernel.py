@@ -231,7 +231,6 @@ def _eliminate_with_plain_walks(table, policy):
     return ReductResult(reduct, tuple(removed), tuple(trace), minimal)
 
 
-
 def _elimination_case(result) -> str:
     """Which of ``_ELIMINATION_CASES`` a result's verdicts show: no removal,
     or one or several removals, the first of them at the first candidate
@@ -250,9 +249,9 @@ def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     removal and verifies off whichever walk covers exactly the reduct; the
     plain reference walks the ranked order and then the reduct.  Both give
     the same reduct, removals, trace and ``verified_minimal``.  A kept
-    candidate and then two or more removals moves the most: the
-    ranked-order walk starts after the kept one, and a walk over the
-    reduct verifies it."""
+    candidate followed by two or more removals takes all three walks: the
+    ranked-order walk starts after the kept candidate, and a walk over the
+    reduct verifies the result."""
     seen = Counter()
 
     @given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
@@ -486,8 +485,8 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
         eliminate(_identity_table(300, m, 3))
         elimination.append(calls)
     # A walk over r attributes makes r suffix refinements and at most r - 1
-    # prefix ones; the table walk stops before its last prefix one, and a
-    # stripped list whose granules are all alone is not refined again.
+    # prefix ones, as it stops at its last candidate; a stripped list whose
+    # granules are all alone is not refined again.
     # Nothing is redundant at m = 8, so eliminate makes only the table walk;
     # at m = 16 seven attributes are, so it makes all three.
     assert ranking == [15, 23]
