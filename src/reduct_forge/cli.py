@@ -1,10 +1,10 @@
 """Command-line surface: load a table, run one pipeline stage, print a report.
 
-Exit codes: 0 success, 2 input/dataset error, 3 resource cap exceeded.  A
-reader that closes stdout early (``| head``) ends the run with exit code 0.
-Machine output (``--json``) has a stable key schema; rationals are emitted as
-``{"num", "den", "decimal"}`` and only the ``elapsed_ms`` field varies between
-identical runs.
+Exit codes: 0 success, 2 input/dataset error, 3 resource cap exceeded or
+out of memory.  A reader that closes stdout early (``| head``) ends the run
+with exit code 0.  Machine output (``--json``) has a stable key schema;
+rationals are emitted as ``{"num", "den", "decimal"}`` and only the
+``elapsed_ms`` field varies between identical runs.
 
 :func:`main` parses with one parser per process, built by
 :func:`build_parser` on its first call.  That parser holds the ``_cmd_*``
@@ -165,7 +165,7 @@ def _cmd_reduct(args: argparse.Namespace) -> int:
         }
         if args.trace:
             fields["trace"] = [
-                {**vars(entry), "significance": _fraction_json(entry.significance)}
+                {**entry._asdict(), "significance": _fraction_json(entry.significance)}
                 for entry in result.trace
             ]
         if all_reducts is not None:
@@ -298,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except TooManyAttributes as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except ReductForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)

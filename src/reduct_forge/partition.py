@@ -25,12 +25,14 @@ exhaustive oracle's root start there, and the oracle's depth-first search
 splits one attribute per node.  ``_leave_one_out`` is the paper's
 composition of a low- and a high-significance base, a partition meet,
 taken at every candidate: the grouping of ``R - a`` meets the kept
-attributes before ``a`` with all attributes after it, so ranking,
-elimination and the minimality check each make O(m) refinements and meets
-instead of rebuilding an m-attribute projection per attribute.  The walk
-ends at its last candidate, so its readers take it with one plain loop or
-``tuple``.  Every reader takes only a grouping's block count and
-dependency degree, never its label lists.  Refinement never
+attributes before ``a`` with all attributes after it, so ranking and
+elimination each make O(m) refinements and meets instead of rebuilding an
+m-attribute projection per attribute.  The walk ends at its last
+candidate, so its readers take it with one plain loop or ``tuple``.  Every
+reader takes only a grouping's block count and dependency degree, never
+its label lists; ``_witness`` reads them here for elimination, finding in
+the grouping of ``R - a`` two granules of one block that differ on ``a``,
+the pair that shows ``a`` cannot leave ``R``.  Refinement never
 merges blocks, so a granule alone in its block stays alone in every finer
 grouping: a list drops such granules, the stripped partitions of TANE
 (Huhtala et al., 1999), once at least half of its rows are, and keeps only
@@ -443,6 +445,30 @@ def _split(labels: _Labels, name: str) -> _Labels:
     return _Labels(view, list(compress(keys, kept)),
                    list(compress(range(size) if rows is None else rows, kept)),
                    top, len(again), blocks)
+
+
+def _witness(labels: _Labels, name: str) -> tuple[int, int] | None:
+    """Two granules that share a block of ``labels`` but differ on ``name``,
+    or None when every block agrees on it.
+
+    One dict pass keeps the first granule of each key and stops at the first
+    later granule whose code on ``name`` differs from its key's first.  When
+    ``labels`` groups ``K - name`` and ``K`` induces the partition of every
+    conditional attribute, such a pair exists exactly when ``name`` cannot
+    leave ``K``: the two granules differ on ``name`` alone among ``K``.  A
+    plain loop, as it stops early; granules alone in their block never
+    pair, so a stripped list is scanned over its rows only."""
+    codes = labels.view.columns[name][0]
+    rows = labels.rows
+    first: dict[int, int] = {}
+    for g, key in zip(range(len(labels.keys)) if rows is None else rows, labels.keys):
+        if key in first:
+            f = first[key]
+            if codes[f] != codes[g]:
+                return f, g
+        else:
+            first[key] = g
+    return None
 
 
 def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:

@@ -14,24 +14,25 @@ attributes ranked after it, so one prefix/suffix walk
 (``partition._leave_one_out``) gives every candidate's block count with
 O(m) refinements and meets.  The walk drops the granules already alone in
 their block, so on a wide table it touches O(|U/C|·log_k |U/C|) granule
-entries rather than O(|U/C|·m).  Ranking, elimination, the minimality
-check, the core and the block count of ``C`` all come from such walks, and
-read only each grouping's ``blocks`` and ``dependency``.  The table-order
+entries rather than O(|U/C|·m).  Ranking, elimination, the core and the
+block count of ``C`` all come from such walks, and read only each
+grouping's ``blocks`` and ``dependency``.  The table-order
 walk is made once per table and kept with it
 (``InformationSystem._table_walk``): ranking, the core, the oracle and
 ``eliminate`` all read it, so under ``--exhaustive`` the oracle, which runs
 first, pays for it and ranking reuses it.  ``eliminate`` runs in two
 phases.  The first reads each candidate ``C - a`` off that walk, up to the
 first removal.  The second walks the ranked order from there: the
-attributes kept so far, then the untested ones.  The result ``R`` is
-verified from the walk that covers exactly ``R``: the table walk when
-nothing was removed, the ranked-order walk when nothing was removed after
-it started, and a walk of its own over ``R`` only after a second removal.
-A ``reduct`` call therefore makes one walk on a table with no redundant
-attribute, two with one and three with more, and ``verified_minimal``
-still compares the measured block counts of ``R`` and of every ``R - a``
-with that of ``C``.  Every walk ends at its last candidate, so each reader
-takes it with one plain loop.  The oracle starts from the core's grouping
+attributes kept so far, then the untested ones.  No walk re-measures the
+result ``R``.  Its sufficiency is the kernel's own count at the last
+removal's test, whose set is ``R``; its necessity is a certificate, the
+discernibility-matrix view of Skowron and Rauszer (1992): each kept ``a``
+carries a witness pair (``partition._witness``), two granules in one block
+of the grouping that tested ``a`` that differ on ``a``, and
+``verified_minimal`` checks on their raw codes that they differ on ``a``
+alone among ``R``.  A ``reduct`` call therefore makes one walk on a table
+with no redundant attribute and two with any.  Every walk ends at its
+last candidate, so each reader takes it with one plain loop.  The oracle starts from the core's grouping
 and splits it one attribute per node with the walk's own refinement, so
 its nodes strip too, and it reads them, like everything here, only through
 their block counts.  All of it runs on the table's granules, its distinct
@@ -46,18 +47,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dataset import InformationSystem, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
-from .partition import _Labels, _grouping, _leave_one_out, _split, block_count
+from .partition import (
+    _Granules, _Labels, _grouping, _leave_one_out, _split, _witness, block_count,
+)
 from .significance import GroupPolicy, ThresholdSplit, rank_attributes, split_groups
 
 DEFAULT_MAX_ATTRS = 20
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     attribute: str
     significance: Fraction
     group: str  # "low" or "high"
@@ -99,57 +101,90 @@ def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[s
     return block_count(table, candidate) == block_count(table, cond)
 
 
+def _tested(
+    table: InformationSystem, ranked: Sequence[str]
+) -> tuple[list[int], dict[str, tuple[int, int] | None]]:
+    """The elimination pass over ``ranked``: each candidate's block count, in
+    ranked order, and each kept candidate's witness pair from
+    ``partition._witness`` on the grouping that tested it.
+
+    Until the first removal each candidate is some ``C - a``, read off the
+    table's kept table-order walk.  From the first removal on, one
+    leave-one-out walk over the attributes kept so far and then the
+    untested ones, in ranked order, gives the candidates.  A removed
+    candidate pays for no witness search."""
+    table_walk = table._table_walk
+    full_count = table_walk[0].blocks
+    without = dict(zip(conditional_attributes(table), table_walk[1:]))
+    counts: list[int] = []
+    witnesses: dict[str, tuple[int, int] | None] = {}
+    # Phase 1: up to and including the first redundant candidate.
+    for attribute in ranked:
+        labels = without[attribute]
+        counts.append(labels.blocks)
+        if counts[-1] == full_count:
+            break
+        witnesses[attribute] = _witness(labels, attribute)
+    else:
+        return counts, witnesses
+    # Phase 2: drop the first removal, ranked[i], and walk the rest.  What is
+    # sent back says whether the previous candidate stays; those kept before
+    # ranked[i] stay, as R - a has no more blocks than the C - a that kept
+    # them, and their verdicts and witnesses stand from phase 1.
+    i = len(counts) - 1
+    rest = ranked[:i] + ranked[i + 1:]
+    walk = _leave_one_out(table._granules, rest)
+    next(walk)
+    kept = True
+    for j, attribute in enumerate(rest):
+        labels = walk.send(kept)
+        kept = labels.blocks != full_count
+        if j >= i:
+            counts.append(labels.blocks)
+            if kept:
+                witnesses[attribute] = _witness(labels, attribute)
+    return counts, witnesses
+
+
+def _certified(view: _Granules, reduct: Sequence[str],
+               witnesses: dict[str, tuple[int, int] | None]) -> bool:
+    """True when every attribute of ``reduct`` is necessary by its witness
+    pair: two granules whose codes differ on it and on no other attribute
+    of ``reduct``, so that dropping it merges their blocks.  O(|R|²) code
+    reads and no walk."""
+    columns = [view.columns[a][0] for a in reduct]
+    for attribute in reduct:
+        pair = witnesses.get(attribute)
+        if pair is None:
+            return False
+        x, y = pair
+        if [a for a, codes in zip(reduct, columns) if codes[x] != codes[y]] != [attribute]:
+            return False
+    return True
+
+
 def eliminate(
     table: InformationSystem, policy: GroupPolicy = ThresholdSplit()
 ) -> ReductResult:
-    """Run the full elimination pass and verify minimality of the result.
+    """Run the full elimination pass and certify minimality of the result.
 
     Each attribute is tested once, in ascending-significance order; a
-    redundant attribute is removed immediately and stays removed.  The pass
-    runs in two phases.  Until the first removal each candidate is some
-    ``C - a``, read off the table's kept table-order walk.  From the first
-    removal on, one leave-one-out walk over the attributes kept so far and
-    then the untested ones, in ranked order, gives the candidates.  The
-    result is verified minimal when a walk over it finds the full block
-    count and no member that can be dropped: the table walk when nothing
-    was removed, the ranked-order walk when nothing was removed after it
-    started, and a walk over the result only after a second removal.
+    redundant attribute is removed immediately and stays removed
+    (``_tested``).  The result ``R`` keeps the block count of ``C`` by
+    construction: every attribute tested after the last removal ``b`` was
+    kept, so ``R`` is the set that ``b``'s test measured, or ``C`` when
+    nothing was removed.  It is verified minimal when every member's witness
+    pair differs on that member alone among ``R`` (``_certified``), so no
+    walk re-measures ``R``.
     """
     cond = conditional_attributes(table)
     grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
-    ranked = grouping.attributes
-    table_walk = table._table_walk
-    full_count = table_walk[0].blocks
-    # Phase 1: each candidate's set is C - a, whose grouping the table walk
-    # holds, up to and including the first redundant one.
-    without = dict(zip(cond, table_walk[1:]))
-    candidate_counts: list[int] = []
-    for attribute in ranked:
-        candidate_counts.append(without[attribute].blocks)
-        if candidate_counts[-1] == full_count:
-            break
-    # The block counts of the walk that covers the kept set R: R's, then
-    # each R - a's.
-    counts = [labels.blocks for labels in table_walk]
-    if full_count in candidate_counts:
-        # Phase 2: drop the first removal, ranked[i], and walk the rest.  What
-        # is sent back says whether the previous candidate stays; those kept
-        # before ranked[i] stay, as R - a has no more blocks than the C - a
-        # that kept them.
-        i = len(candidate_counts) - 1
-        rest = ranked[:i] + ranked[i + 1:]
-        walk = _leave_one_out(table._granules, rest)
-        counts = [next(walk).blocks]
-        for _ in rest:
-            counts.append(walk.send(counts[-1] != full_count).blocks)
-        candidate_counts += counts[i + 1:]
-    removed = tuple(a for a, count in zip(ranked, candidate_counts) if count == full_count)
+    full_count = table._table_walk[0].blocks
+    counts, witnesses = _tested(table, grouping.attributes)
+    removed = tuple(a for a, count in zip(grouping.attributes, counts) if count == full_count)
     dropped = set(removed)
     reduct = tuple(a for a in cond if a not in dropped)
-    if len(removed) > 1:
-        # A second removal left no walk that covers exactly R.
-        counts = [labels.blocks for labels in _leave_one_out(table._granules, reduct)]
     return ReductResult(
         reduct=reduct,
         removed=removed,
@@ -162,9 +197,9 @@ def eliminate(
                 base_size_before=full_count,
                 base_size_after=count,
             )
-            for (attribute, sig), count in zip(grouping.ranked, candidate_counts)
+            for (attribute, sig), count in zip(grouping.ranked, counts)
         ),
-        verified_minimal=counts[0] == full_count and full_count not in counts[1:],
+        verified_minimal=_certified(table._granules, reduct, witnesses),
     )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -389,6 +390,38 @@ def test_closed_stdout_is_not_an_error(json_flag):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_out_of_memory_exits_with_the_cap_code(tmp_path):
+    """A run that exhausts memory exits 3 with one line on stderr, not a
+    traceback.  Only the child's own address space is capped, by
+    ``RLIMIT_AS`` set between fork and exec, at 64 MB.  A ``reduct`` of a
+    table of 200000 distinct rows over 40 ternary columns peaks at about
+    200 MB resident without the cap, several times the limit.  A tiny table
+    runs under the same cap, so the cap sits above the interpreter's
+    start-up."""
+    resource = pytest.importorskip("resource")
+    limit = 64 << 20
+
+    def capped() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    rng = random.Random("out-of-memory")
+    big = tmp_path / "big.csv"
+    lines = [",".join(f"c{i + 1}" for i in range(40))]
+    lines += [",".join(rng.choices("012", k=40)) for _ in range(200000)]
+    big.write_text("\n".join(lines) + "\n")
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("a,b\n0,1\n1,0\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    runs = {}
+    for path in (tiny, big):
+        proc = subprocess.run([sys.executable, "-m", "reduct_forge.cli", "reduct", str(path),
+                               "--json"], capture_output=True, text=True, env=env,
+                              preexec_fn=capped, timeout=120)
+        runs[path.name] = proc.returncode, proc.stderr
+    assert runs["tiny.csv"] == (0, "")
+    assert runs["big.csv"] == (3, "error: out of memory\n")
 
 
 def test_reused_parser_leaks_nothing_between_calls(monkeypatch):

@@ -58,7 +58,9 @@ from reduct_forge import (
 import reduct_forge.dataset as dataset
 import reduct_forge.partition as partition
 import reduct_forge.reduct as reduct
-from reduct_forge.partition import _leave_one_out, block_count, dependency, projections
+from reduct_forge.partition import (
+    _grouping, _leave_one_out, _witness, block_count, dependency, projections,
+)
 
 from conftest import grouping_oracle, make_table, minimal_preserving_subsets_oracle
 
@@ -246,12 +248,12 @@ def _elimination_case(result) -> str:
 
 def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     """``eliminate`` reads its candidates off the table walk until the first
-    removal and verifies off whichever walk covers exactly the reduct; the
-    plain reference walks the ranked order and then the reduct.  Both give
-    the same reduct, removals, trace and ``verified_minimal``.  A kept
-    candidate followed by two or more removals takes all three walks: the
-    ranked-order walk starts after the kept candidate, and a walk over the
-    reduct verifies the result."""
+    removal, then off a ranked-order walk, and certifies the reduct with
+    witness pairs; the plain reference walks the ranked order and then the
+    reduct.  Both give the same reduct, removals, trace and
+    ``verified_minimal``.  A kept candidate followed by two or more removals
+    is the case where the reference's walk over the reduct measures a set
+    that no walk of ``eliminate`` measured as a whole."""
     seen = Counter()
 
     @given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
@@ -273,6 +275,76 @@ def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     check()
     # One explicit example per case, so a count above one means it was drawn.
     assert all(seen[case] > 1 for case in _ELIMINATION_CASES), seen
+
+
+def _differing(view, attrs, pair) -> list[str]:
+    """The attributes of ``attrs`` on which the two granules of ``pair``
+    have different codes."""
+    x, y = pair
+    return [a for a in attrs if view.columns[a][0][x] != view.columns[a][0][y]]
+
+
+@given(tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_witness_pair_exists_exactly_when_an_attribute_splits_a_block(table, data):
+    """``_witness`` on the grouping by a set S finds two granules in one
+    block of S that differ on ``a``, and finds none exactly when adding
+    ``a`` to S splits no block."""
+    cond = list(conditional_attributes(table))
+    attrs = data.draw(st.lists(st.sampled_from(cond), unique=True))
+    name = data.draw(st.sampled_from(cond))
+    view = table._granules
+    pair = _witness(_grouping(view, attrs), name)
+    splits = block_count(table, attrs + [name]) != block_count(table, attrs)
+    assert (pair is not None) == splits
+    if pair is not None:
+        assert _differing(view, attrs, pair) == []
+        assert _differing(view, [name], pair) == [name]
+
+
+@given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_kept_attributes_carry_witness_pairs(table, count):
+    """The elimination pass gives each kept attribute ``a`` a witness pair
+    whose codes agree on every reduct attribute but ``a`` and differ on
+    ``a``; redundant attributes get no pair, and the pairs certify the
+    result."""
+    cond = conditional_attributes(table)
+    policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
+    result = eliminate(table, policy)
+    ranked = split_groups(rank_attributes(table), policy).attributes
+    counts, witnesses = reduct._tested(table, ranked)
+    assert [entry.base_size_after for entry in result.trace] == counts
+    assert set(witnesses) == set(result.reduct)
+    view = table._granules
+    for name, pair in witnesses.items():
+        assert _differing(view, result.reduct, pair) == [name]
+    assert result.verified_minimal
+    assert reduct._certified(view, result.reduct, witnesses)
+
+
+def test_certificate_rejects_a_reduct_that_keeps_a_copied_column():
+    """A hand-made R that keeps a column and its copy: dropping either copy
+    merges no blocks, so the witness search finds no pair for either and
+    the certificate reports false.  The pass itself keeps one copy, which
+    its pairs certify."""
+    rng = random.Random("copied-column")
+    rows = [[rng.choice("012") for _ in range(4)] for _ in range(40)]
+    table = make_table([row + [row[1]] for row in rows], ["c1", "c2", "c3", "c4", "c5"])
+    view = table._granules
+    result = eliminate(table)
+    assert result.verified_minimal
+    assert len({"c2", "c5"} & set(result.reduct)) == 1
+    kept = [a for a in conditional_attributes(table) if a in result.reduct or a in ("c2", "c5")]
+    witnesses = {a: _witness(_grouping(view, [b for b in kept if b != a]), a) for a in kept}
+    assert witnesses["c2"] is None and witnesses["c5"] is None
+    assert not reduct._certified(view, kept, witnesses)
+    # Given pairs for the copies from elsewhere, the check on raw codes
+    # still fails: any pair that differs on one copy differs on the other.
+    for a in ("c2", "c5"):
+        witnesses[a] = _witness(_grouping(view, [b for b in kept if b not in ("c2", "c5")]), a)
+    assert witnesses["c2"] is not None
+    assert not reduct._certified(view, kept, witnesses)
 
 
 @given(tables())
@@ -463,8 +535,8 @@ def test_leave_one_out_stops_at_its_last_candidate(monkeypatch):
 
 def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     """Each leave-one-out walk makes O(m) refinements; a rebuilt projection
-    per candidate would make O(m²).  ``eliminate`` makes one to three walks,
-    as the table has no, one or more redundant attributes, so the growth is
+    per candidate would make O(m²).  ``eliminate`` makes one walk or two,
+    as the table has no redundant attribute or some, so the growth is
     bounded on one walk, the table walk that ranking makes."""
     calls = 0
     split = partition._split
@@ -488,9 +560,10 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     # prefix ones, as it stops at its last candidate; a stripped list whose
     # granules are all alone is not refined again.
     # Nothing is redundant at m = 8, so eliminate makes only the table walk;
-    # at m = 16 seven attributes are, so it makes all three.
+    # at m = 16 seven attributes are, so it makes both.  Its witness search
+    # refines nothing.
     assert ranking == [15, 23]
-    assert elimination == [15, 61]
+    assert elimination == [15, 44]
     assert ranking[1] <= 2.2 * ranking[0]
 
 
@@ -498,9 +571,9 @@ def test_table_order_walk_is_made_once_per_table(monkeypatch):
     """A table keeps its table-order leave-one-out walk, so ranking, the
     core, the oracle and ``eliminate`` share one.  ``eliminate`` reads its
     candidates off it until the first removal, then walks the ranked order,
-    and walks its result once more only after a second removal: one walk on
-    a table with no redundant attribute (m = 8), two with one (m = 10) and
-    three with more (m = 16, seven)."""
+    and certifies its result with witness pairs, not a walk: one walk on a
+    table with no redundant attribute (m = 8) and two with one (m = 10) or
+    more (m = 16, seven)."""
     calls = 0
     walk = partition._leave_one_out
 
@@ -527,7 +600,7 @@ def test_table_order_walk_is_made_once_per_table(monkeypatch):
     assert walks(8, rank_attributes, core_attributes) == 1
     assert walks(8, eliminate) == 1
     assert walks(10, eliminate) == 2
-    assert walks(16, eliminate) == 3
+    assert walks(16, eliminate) == 2
 
 
 def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
@@ -535,8 +608,8 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
     the granule entries that one walk's refines and meets touch stop growing
     with the attribute count: a dense walk touches 300 per pass, 27000 at
     m = 10 and 108000 at m = 40.  ``eliminate`` makes two walks at m = 10,
-    where one attribute is redundant, and three at m = 40, so the bound is
-    put on one walk, the table walk that ranking makes."""
+    where one attribute is redundant, and at m = 40, so the bound is put on
+    one walk, the table walk that ranking makes."""
     touched = 0
     stripped = dense = 0
     split, meet = partition._split, partition._meet
@@ -569,7 +642,7 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         elimination.append(touched)
     assert dense and stripped  # lists switch mid-walk
     assert ranking == [4828, 4292]
-    assert elimination == [9862, 13538]
+    assert elimination == [9862, 8786]
     assert ranking[1] <= 1.2 * ranking[0]
 
 
