@@ -32,13 +32,14 @@ of the grouping that tested ``a`` that differ on ``a``, and
 ``verified_minimal`` checks on their raw codes that they differ on ``a``
 alone among ``R``.  A ``reduct`` call therefore makes one walk on a table
 with no redundant attribute and two with any.  Every walk ends at its
-last candidate, so each reader takes it with one plain loop.  The oracle starts from the core's grouping
-and splits it one attribute per node with the walk's own refinement, so
-its nodes strip too, and it reads them, like everything here, only through
-their block counts.  All of it runs on the table's granules, its distinct
-conditional rows, built once per table and shared by every phase; any
-attribute set groups them as it groups the objects, so every block count,
-and with it every verdict and trace size, is the per-object one.  The
+last candidate, so each reader takes it with one plain loop.  The oracle
+starts from the core's grouping and splits it one attribute per node with
+the walk's own refinement, so its nodes strip too, and it reads them,
+like everything here, only through their block counts.  All of it runs
+on the table's granules, its distinct conditional rows, built once per
+table and shared by every phase; any attribute set groups them as it
+groups the objects, so every block count, and with it every verdict and
+trace size, is the per-object one.  The
 neighbourhood and matrix methods of :mod:`.topology` are now reference
 paths that the tests check this against.
 """
