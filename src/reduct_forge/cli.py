@@ -25,12 +25,13 @@ from fractions import Fraction
 
 from .dataset import (
     InformationSystem,
+    _check_distinct,
     builtin_names,
     conditional_attributes,
     load_builtin,
     load_csv,
 )
-from .errors import DuplicateAttribute, ReductForgeError, TooManyAttributes
+from .errors import ReductForgeError, TooManyAttributes
 from .partition import grouped, projections
 from .reduct import DEFAULT_MAX_ATTRS, eliminate, exhaustive_reducts
 from .significance import CountSplit, GroupPolicy, ThresholdSplit, rank_attributes
@@ -101,11 +102,7 @@ def _parse_attrs(table: InformationSystem, text: str | None) -> list[str]:
     if text is None:
         return list(conditional_attributes(table))
     names = [name.strip() for name in text.split(",") if name.strip()]
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateAttribute(name)
-        seen.add(name)
+    _check_distinct(names)
     return names
 
 

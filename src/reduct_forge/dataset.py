@@ -48,7 +48,7 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
-from .partition import _granulate, _leave_one_out
+from .partition import _granulate, _Labels, _leave_one_out
 
 IDENTITY = "identity"
 
@@ -258,11 +258,7 @@ class InformationSystem:
     def __post_init__(self) -> None:
         if not len(self.object_ids) or not self.attributes:
             raise EmptyTable()
-        seen: set[str] = set()
-        for name in self.attributes:
-            if name in seen:
-                raise DuplicateAttribute(name)
-            seen.add(name)
+        _check_distinct(self.attributes)
         width = len(self.attributes)
         rows = self.rows
         if isinstance(rows, _Rows):
@@ -307,17 +303,29 @@ class InformationSystem:
         return _granulate(self)
 
     @cached_property
-    def _table_walk(self) -> tuple:
+    def _table_walk(self) -> tuple[_Labels, dict[str, _Labels]]:
         """The table-order leave-one-out walk over ``_granules``, kept with
-        the table: the grouping by all conditional attributes, then the one
-        that leaves out each of them, in table order.  The walk ends at its
-        last candidate, so ``tuple`` takes all of it with no refinement
-        that nothing reads.  Ranking, the core, the oracle and the first
-        phase of ``eliminate``, whose candidates are some ``C - a`` until
-        its first removal, all read it, so a table pays for one such walk.
-        It is kept on the table, not on the view: each grouping refers to
-        the view, so a cache there would make a reference cycle."""
-        return tuple(_leave_one_out(self._granules, conditional_attributes(self)))
+        the table and read by attribute: the grouping by all conditional
+        attributes, and a dict that maps each of them, in table order, to
+        the grouping that leaves it out.  Ranking, the core, the oracle and
+        the first phase of ``eliminate``, whose candidates are some
+        ``C - a`` until its first removal, all read it, so a table pays for
+        one such walk.  It is kept on the table, not on the view: each
+        grouping refers to the view, so a cache there would make a
+        reference cycle."""
+        attrs = conditional_attributes(self)
+        walk = _leave_one_out(self._granules, attrs)
+        return next(walk), dict(zip(attrs, walk))
+
+
+def _check_distinct(names: Iterable[str]) -> None:
+    """Raise ``DuplicateAttribute`` at the first name that repeats an
+    earlier one."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DuplicateAttribute(name)
+        seen.add(name)
 
 
 def conditional_attributes(table: InformationSystem) -> tuple[str, ...]:
@@ -373,11 +381,17 @@ def load_csv(
     body = list(filter(str.strip, lines))
     if not body:
         raise EmptyTable()
+
+    def file_line(j: int) -> int:
+        """The file line number, blank lines counted, of the ``j``-th
+        non-blank line, from 0."""
+        numbers = (number for number, line in enumerate(lines, 1) if line.strip())
+        return next(itertools.islice(numbers, j, None))
+
     if has_header:
         names = [cell.strip() for cell in body.pop(0).split(",")]
         if "" in names:
-            header = next(number for number, text in enumerate(lines, 1) if text.strip())
-            raise MalformedTable(header, f"header cell {names.index('') + 1} is empty")
+            raise MalformedTable(file_line(0), f"header cell {names.index('') + 1} is empty")
     else:
         names = [f"c{i + 1}" for i in range(body[0].count(",") + 1)]
     width = len(names)
@@ -394,8 +408,7 @@ def load_csv(
         line number; called once some line is known to be ragged."""
         for j, line in enumerate(body, int(has_header)):
             if line.count(",") != width - 1:
-                numbers = (number for number, text in enumerate(lines, 1) if text.strip())
-                raise MalformedTable(next(itertools.islice(numbers, j, None)),
+                raise MalformedTable(file_line(j),
                                      f"expected {width} cells, got {line.count(',') + 1}")
 
     def split(distinct: list[str]) -> list[list[str]]:

@@ -28,11 +28,16 @@ taken at every candidate: the grouping of ``R - a`` meets the kept
 attributes before ``a`` with all attributes after it, so ranking and
 elimination each make O(m) refinements and meets instead of rebuilding an
 m-attribute projection per attribute.  The walk ends at its last
-candidate, so its readers take it with one plain loop or ``tuple``.  Every
-reader takes only a grouping's block count and dependency degree, never
-its label lists; ``_witness`` reads them here for elimination, finding in
+candidate, so its readers take it with one plain loop or ``tuple``; the
+table keeps its table-order walk read by attribute, a dict from each
+``a`` to the grouping of ``C - a``.  Every reader takes only a grouping's
+block count and dependency degree, never its label lists or the view's
+code columns.  Those are read here for elimination: ``_witness`` finds in
 the grouping of ``R - a`` two granules of one block that differ on ``a``,
-the pair that shows ``a`` cannot leave ``R``.  Refinement never
+the pair that shows ``a`` cannot leave ``R``, and ``_certified`` checks on
+the raw codes that each pair differs on its attribute alone among ``R``,
+the discernibility-matrix certificate of Skowron and Rauszer (1992).
+Refinement never
 merges blocks, so a granule alone in its block stays alone in every finer
 grouping: a list drops such granules, the stripped partitions of TANE
 (Huhtala et al., 1999), once at least half of its rows are, and keeps only
@@ -267,9 +272,7 @@ class _Granules:
                  object_count: int) -> None:
         self.columns, self.weights = columns, weights
         self.labels, self.object_count = labels, object_count
-        # _unmixed_weight's sum, spelled out: the oracle may build the view,
-        # and it must not lean on spare recursion depth.
-        self.unmixed = sum(compress(weights, map(is_not, labels, repeat(_MIXED))))
+        self.unmixed = _unmixed_weight(labels, weights)
 
 
 def _granulate(table: InformationSystem) -> _Granules:
@@ -469,6 +472,23 @@ def _witness(labels: _Labels, name: str) -> tuple[int, int] | None:
         else:
             first[key] = g
     return None
+
+
+def _certified(view: _Granules, reduct: Sequence[str],
+               witnesses: dict[str, tuple[int, int] | None]) -> bool:
+    """True when every attribute of ``reduct`` is necessary by its witness
+    pair from ``_witness``: two granules whose codes differ on it and on no
+    other attribute of ``reduct``, so that dropping it merges their blocks.
+    O(|R|²) code reads and no walk."""
+    columns = [view.columns[a][0] for a in reduct]
+    for attribute in reduct:
+        pair = witnesses.get(attribute)
+        if pair is None:
+            return False
+        x, y = pair
+        if [a for a, codes in zip(reduct, columns) if codes[x] != codes[y]] != [attribute]:
+            return False
+    return True
 
 
 def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:

@@ -17,8 +17,9 @@ their block, so on a wide table it touches O(|U/C|·log_k |U/C|) granule
 entries rather than O(|U/C|·m).  Ranking, elimination, the core and the
 block count of ``C`` all come from such walks, and read only each
 grouping's ``blocks`` and ``dependency``.  The table-order
-walk is made once per table and kept with it
-(``InformationSystem._table_walk``): ranking, the core, the oracle and
+walk is made once per table and kept with it, read by attribute
+(``InformationSystem._table_walk``, the grouping by ``C`` and a dict from
+each ``a`` to the grouping of ``C - a``): ranking, the core, the oracle and
 ``eliminate`` all read it, so under ``--exhaustive`` the oracle, which runs
 first, pays for it and ranking reuses it.  ``eliminate`` runs in two
 phases.  The first reads each candidate ``C - a`` off that walk, up to the
@@ -29,10 +30,11 @@ removal's test, whose set is ``R``; its necessity is a certificate, the
 discernibility-matrix view of Skowron and Rauszer (1992): each kept ``a``
 carries a witness pair (``partition._witness``), two granules in one block
 of the grouping that tested ``a`` that differ on ``a``, and
-``verified_minimal`` checks on their raw codes that they differ on ``a``
-alone among ``R``.  A ``reduct`` call therefore makes one walk on a table
-with no redundant attribute and two with any.  Every walk ends at its
-last candidate, so each reader takes it with one plain loop.  The oracle
+``partition._certified`` checks on their raw codes that they differ on
+``a`` alone among ``R``; this module only passes the pairs along.  A
+``reduct`` call therefore makes one walk on a table with no redundant
+attribute and two with any.  Every walk ends at its last candidate, so
+each reader takes it with one plain loop.  The oracle
 starts from the core's grouping and splits it one attribute per node with
 the walk's own refinement, so its nodes strip too, and it reads them,
 like everything here, only through their block counts.  All of it runs
@@ -53,7 +55,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .dataset import InformationSystem, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
 from .partition import (
-    _Granules, _Labels, _grouping, _leave_one_out, _split, _witness, block_count,
+    _certified, _grouping, _leave_one_out, _split, _witness, block_count,
 )
 from .significance import GroupPolicy, ThresholdSplit, rank_attributes, split_groups
 
@@ -81,12 +83,12 @@ class ReductResult:
         return frozenset(self.reduct)
 
 
-def _indispensable(walk: Sequence[_Labels],
-                   attrs: tuple[str, ...]) -> tuple[int, frozenset[str]]:
-    """The block count of ``attrs`` and the members whose removal lowers it,
-    both from ``walk``, the leave-one-out walk over ``attrs``."""
-    count = walk[0].blocks
-    return count, frozenset(a for a, labels in zip(attrs, walk[1:]) if labels.blocks != count)
+def _indispensable(table: InformationSystem) -> tuple[int, frozenset[str]]:
+    """The block count of the conditional attributes and those whose
+    removal lowers it, both off the table's kept table-order walk."""
+    full, without = table._table_walk
+    count = full.blocks
+    return count, frozenset(a for a, labels in without.items() if labels.blocks != count)
 
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
@@ -114,9 +116,8 @@ def _tested(
     leave-one-out walk over the attributes kept so far and then the
     untested ones, in ranked order, gives the candidates.  A removed
     candidate pays for no witness search."""
-    table_walk = table._table_walk
-    full_count = table_walk[0].blocks
-    without = dict(zip(conditional_attributes(table), table_walk[1:]))
+    full, without = table._table_walk
+    full_count = full.blocks
     counts: list[int] = []
     witnesses: dict[str, tuple[int, int] | None] = {}
     # Phase 1: up to and including the first redundant candidate.
@@ -147,23 +148,6 @@ def _tested(
     return counts, witnesses
 
 
-def _certified(view: _Granules, reduct: Sequence[str],
-               witnesses: dict[str, tuple[int, int] | None]) -> bool:
-    """True when every attribute of ``reduct`` is necessary by its witness
-    pair: two granules whose codes differ on it and on no other attribute
-    of ``reduct``, so that dropping it merges their blocks.  O(|R|²) code
-    reads and no walk."""
-    columns = [view.columns[a][0] for a in reduct]
-    for attribute in reduct:
-        pair = witnesses.get(attribute)
-        if pair is None:
-            return False
-        x, y = pair
-        if [a for a, codes in zip(reduct, columns) if codes[x] != codes[y]] != [attribute]:
-            return False
-    return True
-
-
 def eliminate(
     table: InformationSystem, policy: GroupPolicy = ThresholdSplit()
 ) -> ReductResult:
@@ -178,14 +162,14 @@ def eliminate(
     pair differs on that member alone among ``R`` (``_certified``), so no
     walk re-measures ``R``.
     """
-    cond = conditional_attributes(table)
     grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
-    full_count = table._table_walk[0].blocks
+    full, without = table._table_walk
+    full_count = full.blocks
     counts, witnesses = _tested(table, grouping.attributes)
     removed = tuple(a for a, count in zip(grouping.attributes, counts) if count == full_count)
     dropped = set(removed)
-    reduct = tuple(a for a in cond if a not in dropped)
+    reduct = tuple(a for a in without if a not in dropped)  # in table column order
     return ReductResult(
         reduct=reduct,
         removed=removed,
@@ -223,7 +207,7 @@ def exhaustive_reducts(
     if len(cond) > max_attrs:
         raise TooManyAttributes(len(cond), max_attrs)
     view = table._granules
-    full_count, core = _indispensable(table._table_walk, cond)
+    full_count, core = _indispensable(table)
     rest = [a for a in cond if a not in core]
     recorded: list[frozenset[str]] = []
     # An explicit stack of (attrs, labels, next child), so that depth is not
@@ -249,4 +233,4 @@ def exhaustive_reducts(
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:
     """Attributes whose individual removal already coarsens the partition."""
-    return _indispensable(table._table_walk, conditional_attributes(table))[1]
+    return _indispensable(table)[1]

@@ -9,12 +9,14 @@ which leave out the granules already alone in their block.
 
 The groupings come from the table-order walk, ``table._table_walk``: one
 leave-one-out walk over the conditional attributes in column order, made
-on first use and kept with the table.  The core, the exhaustive oracle and
-``eliminate`` of :mod:`.reduct` read their block counts off the same walk,
-so a table pays for it once.  ``eliminate`` makes its own walks only from
-its first removal on, so a ``reduct`` call makes one walk in all on a
-table with no redundant attribute, two with one and three with more, with
-or without ``--exhaustive``.
+on first use, kept with the table and read by attribute, as the grouping
+by all of them and a dict from each to the grouping that leaves it out.
+The core, the exhaustive oracle and ``eliminate`` of :mod:`.reduct` read
+their block counts off the same walk, so a table pays for it once.
+``eliminate`` makes one walk of its own only from its first removal on
+and checks its result by a witness certificate, not a walk, so a
+``reduct`` call makes one walk in all on a table with no redundant
+attribute and at most two with any, with or without ``--exhaustive``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
-from .dataset import InformationSystem, conditional_attributes
+from .dataset import InformationSystem
 from .errors import UnknownAttribute
 
 
@@ -94,10 +96,9 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
     O(m²), and touches O(|U/C|·log_k |U/C|) granule entries on a wide
     table.
     """
-    with_all, *without = table._table_walk
+    with_all, without = table._table_walk
     full = with_all.dependency
-    values = [(a, full - labels.dependency)
-              for a, labels in zip(conditional_attributes(table), without)]
+    values = [(a, full - labels.dependency) for a, labels in without.items()]
     values.sort(key=lambda pair: pair[1])
     return SignificanceTable(ranked=tuple(values))
 

@@ -303,18 +303,19 @@ GOLDEN_CASES = [
     # digit, so the kernel renumbers them.
     ("reduct_wide_trace.json", ["reduct", str(DATA / "wide.csv"), "--trace", "--json"]),
     # No attribute is redundant, so elimination reads every candidate off
-    # the table-order walk and verifies off it too.
+    # the table-order walk, whose groupings also give every witness pair.
     ("reduct_irredundant_trace.json",
      ["reduct", str(DATA / "irredundant.csv"), "--trace", "--json"]),
     # The only redundant attribute is tested after a kept one, which splits
     # a block without changing the positive region: the ranked-order walk
-    # starts at it and covers the reduct.
+    # starts at it, and the kept one's witness pair comes from the
+    # table-order walk.
     ("reduct_late_redundant_trace.json",
      ["reduct", str(DATA / "late_redundant.csv"), "--decision", "d", "--trace", "--json"]),
     # late_redundant with a copy of e, e2, before d: the verdicts run kept,
     # redundant, kept, redundant, kept, so the ranked-order walk starts
-    # after a kept attribute, a second removal follows, and a walk over the
-    # reduct verifies it.
+    # after a kept attribute and a second removal follows; witness pairs
+    # from both walks certify the reduct, and no walk measures it again.
     ("reduct_kept_then_redundant_trace.json",
      ["reduct", str(DATA / "kept_then_redundant.csv"), "--decision", "d", "--trace", "--json"]),
 ]
@@ -325,6 +326,40 @@ def test_json_matches_golden_file(golden, argv):
     code, out, _ = run_cli(argv)
     assert code == 0
     assert masked(out) == (DATA / golden).read_text()
+
+
+# Runs every golden case through cli.main in one process, forwards and then
+# backwards, and prints each case's name, exit code and stdout as JSON.
+_SHARED_PROCESS = """
+import io, json, sys
+from contextlib import redirect_stdout
+from reduct_forge.cli import main
+cases = json.load(sys.stdin)
+results = []
+for golden, argv in cases + cases[::-1]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    results.append([golden, code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_goldens_hold_under_any_hash_seed_in_one_process():
+    """Answers are bit-for-bit: under two string-hash seeds, and with every
+    golden command run in one process, forwards and then backwards, where
+    ``main`` reuses its parser and each table keeps its walk.  Each child
+    must print every golden file, once the timings are masked."""
+    cases = json.dumps([[golden, argv] for golden, argv in GOLDEN_CASES])
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", _SHARED_PROCESS], input=cases,
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), seed
+        results = json.loads(proc.stdout)
+        assert len(results) == 2 * len(GOLDEN_CASES)
+        for golden, code, out in results:
+            assert (code, masked(out)) == (0, (DATA / golden).read_text()), (seed, golden)
 
 
 TEXT_CASES = [

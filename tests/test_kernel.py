@@ -320,7 +320,7 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     for name, pair in witnesses.items():
         assert _differing(view, result.reduct, pair) == [name]
     assert result.verified_minimal
-    assert reduct._certified(view, result.reduct, witnesses)
+    assert partition._certified(view, result.reduct, witnesses)
 
 
 def test_certificate_rejects_a_reduct_that_keeps_a_copied_column():
@@ -338,13 +338,13 @@ def test_certificate_rejects_a_reduct_that_keeps_a_copied_column():
     kept = [a for a in conditional_attributes(table) if a in result.reduct or a in ("c2", "c5")]
     witnesses = {a: _witness(_grouping(view, [b for b in kept if b != a]), a) for a in kept}
     assert witnesses["c2"] is None and witnesses["c5"] is None
-    assert not reduct._certified(view, kept, witnesses)
+    assert not partition._certified(view, kept, witnesses)
     # Given pairs for the copies from elsewhere, the check on raw codes
     # still fails: any pair that differs on one copy differs on the other.
     for a in ("c2", "c5"):
         witnesses[a] = _witness(_grouping(view, [b for b in kept if b not in ("c2", "c5")]), a)
     assert witnesses["c2"] is not None
-    assert not reduct._certified(view, kept, witnesses)
+    assert not partition._certified(view, kept, witnesses)
 
 
 @given(tables())
@@ -995,7 +995,7 @@ _REFERENCE_PATH = {"ObjectSet", "Partition", "grouped", "_grouped_partition", "_
                    "meet", "positive_region", "gamma"}
 _KERNEL = {"_Granules", "_granulate", "_Labels", "_split", "_meet", "_grouping",
            "_leave_one_out", "_DIGIT", "_MIXED", "_pure_weight", "_unmixed_weight",
-           "_Numbering"}
+           "_witness", "_certified", "_Numbering"}
 
 
 def _syntax(module) -> ast.Module:
@@ -1007,8 +1007,9 @@ def test_reference_path_and_kernel_readers_stay_apart():
     """The per-object reference path in ``partition.py`` names nothing of
     the kernel, so the tests that compare the two compare independent code;
     and ``reduct`` and ``significance`` read a grouping only through its
-    block count and dependency, never its label lists or their bounds, and
-    import no routine that builds label lists outside ``_split``."""
+    block count and dependency, never its label lists or their bounds, read
+    no code column of the view, and import no routine that builds label
+    lists outside ``_split``."""
     for node in _syntax(partition).body:
         if getattr(node, "name", None) in _REFERENCE_PATH:
             named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
@@ -1016,7 +1017,8 @@ def test_reference_path_and_kernel_readers_stay_apart():
     for module in (reduct, sys.modules["reduct_forge.significance"]):
         for node in ast.walk(_syntax(module)):
             if isinstance(node, ast.Attribute):
-                assert node.attr not in {"keys", "rows", "top", "most"}, (module, node.attr)
+                assert node.attr not in {"columns", "keys", "rows", "top", "most"}, (
+                    module, node.attr)
             if isinstance(node, ast.ImportFrom):
                 imported = {alias.name for alias in node.names}
                 assert not imported & {"_refine", "_projections"}, (module, imported)

@@ -176,14 +176,19 @@ class TestExhaustiveReducts:
         assert exhaustive_reducts(seven_segment)
 
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
-        """Nine pairs of identical one-hot columns: the search goes ten
-        levels deep and finds 2**9 reducts, one column from each pair.  A
-        search that recursed once per level overruns a limit set a few frames
-        above this test's own depth."""
-        pairs = 9
-        rows = [["1" if j == i else "0" for j in range(pairs) for _ in "ab"]
-                for i in range(pairs + 1)]
-        table = make_table(rows, [f"{x}{j}" for j in range(pairs) for x in "ab"])
+        """The oracle's stack of frames does not grow with its search depth.
+        Pairs of identical one-hot columns make a search ``pairs + 1``
+        levels deep with ``2**pairs`` reducts, one column from each pair.
+        The fewest frames, above this test's own depth, in which the search
+        finishes on a fresh one-pair table (two levels) must also do for a
+        fresh nine-pair table (ten levels).  A search that recursed once per
+        level would need about eight frames more; one that leans on no spare
+        depth needs none."""
+
+        def paired(pairs):
+            rows = [["1" if j == i else "0" for j in range(pairs) for _ in "ab"]
+                    for i in range(pairs + 1)]
+            return make_table(rows, [f"{x}{j}" for j in range(pairs) for x in "ab"])
 
         def headroom(k=0):
             try:
@@ -191,15 +196,24 @@ class TestExhaustiveReducts:
             except RecursionError:
                 return k
 
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit - headroom() + 8)
-        try:
-            reducts = exhaustive_reducts(table)
-        finally:
-            sys.setrecursionlimit(limit)
+        def within(frames, table):
+            """The oracle's answer on ``table`` with ``frames`` frames above
+            this call's depth, or None when it runs out of them."""
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit - headroom() + frames)
+            try:
+                return exhaustive_reducts(table)
+            except RecursionError:
+                return None
+            finally:
+                sys.setrecursionlimit(limit)
+
+        frames = next(f for f in range(1, 100) if within(f, paired(1)) is not None)
+        reducts = within(frames, paired(9))
+        assert reducts is not None, f"ten levels need more than the {frames} frames of two"
         assert reducts == frozenset(
             frozenset(f"{x}{j}" for j, x in enumerate(choice))
-            for choice in product("ab", repeat=pairs)
+            for choice in product("ab", repeat=9)
         )
 
 
