@@ -27,8 +27,9 @@ stored rows, weighted by their object counts, and alone decides whether
 folding them pays; every per-object reader, ``rows``, ``column``,
 ``value``, equality and the per-object partitions, reads a stored row
 through the object's row index.  A table keeps the kernel's view of its
-rows and its table-order leave-one-out walk, each built on first use, so
-ranking, the core, the oracle and elimination share one of each.
+rows and its table-order leave-one-out walk, read by attribute, each built
+on first use, so ranking, the core, the oracle and elimination share one
+of each.
 """
 
 from __future__ import annotations
