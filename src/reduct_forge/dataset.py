@@ -21,15 +21,16 @@ strip alike are merged by looking at its distinct cells alone.
 the id sits, and row tuples are their own keys.  The loader cuts each line
 and takes its key in that one pass, so no per-line object outlives its
 step.  It does not build the object ids either: ``object_ids`` is a
-read-only view that builds them on first read, cut from the text again, or
+read-only lazy tuple (:class:`_LazyTuple`, the form of an elimination
+trace too) that builds them on first read, cut from the text again, or
 from the object numbers when there is no id.  The partition kernel walks the
 stored rows, weighted by their object counts, and alone decides whether
 folding them pays; every per-object reader, ``rows``, ``column``,
 ``value``, equality and the per-object partitions, reads a stored row
 through the object's row index.  A table keeps the kernel's view of its
-rows and its table-order leave-one-out walk, read by attribute, each built
-on first use, so ranking, the core, the oracle and elimination share one
-of each.
+rows and its table-order leave-one-out walk, seeded with the one-block
+grouping and read by attribute, each built on first use, so ranking, the
+core, the oracle and elimination share one of each.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
-from .partition import _granulate, _Labels, _leave_one_out
+from .partition import _granulate, _grouping, _Labels, _leave_one_out
 
 IDENTITY = "identity"
 
@@ -146,28 +147,29 @@ class _Rows(Sequence):
         return repr(tuple(self))
 
 
-class _Ids(Sequence):
-    """Read-only object ids of a table, built on first read.
+class _LazyTuple(Sequence):
+    """A read-only tuple whose items are built on first read.
 
-    ``ids`` is a lazy iterator of the ids, consumed into a tuple the first
-    time an id is read and kept; ``len`` is known without it.  The loader
-    gives it ``map(str, range(n))`` when there is no ``id`` column and
-    otherwise :func:`_cut_ids` over the table's text.  The view
-    compares equal to the tuple of ids it stands for, and hashes and reprs
-    like it.
+    ``items`` is a lazy iterator, consumed into a tuple the first time an
+    item is read and kept; ``len`` is known without it.  A table's
+    ``object_ids`` is one: the loader gives it ``map(str, range(n))`` when
+    there is no ``id`` column and otherwise :func:`_cut_ids` over the
+    table's text.  So is ``ReductResult.trace``, whose entries a generator
+    measures only when they are read.  The view compares equal to the tuple
+    of items it stands for, and hashes and reprs like it.
     """
 
-    __slots__ = ("n", "_pending", "_ids")
+    __slots__ = ("n", "_pending", "_items")
 
-    def __init__(self, n: int, ids: Iterator[str]) -> None:
+    def __init__(self, n: int, items: Iterator) -> None:
         self.n = n
-        self._pending: Iterator[str] | None = ids
-        self._ids: tuple[str, ...] | None = None
+        self._pending: Iterator | None = items
+        self._items: tuple | None = None
 
-    def _tuple(self) -> tuple[str, ...]:
-        if self._ids is None:
-            self._ids, self._pending = tuple(self._pending), None
-        return self._ids
+    def _tuple(self) -> tuple:
+        if self._items is None:
+            self._items, self._pending = tuple(self._pending), None
+        return self._items
 
     def __len__(self) -> int:
         return self.n
@@ -175,11 +177,11 @@ class _Ids(Sequence):
     def __getitem__(self, index):
         return self._tuple()[index]
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator:
         return iter(self._tuple())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _Ids):
+        if isinstance(other, _LazyTuple):
             return self.n == other.n and self._tuple() == other._tuple()
         if isinstance(other, tuple):
             return self._tuple() == other
@@ -308,14 +310,15 @@ class InformationSystem:
         """The table-order leave-one-out walk over ``_granules``, kept with
         the table and read by attribute: the grouping by all conditional
         attributes, and a dict that maps each of them, in table order, to
-        the grouping that leaves it out.  Ranking, the core, the oracle and
-        the first phase of ``eliminate``, whose candidates are some
-        ``C - a`` until its first removal, all read it, so a table pays for
+        the grouping that leaves it out.  Ranking, the core, the oracle,
+        ``eliminate``, which keeps the core and takes its witness pairs
+        from each core ``C - a``, and the trace, whose candidates are some
+        ``C - a`` until the first removal, all read it, so a table pays for
         one such walk.  It is kept on the table, not on the view: each
         grouping refers to the view, so a cache there would make a
         reference cycle."""
         attrs = conditional_attributes(self)
-        walk = _leave_one_out(self._granules, attrs)
+        walk = _leave_one_out(_grouping(self._granules, ()), attrs)
         return next(walk), dict(zip(attrs, walk))
 
 
@@ -433,8 +436,8 @@ def load_csv(
     # or last id, and a line too short for the middle cut raises
     # IndexError, so every line's width is still checked.  No line's cut is
     # kept, and the ids are cut from the text again only if they are read.
-    object_ids = _Ids(len(body), map(str, range(len(body))) if id_col is None
-                      else _cut_ids(text, id_col))
+    object_ids = _LazyTuple(len(body), map(str, range(len(body))) if id_col is None
+                            else _cut_ids(text, id_col))
     del text  # only the ids' generator holds it, when there is an id
     if id_col is None:
         keys = body

@@ -17,38 +17,43 @@ label; the weights of those granules sum to its share of |POS|.
 
 On that view the kernel has one grouping form, :class:`_Labels`, and one
 refinement, ``_split``, which splits a grouping by one attribute.  A
-grouping carries its view, so ``_split`` and ``_meet`` take groupings
-alone; only ``_grouping`` and ``_leave_one_out``, which start from the
-view, take one.  ``_grouping`` splits the one-block grouping by each of a
-set's attributes; :func:`block_count`, :func:`dependency` and the
-exhaustive oracle's root start there, and the oracle's depth-first search
-splits one attribute per node.  ``_leave_one_out`` is the paper's
-composition of a low- and a high-significance base, a partition meet,
-taken at every candidate: the grouping of ``R - a`` meets the kept
-attributes before ``a`` with all attributes after it, so ranking and
-elimination each make O(m) refinements and meets instead of rebuilding an
-m-attribute projection per attribute.  The walk ends at its last
-candidate, so its readers take it with one plain loop or ``tuple``; the
-table keeps its table-order walk read by attribute, a dict from each
-``a`` to the grouping of ``C - a``.  Every reader takes only a grouping's
-block count and dependency degree, never its label lists or the view's
-code columns.  Those are read here for elimination: ``_witness`` finds in
-the grouping of ``R - a`` two granules of one block that differ on ``a``,
-the pair that shows ``a`` cannot leave ``R``, and ``_certified`` checks on
-the raw codes that each pair differs on its attribute alone among ``R``,
-the discernibility-matrix certificate of Skowron and Rauszer (1992).
-Refinement never
-merges blocks, so a granule alone in its block stays alone in every finer
-grouping: a list drops such granules, the stripped partitions of TANE
-(Huhtala et al., 1999), once at least half of its rows are, and keeps only
-the rest.  On a wide table almost every granule is alone after about
-log_k |U/C| attributes, so a walk touches O(|U/C|·log_k |U/C|) granule
-entries, not O(|U/C|·m).  ``_split`` makes one pass over a coded column or
-over the rows a stripped list keeps: the new label is the mixed-radix int
-``label * k + code``, where ``k`` is the column's value count, and labels
-are renumbered densely only when they could pass ``2**30``, one CPython
-int digit.  Labels are therefore neither dense nor in first-occurrence
-order, and a stripped list has none for its lone granules.
+grouping carries its view, so ``_split``, ``_meet`` and ``_leave_one_out``
+take groupings alone; only ``_grouping``, which starts from the view,
+takes one.  ``_grouping`` splits the one-block grouping by each of a
+set's attributes; :func:`block_count`, :func:`dependency`, the exhaustive
+oracle's root and ``eliminate``'s core start there, and the oracle's
+depth-first search splits one attribute per node.  ``_leave_one_out`` is
+the paper's composition of a low- and a high-significance base, a
+partition meet, taken at every candidate: from a seed grouping, the
+grouping of ``R - a`` meets the kept attributes before ``a`` with all
+attributes after it, so ranking and elimination each make O(m)
+refinements and meets instead of rebuilding an m-attribute projection per
+attribute.  The table walk's seed is the one-block grouping, and
+``eliminate`` seeds its walk over the non-core attributes with the
+core's grouping.  The walk ends at its last candidate, so its readers
+take it with one plain loop or ``tuple``; the table keeps its table-order
+walk read by attribute, a dict from each ``a`` to the grouping of
+``C - a``.  Every reader takes only a grouping's block count and
+dependency degree, never its label lists or the view's code columns.
+Those are read here for elimination: ``_witness`` finds in the grouping
+of ``R - a`` two granules of one block that differ on ``a``, the pair
+that shows ``a`` cannot leave ``R``, and ``_certified`` checks on the raw
+codes that each pair differs on its attribute alone among ``R``, the
+discernibility-matrix certificate of Skowron and Rauszer (1992).
+Refinement never merges blocks, so a granule alone in its block stays
+alone in every finer grouping and meet: a split or a meet drops such
+granules, the stripped partitions of TANE (Huhtala et al., 1999), once at
+least half of its rows are, and keeps only the rest (``_stripped``).  On a
+wide table almost every granule is alone after about log_k |U/C|
+attributes, so a walk touches O(|U/C|·log_k |U/C|) granule entries, not
+O(|U/C|·m), and the block count, dependency and witness search of a
+stripped ``C - a`` pass over a few rows.  ``_split`` makes one pass over a
+coded column or over the rows a stripped list keeps: the new label is the
+mixed-radix int ``label * k + code``, where ``k`` is the column's value
+count, and labels are renumbered densely only when they could pass
+``2**30``, one CPython int digit.  Labels are therefore neither dense nor
+in first-occurrence order, and a stripped list has none for its lone
+granules.
 
 :func:`projections`, :func:`ind_partition`, :func:`decision_partition`,
 :func:`meet`, :func:`positive_region` and :func:`gamma` answer per object:
@@ -350,8 +355,9 @@ class _Labels:
     order, and each granule outside ``rows`` is alone in its block; a
     granule in ``rows`` may be alone too.  Two granules share a block
     exactly when both carry a label and the labels are equal.  A list that
-    ``_split`` makes also keeps ``top``, a bound above every key, and
-    ``most``, a bound on the distinct keys, so that it can be split again.
+    ``_split`` or ``_meet`` makes also keeps ``top``, a bound above every
+    key, and ``most``, a bound on the distinct keys, so that it can be
+    split again and a meet of it knows its own bounds.
     A plain class, not a dataclass, so that importing the module stays
     cheap.
     """
@@ -406,10 +412,8 @@ def _split(labels: _Labels, name: str) -> _Labels:
     renumbered densely by first occurrence instead, so keys never outgrow
     one int digit.
 
-    A set of the keys is paid for only when ``most``, the free bound on
-    their distinct values, lets that many rows be alone.  It gives the block
-    count; with b distinct keys over s rows at least 2b - s rows are alone,
-    and only when that reaches s / 2 are the rows counted and stripped."""
+    A set of the keys (``_stripped``) is paid for only when ``most``, the
+    free bound on their distinct values, lets half of the rows be alone."""
     rows = labels.rows
     if rows == []:
         return labels  # every granule is alone in its block already
@@ -426,9 +430,21 @@ def _split(labels: _Labels, name: str) -> _Labels:
         keys = [ids.setdefault(key * k + code, len(ids))
                 for key, code in zip(labels.keys, codes)]
         top = most = len(ids)
-    size = len(keys)
-    if 2 * most < size:
+    if 2 * most < len(keys):
         return _Labels(view, keys, rows, top, most)
+    return _stripped(view, keys, rows, top)
+
+
+def _stripped(view: _Granules, keys: list[int], rows: list[int] | None,
+              top: int) -> _Labels:
+    """The grouping of ``rows`` (every granule when None) by ``keys``, each
+    below ``top``, with its block count from one set of the keys, and
+    stripped of the granules alone in their block when at least half of
+    its rows are.  With b distinct keys over s rows at least 2b - s rows
+    are alone, so the rows are counted and stripped only when b reaches
+    3s / 4.  ``_split`` and ``_meet`` end here once the free bound on
+    their distinct keys lets that many rows be alone."""
+    size = len(keys)
     shared = len(set(keys))
     blocks = len(view.labels) - size + shared
     if shared == size:
@@ -505,67 +521,80 @@ def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
 
 def _meet(a: _Labels, b: _Labels) -> _Labels:
     """The grouping by both ``a`` and ``b`` of the granules of the view they
-    both carry.  A granule alone in either is alone in the meet, so a
-    stripped side limits the pass to its rows: a dense side is indexed at
-    them, and of two stripped sides the shorter is looked up in a dict."""
+    both carry, ended like ``_split``.  A granule alone in either is alone
+    in the meet, so a stripped side limits the pass to its rows: a dense
+    side is indexed at them, and of two stripped sides the shorter is
+    looked up in a dict.  The meet's keys are ``p * b.top + s``, below
+    ``a.top * b.top``, and at most ``a.most * b.most`` of them are
+    distinct; only when that bound lets three in four rows be distinct is
+    a set paid for (``_stripped``), which gives the block count and strips
+    the meet once half of its rows are alone."""
     view = a.view
     if a.rows is None and b.rows is None:
-        width = b.top
-        return _Labels(view, [p * width + s for p, s in zip(a.keys, b.keys)], None)
-    if b.rows is None:
-        a, b = b, a
-    if a.rows is None:
-        at: Sequence[int] = a.keys
-        rows = b.rows
-        keys = b.keys
+        rows = None
+        keys = [p * b.top + s for p, s in zip(a.keys, b.keys)]
     else:
-        if len(b.rows) < len(a.rows):
+        if b.rows is None:
             a, b = b, a
-        at = dict(zip(a.rows, a.keys))
-        inside = list(map(at.__contains__, b.rows))
-        rows = list(compress(b.rows, inside))
-        keys = compress(b.keys, inside)
-    width = b.top
-    return _Labels(view, [at[r] * width + s for r, s in zip(rows, keys)], rows)
+        if a.rows is None:
+            at: Sequence[int] = a.keys
+            rows = b.rows
+            inner: Iterable[int] = b.keys
+        else:
+            if len(b.rows) < len(a.rows):
+                a, b = b, a
+            at = dict(zip(a.rows, a.keys))
+            inside = list(map(at.__contains__, b.rows))
+            rows = list(compress(b.rows, inside))
+            inner = compress(b.keys, inside)
+        width = b.top
+        keys = [at[r] * width + s for r, s in zip(rows, inner)]
+    top, most = a.top * b.top, min(a.most * b.most, len(keys))
+    if 4 * most < 3 * len(keys):
+        return _Labels(view, keys, rows, top, most)
+    return _stripped(view, keys, rows, top)
 
 
 def _leave_one_out(
-    view: _Granules, attrs: Sequence[str]
+    seed: _Labels, attrs: Sequence[str]
 ) -> Generator[_Labels, bool | None, None]:
-    """The grouping of ``view``'s granules, as a :class:`_Labels`, for every
-    attribute set that leaves one of ``attrs`` out.
+    """The grouping of ``seed``'s granules, as a :class:`_Labels`, for every
+    attribute set that leaves one of ``attrs`` out, each joined with the
+    attributes that ``seed`` groups by.
 
-    The first value yielded is the grouping by all of ``attrs``.  Then, for
-    each ``attrs[i]`` in turn, it yields the grouping by the kept attributes
-    before ``attrs[i]`` together with all of ``attrs[i + 1:]``; ``attrs[i]``
-    is kept unless the value sent back for it is ``False``, so plain
-    iteration keeps every attribute (the value sent back for the first
-    yield is ignored).  The walk ends after its last candidate without
-    refining the prefix again, as no candidate would read it, so
-    ``tuple``, ``list`` or a ``for`` loop takes all of it for no extra
-    work.  This is the paper's composition of a low and a high base, a
-    partition meet, taken at every candidate: the suffix groupings are
-    refined once from the back, the kept prefix one attribute at a time,
-    and each candidate meets them in one pass.  Refinement never merges
-    blocks, so a granule alone in its block stays alone in every finer
-    grouping and meet: each list drops such granules once at least half of
-    its rows are, and the walk then touches only the rest.  On a wide table
-    almost every granule is alone after about log_k |U/C| attributes, so
-    the walk touches O(|U/C|·log_k |U/C|) granule entries rather than
-    O(|U/C|·m).
+    The first value yielded is the grouping by ``seed`` and all of
+    ``attrs``.  Then, for each ``attrs[i]`` in turn, it yields the grouping
+    by ``seed``, the kept attributes before ``attrs[i]`` and all of
+    ``attrs[i + 1:]``; ``attrs[i]`` is kept unless the value sent back for
+    it is ``False``, so plain iteration keeps every attribute (the value
+    sent back for the first yield is ignored).  The table walk's seed is
+    the one-block grouping; ``eliminate``'s is the grouping by the core.
+    The walk ends after its last candidate without refining the prefix
+    again, as no candidate would read it, so ``tuple``, ``list`` or a
+    ``for`` loop takes all of it for no extra work.  This is the paper's
+    composition of a low and a high base, a partition meet, taken at every
+    candidate: the suffix groupings are refined once from the back, the
+    kept prefix one attribute at a time, and each candidate meets them in
+    one pass, unless one side is still the seed, which the other refines.
+    Refinement never merges blocks, so a granule alone in its block stays
+    alone in every finer grouping and meet: each list drops such granules
+    once at least half of its rows are, and the walk then touches only the
+    rest.  On a wide table almost every granule is alone after about
+    log_k |U/C| attributes, so the walk touches O(|U/C|·log_k |U/C|)
+    granule entries rather than O(|U/C|·m).
     """
-    none_kept = _grouping(view, ())
-    suffixes = [none_kept]  # suffixes[-1 - j] groups by attrs[j:]
+    suffixes = [seed]  # suffixes[-1 - j] groups by seed and attrs[j:]
     for name in reversed(attrs):
         suffixes.append(_split(suffixes[-1], name))
     yield suffixes.pop()
-    prefix = none_kept
+    prefix = seed
     for name in attrs:
         suffix = suffixes.pop()
-        # A side that discerns nothing leaves the other side as it is.
-        if prefix.rows is None and prefix.top == 1:
+        # A side that is still the seed, or that discerns nothing, leaves
+        # the other side as it is.
+        if prefix is seed or prefix.rows is None and prefix.top == 1:
             labels = suffix
-        elif suffix.rows is None and suffix.top == 1:
+        elif suffix is seed or suffix.rows is None and suffix.top == 1:
             labels = prefix
         else:
             labels = _meet(prefix, suffix)

@@ -21,43 +21,53 @@ walk is made once per table and kept with it, read by attribute
 (``InformationSystem._table_walk``, the grouping by ``C`` and a dict from
 each ``a`` to the grouping of ``C - a``): ranking, the core, the oracle and
 ``eliminate`` all read it, so under ``--exhaustive`` the oracle, which runs
-first, pays for it and ranking reuses it.  ``eliminate`` runs in two
-phases.  The first reads each candidate ``C - a`` off that walk, up to the
-first removal.  The second walks the ranked order from there: the
-attributes kept so far, then the untested ones.  No walk re-measures the
-result ``R``.  Its sufficiency is the kernel's own count at the last
-removal's test, whose set is ``R``; its necessity is a certificate, the
-discernibility-matrix view of Skowron and Rauszer (1992): each kept ``a``
-carries a witness pair (``partition._witness``), two granules in one block
-of the grouping that tested ``a`` that differ on ``a``, and
+first, pays for it and ranking reuses it.  ``eliminate`` takes the core
+off that walk (Pawlak, 1991: the attributes whose removal from ``C``
+lowers its block count) and keeps it without a test, as no kept set less
+a core attribute can do better than ``C`` less it.  The first non-core
+attribute in ranked order is removed, and the other non-core ones are
+tested in ranked order on one walk seeded with the core's grouping, so a
+table with at most one non-core attribute costs no walk of its own.  No
+walk re-measures the result ``R``.  Its sufficiency is the kernel's own
+count at the last removal's test, whose set is ``R``; its necessity is a
+certificate, the discernibility-matrix view of Skowron and Rauszer
+(1992): each kept ``a`` carries a witness pair (``partition._witness``),
+two granules in one block of the grouping that tested ``a``, or of
+``C - a`` for a core ``a``, that differ on ``a``, and
 ``partition._certified`` checks on their raw codes that they differ on
 ``a`` alone among ``R``; this module only passes the pairs along.  A
-``reduct`` call therefore makes one walk on a table with no redundant
-attribute and two with any.  Every walk ends at its last candidate, so
-each reader takes it with one plain loop.  The oracle
+``reduct`` call therefore makes one walk on a table with at most one
+non-core attribute and two with more.  The trace, which only
+``--trace`` prints, is measured when it is first read: each candidate up
+to the first removal is some ``C - a`` off the table walk, and one
+ranked-order walk from there gives the rest, so reading it adds one walk
+when a removal comes before the last candidate.  Every walk ends at its
+last candidate, so each reader takes it with one plain loop.  The oracle
 starts from the core's grouping and splits it one attribute per node with
 the walk's own refinement, so its nodes strip too, and it reads them,
 like everything here, only through their block counts.  All of it runs
 on the table's granules, its distinct conditional rows, built once per
 table and shared by every phase; any attribute set groups them as it
 groups the objects, so every block count, and with it every verdict and
-trace size, is the per-object one.  The
-neighbourhood and matrix methods of :mod:`.topology` are now reference
-paths that the tests check this against.
+trace size, is the per-object one.  The neighbourhood and matrix methods
+of :mod:`.topology` are now reference paths that the tests check this
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .dataset import InformationSystem, conditional_attributes
+from .dataset import InformationSystem, _LazyTuple, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
 from .partition import (
     _certified, _grouping, _leave_one_out, _split, _witness, block_count,
 )
-from .significance import GroupPolicy, ThresholdSplit, rank_attributes, split_groups
+from .significance import (
+    GroupPolicy, SignificanceTable, ThresholdSplit, rank_attributes, split_groups,
+)
 
 DEFAULT_MAX_ATTRS = 20
 
@@ -75,7 +85,7 @@ class TraceEntry(NamedTuple):
 class ReductResult:
     reduct: tuple[str, ...]  # kept attributes, in table column order
     removed: tuple[str, ...]  # eliminated attributes, in elimination order
-    trace: tuple[TraceEntry, ...]
+    trace: Sequence[TraceEntry]  # built on first read, equal to its tuple
     verified_minimal: bool
 
     @property
@@ -104,48 +114,86 @@ def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[s
     return block_count(table, candidate) == block_count(table, cond)
 
 
-def _tested(
+def _verdicts(
     table: InformationSystem, ranked: Sequence[str]
-) -> tuple[list[int], dict[str, tuple[int, int] | None]]:
-    """The elimination pass over ``ranked``: each candidate's block count, in
-    ranked order, and each kept candidate's witness pair from
-    ``partition._witness`` on the grouping that tested it.
+) -> tuple[list[str], dict[str, tuple[int, int] | None]]:
+    """The elimination pass over ``ranked``: the attributes it removes, in
+    order, and each kept attribute's witness pair from
+    ``partition._witness``.
 
-    Until the first removal each candidate is some ``C - a``, read off the
-    table's kept table-order walk.  From the first removal on, one
-    leave-one-out walk over the attributes kept so far and then the
-    untested ones, in ranked order, gives the candidates.  A removed
-    candidate pays for no witness search."""
-    full, without = table._table_walk
-    full_count = full.blocks
-    counts: list[int] = []
-    witnesses: dict[str, tuple[int, int] | None] = {}
-    # Phase 1: up to and including the first redundant candidate.
-    for attribute in ranked:
-        labels = without[attribute]
-        counts.append(labels.blocks)
-        if counts[-1] == full_count:
-            break
-        witnesses[attribute] = _witness(labels, attribute)
-    else:
-        return counts, witnesses
-    # Phase 2: drop the first removal, ranked[i], and walk the rest.  What is
-    # sent back says whether the previous candidate stays; those kept before
-    # ranked[i] stay, as R - a has no more blocks than the C - a that kept
-    # them, and their verdicts and witnesses stand from phase 1.
-    i = len(counts) - 1
-    rest = ranked[:i] + ranked[i + 1:]
-    walk = _leave_one_out(table._granules, rest)
-    next(walk)
-    kept = True
-    for j, attribute in enumerate(rest):
-        labels = walk.send(kept)
-        kept = labels.blocks != full_count
-        if j >= i:
-            counts.append(labels.blocks)
+    A core attribute ``a`` is kept without a test: every kept set ``R`` lies
+    in ``C``, so ``R - a`` lies in ``C - a``, which already has fewer blocks
+    than ``C``.  Its pair comes from the grouping of ``C - a`` off the
+    table walk, and differs on ``a`` alone among ``C``, so also among ``R``.
+    The first non-core attribute is removed, as nothing before it was and
+    ``C`` less it keeps ``C``'s block count.  The other non-core attributes
+    are tested in ranked order on one leave-one-out walk seeded with the
+    core's grouping, so with at most one non-core attribute no walk is
+    made."""
+    full_count, core = _indispensable(table)
+    without = table._table_walk[1]
+    witnesses = {a: _witness(without[a], a) for a in without if a in core}
+    rest = [a for a in ranked if a not in core]
+    removed = rest[:1]
+    if len(rest) > 1:
+        seed = _grouping(table._granules, [a for a in without if a in core])
+        walk = _leave_one_out(seed, rest[1:])
+        next(walk)  # the grouping of C less the first removal
+        kept = True
+        for attribute in rest[1:]:
+            labels = walk.send(kept)
+            kept = labels.blocks != full_count
             if kept:
                 witnesses[attribute] = _witness(labels, attribute)
-    return counts, witnesses
+            else:
+                removed.append(attribute)
+    return removed, witnesses
+
+
+def _counts(table: InformationSystem, ranked: Sequence[str], dropped: set[str]) -> list[int]:
+    """Each candidate's block count in the elimination pass over ``ranked``
+    that removes ``dropped``: up to and including the first removal each
+    candidate is some ``C - a``, read off the table walk; from there one
+    leave-one-out walk over the attributes kept so far and then the
+    untested ones, in ranked order, gives the candidates."""
+    without = table._table_walk[1]
+    counts: list[int] = []
+    for attribute in ranked:
+        counts.append(without[attribute].blocks)
+        if attribute in dropped:
+            break
+    if len(counts) < len(ranked):
+        # What is sent back says whether the previous candidate stays; those
+        # tested before the first removal, ranked[i], keep their C - a counts.
+        i = len(counts) - 1
+        rest = ranked[:i] + ranked[i + 1:]
+        walk = _leave_one_out(_grouping(table._granules, ()), rest)
+        next(walk)
+        kept = True
+        for j, attribute in enumerate(rest):
+            labels = walk.send(kept)
+            kept = attribute not in dropped
+            if j >= i:
+                counts.append(labels.blocks)
+    return counts
+
+
+def _traced(table: InformationSystem, grouping: SignificanceTable,
+            dropped: set[str]) -> Iterator[TraceEntry]:
+    """The trace entries of the elimination pass, measured by ``_counts``
+    when the first one is read."""
+    full_count = table._table_walk[0].blocks
+    low = set(grouping.low_group)
+    counts = _counts(table, grouping.attributes, dropped)
+    for (attribute, sig), count in zip(grouping.ranked, counts):
+        yield TraceEntry(
+            attribute=attribute,
+            significance=sig,
+            group="low" if attribute in low else "high",
+            verdict="redundant" if attribute in dropped else "kept",
+            base_size_before=full_count,
+            base_size_after=count,
+        )
 
 
 def eliminate(
@@ -155,35 +203,23 @@ def eliminate(
 
     Each attribute is tested once, in ascending-significance order; a
     redundant attribute is removed immediately and stays removed
-    (``_tested``).  The result ``R`` keeps the block count of ``C`` by
-    construction: every attribute tested after the last removal ``b`` was
-    kept, so ``R`` is the set that ``b``'s test measured, or ``C`` when
-    nothing was removed.  It is verified minimal when every member's witness
-    pair differs on that member alone among ``R`` (``_certified``), so no
-    walk re-measures ``R``.
+    (``_verdicts``), and a core attribute is kept without a test.  The
+    result ``R`` keeps the block count of ``C`` by construction: every
+    attribute tested after the last removal ``b`` was kept, so ``R`` is the
+    set that ``b``'s test measured, or ``C`` when nothing was removed.  It
+    is verified minimal when every member's witness pair differs on that
+    member alone among ``R`` (``_certified``), so no walk re-measures
+    ``R``.  The trace is a lazy tuple: its block counts are measured
+    (``_counts``) only when an entry is read.
     """
     grouping = split_groups(rank_attributes(table), policy)
-    low = set(grouping.low_group)
-    full, without = table._table_walk
-    full_count = full.blocks
-    counts, witnesses = _tested(table, grouping.attributes)
-    removed = tuple(a for a, count in zip(grouping.attributes, counts) if count == full_count)
+    removed, witnesses = _verdicts(table, grouping.attributes)
     dropped = set(removed)
-    reduct = tuple(a for a in without if a not in dropped)  # in table column order
+    reduct = tuple(a for a in conditional_attributes(table) if a not in dropped)
     return ReductResult(
         reduct=reduct,
-        removed=removed,
-        trace=tuple(
-            TraceEntry(
-                attribute=attribute,
-                significance=sig,
-                group="low" if attribute in low else "high",
-                verdict="redundant" if count == full_count else "kept",
-                base_size_before=full_count,
-                base_size_after=count,
-            )
-            for (attribute, sig), count in zip(grouping.ranked, counts)
-        ),
+        removed=tuple(removed),
+        trace=_LazyTuple(len(grouping.ranked), _traced(table, grouping, dropped)),
         verified_minimal=_certified(table._granules, reduct, witnesses),
     )
 

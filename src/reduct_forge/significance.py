@@ -13,10 +13,12 @@ on first use, kept with the table and read by attribute, as the grouping
 by all of them and a dict from each to the grouping that leaves it out.
 The core, the exhaustive oracle and ``eliminate`` of :mod:`.reduct` read
 their block counts off the same walk, so a table pays for it once.
-``eliminate`` makes one walk of its own only from its first removal on
-and checks its result by a witness certificate, not a walk, so a
-``reduct`` call makes one walk in all on a table with no redundant
-attribute and at most two with any, with or without ``--exhaustive``.
+``eliminate`` keeps the core without a test, makes one walk of its own,
+seeded with the core's grouping, over the non-core attributes after the
+first, and checks its result by a witness certificate, not a walk, so a
+``reduct`` call makes one walk in all on a table with at most one
+non-core attribute and two with more, with or without ``--exhaustive``;
+``--trace`` adds at most one walk, made when the trace is first read.
 """
 
 from __future__ import annotations

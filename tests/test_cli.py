@@ -302,22 +302,31 @@ GOLDEN_CASES = [
     # identity decision: the walk's mixed-radix keys would pass one int
     # digit, so the kernel renumbers them.
     ("reduct_wide_trace.json", ["reduct", str(DATA / "wide.csv"), "--trace", "--json"]),
-    # No attribute is redundant, so elimination reads every candidate off
-    # the table-order walk, whose groupings also give every witness pair.
+    # Every attribute is core, so elimination keeps each without a test and
+    # takes its witness pair off the table-order walk, as the trace does
+    # its counts.
     ("reduct_irredundant_trace.json",
      ["reduct", str(DATA / "irredundant.csv"), "--trace", "--json"]),
-    # The only redundant attribute is tested after a kept one, which splits
-    # a block without changing the positive region: the ranked-order walk
-    # starts at it, and the kept one's witness pair comes from the
-    # table-order walk.
+    # The only redundant attribute, one of the copied pair b and c, is
+    # tested after a kept one, which splits a block without changing the
+    # positive region: the trace's ranked-order walk starts at it,
+    # elimination walks c from a seed grouped by the core, and the kept
+    # core attribute's witness pair comes from the table-order walk.
     ("reduct_late_redundant_trace.json",
      ["reduct", str(DATA / "late_redundant.csv"), "--decision", "d", "--trace", "--json"]),
     # late_redundant with a copy of e, e2, before d: the verdicts run kept,
-    # redundant, kept, redundant, kept, so the ranked-order walk starts
-    # after a kept attribute and a second removal follows; witness pairs
-    # from both walks certify the reduct, and no walk measures it again.
+    # redundant, kept, redundant, kept, so the trace's ranked-order walk
+    # starts after a kept attribute and a second removal follows; witness
+    # pairs from the table walk and elimination's core-seeded walk certify
+    # the reduct, and no walk measures it again.
     ("reduct_kept_then_redundant_trace.json",
      ["reduct", str(DATA / "kept_then_redundant.csv"), "--decision", "d", "--trace", "--json"]),
+    # Every attribute but c is core, so elimination keeps the core untested,
+    # removes c and makes no walk of its own; the trace's ranked-order walk
+    # gives e, a core attribute ranked after c, 6 blocks for C - c - e,
+    # where C - e has 8.
+    ("reduct_one_non_core_trace.json",
+     ["reduct", str(DATA / "one_non_core.csv"), "--decision", "d", "--trace", "--json"]),
 ]
 
 

@@ -461,9 +461,9 @@ def test_loaded_ids_are_built_only_when_read():
     table = load_csv("\n".join(lines), decision="d")
     rank_attributes(table)
     eliminate(table)
-    assert table.object_ids._ids is None
+    assert table.object_ids._items is None
     assert table.object_ids[5] == "o5"
-    assert table.object_ids._ids is not None
+    assert table.object_ids._items is not None
     assert table.object_ids == tuple(line.split(",")[0].strip() for line in lines[1:])
     given_ids = tuple(f"x{i}" for i in range(3))
     given = InformationSystem(given_ids, ("p",), (("1",), ("2",), ("1",)))

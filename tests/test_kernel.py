@@ -23,6 +23,7 @@ from collections import Counter
 from collections.abc import Sequence
 from itertools import combinations, product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,6 +64,10 @@ from reduct_forge.partition import (
 )
 
 from conftest import grouping_oracle, make_table, minimal_preserving_subsets_oracle
+
+# Every attribute but c is core, and e, ranked after c, has fewer blocks
+# without c than it has in C - e.
+ONE_NON_CORE = Path(__file__).parent / "data" / "one_non_core.csv"
 
 
 @st.composite
@@ -213,7 +218,7 @@ def _eliminate_with_plain_walks(table, policy):
     cond = conditional_attributes(table)
     grouping = split_groups(rank_attributes(table), policy)
     view = table._granules
-    walk = _leave_one_out(view, grouping.attributes)
+    walk = _leave_one_out(_grouping(view, ()), grouping.attributes)
     full_count = next(walk).blocks
     removed, trace = [], []
     redundant = False
@@ -228,7 +233,7 @@ def _eliminate_with_plain_walks(table, policy):
         if redundant:
             removed.append(attribute)
     reduct = tuple(a for a in cond if a not in removed)
-    count, *without = (labels.blocks for labels in _leave_one_out(view, reduct))
+    count, *without = (labels.blocks for labels in _leave_one_out(_grouping(view, ()), reduct))
     minimal = count == full_count and count not in without
     return ReductResult(reduct, tuple(removed), tuple(trace), minimal)
 
@@ -246,35 +251,79 @@ def _elimination_case(result) -> str:
     return "after kept" if removals == 1 else "kept, then several"
 
 
+_CORE_CASES = ("no non-core", "one non-core", "non-core kept", "empty core")
+
+# (table, split count) pairs that show every elimination and core case.
+_ELIMINATION_EXAMPLES = (
+    # p and q are both core: no removal.
+    (make_table([["0", "0"], ["1", "0"], ["0", "1"]], ["p", "q"]), 5),
+    # A copied pair, so an empty core: the first candidate goes, its copy
+    # stays.
+    (make_table([["0", "0"], ["1", "1"]], ["p", "q"]), 5),
+    # s splits only a block of one decision, so it is kept first; then one
+    # of the copies p and q goes.
+    (make_table([["0", "0", "0", "x"], ["1", "0", "0", "x"], ["0", "1", "1", "y"]],
+                ["s", "p", "q", "d"], decision="d"), 5),
+    # Three copies: two go, from the first candidate on.
+    (make_table([["0", "0", "0"], ["1", "1", "1"]], ["p", "q", "r"]), 1),
+    # s kept, then two of three copies go.
+    (make_table([["0", "0", "0", "0", "x"], ["1", "0", "0", "0", "x"],
+                 ["0", "1", "1", "1", "y"]], ["s", "p", "q", "r", "d"], decision="d"), 5),
+    # One non-core attribute, ranked between core ones.
+    (load_csv(ONE_NON_CORE.read_text(), decision="d"), 5),
+)
+
+
+def _core_cases(table, result) -> list[str]:
+    """Which of ``_CORE_CASES`` a table and its result show: every attribute
+    core, exactly one not, a non-core attribute kept after the first
+    removal (one of a copied pair), or no core attribute at all."""
+    cond = conditional_attributes(table)
+    non_core = set(cond) - core_attributes(table)
+    cases = []
+    if not non_core:
+        cases.append("no non-core")
+    if len(non_core) == 1:
+        cases.append("one non-core")
+    if non_core & set(result.reduct):
+        cases.append("non-core kept")
+    if len(non_core) == len(cond):
+        cases.append("empty core")
+    return cases
+
+
 def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
-    """``eliminate`` reads its candidates off the table walk until the first
-    removal, then off a ranked-order walk, and certifies the reduct with
-    witness pairs; the plain reference walks the ranked order and then the
-    reduct.  Both give the same reduct, removals, trace and
-    ``verified_minimal``.  A kept candidate followed by two or more removals
-    is the case where the reference's walk over the reduct measures a set
-    that no walk of ``eliminate`` measured as a whole."""
+    """``eliminate`` keeps the core untested, removes the first non-core
+    attribute and tests the others on one walk seeded with the core, and
+    certifies the reduct with witness pairs; its trace reads the table
+    walk until the first removal, then a ranked-order walk.  The plain
+    reference walks the ranked order and then the reduct.  Both give the
+    same reduct, removals, trace and ``verified_minimal``.  A kept
+    candidate followed by two or more removals is the case where the
+    reference's walk over the reduct measures a set that no walk of
+    ``eliminate`` measured as a whole; the core shapes are each drawn too,
+    the one non-core attribute ranked between core ones among them."""
     seen = Counter()
 
-    @given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
-    @example(make_table([["0", "0"], ["1", "0"], ["0", "1"]], ["p", "q"]), 5)
-    @example(make_table([["0", "0"], ["1", "1"]], ["p", "q"]), 5)
-    @example(make_table([["0", "0", "0", "x"], ["1", "0", "0", "x"], ["0", "1", "1", "y"]],
-                        ["s", "p", "q", "d"], decision="d"), 5)
-    @example(make_table([["0", "0", "0"], ["1", "1", "1"]], ["p", "q", "r"]), 1)
-    @example(make_table([["0", "0", "0", "0", "x"], ["1", "0", "0", "0", "x"],
-                         ["0", "1", "1", "1", "y"]], ["s", "p", "q", "r", "d"], decision="d"), 5)
-    @settings(max_examples=200, deadline=None)
-    def check(table, count):
+    def cases(table, count) -> list[str]:
         cond = conditional_attributes(table)
         policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
         result = eliminate(table, policy)
         assert result == _eliminate_with_plain_walks(table, policy)
-        seen[_elimination_case(result)] += 1
+        return [_elimination_case(result), *_core_cases(table, result)]
 
+    @given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def check(table, count):
+        seen.update(cases(table, count))
+
+    for args in _ELIMINATION_EXAMPLES:
+        check = example(*args)(check)
     check()
-    # One explicit example per case, so a count above one means it was drawn.
-    assert all(seen[case] > 1 for case in _ELIMINATION_CASES), seen
+    # Each case has an explicit example; what they show is taken off, so a
+    # count left above one means the case was drawn more than once.
+    drawn = seen - Counter(case for args in _ELIMINATION_EXAMPLES for case in cases(*args))
+    assert all(drawn[case] > 1 for case in _ELIMINATION_CASES + _CORE_CASES), drawn
 
 
 def _differing(view, attrs, pair) -> list[str]:
@@ -308,12 +357,17 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     """The elimination pass gives each kept attribute ``a`` a witness pair
     whose codes agree on every reduct attribute but ``a`` and differ on
     ``a``; redundant attributes get no pair, and the pairs certify the
-    result."""
+    result.  Its removals are the lazy trace's redundant verdicts, and the
+    trace's counts are those of ``_counts``."""
     cond = conditional_attributes(table)
     policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
     result = eliminate(table, policy)
     ranked = split_groups(rank_attributes(table), policy).attributes
-    counts, witnesses = reduct._tested(table, ranked)
+    removed, witnesses = reduct._verdicts(table, ranked)
+    assert tuple(removed) == result.removed
+    assert removed == [entry.attribute for entry in result.trace
+                       if entry.verdict == "redundant"]
+    counts = reduct._counts(table, ranked, set(removed))
     assert [entry.base_size_after for entry in result.trace] == counts
     assert set(witnesses) == set(result.reduct)
     view = table._granules
@@ -475,7 +529,7 @@ def _assert_walk_matches_projections(table, attrs, keeps):
     granules' code tuples, ``ind_partition`` and ``gamma`` of its attribute
     set."""
     view = table._granules
-    walk = _leave_one_out(view, attrs)
+    walk = _leave_one_out(_grouping(view, ()), attrs)
     yields = [(next(walk), list(attrs))]
     kept: list[str] = []
     keep = True
@@ -527,7 +581,7 @@ def test_leave_one_out_stops_at_its_last_candidate(monkeypatch):
     table = make_table(rows, [f"c{i + 1}" for i in range(5)] + ["d"], decision="d")
     view = table._granules
     assert len(view.labels) == 21
-    walk = list(_leave_one_out(view, conditional_attributes(table)))
+    walk = list(_leave_one_out(_grouping(view, ()), conditional_attributes(table)))
     assert len(walk) == 6
     assert all(labels.rows != [] for labels in walk)
     assert calls == 5 + 4
@@ -567,34 +621,38 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     assert ranking[1] <= 2.2 * ranking[0]
 
 
-def test_table_order_walk_is_made_once_per_table(monkeypatch):
-    """A table keeps its table-order leave-one-out walk, so ranking, the
-    core, the oracle and ``eliminate`` share one.  ``eliminate`` reads its
-    candidates off it until the first removal, then walks the ranked order,
-    and certifies its result with witness pairs, not a walk: one walk on a
-    table with no redundant attribute (m = 8) and two with one (m = 10) or
-    more (m = 16, seven)."""
-    calls = 0
+def _counted_walks(monkeypatch) -> list[int]:
+    """Count every leave-one-out walk started from now on, in a one-item
+    list, in each module that holds the walk, so that a reader importing
+    it by name is counted too."""
+    calls = [0]
     walk = partition._leave_one_out
 
     def counting_walk(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return walk(*args)
 
-    # Each module that holds the walk, so that a reader importing it by
-    # name is counted too.
     for module in (partition, dataset, reduct, sys.modules["reduct_forge.significance"]):
         if getattr(module, "_leave_one_out", None) is walk:
             monkeypatch.setattr(module, "_leave_one_out", counting_walk)
+    return calls
+
+
+def test_table_order_walk_is_made_once_per_table(monkeypatch):
+    """A table keeps its table-order leave-one-out walk, so ranking, the
+    core, the oracle and ``eliminate`` share one.  ``eliminate`` keeps the
+    core untested, removes the first non-core attribute and walks the
+    other non-core ones, and certifies its result with witness pairs, not
+    a walk: one walk on a table with no non-core attribute (m = 8) and two
+    with two (m = 10) or more (m = 16, sixteen)."""
+    calls = _counted_walks(monkeypatch)
 
     def walks(m, *steps) -> int:
-        nonlocal calls
-        calls = 0
+        calls[0] = 0
         table = _identity_table(300, m, 3)
         for step in steps:
             step(table)
-        return calls
+        return calls[0]
 
     assert walks(8, exhaustive_reducts, eliminate) == 1
     assert walks(8, rank_attributes, core_attributes) == 1
@@ -603,32 +661,99 @@ def test_table_order_walk_is_made_once_per_table(monkeypatch):
     assert walks(16, eliminate) == 2
 
 
+def _one_non_core_table():
+    """``_identity_table(300, 8, 3)``, whose attributes are all core, with a
+    constant column ``k`` added: its one non-core attribute."""
+    base = _identity_table(300, 8, 3)
+    return make_table([[*row, "k"] for row in base.rows], [*base.attributes, "k"])
+
+
+def test_eliminate_walks_only_the_non_core_attributes(monkeypatch):
+    """With at most one non-core attribute ``eliminate`` makes no walk
+    beyond the table walk; with more it walks the rest of them once.  The
+    trace is measured only when read, by the walk that testing every
+    candidate in ranked order from the first removal takes: one more walk
+    on any table with a removal before its last candidate, none without."""
+    calls = _counted_walks(monkeypatch)
+    tables = [(_one_non_core_table(), 1, 1), (_identity_table(300, 8, 3), 1, 0),
+              (_identity_table(300, 10, 3), 2, 1), (_identity_table(300, 16, 3), 2, 1)]
+    for table, walks, trace_walks in tables:
+        calls[0] = 0
+        cond = conditional_attributes(table)
+        result = eliminate(table)
+        assert calls[0] == walks
+        assert len(result.trace) == len(cond) and calls[0] == walks
+        entries = tuple(result.trace)
+        assert calls[0] == walks + trace_walks
+        assert result.trace == entries and calls[0] == walks + trace_walks
+    table = _one_non_core_table()
+    assert core_attributes(table) == set(conditional_attributes(table)) - {"k"}
+    assert eliminate(table).removed == ("k",)
+
+
+def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
+    """A meet ends like a split: on a 300 x 10 identity table every
+    ``C - a`` of the table walk comes back stripped to a few rows, so
+    ``blocks``, ``dependency`` and ``_witness`` pass over those alone.
+    Where the distinct-key bound keeps a quarter of the rows in shared
+    blocks, as on a tall table of 8 binary attributes whose 256 granules a
+    meet of 7 attributes groups by at most 128 keys, no set is built: the
+    meet's block count is left unknown."""
+    outputs = []
+    meet = partition._meet
+
+    def recording_meet(a, b):
+        labels = meet(a, b)
+        outputs.append(labels)
+        return labels
+
+    monkeypatch.setattr(partition, "_meet", recording_meet)
+    _identity_table(300, 10, 3)._table_walk
+    assert len(outputs) == 8  # the first and last candidates take one side
+    assert all(labels.rows is not None and len(labels.rows) <= 4 for labels in outputs)
+
+    outputs.clear()
+    rng = random.Random("tall-meets")
+    rows = []
+    for _ in range(2000):
+        bits = [rng.getrandbits(1) for _ in range(8)]
+        d = rng.randrange(3) if rng.random() < 0.05 else sum(bits[:3]) % 3
+        rows.append([*map(str, bits), str(d)])
+    table = make_table(rows, [f"x{i + 1}" for i in range(8)] + ["d"], decision="d")
+    rank_attributes(table)
+    assert len(table._granules.labels) == 256 and len(outputs) == 6
+    assert all(labels.rows is None and labels._blocks is None for labels in outputs)
+
+
 def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
     """Once most granules are alone in their block the walk drops them, so
     the granule entries that one walk's refines and meets touch stop growing
     with the attribute count: a dense walk touches 300 per pass, 27000 at
-    m = 10 and 108000 at m = 40.  ``eliminate`` makes two walks at m = 10,
-    where one attribute is redundant, and at m = 40, so the bound is put on
-    one walk, the table walk that ranking makes."""
+    m = 10 and 108000 at m = 40.  ``eliminate`` makes a walk of its own at
+    m = 10, over the one non-core attribute left after the first removal
+    and seeded with the grouping by the eight core ones, and at m = 40,
+    where the core is empty, so the bound is put on one walk, the table
+    walk that ranking makes.  The splits switch from dense to stripped
+    lists mid-walk."""
     touched = 0
     stripped = dense = 0
     split, meet = partition._split, partition._meet
 
     def counting_split(labels, name):
-        nonlocal touched
+        nonlocal touched, stripped, dense
         touched += len(labels.keys)
-        return split(labels, name)
+        refined = split(labels, name)
+        stripped += refined.rows is not None
+        dense += refined.rows is None
+        return refined
 
     def counting_meet(a, b):
         # A stripped side limits the pass to its rows; two dense sides pair
         # every granule.
-        nonlocal touched, stripped, dense
+        nonlocal touched
         sides = [len(x.rows) for x in (a, b) if x.rows is not None]
         touched += sum(sides) if sides else len(a.keys)
-        labels = meet(a, b)
-        stripped += labels.rows is not None
-        dense += labels.rows is None
-        return labels
+        return meet(a, b)
 
     monkeypatch.setattr(partition, "_split", counting_split)
     monkeypatch.setattr(partition, "_meet", counting_meet)
@@ -642,7 +767,7 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         elimination.append(touched)
     assert dense and stripped  # lists switch mid-walk
     assert ranking == [4828, 4292]
-    assert elimination == [9862, 8786]
+    assert elimination == [6796, 8786]
     assert ranking[1] <= 1.2 * ranking[0]
 
 
