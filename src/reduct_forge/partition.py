@@ -592,9 +592,9 @@ def _leave_one_out(
         suffix = suffixes.pop()
         # A side that is still the seed, or that discerns nothing, leaves
         # the other side as it is.
-        if prefix is seed or prefix.rows is None and prefix.top == 1:
+        if prefix is seed or (prefix.rows is None and prefix.top == 1):
             labels = suffix
-        elif suffix is seed or suffix.rows is None and suffix.top == 1:
+        elif suffix is seed or (suffix.rows is None and suffix.top == 1):
             labels = prefix
         else:
             labels = _meet(prefix, suffix)

@@ -590,8 +590,8 @@ def test_leave_one_out_stops_at_its_last_candidate(monkeypatch):
 def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     """Each leave-one-out walk makes O(m) refinements; a rebuilt projection
     per candidate would make O(m²).  ``eliminate`` makes one walk or two,
-    as the table has no redundant attribute or some, so the growth is
-    bounded on one walk, the table walk that ranking makes."""
+    as the table has at most one non-core attribute or more, so the growth
+    is bounded on one walk, the table walk that ranking makes."""
     calls = 0
     split = partition._split
 
@@ -613,9 +613,9 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     # A walk over r attributes makes r suffix refinements and at most r - 1
     # prefix ones, as it stops at its last candidate; a stripped list whose
     # granules are all alone is not refined again.
-    # Nothing is redundant at m = 8, so eliminate makes only the table walk;
-    # at m = 16 seven attributes are, so it makes both.  Its witness search
-    # refines nothing.
+    # Every attribute is core at m = 8, so eliminate makes only the table
+    # walk; at m = 16 none is, and seven are redundant, so it makes both.
+    # Its witness search refines nothing.
     assert ranking == [15, 23]
     assert elimination == [15, 44]
     assert ranking[1] <= 2.2 * ranking[0]
