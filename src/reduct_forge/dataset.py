@@ -18,9 +18,12 @@ that hands a missing key the next number, so a repeated key costs one
 C-level lookup and only a new one a Python call.  A column's cells that
 strip alike are merged by looking at its distinct cells alone.
 :func:`load_csv` keys a line by its text without the ``id`` cell, wherever
-the id sits, and row tuples are their own keys.  The loader cuts each line
-and takes its key in that one pass, so no per-line object outlives its
-step.  It does not build the object ids either: ``object_ids`` is a
+the id sits, and row tuples are their own keys.  With the id first, the
+most common layout, the keys come from one regex scan of the text, each
+line's text after its first comma, and the text is split into lines only
+when some line holds no comma; the other layouts split it and cut each
+line as its key is taken, so no per-line object outlives its step.  The
+loader does not build the object ids either: ``object_ids`` is a
 read-only lazy tuple (:class:`_LazyTuple`, the form of an elimination
 trace too) that builds them on first read, cut from the text again, or
 from the object numbers when there is no id.  The partition kernel walks the
@@ -28,14 +31,16 @@ stored rows, weighted by their object counts, and alone decides whether
 folding them pays; every per-object reader, ``rows``, ``column``,
 ``value``, equality and the per-object partitions, reads a stored row
 through the object's row index.  A table keeps the kernel's view of its
-rows and its table-order leave-one-out walk, seeded with the one-block
-grouping and read by attribute, each built on first use, so ranking, the
-core, the oracle and elimination share one of each.
+rows, its table-order leave-one-out walk, seeded with the one-block
+grouping and read by attribute, and its core's grouping, each built on
+first use, so ranking, the core, the oracle and elimination share one of
+each.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -321,6 +326,22 @@ class InformationSystem:
         walk = _leave_one_out(_grouping(self._granules, ()), attrs)
         return next(walk), dict(zip(attrs, walk))
 
+    @cached_property
+    def _core(self) -> tuple[str, ...]:
+        """The core (Pawlak, 1991) in table order: the conditional
+        attributes whose removal lowers the block count of all of them,
+        read off ``_table_walk``."""
+        full, without = self._table_walk
+        return tuple(a for a, labels in without.items() if labels.blocks != full.blocks)
+
+    @cached_property
+    def _core_grouping(self) -> _Labels:
+        """The grouping of ``_granules`` by ``_core``, in table order, built
+        on first use and kept with the table: ``eliminate`` seeds its walk
+        with it and the exhaustive oracle starts from it, so a ``reduct
+        --exhaustive`` call splits by the core once."""
+        return _grouping(self._granules, self._core)
+
 
 def _check_distinct(names: Iterable[str]) -> None:
     """Raise ``DuplicateAttribute`` at the first name that repeats an
@@ -347,6 +368,19 @@ def _read_text(source: CsvSource) -> str:
     return text.removeprefix("\ufeff")
 
 
+def _lines(text: str) -> tuple[list[str], list[str]]:
+    """The lines of ``text`` (LF line ends) and, of those, the ones that are
+    not blank or whitespace-only, in file order."""
+    lines = text.split("\n")
+    return lines, list(filter(str.strip, lines))
+
+
+# Each line's text after its first comma.  findall runs one C scan: the
+# literal comma is sre's prefix search, and ``.`` stops only at LF, the
+# loader's line end, so a line without a comma, blank ones too, yields nothing.
+_TAIL = re.compile(",(.*)")
+
+
 def load_csv(
     source: CsvSource,
     *,
@@ -367,64 +401,104 @@ def load_csv(
     separator.  Blank and whitespace-only lines are skipped, but
     ``MalformedTable.row`` is the file's 1-based line number, counting them;
     an empty or whitespace-only header cell is reported at the header's line.
-    Each line is keyed by its text without the ``id`` cell, cut off in C:
-    the tail of ``str.partition`` (id first), the head of ``str.rpartition``
-    (id last), the cells around the id of ``str.split(",", j + 1)``, joined
-    again (id in column ``j`` between others), or the whole line when there
-    is no id.  ``_factorized`` checks the comma counts of, splits, strips
-    and codes only the distinct keys.  The cuts are fed to ``_factorized``
-    as they are made, so each is dropped once its key is taken.  The
-    table's ``object_ids`` is a read-only view that compares equal to the
-    tuple of ids and builds it only when an id is read; with an id it keeps
-    the text and cuts the ids from it again by these line rules.
+    Each line is keyed by its text without the ``id`` cell, cut off in C,
+    one cut per layout.  With the id first, the keys are the text after each
+    line's first comma, from one ``findall`` scan of the text from the
+    header on, and no list of lines is built: when the scan finds as many
+    lines as the text holds from the header on, every line has a comma, so
+    none is blank or short of its id's comma; otherwise the text is split
+    once more to tell blank lines from ragged ones.  With the id last the
+    key is the head of ``str.rpartition``, with the id in column ``j``
+    between others the cells around it of ``str.split(",", j + 1)``, joined
+    again, and with no id the whole line; these layouts split the text into
+    lines.  ``_factorized`` checks the comma counts of, splits, strips and
+    codes only the distinct keys.  The table's ``object_ids`` is a
+    read-only view that compares equal to the tuple of ids and builds it
+    only when an id is read; with an id it keeps the text and cuts the ids
+    from it again by these line rules.
     """
     text = _read_text(source)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    body = list(filter(str.strip, lines))
-    if not body:
-        raise EmptyTable()
+    # The first non-blank line starts at ``start``, found without a split.
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        first = text[start:] if end < 0 else text[start:end]
+        if first.strip():
+            break
+        if end < 0:
+            raise EmptyTable()
+        start = end + 1
+    skip = int(has_header)
+    lines: list[str] | None = None
+    body: list[str] = []  # the non-blank lines after the header
+
+    def split_text() -> list[str]:
+        """``body``, the text split into ``lines`` and filtered on first
+        use; a plain memo, as ``functools.cache`` takes about 4 µs per
+        load to set up."""
+        nonlocal lines, body
+        if lines is None:
+            lines, body = _lines(text)
+            del body[:skip]  # the header
+        return body
 
     def file_line(j: int) -> int:
         """The file line number, blank lines counted, of the ``j``-th
         non-blank line, from 0."""
+        split_text()
         numbers = (number for number, line in enumerate(lines, 1) if line.strip())
         return next(itertools.islice(numbers, j, None))
 
     if has_header:
-        names = [cell.strip() for cell in body.pop(0).split(",")]
+        names = [cell.strip() for cell in first.split(",")]
         if "" in names:
             raise MalformedTable(file_line(0), f"header cell {names.index('') + 1} is empty")
     else:
-        names = [f"c{i + 1}" for i in range(body[0].count(",") + 1)]
+        names = [f"c{i + 1}" for i in range(first.count(",") + 1)]
     width = len(names)
     id_col = names.index("id") if "id" in names else None
     if id_col is not None:
         del names[id_col]
         if "id" in names:
             raise DuplicateAttribute("id")
-    if not body:
-        raise EmptyTable()
 
     def ragged() -> None:
         """Report the first line whose comma count is wrong, by its file
         line number; called once some line is known to be ragged."""
-        for j, line in enumerate(body, int(has_header)):
+        for j, line in enumerate(split_text(), skip):
             if line.count(",") != width - 1:
                 raise MalformedTable(file_line(j),
                                      f"expected {width} cells, got {line.count(',') + 1}")
+
+    # An id-only table, whose header has no comma to scan for, is keyed
+    # with the id last.
+    scan = id_col == 0 and width > 1
+    if scan:
+        tails = _TAIL.findall(text, start)  # the header's, then each key
+        n = len(tails) - 1
+        if text.count("\n", start) + (not text.endswith("\n")) != len(tails):
+            n = len(split_text())  # some line has no comma
+    else:
+        n = len(split_text())
+    if not n:
+        raise EmptyTable()
+    if scan and n != len(tails) - 1:
+        ragged()  # a non-blank line has no comma
 
     def split(distinct: list[str]) -> list[list[str]]:
         """The cell columns of the ``distinct`` keys, after one C-level check
         of their comma counts."""
         if set(map(str.count, distinct, itertools.repeat(","))) - {len(names) - 1}:
             ragged()
-        # A line without the comma that cuts off its id keys as "", as does
-        # an empty cell after the id; with one attribute both pass the comma
-        # count, so only then is every line checked for that comma.
-        if len(names) == 1 and "" in distinct and not all(
-                map(contains, body, itertools.repeat(","))):
+        # With the id last, a line without the comma that cuts it off keys
+        # as "", as does an empty cell before the id; with one attribute
+        # both pass the comma count, so only then is every line checked for
+        # that comma.  The scan has already matched every id-first line with
+        # a comma.
+        if id_col == 1 == len(names) and "" in distinct and not all(
+                map(contains, split_text(), itertools.repeat(","))):
             ragged()
         cells = ",".join(distinct).split(",")
         return [cells[c::len(names)] for c in range(len(names))]
@@ -432,29 +506,31 @@ def load_csv(
     # Each line is keyed by its text without the id cell, cut off in C, so
     # only the distinct keys are split and coded.  A key's comma count, its
     # line's less any comma cut off with the id, stands for every line with
-    # that key; split() catches a line without the comma that cuts off a first
-    # or last id, and a line too short for the middle cut raises
-    # IndexError, so every line's width is still checked.  No line's cut is
-    # kept, and the ids are cut from the text again only if they are read.
-    object_ids = _LazyTuple(len(body), map(str, range(len(body))) if id_col is None
+    # that key; the scan's line count and split() catch a line without the
+    # comma that cuts off a first or last id, and a line too short for the
+    # middle cut raises IndexError, so every line's width is still checked.
+    # No line's cut is kept, and the ids are cut from the text again only if
+    # they are read.
+    object_ids = _LazyTuple(n, map(str, range(n)) if id_col is None
                             else _cut_ids(text, id_col))
-    del text  # only the ids' generator holds it, when there is an id
-    if id_col is None:
-        keys = body
-    elif id_col == 0:
-        keys = map(itemgetter(2), map(str.partition, body, itertools.repeat(",")))
-    elif id_col == width - 1:
-        keys = map(itemgetter(0), map(str.rpartition, body, itertools.repeat(",")))
+    if scan:
+        keys = itertools.islice(tails, 1, None)
     else:
-        keys = map(",".join, map(itemgetter(*range(id_col), id_col + 1),
-                                 map(str.split, body, itertools.repeat(","),
-                                     itertools.repeat(id_col + 1))))
+        data = split_text()
+        if id_col is None:
+            keys = data
+            del text  # the lines are split, and no ids' generator holds it
+        elif id_col == width - 1:
+            keys = map(itemgetter(0), map(str.rpartition, data, itertools.repeat(",")))
+        else:
+            keys = map(",".join, map(itemgetter(*range(id_col), id_col + 1),
+                                     map(str.split, data, itertools.repeat(","),
+                                         itertools.repeat(id_col + 1))))
     try:
         rows = _factorized(keys, split, strip=True)
     except IndexError:  # a line too short for the middle cut
         ragged()
         raise
-    del lines, body
 
     if decision == IDENTITY:
         decision = None

@@ -26,23 +26,27 @@ off that walk (Pawlak, 1991: the attributes whose removal from ``C``
 lowers its block count) and keeps it without a test, as no kept set less
 a core attribute can do better than ``C`` less it.  The first non-core
 attribute in ranked order is removed, and the other non-core ones are
-tested in ranked order on one walk seeded with the core's grouping, so a
-table with at most one non-core attribute costs no walk of its own.  No
-walk re-measures the result ``R``.  Its sufficiency is the kernel's own
-count at the last removal's test, whose set is ``R``; its necessity is a
-certificate, the discernibility-matrix view of Skowron and Rauszer
-(1992): each kept ``a`` carries a witness pair (``partition._witness``),
+tested in ranked order on one walk seeded with the core's grouping, which
+the table keeps (``InformationSystem._core_grouping``) and the oracle
+shares, so a table with at most one non-core attribute costs no walk of
+its own.  No walk re-measures the result ``R``.  Its sufficiency is the
+kernel's own count at the last removal's test, whose set is ``R``; its
+necessity is a certificate, the discernibility-matrix view of Skowron and
+Rauszer (1992): each kept ``a`` carries a witness pair (``partition._witness``),
 two granules in one block of the grouping that tested ``a``, or of
 ``C - a`` for a core ``a``, that differ on ``a``, and
 ``partition._certified`` checks on their raw codes that they differ on
 ``a`` alone among ``R``; this module only passes the pairs along.  A
 ``reduct`` call therefore makes one walk on a table with at most one
 non-core attribute and two with more.  The trace, which only
-``--trace`` prints, is measured when it is first read: each candidate up
-to the first removal is some ``C - a`` off the table walk, and one
-ranked-order walk from there gives the rest, so reading it adds one walk
-when a removal comes before the last candidate.  Every walk ends at its
-last candidate, so each reader takes it with one plain loop.  The oracle
+``--trace`` prints, reads its counts off what ``eliminate`` measured:
+each candidate up to the first removal is some ``C - a`` off the table
+walk, and each non-core candidate after it has the set that the
+core-seeded walk tested.  Only a core attribute ranked after the first
+removal needs a count of its own; then one ranked-order walk from there,
+made when the trace is first read, gives the rest, and only then does the
+unread trace keep the table alive.  Every walk ends at its last
+candidate, so each reader takes it with one plain loop.  The oracle
 starts from the core's grouping and splits it one attribute per node with
 the walk's own refinement, so its nodes strip too, and it reads them,
 like everything here, only through their block counts.  All of it runs
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dataset import InformationSystem, _LazyTuple, conditional_attributes
@@ -94,11 +99,9 @@ class ReductResult:
 
 
 def _indispensable(table: InformationSystem) -> tuple[int, frozenset[str]]:
-    """The block count of the conditional attributes and those whose
-    removal lowers it, both off the table's kept table-order walk."""
-    full, without = table._table_walk
-    count = full.blocks
-    return count, frozenset(a for a, labels in without.items() if labels.blocks != count)
+    """The block count of the conditional attributes and the core, those
+    whose removal lowers it, both off the table's kept table-order walk."""
+    return table._table_walk[0].blocks, frozenset(table._core)
 
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
@@ -116,10 +119,10 @@ def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[s
 
 def _verdicts(
     table: InformationSystem, ranked: Sequence[str]
-) -> tuple[list[str], dict[str, tuple[int, int] | None]]:
+) -> tuple[list[str], dict[str, tuple[int, int] | None], dict[str, int]]:
     """The elimination pass over ``ranked``: the attributes it removes, in
-    order, and each kept attribute's witness pair from
-    ``partition._witness``.
+    order, each kept attribute's witness pair from ``partition._witness``,
+    and the block count of each non-core candidate after the first removal.
 
     A core attribute ``a`` is kept without a test: every kept set ``R`` lies
     in ``C``, so ``R - a`` lies in ``C - a``, which already has fewer blocks
@@ -128,63 +131,75 @@ def _verdicts(
     The first non-core attribute is removed, as nothing before it was and
     ``C`` less it keeps ``C``'s block count.  The other non-core attributes
     are tested in ranked order on one leave-one-out walk seeded with the
-    core's grouping, so with at most one non-core attribute no walk is
-    made."""
+    table's kept core grouping, so with at most one non-core attribute no
+    walk is made."""
     full_count, core = _indispensable(table)
     without = table._table_walk[1]
     witnesses = {a: _witness(without[a], a) for a in without if a in core}
     rest = [a for a in ranked if a not in core]
     removed = rest[:1]
+    tested: dict[str, int] = {}
     if len(rest) > 1:
-        seed = _grouping(table._granules, [a for a in without if a in core])
-        walk = _leave_one_out(seed, rest[1:])
+        walk = _leave_one_out(table._core_grouping, rest[1:])
         next(walk)  # the grouping of C less the first removal
         kept = True
         for attribute in rest[1:]:
             labels = walk.send(kept)
+            tested[attribute] = labels.blocks
             kept = labels.blocks != full_count
             if kept:
                 witnesses[attribute] = _witness(labels, attribute)
             else:
                 removed.append(attribute)
-    return removed, witnesses
+    return removed, witnesses, tested
 
 
-def _counts(table: InformationSystem, ranked: Sequence[str], dropped: set[str]) -> list[int]:
+def _counts(table: InformationSystem, ranked: Sequence[str], dropped: set[str],
+            tested: dict[str, int]) -> Iterable[int]:
     """Each candidate's block count in the elimination pass over ``ranked``
-    that removes ``dropped``: up to and including the first removal each
-    candidate is some ``C - a``, read off the table walk; from there one
-    leave-one-out walk over the attributes kept so far and then the
-    untested ones, in ranked order, gives the candidates."""
+    that removes ``dropped``.  Up to and including the first removal each
+    candidate is some ``C - a``, read off the table walk now.  After it, a
+    non-core candidate's set is the core, the non-core attributes kept
+    before it and those after it: the set that ``_verdicts`` measured, so
+    its count is taken from ``tested``.  Only when a core attribute is
+    ranked after the first removal is the rest given by a ranked-order
+    walk (``_ranked_counts``), made when the counts are first read; only
+    then do the counts hold the table."""
     without = table._table_walk[1]
     counts: list[int] = []
     for attribute in ranked:
         counts.append(without[attribute].blocks)
         if attribute in dropped:
             break
-    if len(counts) < len(ranked):
-        # What is sent back says whether the previous candidate stays; those
-        # tested before the first removal, ranked[i], keep their C - a counts.
-        i = len(counts) - 1
-        rest = ranked[:i] + ranked[i + 1:]
-        walk = _leave_one_out(_grouping(table._granules, ()), rest)
-        next(walk)
-        kept = True
-        for j, attribute in enumerate(rest):
-            labels = walk.send(kept)
-            kept = attribute not in dropped
-            if j >= i:
-                counts.append(labels.blocks)
-    return counts
+    later = ranked[len(counts):]
+    if all(map(tested.__contains__, later)):
+        return counts + [tested[a] for a in later]
+    return chain(counts, _ranked_counts(table, ranked, dropped, len(counts) - 1))
 
 
-def _traced(table: InformationSystem, grouping: SignificanceTable,
-            dropped: set[str]) -> Iterator[TraceEntry]:
-    """The trace entries of the elimination pass, measured by ``_counts``
-    when the first one is read."""
-    full_count = table._table_walk[0].blocks
+def _ranked_counts(table: InformationSystem, ranked: Sequence[str], dropped: set[str],
+                   i: int) -> Iterator[int]:
+    """The block counts of the candidates after the first removal,
+    ``ranked[i]``, from one leave-one-out walk over the attributes kept so
+    far and then the untested ones, in ranked order."""
+    # What is sent back says whether the previous candidate stays; those
+    # tested before the first removal keep their C - a counts.
+    rest = ranked[:i] + ranked[i + 1:]
+    walk = _leave_one_out(_grouping(table._granules, ()), rest)
+    next(walk)
+    kept = True
+    for j, attribute in enumerate(rest):
+        labels = walk.send(kept)
+        kept = attribute not in dropped
+        if j >= i:
+            yield labels.blocks
+
+
+def _traced(grouping: SignificanceTable, dropped: set[str], full_count: int,
+            counts: Iterable[int]) -> Iterator[TraceEntry]:
+    """The trace entries of the elimination pass, whose candidates' block
+    counts ``counts`` gives, in ranked order."""
     low = set(grouping.low_group)
-    counts = _counts(table, grouping.attributes, dropped)
     for (attribute, sig), count in zip(grouping.ranked, counts):
         yield TraceEntry(
             attribute=attribute,
@@ -209,17 +224,22 @@ def eliminate(
     set that ``b``'s test measured, or ``C`` when nothing was removed.  It
     is verified minimal when every member's witness pair differs on that
     member alone among ``R`` (``_certified``), so no walk re-measures
-    ``R``.  The trace is a lazy tuple: its block counts are measured
-    (``_counts``) only when an entry is read.
+    ``R``.  The trace is a lazy tuple whose entries are built when one is
+    read; its block counts (``_counts``) are those the pass measured, and
+    only a core attribute ranked after the first removal leaves a walk to
+    be made then.
     """
     grouping = split_groups(rank_attributes(table), policy)
-    removed, witnesses = _verdicts(table, grouping.attributes)
+    ranked = grouping.attributes
+    removed, witnesses, tested = _verdicts(table, ranked)
     dropped = set(removed)
     reduct = tuple(a for a in conditional_attributes(table) if a not in dropped)
+    counts = _counts(table, ranked, dropped, tested)
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
-        trace=_LazyTuple(len(grouping.ranked), _traced(table, grouping, dropped)),
+        trace=_LazyTuple(len(ranked), _traced(grouping, dropped, table._table_walk[0].blocks,
+                                              counts)),
         verified_minimal=_certified(table._granules, reduct, witnesses),
     )
 
@@ -242,13 +262,12 @@ def exhaustive_reducts(
     cond = conditional_attributes(table)
     if len(cond) > max_attrs:
         raise TooManyAttributes(len(cond), max_attrs)
-    view = table._granules
     full_count, core = _indispensable(table)
     rest = [a for a in cond if a not in core]
     recorded: list[frozenset[str]] = []
     # An explicit stack of (attrs, labels, next child), so that depth is not
     # bounded by the recursion limit; a node resumes after each child.
-    stack = [(core, _grouping(view, core), 0)]
+    stack = [(core, table._core_grouping, 0)]
     while stack:
         attrs, labels, start = stack.pop()
         if labels.blocks == full_count:

@@ -26,6 +26,7 @@ from reduct_forge import (
     load_csv,
     rank_attributes,
 )
+from reduct_forge import dataset
 from reduct_forge.dataset import SEVEN_SEGMENT_CSV
 from reduct_forge.partition import block_count, dependency
 
@@ -469,6 +470,137 @@ def test_loaded_ids_are_built_only_when_read():
     given = InformationSystem(given_ids, ("p",), (("1",), ("2",), ("1",)))
     assert given.object_ids == given_ids
     assert given_ids == given.object_ids
+
+
+def _partition_keyed(text: str, decision: str | None = None) -> InformationSystem:
+    """The id-first loader as it keyed lines before the scan, kept as a
+    reference: the text split into lines, blank and whitespace-only ones
+    filtered out, and each key cut by ``str.partition``; the same storage
+    step, and errors found by a plain pass over the lines in file order."""
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    numbered = [(number, line) for number, line in enumerate(text.split("\n"), 1)
+                if line.strip()]
+    if not numbered:
+        raise EmptyTable()
+    (at, header), *body = numbered
+    names = [cell.strip() for cell in header.split(",")]
+    if "" in names:
+        raise MalformedTable(at, f"header cell {names.index('') + 1} is empty")
+    assert names[0] == "id"
+    del names[0]
+    if "id" in names:
+        raise DuplicateAttribute("id")
+    if not body:
+        raise EmptyTable()
+    for number, line in body:
+        if line.count(",") != len(names):
+            raise MalformedTable(number, f"expected {len(names) + 1} cells, "
+                                         f"got {line.count(',') + 1}")
+    keys = [line.partition(",")[2] for _, line in body]
+    ids = tuple(line.split(",")[0].strip() for _, line in body)
+    rows = dataset._factorized(
+        keys, lambda distinct: list(zip(*(key.split(",") for key in distinct))), strip=True)
+    return InformationSystem(ids, tuple(names), rows, decision)
+
+
+def _loaded(load, text: str):
+    """What ``load`` gives for ``text``: the table's attributes, stored rows
+    and ids, or its exception's type, message and row."""
+    try:
+        table = load(text)
+    except (EmptyTable, MalformedTable, DuplicateAttribute) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    rows = table.rows
+    return (table.attributes, rows.codes, rows.values, tuple(rows.index),
+            tuple(rows.weights), tuple(table.object_ids))
+
+
+# Cells that a line end must not split: "." matches each of them.
+_ODD = ["\x0c", "\x85", "\u2028"]
+
+
+@st.composite
+def id_first_csv(draw):
+    """The text of an id-first table whose cells may be empty or hold
+    spaces, tabs, form feeds, U+0085 or U+2028, with blank and
+    whitespace-only lines anywhere, before the header and at the end too,
+    some non-blank lines without a comma, some with a wrong comma count,
+    LF, CRLF or CR line ends, with or without a last line end."""
+    m = draw(st.integers(1, 3))
+    plain = st.sampled_from(["0", "1", "x"])
+    cell = plain | st.sampled_from(["", " ", "\t", *_ODD]) | st.builds(
+        "{}{}{}".format, plain, st.sampled_from([" ", "\t", *_ODD]), plain)
+    blank = st.sampled_from(["", " ", "\t ", *_ODD, " \x85 "])
+    lines = draw(st.lists(blank, max_size=2))
+    lines.append(",".join(["id", *(f" a{i} " for i in range(m))]))
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        if kind < 3:
+            lines.append(draw(blank))
+        elif kind == 3:  # non-blank, no comma
+            lines.append(draw(st.sampled_from([f"o{i}", f" o{i}\x0c", "\u2028x"])))
+        elif kind == 4:  # a cell too many or too few
+            cells = draw(st.lists(cell, min_size=0, max_size=m + 1).filter(
+                lambda c: len(c) != m))
+            lines.append(",".join([f"o{i}", *cells]))
+        else:
+            lines.append(",".join([f"o{i}", *draw(st.lists(cell, min_size=m, max_size=m))]))
+    lines += draw(st.lists(blank, max_size=2))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_first_csv())
+def test_id_first_scan_matches_the_per_line_cut(text):
+    """Keying id-first lines by one scan of the text gives the stored rows,
+    attributes and ids that splitting the text into lines and cutting each
+    with ``str.partition`` gives, and on a malformed text the same error,
+    message and file line."""
+    assert _loaded(load_csv, text) == _loaded(_partition_keyed, text)
+
+
+@pytest.mark.parametrize("text", [
+    "id,p\no1,1\no2\no3,3\n",  # one attribute, a line without a comma
+    "id,p\no1,1\n \t\no2,2\n\x0c\no3,\n\x85",  # comma-less lines all blank
+    "id,p,q\no1,1,2\no2,1\no3\n",  # a wrong count before a comma-less line
+    "id,p,q\no1,1,2\no2\no3,1\n",  # ... and after one
+    "\n\nid,p\n\n",  # no row after blank lines
+    "id,p\n\x0c\n",
+    "id,p\no1\n",  # a comma-less line as the only row
+    "id,p\no1,x\x0cy\no2,\u2028\r\no3,x\x85y",
+], ids=["one-attribute", "blank-only", "count-first", "count-after", "empty",
+        "form-feed-only", "only-ragged", "odd-cells"])
+def test_id_first_scan_examples(text):
+    assert _loaded(load_csv, text) == _loaded(_partition_keyed, text)
+
+
+def test_id_first_load_splits_the_text_only_for_a_comma_less_line(monkeypatch):
+    """An id-first load in which every line holds a comma never builds the
+    list of lines, nor does reading its ids; one with a blank line builds it
+    once, to tell that line from a ragged one."""
+    calls = [0]
+    lines = dataset._lines
+
+    def counting_lines(text):
+        calls[0] += 1
+        return lines(text)
+
+    monkeypatch.setattr(dataset, "_lines", counting_lines)
+    rows = [f"o{i},{i % 3},{i % 5}" for i in range(50)]
+    for text, builds in [("\n".join(["id,p,q", *rows]), 0),
+                         ("\n".join(["id,p,q", *rows]) + "\n", 0),
+                         ("\n".join(["id,p,q", *rows[:20], " ", *rows[20:]]), 1),
+                         ("\n".join(["id,p,q", *rows, ""]) + "\n", 1)]:
+        calls[0] = 0
+        table = load_csv(text)
+        assert table.object_count == 50
+        assert tuple(table.object_ids) == tuple(f"o{i}" for i in range(50))
+        assert calls[0] == builds
+    calls[0] = 0
+    load_csv("p,q\n1,2\n")  # other layouts split the text
+    assert calls[0] == 1
 
 
 class TestInformationSystem:

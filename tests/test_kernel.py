@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 import random
 import sys
+import weakref
 from collections import Counter
 from collections.abc import Sequence
 from itertools import combinations, product
@@ -56,6 +57,7 @@ from reduct_forge import (
     split_groups,
     subbase_of,
 )
+import reduct_forge.cli as cli
 import reduct_forge.dataset as dataset
 import reduct_forge.partition as partition
 import reduct_forge.reduct as reduct
@@ -358,17 +360,25 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     whose codes agree on every reduct attribute but ``a`` and differ on
     ``a``; redundant attributes get no pair, and the pairs certify the
     result.  Its removals are the lazy trace's redundant verdicts, and the
-    trace's counts are those of ``_counts``."""
+    trace's counts are those of ``_counts``.  The counts that the pass
+    keeps for the non-core candidates after the first removal are those of
+    the ranked-order walk from there."""
     cond = conditional_attributes(table)
     policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
     result = eliminate(table, policy)
     ranked = split_groups(rank_attributes(table), policy).attributes
-    removed, witnesses = reduct._verdicts(table, ranked)
+    removed, witnesses, tested = reduct._verdicts(table, ranked)
     assert tuple(removed) == result.removed
     assert removed == [entry.attribute for entry in result.trace
                        if entry.verdict == "redundant"]
-    counts = reduct._counts(table, ranked, set(removed))
+    counts = list(reduct._counts(table, ranked, set(removed), tested))
     assert [entry.base_size_after for entry in result.trace] == counts
+    if removed:
+        first = ranked.index(removed[0])
+        walked = list(reduct._ranked_counts(table, ranked, set(removed), first))
+        assert counts[first + 1:] == walked
+        assert all(counts[ranked.index(a)] == n for a, n in tested.items())
+        assert set(tested) == set(ranked[first + 1:]) - core_attributes(table)
     assert set(witnesses) == set(result.reduct)
     view = table._granules
     for name, pair in witnesses.items():
@@ -671,12 +681,15 @@ def _one_non_core_table():
 def test_eliminate_walks_only_the_non_core_attributes(monkeypatch):
     """With at most one non-core attribute ``eliminate`` makes no walk
     beyond the table walk; with more it walks the rest of them once.  The
-    trace is measured only when read, by the walk that testing every
-    candidate in ranked order from the first removal takes: one more walk
-    on any table with a removal before its last candidate, none without."""
+    trace's counts up to the first removal come off the table walk, and
+    those of the non-core candidates after it are the ones that walk
+    measured; only a core attribute ranked after the first removal makes
+    reading the trace walk the ranked order from there, once.  Here the
+    core tables with a removal rank their core after it, and the m = 16
+    table has an empty core."""
     calls = _counted_walks(monkeypatch)
     tables = [(_one_non_core_table(), 1, 1), (_identity_table(300, 8, 3), 1, 0),
-              (_identity_table(300, 10, 3), 2, 1), (_identity_table(300, 16, 3), 2, 1)]
+              (_identity_table(300, 10, 3), 2, 1), (_identity_table(300, 16, 3), 2, 0)]
     for table, walks, trace_walks in tables:
         calls[0] = 0
         cond = conditional_attributes(table)
@@ -689,6 +702,32 @@ def test_eliminate_walks_only_the_non_core_attributes(monkeypatch):
     table = _one_non_core_table()
     assert core_attributes(table) == set(conditional_attributes(table)) - {"k"}
     assert eliminate(table).removed == ("k",)
+
+
+def test_unread_trace_holds_no_table_without_a_core_ranked_late(monkeypatch):
+    """On a table with an empty core every trace count is known once
+    ``eliminate`` returns, so reading the trace makes no walk and the
+    unread trace does not keep the table alive; a trace that still has to
+    walk, with a core attribute ranked after the first removal, does."""
+    calls = _counted_walks(monkeypatch)
+    table = _identity_table(300, 16, 3)
+    assert not core_attributes(table)
+    result = eliminate(table)
+    ref = weakref.ref(table)
+    del table
+    assert ref() is None  # by its reference count, with no cycle to collect
+    calls[0] = 0
+    assert len(tuple(result.trace)) == 16 and calls[0] == 0
+    assert [entry.verdict for entry in result.trace].count("redundant") == len(result.removed)
+
+    table = _one_non_core_table()
+    result = eliminate(table)
+    ref = weakref.ref(table)
+    del table
+    assert ref() is not None
+    calls[0] = 0
+    tuple(result.trace)
+    assert calls[0] == 1 and ref() is None
 
 
 def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
@@ -1041,7 +1080,8 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     walks the 12 distinct conditional rows, not the 600 objects: its view
     holds the 12, the first refinement splits all 12 keys, and a stripped
     list's refinement splits only the rows not yet alone in their block.
-    One ``eliminate`` call builds the granule view once."""
+    The oracle and ``eliminate`` on one table, as ``reduct --exhaustive``
+    runs them, build the granule view once and split by the core once."""
     sizes = []
     builds = 0
     split, granulate = partition._split, partition._granulate
@@ -1064,9 +1104,34 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     assert sizes[0] == (12, 12)
     assert all(view == 12 and keys <= 12 for view, keys in sizes)
     sizes.clear()
-    exhaustive_reducts(_repeated_rows_table(600, 12))
+    table = _repeated_rows_table(600, 12)
+    exhaustive_reducts(table)
+    assert builds == 2
     assert sizes[0] == (12, 12)
     assert all(view == 12 and keys <= 12 for view, keys in sizes)
+    core_grouping = table._core_grouping
+    eliminate(table)
+    assert builds == 2 and table._core_grouping is core_grouping
+
+
+def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
+    """``reduct --exhaustive`` runs the oracle, which starts from the core's
+    grouping, and ``eliminate``, which seeds its walk with it: the table
+    keeps one, in column order, so one call groups by the core once.  The
+    fixture's core is ``a`` and it has four non-core attributes, so
+    ``eliminate`` does walk from the core's grouping."""
+    grouped = []
+    grouping = dataset._grouping
+
+    def recording_grouping(view, attrs):
+        grouped.append(tuple(attrs))
+        return grouping(view, attrs)
+
+    monkeypatch.setattr(dataset, "_grouping", recording_grouping)
+    path = str(Path(__file__).parent / "data" / "kept_then_redundant.csv")
+    assert cli.main(["reduct", path, "--decision", "d", "--exhaustive", "--trace", "--json"]) == 0
+    capsys.readouterr()
+    assert [attrs for attrs in grouped if attrs] == [("a",)]
 
 
 def _csv(rows) -> str:
