@@ -31,10 +31,9 @@ stored rows, weighted by their object counts, and alone decides whether
 folding them pays; every per-object reader, ``rows``, ``column``,
 ``value``, equality and the per-object partitions, reads a stored row
 through the object's row index.  A table keeps the kernel's view of its
-rows, its table-order leave-one-out walk, seeded with the one-block
-grouping and read by attribute, and its core's grouping, each built on
-first use, so ranking, the core, the oracle and elimination share one of
-each.
+rows and its table-order leave-one-out walk, seeded with the one-block
+grouping and read by attribute, each built on first use, so ranking, the
+core, the oracle and elimination's trace share one of each.
 """
 
 from __future__ import annotations
@@ -315,13 +314,13 @@ class InformationSystem:
         """The table-order leave-one-out walk over ``_granules``, kept with
         the table and read by attribute: the grouping by all conditional
         attributes, and a dict that maps each of them, in table order, to
-        the grouping that leaves it out.  Ranking, the core, the oracle,
-        ``eliminate``, which keeps the core and takes its witness pairs
-        from each core ``C - a``, and the trace, whose candidates are some
-        ``C - a`` until the first removal, all read it, so a table pays for
-        one such walk.  It is kept on the table, not on the view: each
-        grouping refers to the view, so a cache there would make a
-        reference cycle."""
+        the grouping that leaves it out.  Ranking, the core, the oracle
+        and the elimination trace, whose candidates are some ``C - a``
+        until the first removal, all read it, so a table pays for one such
+        walk; ``eliminate`` does not, as its own column-order walk drops
+        each redundant attribute from its prefix.  It is kept on the table,
+        not on the view: each grouping refers to the view, so a cache there
+        would make a reference cycle."""
         attrs = conditional_attributes(self)
         walk = _leave_one_out(_grouping(self._granules, ()), attrs)
         return next(walk), dict(zip(attrs, walk))
@@ -333,14 +332,6 @@ class InformationSystem:
         read off ``_table_walk``."""
         full, without = self._table_walk
         return tuple(a for a, labels in without.items() if labels.blocks != full.blocks)
-
-    @cached_property
-    def _core_grouping(self) -> _Labels:
-        """The grouping of ``_granules`` by ``_core``, in table order, built
-        on first use and kept with the table: ``eliminate`` seeds its walk
-        with it and the exhaustive oracle starts from it, so a ``reduct
-        --exhaustive`` call splits by the core once."""
-        return _grouping(self._granules, self._core)
 
 
 def _check_distinct(names: Iterable[str]) -> None:

@@ -20,21 +20,21 @@ refinement, ``_split``, which splits a grouping by one attribute.  A
 grouping carries its view, so ``_split``, ``_meet`` and ``_leave_one_out``
 take groupings alone; only ``_grouping``, which starts from the view,
 takes one.  ``_grouping`` splits the one-block grouping by each of a
-set's attributes; :func:`block_count`, :func:`dependency`, the exhaustive
-oracle's root and ``eliminate``'s core start there, and the oracle's
-depth-first search splits one attribute per node.  ``_leave_one_out`` is
-the paper's composition of a low- and a high-significance base, a
-partition meet, taken at every candidate: from a seed grouping, the
-grouping of ``R - a`` meets the kept attributes before ``a`` with all
-attributes after it, so ranking and elimination each make O(m)
-refinements and meets instead of rebuilding an m-attribute projection per
-attribute.  The table walk's seed is the one-block grouping, and
-``eliminate`` seeds its walk over the non-core attributes with the
-core's grouping.  The walk ends at its last candidate, so its readers
-take it with one plain loop or ``tuple``; the table keeps its table-order
-walk read by attribute, a dict from each ``a`` to the grouping of
-``C - a``.  Every reader takes only a grouping's block count and
-dependency degree, never its label lists or the view's code columns.
+set's attributes; :func:`block_count`, :func:`dependency` and the
+exhaustive oracle's root, the core's grouping, start there, and the
+oracle's depth-first search splits one attribute per node.
+``_leave_one_out`` is the paper's composition of a low- and a
+high-significance base, a partition meet, taken at every candidate: from
+a seed grouping, the grouping of ``R - a`` meets the kept attributes
+before ``a`` with all attributes after it, so ranking and elimination
+each make O(m) refinements and meets instead of rebuilding an
+m-attribute projection per attribute.  Every walk's seed is the one-block
+grouping: the table's, which it keeps read by attribute, a dict from each
+``a`` to the grouping of ``C - a``, and ``eliminate``'s, which drops each
+redundant attribute from its prefix as it goes.  The walk ends at its
+last candidate, so its readers take it with one plain loop or ``tuple``.
+Every reader takes only a grouping's block count and dependency degree,
+never its label lists or the view's code columns.
 Those are read here for elimination: ``_witness`` finds in the grouping
 of ``R - a`` two granules of one block that differ on ``a``, the pair
 that shows ``a`` cannot leave ``R``, and ``_certified`` checks on the raw
@@ -567,15 +567,15 @@ def _leave_one_out(
     by ``seed``, the kept attributes before ``attrs[i]`` and all of
     ``attrs[i + 1:]``; ``attrs[i]`` is kept unless the value sent back for
     it is ``False``, so plain iteration keeps every attribute (the value
-    sent back for the first yield is ignored).  The table walk's seed is
-    the one-block grouping; ``eliminate``'s is the grouping by the core.
-    The walk ends after its last candidate without refining the prefix
-    again, as no candidate would read it, so ``tuple``, ``list`` or a
-    ``for`` loop takes all of it for no extra work.  This is the paper's
-    composition of a low and a high base, a partition meet, taken at every
-    candidate: the suffix groupings are refined once from the back, the
-    kept prefix one attribute at a time, and each candidate meets them in
-    one pass, unless one side is still the seed, which the other refines.
+    sent back for the first yield is ignored).  Every reader seeds it with
+    the one-block grouping.  The walk ends after its last candidate
+    without refining the prefix again, as no candidate would read it, so
+    ``tuple``, ``list`` or a ``for`` loop takes all of it for no extra
+    work.  This is the paper's composition of a low and a high base, a
+    partition meet, taken at every candidate: the suffix groupings are
+    refined once from the back, the kept prefix one attribute at a time,
+    and each candidate meets them in one pass, unless one side is still
+    the seed, which the other refines.
     Refinement never merges blocks, so a granule alone in its block stays
     alone in every finer grouping and meet: each list drops such granules
     once at least half of its rows are, and the walk then touches only the

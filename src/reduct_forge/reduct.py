@@ -1,61 +1,63 @@
-"""Significance-ordered backward elimination, plus the exhaustive oracle that
-keeps it honest: a core-first depth-first search over attribute subsets,
-capped by attribute count.
+"""Backward elimination, plus the exhaustive oracle that keeps it honest: a
+core-first depth-first search over attribute subsets, capped by attribute
+count.
 
-The elimination pass tests attributes in ascending-significance order and
-drops ``a`` from the kept set ``R`` when ``block_count(R - a)`` equals
-``block_count(C)``, ``C`` being all conditional attributes.  This equals the
-paper's composed-base test: a topology base is the block set of a partition,
-composing the low- and high-group bases gives the partition of their union,
-and as ``R - a`` is a subset of ``C`` the two partitions agree exactly when
-their block counts do.  The pass takes that composition at every candidate:
-``R - a`` is the meet of the kept attributes ranked before ``a`` and all
-attributes ranked after it, so one prefix/suffix walk
-(``partition._leave_one_out``) gives every candidate's block count with
-O(m) refinements and meets.  The walk drops the granules already alone in
+The elimination pass drops ``a`` from the kept set ``R`` when
+``block_count(R - a)`` equals ``block_count(C)``, ``C`` being all
+conditional attributes.  This equals the paper's composed-base test: a
+topology base is the block set of a partition, composing the low- and
+high-group bases gives the partition of their union, and as ``R - a`` is a
+subset of ``C`` the two partitions agree exactly when their block counts
+do.
+
+The paper tests the attributes in ascending-significance order to "reduce
+the randomness" of which ones are eliminated; under this exact test that
+order fixes nothing that the column order does not.  An attribute outside
+the core (Pawlak, 1991: the attributes whose removal from ``C`` lowers its
+block count) leaves ``C``'s partition as it is, so its significance is
+exactly 0, and the ranking's stable sort keeps those attributes in column
+order; a core attribute is kept whenever it is tested, as ``R - a`` lies
+in ``C - a``, which already has fewer blocks.  So the reduct is the
+column-order backward elimination, and the ranking and its low/high
+groups set only the trace.
+
+``eliminate`` makes that pass on one leave-one-out walk over ``C`` in
+column order (``partition._leave_one_out``): ``R - a`` is the meet of the
+kept attributes before ``a`` and all attributes after it, the paper's
+low/high composition taken at every candidate, so the pass makes O(m)
+refinements and meets.  The walk drops the granules already alone in
 their block, so on a wide table it touches O(|U/C|·log_k |U/C|) granule
-entries rather than O(|U/C|·m).  Ranking, elimination, the core and the
-block count of ``C`` all come from such walks, and read only each
-grouping's ``blocks`` and ``dependency``.  The table-order
-walk is made once per table and kept with it, read by attribute
-(``InformationSystem._table_walk``, the grouping by ``C`` and a dict from
-each ``a`` to the grouping of ``C - a``): ranking, the core, the oracle and
-``eliminate`` all read it, so under ``--exhaustive`` the oracle, which runs
-first, pays for it and ranking reuses it.  ``eliminate`` takes the core
-off that walk (Pawlak, 1991: the attributes whose removal from ``C``
-lowers its block count) and keeps it without a test, as no kept set less
-a core attribute can do better than ``C`` less it.  The first non-core
-attribute in ranked order is removed, and the other non-core ones are
-tested in ranked order on one walk seeded with the core's grouping, which
-the table keeps (``InformationSystem._core_grouping``) and the oracle
-shares, so a table with at most one non-core attribute costs no walk of
-its own.  No walk re-measures the result ``R``.  Its sufficiency is the
-kernel's own count at the last removal's test, whose set is ``R``; its
-necessity is a certificate, the discernibility-matrix view of Skowron and
-Rauszer (1992): each kept ``a`` carries a witness pair (``partition._witness``),
-two granules in one block of the grouping that tested ``a``, or of
-``C - a`` for a core ``a``, that differ on ``a``, and
-``partition._certified`` checks on their raw codes that they differ on
-``a`` alone among ``R``; this module only passes the pairs along.  A
-``reduct`` call therefore makes one walk on a table with at most one
-non-core attribute and two with more.  The trace, which only
-``--trace`` prints, reads its counts off what ``eliminate`` measured:
-each candidate up to the first removal is some ``C - a`` off the table
-walk, and each non-core candidate after it has the set that the
-core-seeded walk tested.  Only a core attribute ranked after the first
-removal needs a count of its own; then one ranked-order walk from there,
-made when the trace is first read, gives the rest, and only then does the
-unread trace keep the table alive.  Every walk ends at its last
-candidate, so each reader takes it with one plain loop.  The oracle
-starts from the core's grouping and splits it one attribute per node with
-the walk's own refinement, so its nodes strip too, and it reads them,
-like everything here, only through their block counts.  All of it runs
-on the table's granules, its distinct conditional rows, built once per
-table and shared by every phase; any attribute set groups them as it
-groups the objects, so every block count, and with it every verdict and
-trace size, is the per-object one.  The neighbourhood and matrix methods
-of :mod:`.topology` are now reference paths that the tests check this
-against.
+entries rather than O(|U/C|·m).  It reads only each grouping's
+``blocks``, and no ranking, core or table walk is made.  No walk
+re-measures the result ``R``.  Its sufficiency is the kernel's own count
+at the last removal's test, whose set is ``R``; its necessity is a
+certificate, the discernibility-matrix view of Skowron and Rauszer
+(1992): each kept ``a`` carries a witness pair (``partition._witness``),
+two granules in one block of the grouping that tested ``a`` that differ
+on ``a``, and ``partition._certified`` checks on their raw codes that
+they differ on ``a`` alone among ``R``; this module only passes the pairs
+along.  A ``reduct`` call therefore makes one walk.
+
+The trace, which only ``--trace`` prints, is built when it is first read,
+and keeps the table until then.  It ranks the attributes off the
+table-order walk (``InformationSystem._table_walk``, the grouping by ``C``
+and a dict from each ``a`` to the grouping of ``C - a``), which the
+ranking, the core and the oracle share.  Each candidate up to the first
+removal is some ``C - a`` off that walk, and each non-core candidate after
+it has the set that the elimination's walk tested.  Only a core attribute
+ranked after the first removal needs a count of its own; then one
+ranked-order walk from there gives the rest.  Every walk ends at its last
+candidate, so each reader takes it with one plain loop.
+
+The oracle starts from the core's grouping and splits it one attribute
+per node with the walk's own refinement, so its nodes strip too, and it
+reads them, like everything here, only through their block counts.  All
+of it runs on the table's granules, its distinct conditional rows, built
+once per table and shared by every phase; any attribute set groups them
+as it groups the objects, so every block count, and with it every verdict
+and trace size, is the per-object one.  The neighbourhood and matrix
+methods of :mod:`.topology` are now reference paths that the tests check
+this against.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .partition import (
     _certified, _grouping, _leave_one_out, _split, _witness, block_count,
 )
 from .significance import (
-    GroupPolicy, SignificanceTable, ThresholdSplit, rank_attributes, split_groups,
+    GroupPolicy, ThresholdSplit, _check_count, rank_attributes, split_groups,
 )
 
 DEFAULT_MAX_ATTRS = 20
@@ -118,53 +120,48 @@ def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[s
 
 
 def _verdicts(
-    table: InformationSystem, ranked: Sequence[str]
-) -> tuple[list[str], dict[str, tuple[int, int] | None], dict[str, int]]:
-    """The elimination pass over ``ranked``: the attributes it removes, in
-    order, each kept attribute's witness pair from ``partition._witness``,
-    and the block count of each non-core candidate after the first removal.
+    table: InformationSystem,
+) -> tuple[int, list[str], dict[str, tuple[int, int] | None], dict[str, int]]:
+    """The column-order backward elimination over the conditional attributes
+    ``C``: the block count of ``C``, the attributes it removes, in order,
+    each kept attribute's witness pair from ``partition._witness``, and
+    each candidate's block count.
 
-    A core attribute ``a`` is kept without a test: every kept set ``R`` lies
-    in ``C``, so ``R - a`` lies in ``C - a``, which already has fewer blocks
-    than ``C``.  Its pair comes from the grouping of ``C - a`` off the
-    table walk, and differs on ``a`` alone among ``C``, so also among ``R``.
-    The first non-core attribute is removed, as nothing before it was and
-    ``C`` less it keeps ``C``'s block count.  The other non-core attributes
-    are tested in ranked order on one leave-one-out walk seeded with the
-    table's kept core grouping, so with at most one non-core attribute no
-    walk is made."""
-    full_count, core = _indispensable(table)
-    without = table._table_walk[1]
-    witnesses = {a: _witness(without[a], a) for a in without if a in core}
-    rest = [a for a in ranked if a not in core]
-    removed = rest[:1]
+    One leave-one-out walk over ``C`` from the one-block grouping yields
+    the grouping by ``C`` and then, for each ``a``, that of the attributes
+    kept before ``a`` and all those after it; ``a`` is removed when that
+    set keeps ``C``'s block count.  Otherwise its pair is two granules of
+    one block of that grouping that differ on ``a``: the set holds the
+    final ``R - a``, as later candidates can only leave it."""
+    cond = conditional_attributes(table)
+    walk = _leave_one_out(_grouping(table._granules, ()), cond)
+    full_count = next(walk).blocks
+    removed: list[str] = []
+    witnesses: dict[str, tuple[int, int] | None] = {}
     tested: dict[str, int] = {}
-    if len(rest) > 1:
-        walk = _leave_one_out(table._core_grouping, rest[1:])
-        next(walk)  # the grouping of C less the first removal
-        kept = True
-        for attribute in rest[1:]:
-            labels = walk.send(kept)
-            tested[attribute] = labels.blocks
-            kept = labels.blocks != full_count
-            if kept:
-                witnesses[attribute] = _witness(labels, attribute)
-            else:
-                removed.append(attribute)
-    return removed, witnesses, tested
+    kept = True
+    for attribute in cond:
+        labels = walk.send(kept)
+        tested[attribute] = labels.blocks
+        kept = labels.blocks != full_count
+        if kept:
+            witnesses[attribute] = _witness(labels, attribute)
+        else:
+            removed.append(attribute)
+    return full_count, removed, witnesses, tested
 
 
 def _counts(table: InformationSystem, ranked: Sequence[str], dropped: set[str],
             tested: dict[str, int]) -> Iterable[int]:
     """Each candidate's block count in the elimination pass over ``ranked``
     that removes ``dropped``.  Up to and including the first removal each
-    candidate is some ``C - a``, read off the table walk now.  After it, a
+    candidate is some ``C - a``, read off the table walk.  After it, a
     non-core candidate's set is the core, the non-core attributes kept
-    before it and those after it: the set that ``_verdicts`` measured, so
-    its count is taken from ``tested``.  Only when a core attribute is
-    ranked after the first removal is the rest given by a ranked-order
-    walk (``_ranked_counts``), made when the counts are first read; only
-    then do the counts hold the table."""
+    before it and all those after it, as the non-core attributes come in
+    column order: the set that the column-order pass measured, so its count
+    is taken from ``tested``.  Only when a core attribute is ranked after
+    the first removal is the rest given by a ranked-order walk
+    (``_ranked_counts``)."""
     without = table._table_walk[1]
     counts: list[int] = []
     for attribute in ranked:
@@ -172,7 +169,7 @@ def _counts(table: InformationSystem, ranked: Sequence[str], dropped: set[str],
         if attribute in dropped:
             break
     later = ranked[len(counts):]
-    if all(map(tested.__contains__, later)):
+    if set(later).isdisjoint(table._core):
         return counts + [tested[a] for a in later]
     return chain(counts, _ranked_counts(table, ranked, dropped, len(counts) - 1))
 
@@ -195,11 +192,15 @@ def _ranked_counts(table: InformationSystem, ranked: Sequence[str], dropped: set
             yield labels.blocks
 
 
-def _traced(grouping: SignificanceTable, dropped: set[str], full_count: int,
-            counts: Iterable[int]) -> Iterator[TraceEntry]:
-    """The trace entries of the elimination pass, whose candidates' block
-    counts ``counts`` gives, in ranked order."""
+def _traced(table: InformationSystem, policy: GroupPolicy, full_count: int,
+            dropped: set[str], tested: dict[str, int]) -> Iterator[TraceEntry]:
+    """The trace entries of the elimination pass that removes ``dropped``,
+    in ranked order under ``policy``: the ranking, its groups and the
+    candidates' block counts (``_counts``) are made when the first entry is
+    read."""
+    grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
+    counts = _counts(table, grouping.attributes, dropped, tested)
     for (attribute, sig), count in zip(grouping.ranked, counts):
         yield TraceEntry(
             attribute=attribute,
@@ -216,30 +217,29 @@ def eliminate(
 ) -> ReductResult:
     """Run the full elimination pass and certify minimality of the result.
 
-    Each attribute is tested once, in ascending-significance order; a
-    redundant attribute is removed immediately and stays removed
-    (``_verdicts``), and a core attribute is kept without a test.  The
+    Each conditional attribute is tested once, in column order, and a
+    redundant one is removed immediately and stays removed (``_verdicts``).
+    This is the significance-ordered pass: every attribute outside the core
+    has significance 0, and the ranking's stable sort keeps those in column
+    order, while every core attribute is kept whenever it is tested.  The
     result ``R`` keeps the block count of ``C`` by construction: every
     attribute tested after the last removal ``b`` was kept, so ``R`` is the
     set that ``b``'s test measured, or ``C`` when nothing was removed.  It
     is verified minimal when every member's witness pair differs on that
     member alone among ``R`` (``_certified``), so no walk re-measures
-    ``R``.  The trace is a lazy tuple whose entries are built when one is
-    read; its block counts (``_counts``) are those the pass measured, and
-    only a core attribute ranked after the first removal leaves a walk to
-    be made then.
+    ``R``.  ``policy`` is checked now and sets only the trace, a lazy
+    tuple that ranks the attributes and builds its entries when one is
+    read, and keeps the table until then.
     """
-    grouping = split_groups(rank_attributes(table), policy)
-    ranked = grouping.attributes
-    removed, witnesses, tested = _verdicts(table, ranked)
+    cond = conditional_attributes(table)
+    _check_count(policy, len(cond))
+    full_count, removed, witnesses, tested = _verdicts(table)
     dropped = set(removed)
-    reduct = tuple(a for a in conditional_attributes(table) if a not in dropped)
-    counts = _counts(table, ranked, dropped, tested)
+    reduct = tuple(a for a in cond if a not in dropped)
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
-        trace=_LazyTuple(len(ranked), _traced(grouping, dropped, table._table_walk[0].blocks,
-                                              counts)),
+        trace=_LazyTuple(len(cond), _traced(table, policy, full_count, dropped, tested)),
         verified_minimal=_certified(table._granules, reduct, witnesses),
     )
 
@@ -267,7 +267,7 @@ def exhaustive_reducts(
     recorded: list[frozenset[str]] = []
     # An explicit stack of (attrs, labels, next child), so that depth is not
     # bounded by the recursion limit; a node resumes after each child.
-    stack = [(core, table._core_grouping, 0)]
+    stack = [(core, _grouping(table._granules, table._core), 0)]
     while stack:
         attrs, labels, start = stack.pop()
         if labels.blocks == full_count:

@@ -11,14 +11,13 @@ The groupings come from the table-order walk, ``table._table_walk``: one
 leave-one-out walk over the conditional attributes in column order, made
 on first use, kept with the table and read by attribute, as the grouping
 by all of them and a dict from each to the grouping that leaves it out.
-The core, the exhaustive oracle and ``eliminate`` of :mod:`.reduct` read
-their block counts off the same walk, so a table pays for it once.
-``eliminate`` keeps the core without a test, makes one walk of its own,
-seeded with the core's grouping, over the non-core attributes after the
-first, and checks its result by a witness certificate, not a walk, so a
-``reduct`` call makes one walk in all on a table with at most one
-non-core attribute and two with more, with or without ``--exhaustive``;
-``--trace`` adds at most one walk, made when the trace is first read.
+The core and the exhaustive oracle of :mod:`.reduct` read their block
+counts off the same walk, so a table pays for it once.  ``eliminate``
+does not rank: every attribute outside the core has significance exactly
+0 and the sort is stable, so those come in column order and the
+elimination is the column-order one, made on a walk of its own.  Its
+trace ranks when it is first read, with the policy's groups from
+:func:`split_groups`, whose count check ``eliminate`` makes when called.
 """
 
 from __future__ import annotations
@@ -105,15 +104,21 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
     return SignificanceTable(ranked=tuple(values))
 
 
+def _check_count(policy: GroupPolicy, size: int) -> None:
+    """Raise ``ValueError`` when ``policy`` is a :class:`CountSplit` whose
+    count lies outside ``[0, size]``, ``size`` being the number of
+    attributes it splits: :func:`split_groups` and ``eliminate``, which
+    ranks only when its trace is read, both check here."""
+    if isinstance(policy, CountSplit) and not 0 <= policy.count <= size:
+        raise ValueError(f"count {policy.count} outside [0, {size}]")
+
+
 def split_groups(
     ranked: SignificanceTable, policy: GroupPolicy = ThresholdSplit()
 ) -> SignificanceTable:
     """Assign the ranked attributes to a low-significance prefix and the rest."""
+    _check_count(policy, len(ranked.ranked))
     if isinstance(policy, CountSplit):
-        if not 0 <= policy.count <= len(ranked.ranked):
-            raise ValueError(
-                f"count {policy.count} outside [0, {len(ranked.ranked)}]"
-            )
         cut = policy.count
     else:
         threshold = policy.value

@@ -309,22 +309,21 @@ GOLDEN_CASES = [
      ["reduct", str(DATA / "irredundant.csv"), "--trace", "--json"]),
     # The only redundant attribute, one of the copied pair b and c, is
     # tested after a kept one, which splits a block without changing the
-    # positive region: the trace's ranked-order walk starts at it,
-    # elimination walks c from a seed grouped by the core, and the kept
-    # core attribute's witness pair comes from the table-order walk.
+    # positive region: the trace's ranked-order walk starts at it, and
+    # c's count in the trace is the one elimination's column-order walk
+    # measured.
     ("reduct_late_redundant_trace.json",
      ["reduct", str(DATA / "late_redundant.csv"), "--decision", "d", "--trace", "--json"]),
     # late_redundant with a copy of e, e2, before d: the verdicts run kept,
     # redundant, kept, redundant, kept, so the trace's ranked-order walk
     # starts after a kept attribute and a second removal follows; witness
-    # pairs from the table walk and elimination's core-seeded walk certify
-    # the reduct, and no walk measures it again.
+    # pairs from elimination's column-order walk certify the reduct, and
+    # no walk measures it again.
     ("reduct_kept_then_redundant_trace.json",
      ["reduct", str(DATA / "kept_then_redundant.csv"), "--decision", "d", "--trace", "--json"]),
-    # Every attribute but c is core, so elimination keeps the core untested,
-    # removes c and makes no walk of its own; the trace's ranked-order walk
-    # gives e, a core attribute ranked after c, 6 blocks for C - c - e,
-    # where C - e has 8.
+    # Every attribute but c is core, so elimination keeps every attribute
+    # but c; the trace's ranked-order walk gives e, a core attribute ranked
+    # after c, 6 blocks for C - c - e, where C - e has 8.
     ("reduct_one_non_core_trace.json",
      ["reduct", str(DATA / "one_non_core.csv"), "--decision", "d", "--trace", "--json"]),
 ]

@@ -295,11 +295,11 @@ def _core_cases(table, result) -> list[str]:
 
 
 def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
-    """``eliminate`` keeps the core untested, removes the first non-core
-    attribute and tests the others on one walk seeded with the core, and
-    certifies the reduct with witness pairs; its trace reads the table
-    walk until the first removal, then a ranked-order walk.  The plain
-    reference walks the ranked order and then the reduct.  Both give the
+    """``eliminate`` tests the attributes on one column-order walk and
+    certifies the reduct with witness pairs; its trace ranks them when
+    read, and takes its counts off the table walk until the first removal,
+    then off that walk or a ranked-order one.  The plain reference walks
+    the ranked order and then the reduct.  Both give the
     same reduct, removals, trace and ``verified_minimal``.  A kept
     candidate followed by two or more removals is the case where the
     reference's walk over the reduct measures a set that no walk of
@@ -326,6 +326,45 @@ def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     # count left above one means the case was drawn more than once.
     drawn = seen - Counter(case for args in _ELIMINATION_EXAMPLES for case in cases(*args))
     assert all(drawn[case] > 1 for case in _ELIMINATION_CASES + _CORE_CASES), drawn
+
+
+def _column_order_removals(table) -> tuple[str, ...]:
+    """The backward elimination of the conditional attributes in column
+    order, by ``block_count`` alone: each is dropped from the kept set when
+    the rest keeps the block count of all of them."""
+    cond = conditional_attributes(table)
+    full = block_count(table, cond)
+    kept, removed = list(cond), []
+    for attribute in cond:
+        rest = [a for a in kept if a != attribute]
+        if block_count(table, rest) == full:
+            kept, removed = rest, removed + [attribute]
+    return tuple(removed)
+
+
+def test_significance_order_leaves_the_reduct_to_column_order():
+    """Every attribute outside the core has significance exactly 0: its
+    removal keeps the partition of all attributes, so the positive region
+    too.  The ranking sorts stably, so those come in column order, and
+    ``eliminate``'s removals are the column-order backward elimination,
+    under the threshold split and every count split.  Checked against a
+    reference that uses ``block_count`` alone, on tables with and without
+    a named decision, both of which are drawn."""
+    seen = Counter()
+
+    @given(tables() | elimination_tables())
+    @settings(max_examples=200, deadline=None)
+    def check(table):
+        cond = conditional_attributes(table)
+        core = core_attributes(table)
+        assert all(value == 0 for a, value in rank_attributes(table).ranked if a not in core)
+        removals = _column_order_removals(table)
+        for policy in [ThresholdSplit(), *map(CountSplit, range(len(cond) + 1))]:
+            assert eliminate(table, policy).removed == removals
+        seen["identity" if table.decision is None else "named"] += 1
+
+    check()
+    assert seen["identity"] > 1 and seen["named"] > 1, seen
 
 
 def _differing(view, attrs, pair) -> list[str]:
@@ -359,16 +398,21 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     """The elimination pass gives each kept attribute ``a`` a witness pair
     whose codes agree on every reduct attribute but ``a`` and differ on
     ``a``; redundant attributes get no pair, and the pairs certify the
-    result.  Its removals are the lazy trace's redundant verdicts, and the
-    trace's counts are those of ``_counts``.  The counts that the pass
-    keeps for the non-core candidates after the first removal are those of
-    the ranked-order walk from there."""
+    result.  It tests every conditional attribute once, in column order,
+    against the block count of all of them.  Its removals are the lazy
+    trace's redundant verdicts, and the trace's counts are those of
+    ``_counts``: after the first removal they are those of the
+    ranked-order walk from there, and a non-core candidate's is the one
+    that the pass measured."""
     cond = conditional_attributes(table)
     policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
     result = eliminate(table, policy)
     ranked = split_groups(rank_attributes(table), policy).attributes
-    removed, witnesses, tested = reduct._verdicts(table, ranked)
+    full_count, removed, witnesses, tested = reduct._verdicts(table)
+    assert full_count == block_count(table, cond)
+    assert tuple(tested) == cond
     assert tuple(removed) == result.removed
+    assert removed == [a for a in cond if tested[a] == full_count]
     assert removed == [entry.attribute for entry in result.trace
                        if entry.verdict == "redundant"]
     counts = list(reduct._counts(table, ranked, set(removed), tested))
@@ -377,8 +421,9 @@ def test_kept_attributes_carry_witness_pairs(table, count):
         first = ranked.index(removed[0])
         walked = list(reduct._ranked_counts(table, ranked, set(removed), first))
         assert counts[first + 1:] == walked
-        assert all(counts[ranked.index(a)] == n for a, n in tested.items())
-        assert set(tested) == set(ranked[first + 1:]) - core_attributes(table)
+        core = core_attributes(table)
+        assert all(counts[i] == tested[a] for i, a in enumerate(ranked)
+                   if i > first and a not in core)
     assert set(witnesses) == set(result.reduct)
     view = table._granules
     for name, pair in witnesses.items():
@@ -599,9 +644,8 @@ def test_leave_one_out_stops_at_its_last_candidate(monkeypatch):
 
 def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     """Each leave-one-out walk makes O(m) refinements; a rebuilt projection
-    per candidate would make O(m²).  ``eliminate`` makes one walk or two,
-    as the table has at most one non-core attribute or more, so the growth
-    is bounded on one walk, the table walk that ranking makes."""
+    per candidate would make O(m²).  Ranking makes the table walk and
+    ``eliminate`` one walk of its own, so the growth is bounded on each."""
     calls = 0
     split = partition._split
 
@@ -623,12 +667,14 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     # A walk over r attributes makes r suffix refinements and at most r - 1
     # prefix ones, as it stops at its last candidate; a stripped list whose
     # granules are all alone is not refined again.
-    # Every attribute is core at m = 8, so eliminate makes only the table
-    # walk; at m = 16 none is, and seven are redundant, so it makes both.
-    # Its witness search refines nothing.
+    # Every attribute is core at m = 8, so eliminate's walk keeps every
+    # prefix as the table walk does; at m = 16 none is, and seven are
+    # redundant, so its prefix skips their refinements.  Its witness search
+    # refines nothing.
     assert ranking == [15, 23]
-    assert elimination == [15, 44]
+    assert elimination == [15, 21]
     assert ranking[1] <= 2.2 * ranking[0]
+    assert elimination[1] <= 2.2 * elimination[0]
 
 
 def _counted_walks(monkeypatch) -> list[int]:
@@ -650,11 +696,11 @@ def _counted_walks(monkeypatch) -> list[int]:
 
 def test_table_order_walk_is_made_once_per_table(monkeypatch):
     """A table keeps its table-order leave-one-out walk, so ranking, the
-    core, the oracle and ``eliminate`` share one.  ``eliminate`` keeps the
-    core untested, removes the first non-core attribute and walks the
-    other non-core ones, and certifies its result with witness pairs, not
-    a walk: one walk on a table with no non-core attribute (m = 8) and two
-    with two (m = 10) or more (m = 16, sixteen)."""
+    core and the oracle share one.  ``eliminate`` reads none of them: it
+    makes its own column-order walk, whatever the core (all of the
+    attributes at m = 8, eight of ten at m = 10, none at m = 16), and
+    certifies its result with witness pairs, not a walk.  So the oracle
+    then ``eliminate``, as ``reduct --exhaustive`` runs them, make two."""
     calls = _counted_walks(monkeypatch)
 
     def walks(m, *steps) -> int:
@@ -664,11 +710,11 @@ def test_table_order_walk_is_made_once_per_table(monkeypatch):
             step(table)
         return calls[0]
 
-    assert walks(8, exhaustive_reducts, eliminate) == 1
-    assert walks(8, rank_attributes, core_attributes) == 1
+    assert walks(8, exhaustive_reducts, eliminate) == 2
+    assert walks(8, rank_attributes, core_attributes, exhaustive_reducts) == 1
     assert walks(8, eliminate) == 1
-    assert walks(10, eliminate) == 2
-    assert walks(16, eliminate) == 2
+    assert walks(10, eliminate) == 1
+    assert walks(16, eliminate) == 1
 
 
 def _one_non_core_table():
@@ -678,56 +724,75 @@ def _one_non_core_table():
     return make_table([[*row, "k"] for row in base.rows], [*base.attributes, "k"])
 
 
-def test_eliminate_walks_only_the_non_core_attributes(monkeypatch):
-    """With at most one non-core attribute ``eliminate`` makes no walk
-    beyond the table walk; with more it walks the rest of them once.  The
-    trace's counts up to the first removal come off the table walk, and
-    those of the non-core candidates after it are the ones that walk
-    measured; only a core attribute ranked after the first removal makes
-    reading the trace walk the ranked order from there, once.  Here the
+def _counted_rankings(monkeypatch) -> list[int]:
+    """Count the calls of ``rank_attributes`` that ``reduct`` makes from now
+    on, in a one-item list, by the name ``reduct`` reads it through."""
+    calls = [0]
+    rank = reduct.rank_attributes
+
+    def counting_rank(table):
+        calls[0] += 1
+        return rank(table)
+
+    monkeypatch.setattr(reduct, "rank_attributes", counting_rank)
+    return calls
+
+
+def test_eliminate_makes_one_walk_and_ranks_only_when_its_trace_is_read(monkeypatch):
+    """``eliminate`` makes one walk, over the conditional attributes in
+    column order, and neither ranks them nor makes the table walk, so with
+    its trace unread a call is one walk and no ranking.  Reading the trace
+    ranks once and makes the table walk, whose ``C - a`` counts serve up to
+    the first removal; the non-core candidates after it take the counts
+    that ``eliminate``'s walk measured, and only a core attribute ranked
+    after the first removal makes one ranked-order walk more.  Here the
     core tables with a removal rank their core after it, and the m = 16
     table has an empty core."""
-    calls = _counted_walks(monkeypatch)
-    tables = [(_one_non_core_table(), 1, 1), (_identity_table(300, 8, 3), 1, 0),
-              (_identity_table(300, 10, 3), 2, 1), (_identity_table(300, 16, 3), 2, 0)]
-    for table, walks, trace_walks in tables:
-        calls[0] = 0
+    walked = _counted_walks(monkeypatch)
+    ranked = _counted_rankings(monkeypatch)
+    tables = [(_one_non_core_table(), 2), (_identity_table(300, 8, 3), 1),
+              (_identity_table(300, 10, 3), 2), (_identity_table(300, 16, 3), 1)]
+    for table, trace_walks in tables:
+        walked[0] = ranked[0] = 0
         cond = conditional_attributes(table)
         result = eliminate(table)
-        assert calls[0] == walks
-        assert len(result.trace) == len(cond) and calls[0] == walks
+        assert len(result.trace) == len(cond)
+        assert (walked[0], ranked[0]) == (1, 0)
         entries = tuple(result.trace)
-        assert calls[0] == walks + trace_walks
-        assert result.trace == entries and calls[0] == walks + trace_walks
+        assert (walked[0], ranked[0]) == (1 + trace_walks, 1)
+        assert result.trace == entries and (walked[0], ranked[0]) == (1 + trace_walks, 1)
     table = _one_non_core_table()
     assert core_attributes(table) == set(conditional_attributes(table)) - {"k"}
     assert eliminate(table).removed == ("k",)
 
 
-def test_unread_trace_holds_no_table_without_a_core_ranked_late(monkeypatch):
-    """On a table with an empty core every trace count is known once
-    ``eliminate`` returns, so reading the trace makes no walk and the
-    unread trace does not keep the table alive; a trace that still has to
-    walk, with a core attribute ranked after the first removal, does."""
+def test_unread_trace_holds_the_table_until_it_is_read_or_dropped(monkeypatch):
+    """The trace ranks the attributes when it is first read, so an unread
+    trace keeps its table alive, and reading it or dropping the result
+    lets the table go, by its reference count, with no cycle to collect.
+    With an empty core every count after the first removal is one that
+    ``eliminate`` measured, so reading the trace makes the table walk
+    alone; with a core attribute ranked after the first removal it makes
+    one ranked-order walk more."""
     calls = _counted_walks(monkeypatch)
-    table = _identity_table(300, 16, 3)
-    assert not core_attributes(table)
-    result = eliminate(table)
-    ref = weakref.ref(table)
-    del table
-    assert ref() is None  # by its reference count, with no cycle to collect
-    calls[0] = 0
-    assert len(tuple(result.trace)) == 16 and calls[0] == 0
-    assert [entry.verdict for entry in result.trace].count("redundant") == len(result.removed)
+    for make, walks in ((lambda: _identity_table(300, 16, 3), 1), (_one_non_core_table, 2)):
+        table = make()
+        result = eliminate(table)
+        ref = weakref.ref(table)
+        del table
+        assert ref() is not None
+        calls[0] = 0
+        assert len(tuple(result.trace)) == len(result.reduct) + len(result.removed)
+        assert calls[0] == walks and ref() is None
+        assert [entry.verdict for entry in result.trace].count("redundant") == len(result.removed)
 
-    table = _one_non_core_table()
+    table = _identity_table(300, 16, 3)
     result = eliminate(table)
     ref = weakref.ref(table)
     del table
     assert ref() is not None
-    calls[0] = 0
-    tuple(result.trace)
-    assert calls[0] == 1 and ref() is None
+    del result
+    assert ref() is None
 
 
 def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
@@ -768,12 +833,10 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
     """Once most granules are alone in their block the walk drops them, so
     the granule entries that one walk's refines and meets touch stop growing
     with the attribute count: a dense walk touches 300 per pass, 27000 at
-    m = 10 and 108000 at m = 40.  ``eliminate`` makes a walk of its own at
-    m = 10, over the one non-core attribute left after the first removal
-    and seeded with the grouping by the eight core ones, and at m = 40,
-    where the core is empty, so the bound is put on one walk, the table
-    walk that ranking makes.  The splits switch from dense to stripped
-    lists mid-walk."""
+    m = 10 and 108000 at m = 40.  Ranking makes the table walk and
+    ``eliminate`` one walk of its own over the same attributes, whose
+    prefix skips the removed ones, so the bound is put on each.  The
+    splits switch from dense to stripped lists mid-walk."""
     touched = 0
     stripped = dense = 0
     split, meet = partition._split, partition._meet
@@ -806,8 +869,9 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         elimination.append(touched)
     assert dense and stripped  # lists switch mid-walk
     assert ranking == [4828, 4292]
-    assert elimination == [6796, 8786]
+    assert elimination == [5166, 4494]
     assert ranking[1] <= 1.2 * ranking[0]
+    assert elimination[1] <= 1.2 * elimination[0]
 
 
 def test_refined_keys_stay_within_one_int_digit(monkeypatch):
@@ -1081,7 +1145,7 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     holds the 12, the first refinement splits all 12 keys, and a stripped
     list's refinement splits only the rows not yet alone in their block.
     The oracle and ``eliminate`` on one table, as ``reduct --exhaustive``
-    runs them, build the granule view once and split by the core once."""
+    runs them, build the granule view once."""
     sizes = []
     builds = 0
     split, granulate = partition._split, partition._granulate
@@ -1109,25 +1173,25 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     assert builds == 2
     assert sizes[0] == (12, 12)
     assert all(view == 12 and keys <= 12 for view, keys in sizes)
-    core_grouping = table._core_grouping
     eliminate(table)
-    assert builds == 2 and table._core_grouping is core_grouping
+    assert builds == 2
 
 
 def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
-    """``reduct --exhaustive`` runs the oracle, which starts from the core's
-    grouping, and ``eliminate``, which seeds its walk with it: the table
-    keeps one, in column order, so one call groups by the core once.  The
-    fixture's core is ``a`` and it has four non-core attributes, so
-    ``eliminate`` does walk from the core's grouping."""
+    """``reduct --exhaustive --trace`` groups by the core once: the oracle
+    starts its search from the core's grouping, in column order, and
+    ``eliminate``, the table walk and the trace's ranked-order walk all
+    start from the one-block grouping.  The fixture's core is ``a`` and it
+    has four non-core attributes."""
     grouped = []
-    grouping = dataset._grouping
+    grouping = partition._grouping
 
     def recording_grouping(view, attrs):
         grouped.append(tuple(attrs))
         return grouping(view, attrs)
 
-    monkeypatch.setattr(dataset, "_grouping", recording_grouping)
+    for module in (dataset, reduct):
+        monkeypatch.setattr(module, "_grouping", recording_grouping)
     path = str(Path(__file__).parent / "data" / "kept_then_redundant.csv")
     assert cli.main(["reduct", path, "--decision", "d", "--exhaustive", "--trace", "--json"]) == 0
     capsys.readouterr()

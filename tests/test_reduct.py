@@ -21,7 +21,9 @@ from reduct_forge import (
     exhaustive_reducts,
     ind_partition,
     is_redundant,
+    rank_attributes,
     significance,
+    split_groups,
 )
 
 from conftest import make_table, minimal_preserving_subsets_oracle, random_table
@@ -137,6 +139,17 @@ class TestEliminate:
             results = [eliminate(table, p) for p in policies]
             assert len({r.reduct for r in results}) == 1
             assert len({r.removed for r in results}) == 1
+
+    @pytest.mark.parametrize("count", [-1, 8])
+    def test_count_out_of_range_is_refused_when_called(self, seven_segment, count):
+        """``eliminate`` ranks only when its trace is read, yet a count
+        outside ``[0, m]`` is refused by the call itself, with the message
+        of ``split_groups``, which checks it by the same rule."""
+        with pytest.raises(ValueError) as raised:
+            eliminate(seven_segment, CountSplit(count))
+        assert str(raised.value) == f"count {count} outside [0, 7]"
+        with pytest.raises(ValueError, match=str(raised.value).replace("[", r"\[")):
+            split_groups(rank_attributes(seven_segment), CountSplit(count))
 
 
 class TestExhaustiveReducts:
