@@ -32,8 +32,9 @@ folding them pays; every per-object reader, ``rows``, ``column``,
 ``value``, equality and the per-object partitions, reads a stored row
 through the object's row index.  A table keeps the kernel's view of its
 rows and its table-order leave-one-out walk, seeded with the one-block
-grouping and read by attribute, each built on first use, so ranking, the
-core, the oracle and elimination's trace share one of each.
+grouping and read by attribute, each built on first use, so ranking (which
+elimination's trace makes when read), the core and the oracle share one of
+each.
 """
 
 from __future__ import annotations
@@ -314,24 +315,17 @@ class InformationSystem:
         """The table-order leave-one-out walk over ``_granules``, kept with
         the table and read by attribute: the grouping by all conditional
         attributes, and a dict that maps each of them, in table order, to
-        the grouping that leaves it out.  Ranking, the core, the oracle
-        and the elimination trace, whose candidates are some ``C - a``
-        until the first removal, all read it, so a table pays for one such
-        walk; ``eliminate`` does not, as its own column-order walk drops
-        each redundant attribute from its prefix.  It is kept on the table,
-        not on the view: each grouping refers to the view, so a cache there
-        would make a reference cycle."""
+        the grouping that leaves it out.  Ranking, the core and the oracle
+        all read it, so a table pays for one such walk; ``eliminate`` does
+        not, as its own column-order walk drops each redundant attribute
+        from its prefix, and its trace reads it only to rank, taking its
+        counts from ``eliminate``'s walk and, for the attributes of
+        positive significance, from one walk over the reduct.  It is kept
+        on the table, not on the view: each grouping refers to the view, so
+        a cache there would make a reference cycle."""
         attrs = conditional_attributes(self)
         walk = _leave_one_out(_grouping(self._granules, ()), attrs)
         return next(walk), dict(zip(attrs, walk))
-
-    @cached_property
-    def _core(self) -> tuple[str, ...]:
-        """The core (Pawlak, 1991) in table order: the conditional
-        attributes whose removal lowers the block count of all of them,
-        read off ``_table_walk``."""
-        full, without = self._table_walk
-        return tuple(a for a, labels in without.items() if labels.blocks != full.blocks)
 
 
 def _check_distinct(names: Iterable[str]) -> None:

@@ -42,12 +42,16 @@ The trace, which only ``--trace`` prints, is built when it is first read,
 and keeps the table until then.  It ranks the attributes off the
 table-order walk (``InformationSystem._table_walk``, the grouping by ``C``
 and a dict from each ``a`` to the grouping of ``C - a``), which the
-ranking, the core and the oracle share.  Each candidate up to the first
-removal is some ``C - a`` off that walk, and each non-core candidate after
-it has the set that the elimination's walk tested.  Only a core attribute
-ranked after the first removal needs a count of its own; then one
-ranked-order walk from there gives the rest.  Every walk ends at its last
-candidate, so each reader takes it with one plain loop.
+ranking, the core and the oracle share, and gives each candidate's count
+by one of two cases.  A removed attribute lies outside the core, so its
+significance is 0, and the attributes of significance 0 keep column order
+in the stable sort; so the removals ranked before such an ``a`` are those
+before it in column order, and ``a`` takes the count that the
+elimination's walk measured.  An attribute of positive significance ranks
+after every removal, so its set is ``R - a``, whose count one walk over
+``R`` gives, made only when something was removed and some significance
+is positive.  Every walk ends at its last candidate, so each reader takes
+it with one plain loop.
 
 The oracle starts from the core's grouping and splits it one attribute
 per node with the walk's own refinement, so its nodes strip too, and it
@@ -64,7 +68,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dataset import InformationSystem, _LazyTuple, conditional_attributes
@@ -100,10 +103,12 @@ class ReductResult:
         return frozenset(self.reduct)
 
 
-def _indispensable(table: InformationSystem) -> tuple[int, frozenset[str]]:
-    """The block count of the conditional attributes and the core, those
-    whose removal lowers it, both off the table's kept table-order walk."""
-    return table._table_walk[0].blocks, frozenset(table._core)
+def _indispensable(table: InformationSystem) -> tuple[int, tuple[str, ...]]:
+    """The block count of the conditional attributes and the core (Pawlak,
+    1991) in table order, those whose removal lowers it, both off the
+    table's kept table-order walk."""
+    full, without = table._table_walk
+    return full.blocks, tuple(a for a, labels in without.items() if labels.blocks != full.blocks)
 
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
@@ -151,64 +156,33 @@ def _verdicts(
     return full_count, removed, witnesses, tested
 
 
-def _counts(table: InformationSystem, ranked: Sequence[str], dropped: set[str],
-            tested: dict[str, int]) -> Iterable[int]:
-    """Each candidate's block count in the elimination pass over ``ranked``
-    that removes ``dropped``.  Up to and including the first removal each
-    candidate is some ``C - a``, read off the table walk.  After it, a
-    non-core candidate's set is the core, the non-core attributes kept
-    before it and all those after it, as the non-core attributes come in
-    column order: the set that the column-order pass measured, so its count
-    is taken from ``tested``.  Only when a core attribute is ranked after
-    the first removal is the rest given by a ranked-order walk
-    (``_ranked_counts``)."""
-    without = table._table_walk[1]
-    counts: list[int] = []
-    for attribute in ranked:
-        counts.append(without[attribute].blocks)
-        if attribute in dropped:
-            break
-    later = ranked[len(counts):]
-    if set(later).isdisjoint(table._core):
-        return counts + [tested[a] for a in later]
-    return chain(counts, _ranked_counts(table, ranked, dropped, len(counts) - 1))
-
-
-def _ranked_counts(table: InformationSystem, ranked: Sequence[str], dropped: set[str],
-                   i: int) -> Iterator[int]:
-    """The block counts of the candidates after the first removal,
-    ``ranked[i]``, from one leave-one-out walk over the attributes kept so
-    far and then the untested ones, in ranked order."""
-    # What is sent back says whether the previous candidate stays; those
-    # tested before the first removal keep their C - a counts.
-    rest = ranked[:i] + ranked[i + 1:]
-    walk = _leave_one_out(_grouping(table._granules, ()), rest)
-    next(walk)
-    kept = True
-    for j, attribute in enumerate(rest):
-        labels = walk.send(kept)
-        kept = attribute not in dropped
-        if j >= i:
-            yield labels.blocks
-
-
 def _traced(table: InformationSystem, policy: GroupPolicy, full_count: int,
-            dropped: set[str], tested: dict[str, int]) -> Iterator[TraceEntry]:
-    """The trace entries of the elimination pass that removes ``dropped``,
-    in ranked order under ``policy``: the ranking, its groups and the
-    candidates' block counts (``_counts``) are made when the first entry is
-    read."""
+            reduct: tuple[str, ...], dropped: set[str],
+            tested: dict[str, int]) -> Iterator[TraceEntry]:
+    """The trace entries of the elimination pass that keeps ``reduct`` and
+    removes ``dropped``, in ranked order under ``policy``, made when the
+    first entry is read.  An attribute of significance 0 takes the count
+    that the column-order pass measured, ``tested``; one of positive
+    significance is ranked after every removal, so its set is ``R - a``,
+    whose count one walk over ``R`` gives.  That walk is made only when
+    some significance is positive and something was removed, as otherwise
+    ``R = C`` and ``tested`` holds the ``C - a`` counts."""
     grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
-    counts = _counts(table, grouping.attributes, dropped, tested)
-    for (attribute, sig), count in zip(grouping.ranked, counts):
+    counts = tested
+    if dropped and grouping.ranked[-1][1]:  # the greatest significance is last
+        walk = _leave_one_out(_grouping(table._granules, ()), reduct)
+        next(walk)  # the grouping by R
+        without = {a: labels.blocks for a, labels in zip(reduct, walk)}
+        counts = {a: without[a] if sig else tested[a] for a, sig in grouping.ranked}
+    for attribute, sig in grouping.ranked:
         yield TraceEntry(
             attribute=attribute,
             significance=sig,
             group="low" if attribute in low else "high",
             verdict="redundant" if attribute in dropped else "kept",
             base_size_before=full_count,
-            base_size_after=count,
+            base_size_after=counts[attribute],
         )
 
 
@@ -239,7 +213,8 @@ def eliminate(
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
-        trace=_LazyTuple(len(cond), _traced(table, policy, full_count, dropped, tested)),
+        trace=_LazyTuple(len(cond), _traced(table, policy, full_count, reduct, dropped,
+                                             tested)),
         verified_minimal=_certified(table._granules, reduct, witnesses),
     )
 
@@ -267,7 +242,7 @@ def exhaustive_reducts(
     recorded: list[frozenset[str]] = []
     # An explicit stack of (attrs, labels, next child), so that depth is not
     # bounded by the recursion limit; a node resumes after each child.
-    stack = [(core, _grouping(table._granules, table._core), 0)]
+    stack = [(frozenset(core), _grouping(table._granules, core), 0)]
     while stack:
         attrs, labels, start = stack.pop()
         if labels.blocks == full_count:
@@ -288,4 +263,4 @@ def exhaustive_reducts(
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:
     """Attributes whose individual removal already coarsens the partition."""
-    return _indispensable(table)[1]
+    return frozenset(_indispensable(table)[1])

@@ -309,23 +309,33 @@ GOLDEN_CASES = [
      ["reduct", str(DATA / "irredundant.csv"), "--trace", "--json"]),
     # The only redundant attribute, one of the copied pair b and c, is
     # tested after a kept one, which splits a block without changing the
-    # positive region: the trace's ranked-order walk starts at it, and
-    # c's count in the trace is the one elimination's column-order walk
-    # measured.
+    # positive region.  Each attribute of significance 0, c among them,
+    # takes the count that elimination's column-order walk measured, and
+    # e, of positive significance, that of R - e from the trace's walk
+    # over the reduct.
     ("reduct_late_redundant_trace.json",
      ["reduct", str(DATA / "late_redundant.csv"), "--decision", "d", "--trace", "--json"]),
     # late_redundant with a copy of e, e2, before d: the verdicts run kept,
-    # redundant, kept, redundant, kept, so the trace's ranked-order walk
-    # starts after a kept attribute and a second removal follows; witness
-    # pairs from elimination's column-order walk certify the reduct, and
-    # no walk measures it again.
+    # redundant, kept, redundant, kept, and every significance is 0, so the
+    # trace takes every count from elimination's column-order walk; witness
+    # pairs from that walk certify the reduct, and no walk measures it
+    # again.
     ("reduct_kept_then_redundant_trace.json",
      ["reduct", str(DATA / "kept_then_redundant.csv"), "--decision", "d", "--trace", "--json"]),
     # Every attribute but c is core, so elimination keeps every attribute
-    # but c; the trace's ranked-order walk gives e, a core attribute ranked
-    # after c, 6 blocks for C - c - e, where C - e has 8.
+    # but c.  e, a core attribute of significance 0 ranked after c, takes
+    # the count elimination measured, 6 blocks for C - c - e, where C - e
+    # has 8; a, of positive significance, takes that of R - a from the
+    # trace's walk over the reduct.
     ("reduct_one_non_core_trace.json",
      ["reduct", str(DATA / "one_non_core.csv"), "--decision", "d", "--trace", "--json"]),
+    # p is removed, as t or s tells apart every pair that it does; s, a
+    # core attribute of significance 0, ranks after it and takes the count
+    # of C - p - s that elimination measured.  t, of positive significance and first in
+    # column order, takes that of R - t, 2 blocks, where C - t has 3.
+    ("reduct_zero_significance_core_trace.json",
+     ["reduct", str(DATA / "zero_significance_core.csv"), "--decision", "d", "--trace",
+      "--json"]),
 ]
 
 

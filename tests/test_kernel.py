@@ -297,8 +297,8 @@ def _core_cases(table, result) -> list[str]:
 def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     """``eliminate`` tests the attributes on one column-order walk and
     certifies the reduct with witness pairs; its trace ranks them when
-    read, and takes its counts off the table walk until the first removal,
-    then off that walk or a ranked-order one.  The plain reference walks
+    read, and takes its counts off that walk, or, for the attributes of
+    positive significance, off a walk over the reduct.  The plain reference walks
     the ranked order and then the reduct.  Both give the
     same reduct, removals, trace and ``verified_minimal``.  A kept
     candidate followed by two or more removals is the case where the
@@ -400,14 +400,15 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     ``a``; redundant attributes get no pair, and the pairs certify the
     result.  It tests every conditional attribute once, in column order,
     against the block count of all of them.  Its removals are the lazy
-    trace's redundant verdicts, and the trace's counts are those of
-    ``_counts``: after the first removal they are those of the
-    ranked-order walk from there, and a non-core candidate's is the one
-    that the pass measured."""
+    trace's redundant verdicts, and each trace count is the block count of
+    the ranked-order pass's candidate: C without ``a`` and without the
+    removals ranked before ``a``.  The trace's rule rests on two facts,
+    checked too: every removed attribute has significance 0, and every
+    attribute of positive significance ranks after the last removal."""
     cond = conditional_attributes(table)
     policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
     result = eliminate(table, policy)
-    ranked = split_groups(rank_attributes(table), policy).attributes
+    ranked = split_groups(rank_attributes(table), policy).ranked
     full_count, removed, witnesses, tested = reduct._verdicts(table)
     assert full_count == block_count(table, cond)
     assert tuple(tested) == cond
@@ -415,15 +416,14 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     assert removed == [a for a in cond if tested[a] == full_count]
     assert removed == [entry.attribute for entry in result.trace
                        if entry.verdict == "redundant"]
-    counts = list(reduct._counts(table, ranked, set(removed), tested))
-    assert [entry.base_size_after for entry in result.trace] == counts
-    if removed:
-        first = ranked.index(removed[0])
-        walked = list(reduct._ranked_counts(table, ranked, set(removed), first))
-        assert counts[first + 1:] == walked
-        core = core_attributes(table)
-        assert all(counts[i] == tested[a] for i, a in enumerate(ranked)
-                   if i > first and a not in core)
+    assert [entry.attribute for entry in result.trace] == [a for a, _ in ranked]
+    for i, entry in enumerate(result.trace):
+        earlier = {a for a, _ in ranked[:i] if a in removed}
+        candidate = [a for a in cond if a != entry.attribute and a not in earlier]
+        assert entry.base_size_after == block_count(table, candidate)
+    last = max((i for i, (a, _) in enumerate(ranked) if a in removed), default=-1)
+    assert all(sig == 0 for a, sig in ranked if a in removed)
+    assert all(i > last for i, (_, sig) in enumerate(ranked) if sig > 0)
     assert set(witnesses) == set(result.reduct)
     view = table._granules
     for name, pair in witnesses.items():
@@ -742,16 +742,22 @@ def test_eliminate_makes_one_walk_and_ranks_only_when_its_trace_is_read(monkeypa
     """``eliminate`` makes one walk, over the conditional attributes in
     column order, and neither ranks them nor makes the table walk, so with
     its trace unread a call is one walk and no ranking.  Reading the trace
-    ranks once and makes the table walk, whose ``C - a`` counts serve up to
-    the first removal; the non-core candidates after it take the counts
-    that ``eliminate``'s walk measured, and only a core attribute ranked
-    after the first removal makes one ranked-order walk more.  Here the
-    core tables with a removal rank their core after it, and the m = 16
-    table has an empty core."""
+    ranks once, which makes the table walk; an attribute of significance 0
+    takes the count that ``eliminate``'s walk measured, and only when
+    something was removed and some attribute has positive significance
+    does one walk over the reduct give those attributes' ``R - a`` counts.
+    Here the core tables with a removal have core attributes of positive
+    significance, the m = 16 table has an empty core, and the one-class
+    decision table has a core attribute ``s`` of significance 0 ranked
+    after the removal of ``p``, a copy of ``q``, so its trace reads only
+    the table walk."""
     walked = _counted_walks(monkeypatch)
     ranked = _counted_rankings(monkeypatch)
+    one_class = make_table([["0", "0", "0", "x"], ["1", "1", "0", "x"], ["0", "0", "1", "x"],
+                            ["1", "1", "1", "x"]], ["p", "q", "s", "d"], decision="d")
     tables = [(_one_non_core_table(), 2), (_identity_table(300, 8, 3), 1),
-              (_identity_table(300, 10, 3), 2), (_identity_table(300, 16, 3), 1)]
+              (_identity_table(300, 10, 3), 2), (_identity_table(300, 16, 3), 1),
+              (one_class, 1)]
     for table, trace_walks in tables:
         walked[0] = ranked[0] = 0
         cond = conditional_attributes(table)
@@ -764,16 +770,19 @@ def test_eliminate_makes_one_walk_and_ranks_only_when_its_trace_is_read(monkeypa
     table = _one_non_core_table()
     assert core_attributes(table) == set(conditional_attributes(table)) - {"k"}
     assert eliminate(table).removed == ("k",)
+    assert core_attributes(one_class) == {"s"} and eliminate(one_class).removed == ("p",)
+    assert [(a, sig) for a, sig in rank_attributes(one_class).ranked] == [
+        ("p", 0), ("q", 0), ("s", 0)]
 
 
 def test_unread_trace_holds_the_table_until_it_is_read_or_dropped(monkeypatch):
     """The trace ranks the attributes when it is first read, so an unread
     trace keeps its table alive, and reading it or dropping the result
     lets the table go, by its reference count, with no cycle to collect.
-    With an empty core every count after the first removal is one that
+    With an empty core every significance is 0 and every count one that
     ``eliminate`` measured, so reading the trace makes the table walk
-    alone; with a core attribute ranked after the first removal it makes
-    one ranked-order walk more."""
+    alone; with a removal and core attributes of positive significance it
+    makes one walk over the reduct more."""
     calls = _counted_walks(monkeypatch)
     for make, walks in ((lambda: _identity_table(300, 16, 3), 1), (_one_non_core_table, 2)):
         table = make()
@@ -1180,9 +1189,10 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
 def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
     """``reduct --exhaustive --trace`` groups by the core once: the oracle
     starts its search from the core's grouping, in column order, and
-    ``eliminate``, the table walk and the trace's ranked-order walk all
-    start from the one-block grouping.  The fixture's core is ``a`` and it
-    has four non-core attributes."""
+    ``eliminate`` and the table walk start from the one-block grouping, as
+    does the trace's walk over the reduct when it is made.  The fixture's
+    core is ``a`` and it has four non-core attributes; every significance
+    is 0, so the trace takes ``eliminate``'s counts and makes no walk."""
     grouped = []
     grouping = partition._grouping
 
