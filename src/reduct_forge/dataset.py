@@ -320,7 +320,7 @@ class InformationSystem:
         not, as its own column-order walk drops each redundant attribute
         from its prefix, and its trace reads it only to rank, taking its
         counts from ``eliminate``'s walk and, for the attributes of
-        positive significance, from one walk over the reduct.  It is kept
+        positive significance, from one walk over those alone.  It is kept
         on the table, not on the view: each grouping refers to the view, so
         a cache there would make a reference cycle."""
         attrs = conditional_attributes(self)

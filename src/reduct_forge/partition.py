@@ -16,23 +16,26 @@ lies in the positive region exactly when its granules share one unmixed
 label; the weights of those granules sum to its share of |POS|.
 
 On that view the kernel has one grouping form, :class:`_Labels`, and one
-refinement, ``_split``, which splits a grouping by one attribute.  A
-grouping carries its view, so ``_split``, ``_meet`` and ``_leave_one_out``
-take groupings alone; only ``_grouping``, which starts from the view,
-takes one.  ``_grouping`` splits the one-block grouping by each of a
-set's attributes; :func:`block_count`, :func:`dependency` and the
-exhaustive oracle's root, the core's grouping, start there, and the
-oracle's depth-first search splits one attribute per node.
-``_leave_one_out`` is the paper's composition of a low- and a
+refinement, ``_refine``, which refines a grouping by one code per granule
+it keys: ``_split`` refines it by an attribute's column, and ``_meet``
+refines one grouping by the other's keys.  A grouping carries its view, so
+``_split``, ``_meet`` and ``_leave_one_out`` take groupings alone; only
+``_grouping``, which starts from the view, takes one.  ``_grouping`` splits
+the one-block grouping by each of a set's attributes; :func:`block_count`,
+:func:`dependency` and the exhaustive oracle's root, the core's grouping,
+start there, and the oracle's depth-first search splits one attribute per
+node.  ``_leave_one_out`` is the paper's composition of a low- and a
 high-significance base, a partition meet, taken at every candidate: from
 a seed grouping, the grouping of ``R - a`` meets the kept attributes
 before ``a`` with all attributes after it, so ranking and elimination
 each make O(m) refinements and meets instead of rebuilding an
-m-attribute projection per attribute.  Every walk's seed is the one-block
-grouping: the table's, which it keeps read by attribute, a dict from each
-``a`` to the grouping of ``C - a``, and ``eliminate``'s, which drops each
-redundant attribute from its prefix as it goes.  The walk ends at its
-last candidate, so its readers take it with one plain loop or ``tuple``.
+m-attribute projection per attribute.  The table's walk, which it keeps
+read by attribute, a dict from each ``a`` to the grouping of ``C - a``,
+and ``eliminate``'s, which drops each redundant attribute from its prefix
+as it goes, start from the one-block grouping; the trace's walk over the
+reduct's attributes of positive significance starts from the grouping by
+the rest of the reduct.  The walk ends at its last candidate, so its
+readers take it with one plain loop or ``tuple``.
 Every reader takes only a grouping's block count and dependency degree,
 never its label lists or the view's code columns.
 Those are read here for elimination: ``_witness`` finds in the grouping
@@ -41,18 +44,15 @@ that shows ``a`` cannot leave ``R``, and ``_certified`` checks on the raw
 codes that each pair differs on its attribute alone among ``R``, the
 discernibility-matrix certificate of Skowron and Rauszer (1992).
 Refinement never merges blocks, so a granule alone in its block stays
-alone in every finer grouping and meet: a split or a meet drops such
-granules, the stripped partitions of TANE (Huhtala et al., 1999), once at
-least half of its rows are, and keeps only the rest (``_stripped``).  On a
-wide table almost every granule is alone after about log_k |U/C|
-attributes, so a walk touches O(|U/C|·log_k |U/C|) granule entries, not
-O(|U/C|·m), and the block count, dependency and witness search of a
-stripped ``C - a`` pass over a few rows.  ``_split`` makes one pass over a
-coded column or over the rows a stripped list keeps: the new label is the
-mixed-radix int ``label * k + code``, where ``k`` is the column's value
-count, and labels are renumbered densely only when they could pass
-``2**30``, one CPython int digit.  Labels are therefore neither dense nor
-in first-occurrence order, and a stripped list has none for its lone
+alone in every finer grouping and meet: every refinement ends in
+``_stripped``, which drops such granules, the stripped partitions of TANE
+(Huhtala et al., 1999), and keeps only the rest.  On a wide table almost
+every granule is alone after about log_k |U/C| attributes, so a walk
+touches O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m), and the
+block count, dependency and witness search of a stripped ``C - a`` pass
+over a few rows.  Labels are mixed-radix ints, renumbered only once
+their bound passes one int digit (``_refine``), so they are neither dense
+nor in first-occurrence order, and a stripped list has none for its lone
 granules.
 
 :func:`projections`, :func:`ind_partition`, :func:`decision_partition`,
@@ -345,19 +345,19 @@ def projections(table: InformationSystem, attrs: Iterable[str]) -> list[int]:
 class _Labels:
     """A grouping of ``view``'s granules, the kernel's only form of one,
     with its block count ``blocks`` and its dependency degree
-    ``dependency``.  ``_grouping`` and ``_split`` build it and ``_meet``
-    joins two; code outside this module reads only those two properties.
-    It carries its view, so ``_split`` and ``_meet`` read the view there
-    and take groupings alone.
+    ``dependency``.  ``_grouping`` builds the one-block grouping and
+    ``_refine`` every other; code outside this module reads only those two
+    properties.  It carries its view, so ``_split`` and ``_meet`` read the
+    view there and take groupings alone.
 
     Dense, ``rows`` is None and ``keys[g]`` is granule ``g``'s label.
     Stripped, ``keys`` are the labels of the granules ``rows``, in ascending
     order, and each granule outside ``rows`` is alone in its block; a
     granule in ``rows`` may be alone too.  Two granules share a block
-    exactly when both carry a label and the labels are equal.  A list that
-    ``_split`` or ``_meet`` makes also keeps ``top``, a bound above every
-    key, and ``most``, a bound on the distinct keys, so that it can be
-    split again and a meet of it knows its own bounds.
+    exactly when both carry a label and the labels are equal.  It also
+    keeps ``top``, a bound above every key, and ``most``, a bound on the
+    distinct keys, so that it can be refined again, by a column or as the
+    other side of a meet.
     A plain class, not a dataclass, so that importing the module stays
     cheap.
     """
@@ -365,7 +365,7 @@ class _Labels:
     __slots__ = ("view", "keys", "rows", "top", "most", "_blocks")
 
     def __init__(self, view: _Granules, keys: list[int], rows: list[int] | None,
-                 top: int = 0, most: int = 0, blocks: int | None = None) -> None:
+                 top: int, most: int, blocks: int | None = None) -> None:
         self.view, self.keys, self.rows = view, keys, rows
         self.top, self.most, self._blocks = top, most, blocks
 
@@ -398,53 +398,50 @@ _DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
 
 
 def _split(labels: _Labels, name: str) -> _Labels:
-    """``labels`` refined by attribute ``name``, and stripped of the granules
-    alone in their block once at least half of its rows are.
-
-    The column is read from the view that ``labels`` carries.  One pass
-    over the column's codes, or over those of the rows a stripped list
-    keeps: two granules get the same new key exactly when they had the
-    same key and agree on ``name``.  The new key is the mixed-radix
-    ``key * k + code``, ``k`` being the column's value count: as
-    ``0 <= code < k`` it tells the (key, code) pairs apart, so the pass
-    needs no dict and no tuple per granule.  Keys are not dense, but stay
-    below ``2**30``: when ``top * k`` would pass that, the pairs are
-    renumbered densely by first occurrence instead, so keys never outgrow
-    one int digit.
-
-    A set of the keys (``_stripped``) is paid for only when ``most``, the
-    free bound on their distinct values, lets half of the rows be alone."""
-    rows = labels.rows
-    if rows == []:
+    """``labels`` refined by attribute ``name`` (``_refine``), whose column
+    is read from the view that ``labels`` carries, at the rows a stripped
+    list keeps."""
+    if labels.rows == []:
         return labels  # every granule is alone in its block already
-    view = labels.view
-    codes, k = view.columns[name]
-    if rows is not None:
-        codes = map(codes.__getitem__, rows)
-    top = labels.top * k
-    if top <= _DIGIT:
-        keys = [key * k + code for key, code in zip(labels.keys, codes)]
-        most = min(labels.most * k, len(keys))
-    else:  # renumbered densely, so the bound is the block count
+    codes, k = labels.view.columns[name]
+    if labels.rows is not None:
+        codes = map(codes.__getitem__, labels.rows)
+    return _refine(labels, codes, k, k)
+
+
+def _refine(labels: _Labels, codes: Iterable[int], k: int, distinct: int) -> _Labels:
+    """``labels`` refined by ``codes``, one per granule it keys, each below
+    ``k`` and at most ``distinct`` of them different: two granules get the
+    same new key exactly when they had the same key and the same code.
+
+    One pass: the new key is the mixed-radix ``key * k + code``, which
+    tells the (key, code) pairs apart as ``0 <= code < k``, so the pass
+    needs no dict and no tuple per granule.  It ends in ``_stripped``.
+    Keys are not dense, but stay below ``2**30``: when ``top * k`` passes
+    that, the keys left after the strip are renumbered densely by first
+    occurrence, so no grouping keeps a key past one int digit, and a
+    refinement that leaves few rows renumbers only those."""
+    keys = [key * k + code for key, code in zip(labels.keys, codes)]
+    refined = _stripped(labels.view, keys, labels.rows, labels.top * k,
+                        labels.most * distinct)
+    if refined.top > _DIGIT:  # renumbered densely, so the bound is the block count
         ids: dict[int, int] = {}
-        keys = [ids.setdefault(key * k + code, len(ids))
-                for key, code in zip(labels.keys, codes)]
-        top = most = len(ids)
-    if 2 * most < len(keys):
-        return _Labels(view, keys, rows, top, most)
-    return _stripped(view, keys, rows, top)
+        refined.keys = [ids.setdefault(key, len(ids)) for key in refined.keys]
+        refined.top = refined.most = len(ids)
+    return refined
 
 
 def _stripped(view: _Granules, keys: list[int], rows: list[int] | None,
-              top: int) -> _Labels:
+              top: int, most: int) -> _Labels:
     """The grouping of ``rows`` (every granule when None) by ``keys``, each
-    below ``top``, with its block count from one set of the keys, and
-    stripped of the granules alone in their block when at least half of
-    its rows are.  With b distinct keys over s rows at least 2b - s rows
-    are alone, so the rows are counted and stripped only when b reaches
-    3s / 4.  ``_split`` and ``_meet`` end here once the free bound on
-    their distinct keys lets that many rows be alone."""
+    below ``top`` and at most ``most`` of them distinct, stripped of the
+    granules alone in their block when at least half of its rows are.  With
+    b distinct keys over s rows at least 2b - s rows are alone, so a set of
+    the keys, which gives the block count, is paid for only when ``most``
+    lets b reach 3s / 4, and the rows are stripped only when b does."""
     size = len(keys)
+    if 4 * most < 3 * size:
+        return _Labels(view, keys, rows, top, most)
     shared = len(set(keys))
     blocks = len(view.labels) - size + shared
     if shared == size:
@@ -521,38 +518,28 @@ def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
 
 def _meet(a: _Labels, b: _Labels) -> _Labels:
     """The grouping by both ``a`` and ``b`` of the granules of the view they
-    both carry, ended like ``_split``.  A granule alone in either is alone
-    in the meet, so a stripped side limits the pass to its rows: a dense
-    side is indexed at them, and of two stripped sides the shorter is
-    looked up in a dict.  The meet's keys are ``p * b.top + s``, below
-    ``a.top * b.top``, and at most ``a.most * b.most`` of them are
-    distinct; only when that bound lets three in four rows be distinct is
-    a set paid for (``_stripped``), which gives the block count and strips
-    the meet once half of its rows are alone."""
-    view = a.view
-    if a.rows is None and b.rows is None:
-        rows = None
-        keys = [p * b.top + s for p, s in zip(a.keys, b.keys)]
+    both carry: one side refined by the other's keys (``_refine``).  A
+    granule alone in either side is alone in the meet, so a side whose
+    granules are all alone is the meet, as it is a split; otherwise a
+    stripped side is the one refined, by a dense side's keys read at its
+    rows, and of two stripped sides the longer is first cut to the
+    shorter's rows, looked up in a dict, and refined by the shorter's keys
+    there."""
+    if a.rows == []:
+        return a
+    if b.rows == []:
+        return b
+    if b.rows is not None and (a.rows is None or len(a.rows) < len(b.rows)):
+        a, b = b, a
+    if b.rows is None:
+        codes: Iterable[int] = b.keys if a.rows is None else map(b.keys.__getitem__, a.rows)
     else:
-        if b.rows is None:
-            a, b = b, a
-        if a.rows is None:
-            at: Sequence[int] = a.keys
-            rows = b.rows
-            inner: Iterable[int] = b.keys
-        else:
-            if len(b.rows) < len(a.rows):
-                a, b = b, a
-            at = dict(zip(a.rows, a.keys))
-            inside = list(map(at.__contains__, b.rows))
-            rows = list(compress(b.rows, inside))
-            inner = compress(b.keys, inside)
-        width = b.top
-        keys = [at[r] * width + s for r, s in zip(rows, inner)]
-    top, most = a.top * b.top, min(a.most * b.most, len(keys))
-    if 4 * most < 3 * len(keys):
-        return _Labels(view, keys, rows, top, most)
-    return _stripped(view, keys, rows, top)
+        at = dict(zip(b.rows, b.keys))
+        inside = list(map(at.__contains__, a.rows))
+        rows = list(compress(a.rows, inside))
+        a = _Labels(a.view, list(compress(a.keys, inside)), rows, a.top, a.most)
+        codes = map(at.__getitem__, rows)
+    return _refine(a, codes, b.top, b.most)
 
 
 def _leave_one_out(
@@ -567,8 +554,10 @@ def _leave_one_out(
     by ``seed``, the kept attributes before ``attrs[i]`` and all of
     ``attrs[i + 1:]``; ``attrs[i]`` is kept unless the value sent back for
     it is ``False``, so plain iteration keeps every attribute (the value
-    sent back for the first yield is ignored).  Every reader seeds it with
-    the one-block grouping.  The walk ends after its last candidate
+    sent back for the first yield is ignored).  The table's walk and
+    ``eliminate``'s start from the one-block grouping, the trace's from the
+    grouping by the attributes of the reduct it leaves out of ``attrs``.
+    The walk ends after its last candidate
     without refining the prefix again, as no candidate would read it, so
     ``tuple``, ``list`` or a ``for`` loop takes all of it for no extra
     work.  This is the paper's composition of a low and a high base, a
@@ -578,10 +567,10 @@ def _leave_one_out(
     the seed, which the other refines.
     Refinement never merges blocks, so a granule alone in its block stays
     alone in every finer grouping and meet: each list drops such granules
-    once at least half of its rows are, and the walk then touches only the
-    rest.  On a wide table almost every granule is alone after about
-    log_k |U/C| attributes, so the walk touches O(|U/C|·log_k |U/C|)
-    granule entries rather than O(|U/C|·m).
+    (``_stripped``), and the walk then touches only the rest.  On a wide
+    table almost every granule is alone after about log_k |U/C|
+    attributes, so the walk touches O(|U/C|·log_k |U/C|) granule entries
+    rather than O(|U/C|·m).
     """
     suffixes = [seed]  # suffixes[-1 - j] groups by seed and attrs[j:]
     for name in reversed(attrs):

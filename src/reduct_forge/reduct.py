@@ -49,8 +49,9 @@ in the stable sort; so the removals ranked before such an ``a`` are those
 before it in column order, and ``a`` takes the count that the
 elimination's walk measured.  An attribute of positive significance ranks
 after every removal, so its set is ``R - a``, whose count one walk over
-``R`` gives, made only when something was removed and some significance
-is positive.  Every walk ends at its last candidate, so each reader takes
+those attributes alone gives, started from the grouping by the rest of
+``R`` and made only when something was removed and some significance is
+positive.  Every walk ends at its last candidate, so each reader takes
 it with one plain loop.
 
 The oracle starts from the core's grouping and splits it one attribute
@@ -163,18 +164,22 @@ def _traced(table: InformationSystem, policy: GroupPolicy, full_count: int,
     removes ``dropped``, in ranked order under ``policy``, made when the
     first entry is read.  An attribute of significance 0 takes the count
     that the column-order pass measured, ``tested``; one of positive
-    significance is ranked after every removal, so its set is ``R - a``,
-    whose count one walk over ``R`` gives.  That walk is made only when
+    significance is ranked after every removal, so its set is ``R - a``.
+    Those counts come from one walk over the attributes of positive
+    significance alone, from the grouping by the rest of ``R``, so that its
+    candidates are exactly their ``R - a``.  That walk is made only when
     some significance is positive and something was removed, as otherwise
     ``R = C`` and ``tested`` holds the ``C - a`` counts."""
     grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
+    positive = {a for a, sig in grouping.ranked if sig}
     counts = tested
-    if dropped and grouping.ranked[-1][1]:  # the greatest significance is last
-        walk = _leave_one_out(_grouping(table._granules, ()), reduct)
+    if dropped and positive:
+        walked = [a for a in reduct if a in positive]
+        walk = _leave_one_out(
+            _grouping(table._granules, [a for a in reduct if a not in positive]), walked)
         next(walk)  # the grouping by R
-        without = {a: labels.blocks for a, labels in zip(reduct, walk)}
-        counts = {a: without[a] if sig else tested[a] for a, sig in grouping.ranked}
+        counts = tested | {a: labels.blocks for a, labels in zip(walked, walk)}
     for attribute, sig in grouping.ranked:
         yield TraceEntry(
             attribute=attribute,

@@ -312,7 +312,7 @@ GOLDEN_CASES = [
     # positive region.  Each attribute of significance 0, c among them,
     # takes the count that elimination's column-order walk measured, and
     # e, of positive significance, that of R - e from the trace's walk
-    # over the reduct.
+    # over the attributes of positive significance.
     ("reduct_late_redundant_trace.json",
      ["reduct", str(DATA / "late_redundant.csv"), "--decision", "d", "--trace", "--json"]),
     # late_redundant with a copy of e, e2, before d: the verdicts run kept,
@@ -326,7 +326,7 @@ GOLDEN_CASES = [
     # but c.  e, a core attribute of significance 0 ranked after c, takes
     # the count elimination measured, 6 blocks for C - c - e, where C - e
     # has 8; a, of positive significance, takes that of R - a from the
-    # trace's walk over the reduct.
+    # trace's walk over the attributes of positive significance.
     ("reduct_one_non_core_trace.json",
      ["reduct", str(DATA / "one_non_core.csv"), "--decision", "d", "--trace", "--json"]),
     # p is removed, as t or s tells apart every pair that it does; s, a

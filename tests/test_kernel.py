@@ -298,7 +298,7 @@ def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     """``eliminate`` tests the attributes on one column-order walk and
     certifies the reduct with witness pairs; its trace ranks them when
     read, and takes its counts off that walk, or, for the attributes of
-    positive significance, off a walk over the reduct.  The plain reference walks
+    positive significance, off a walk over those alone.  The plain reference walks
     the ranked order and then the reduct.  Both give the
     same reduct, removals, trace and ``verified_minimal``.  A kept
     candidate followed by two or more removals is the case where the
@@ -745,7 +745,8 @@ def test_eliminate_makes_one_walk_and_ranks_only_when_its_trace_is_read(monkeypa
     ranks once, which makes the table walk; an attribute of significance 0
     takes the count that ``eliminate``'s walk measured, and only when
     something was removed and some attribute has positive significance
-    does one walk over the reduct give those attributes' ``R - a`` counts.
+    does one walk over those attributes alone, from the grouping by the
+    rest of the reduct, give their ``R - a`` counts.
     Here the core tables with a removal have core attributes of positive
     significance, the m = 16 table has an empty core, and the one-class
     decision table has a core attribute ``s`` of significance 0 ranked
@@ -782,7 +783,7 @@ def test_unread_trace_holds_the_table_until_it_is_read_or_dropped(monkeypatch):
     With an empty core every significance is 0 and every count one that
     ``eliminate`` measured, so reading the trace makes the table walk
     alone; with a removal and core attributes of positive significance it
-    makes one walk over the reduct more."""
+    makes one walk over those attributes more."""
     calls = _counted_walks(monkeypatch)
     for make, walks in ((lambda: _identity_table(300, 16, 3), 1), (_one_non_core_table, 2)):
         table = make()
@@ -900,6 +901,74 @@ def test_refined_keys_stay_within_one_int_digit(monkeypatch):
     monkeypatch.setattr(partition, "_split", recording_split)
     eliminate(_identity_table(300, 40, 3))
     assert 0 < largest < 2**30
+
+
+def _side(labels) -> str:
+    """The form of one side of a meet."""
+    if labels.rows == []:
+        return "all alone"
+    if labels.rows is not None:
+        return "stripped"
+    return "one block" if labels.blocks == 1 else "dense"
+
+
+def _assert_meet_matches_union(table, a_attrs, b_attrs) -> tuple[str, str]:
+    """``_meet`` of the groupings by ``a_attrs`` and ``b_attrs`` groups the
+    granules as their union does, and as the granules' code tuples over
+    it, with the union's block count and dependency; the two sides' forms
+    are returned."""
+    view = table._granules
+    a, b = _grouping(view, a_attrs), _grouping(view, b_attrs)
+    union = list(dict.fromkeys([*a_attrs, *b_attrs]))
+    met, direct = partition._meet(a, b), _grouping(view, union)
+    assert _spelled_out(met) == _spelled_out(direct)
+    assert _spelled_out(met) == _first_seen_numbering(_code_tuples(view, union))
+    assert met.blocks == direct.blocks == len(ind_partition(table, union))
+    assert met.dependency == direct.dependency
+    if met.rows is not None:
+        assert met.rows == sorted(set(met.rows))
+    return _side(a), _side(b)
+
+
+@given(tables_with_redundant_columns() | stripping_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_meet_groups_as_the_union_of_its_sides(table, data):
+    """For drawn A, B within C, the meet of the groupings by A and by B
+    groups the granules as the grouping by A and B together does: dense,
+    stripped, all-alone and one-block sides alike."""
+    cond = conditional_attributes(table)
+    subset = st.lists(st.sampled_from(cond), unique=True)
+    _assert_meet_matches_union(table, data.draw(subset), data.draw(subset))
+
+
+def test_meet_differential_covers_every_form_of_side():
+    """On seeded tables the meet of every pair of prefix and suffix
+    groupings matches the union, and those pairs take in a dense, a
+    stripped, an all-alone and a one-block grouping on each side."""
+    seen: set[tuple[str, str]] = set()
+    for table in (_identity_table(60, 8, 3), _identity_table(300, 10, 3),
+                  _identity_table(40, 12, 2)):
+        cond = conditional_attributes(table)
+        for i in range(len(cond) + 1):
+            for j in range(len(cond) + 1):
+                seen.add(_assert_meet_matches_union(table, cond[:i], cond[j:]))
+    forms = {"dense", "stripped", "all alone", "one block"}
+    assert {a for a, _ in seen} == forms and {b for _, b in seen} == forms
+
+
+def test_meet_keys_stay_within_one_int_digit():
+    """A meet refines one side by the other's keys with the refinement that
+    splits use, so two dense sides whose keys reach near ``2**30`` meet in
+    keys below it, grouped as the pairs of their keys are."""
+    view = _identity_table(300, 4, 3)._granules
+    n = len(view.labels)
+    top = 1 << 30
+    a = partition._Labels(view, [top - 1 - g % 7 for g in range(n)], None, top, 7)
+    b = partition._Labels(view, [top - 1 - g % 5 for g in range(n)], None, top, 5)
+    met = partition._meet(a, b)
+    assert max(met.keys) < top
+    assert _spelled_out(met) == _first_seen_numbering(zip(a.keys, b.keys))
+    assert met.blocks == 35
 
 
 def _gamma_via(table, attrs):
@@ -1189,8 +1258,9 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
 def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
     """``reduct --exhaustive --trace`` groups by the core once: the oracle
     starts its search from the core's grouping, in column order, and
-    ``eliminate`` and the table walk start from the one-block grouping, as
-    does the trace's walk over the reduct when it is made.  The fixture's
+    ``eliminate`` and the table walk start from the one-block grouping, and
+    the trace's walk, when it is made, from the grouping by the reduct's
+    attributes of significance 0.  The fixture's
     core is ``a`` and it has four non-core attributes; every significance
     is 0, so the trace takes ``eliminate``'s counts and makes no walk."""
     grouped = []
@@ -1257,9 +1327,9 @@ def test_ranking_and_elimination_build_no_per_object_codes(decision):
 _REFERENCE_PATH = {"ObjectSet", "Partition", "grouped", "_grouped_partition", "_mask",
                    "_block_labels", "projections", "ind_partition", "decision_partition",
                    "meet", "positive_region", "gamma"}
-_KERNEL = {"_Granules", "_granulate", "_Labels", "_split", "_meet", "_grouping",
-           "_leave_one_out", "_DIGIT", "_MIXED", "_pure_weight", "_unmixed_weight",
-           "_witness", "_certified", "_Numbering"}
+_KERNEL = {"_Granules", "_granulate", "_Labels", "_split", "_refine", "_stripped", "_meet",
+           "_grouping", "_leave_one_out", "_DIGIT", "_MIXED", "_pure_weight",
+           "_unmixed_weight", "_witness", "_certified", "_Numbering"}
 
 
 def _syntax(module) -> ast.Module:
@@ -1285,4 +1355,5 @@ def test_reference_path_and_kernel_readers_stay_apart():
                     module, node.attr)
             if isinstance(node, ast.ImportFrom):
                 imported = {alias.name for alias in node.names}
-                assert not imported & {"_refine", "_projections"}, (module, imported)
+                assert not imported & {"_refine", "_stripped", "_meet", "_projections"}, (
+                    module, imported)
