@@ -31,10 +31,7 @@ stored rows, weighted by their object counts, and alone decides whether
 folding them pays; every per-object reader, ``rows``, ``column``,
 ``value``, equality and the per-object partitions, reads a stored row
 through the object's row index.  A table keeps the kernel's view of its
-rows and its table-order leave-one-out walk, seeded with the one-block
-grouping and read by attribute, each built on first use, so ranking (which
-elimination's trace makes when read), the core and the oracle share one of
-each.
+rows and the kernel's table-order walk over them, each built on first use.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
-from .partition import _granulate, _grouping, _Labels, _leave_one_out
+from .partition import _granulate, _table_order_walk
 
 IDENTITY = "identity"
 
@@ -311,21 +308,12 @@ class InformationSystem:
         return _granulate(self)
 
     @cached_property
-    def _table_walk(self) -> tuple[_Labels, dict[str, _Labels]]:
-        """The table-order leave-one-out walk over ``_granules``, kept with
-        the table and read by attribute: the grouping by all conditional
-        attributes, and a dict that maps each of them, in table order, to
-        the grouping that leaves it out.  Ranking, the core and the oracle
-        all read it, so a table pays for one such walk; ``eliminate`` does
-        not, as its own column-order walk drops each redundant attribute
-        from its prefix, and its trace reads it only to rank, taking its
-        counts from ``eliminate``'s walk and, for the attributes of
-        positive significance, from one walk over those alone.  It is kept
-        on the table, not on the view: each grouping refers to the view, so
-        a cache there would make a reference cycle."""
-        attrs = conditional_attributes(self)
-        walk = _leave_one_out(_grouping(self._granules, ()), attrs)
-        return next(walk), dict(zip(attrs, walk))
+    def _table_walk(self):
+        """The kernel's table-order walk over ``_granules``
+        (``partition._table_order_walk``), built on first use and kept with
+        the table.  It is kept on the table, not on the view: each grouping
+        refers to the view, so a cache there would make a reference cycle."""
+        return _table_order_walk(self._granules)
 
 
 def _check_distinct(names: Iterable[str]) -> None:
@@ -429,17 +417,11 @@ def load_csv(
             del body[:skip]  # the header
         return body
 
-    def file_line(j: int) -> int:
-        """The file line number, blank lines counted, of the ``j``-th
-        non-blank line, from 0."""
-        split_text()
-        numbers = (number for number, line in enumerate(lines, 1) if line.strip())
-        return next(itertools.islice(numbers, j, None))
-
     if has_header:
         names = [cell.strip() for cell in first.split(",")]
         if "" in names:
-            raise MalformedTable(file_line(0), f"header cell {names.index('') + 1} is empty")
+            raise MalformedTable(text.count("\n", 0, start) + 1,
+                                 f"header cell {names.index('') + 1} is empty")
     else:
         names = [f"c{i + 1}" for i in range(first.count(",") + 1)]
     width = len(names)
@@ -450,12 +432,14 @@ def load_csv(
             raise DuplicateAttribute("id")
 
     def ragged() -> None:
-        """Report the first line whose comma count is wrong, by its file
-        line number; called once some line is known to be ragged."""
-        for j, line in enumerate(split_text(), skip):
+        """Report the first line after the header whose comma count is
+        wrong, by its file line number, blank lines counted, in one pass
+        over the lines; called once some line is known to be ragged."""
+        split_text()
+        numbered = ((number, line) for number, line in enumerate(lines, 1) if line.strip())
+        for number, line in itertools.islice(numbered, skip, None):
             if line.count(",") != width - 1:
-                raise MalformedTable(file_line(j),
-                                     f"expected {width} cells, got {line.count(',') + 1}")
+                raise MalformedTable(number, f"expected {width} cells, got {line.count(',') + 1}")
 
     # An id-only table, whose header has no comma to scan for, is keyed
     # with the id last.

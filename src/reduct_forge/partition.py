@@ -18,9 +18,14 @@ label; the weights of those granules sum to its share of |POS|.
 On that view the kernel has one grouping form, :class:`_Labels`, and one
 refinement, ``_refine``, which refines a grouping by one code per granule
 it keys: ``_split`` refines it by an attribute's column, and ``_meet``
-refines one grouping by the other's keys.  A grouping carries its view, so
+refines one grouping by the other's keys.  ``_refine`` alone tells when a
+refinement changes nothing, as every granule is alone already or every
+code is 0, and then returns the grouping it was given, so a split by a
+one-value column and a meet with the one-block grouping return a side
+unchanged.  A grouping carries its view, so
 ``_split``, ``_meet`` and ``_leave_one_out`` take groupings alone; only
-``_grouping``, which starts from the view, takes one.  ``_grouping`` splits
+``_grouping`` and ``_table_order_walk``, which start from the view, take
+one.  ``_grouping`` splits
 the one-block grouping by each of a set's attributes; :func:`block_count`,
 :func:`dependency` and the exhaustive oracle's root, the core's grouping,
 start there, and the oracle's depth-first search splits one attribute per
@@ -29,10 +34,11 @@ high-significance base, a partition meet, taken at every candidate: from
 a seed grouping, the grouping of ``R - a`` meets the kept attributes
 before ``a`` with all attributes after it, so ranking and elimination
 each make O(m) refinements and meets instead of rebuilding an
-m-attribute projection per attribute.  The table's walk, which it keeps
-read by attribute, a dict from each ``a`` to the grouping of ``C - a``,
-and ``eliminate``'s, which drops each redundant attribute from its prefix
-as it goes, start from the one-block grouping; the trace's walk over the
+m-attribute projection per attribute.  The table's walk
+(``_table_order_walk``), which the table keeps read by attribute, a dict
+from each ``a`` to the grouping of ``C - a``, and ``eliminate``'s, which
+drops each redundant attribute from its prefix as it goes, start from the
+one-block grouping; the trace's walk over the
 reduct's attributes of positive significance starts from the grouping by
 the rest of the reduct.  The walk ends at its last candidate, so its
 readers take it with one plain loop or ``tuple``.
@@ -50,10 +56,10 @@ alone in every finer grouping and meet: every refinement ends in
 every granule is alone after about log_k |U/C| attributes, so a walk
 touches O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m), and the
 block count, dependency and witness search of a stripped ``C - a`` pass
-over a few rows.  Labels are mixed-radix ints, renumbered only once
-their bound passes one int digit (``_refine``), so they are neither dense
-nor in first-occurrence order, and a stripped list has none for its lone
-granules.
+over a few rows.  Labels are mixed-radix ints whose keys left after the
+strip are renumbered once their bound passes one int digit (``_refine``),
+so they are neither dense nor in first-occurrence order, and a stripped
+list has none for its lone granules.
 
 :func:`projections`, :func:`ind_partition`, :func:`decision_partition`,
 :func:`meet`, :func:`positive_region` and :func:`gamma` answer per object:
@@ -399,31 +405,35 @@ _DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
 
 def _split(labels: _Labels, name: str) -> _Labels:
     """``labels`` refined by attribute ``name`` (``_refine``), whose column
-    is read from the view that ``labels`` carries, at the rows a stripped
-    list keeps."""
-    if labels.rows == []:
-        return labels  # every granule is alone in its block already
+    is read from the view that ``labels`` carries."""
     codes, k = labels.view.columns[name]
-    if labels.rows is not None:
-        codes = map(codes.__getitem__, labels.rows)
     return _refine(labels, codes, k, k)
 
 
-def _refine(labels: _Labels, codes: Iterable[int], k: int, distinct: int) -> _Labels:
-    """``labels`` refined by ``codes``, one per granule it keys, each below
-    ``k`` and at most ``distinct`` of them different: two granules get the
-    same new key exactly when they had the same key and the same code.
+def _refine(labels: _Labels, column: Sequence[int] | dict[int, int], k: int,
+            distinct: int) -> _Labels:
+    """``labels`` refined by ``column``, which gives each granule that it
+    keys a code, read at the granule's index, each below ``k`` and at most
+    ``distinct`` of them different: two granules get the same new key
+    exactly when they had the same key and the same code.
 
-    One pass: the new key is the mixed-radix ``key * k + code``, which
-    tells the (key, code) pairs apart as ``0 <= code < k``, so the pass
-    needs no dict and no tuple per granule.  It ends in ``_stripped``.
-    Keys are not dense, but stay below ``2**30``: when ``top * k`` passes
-    that, the keys left after the strip are renumbered densely by first
-    occurrence, so no grouping keeps a key past one int digit, and a
-    refinement that leaves few rows renumbers only those."""
+    It is the kernel's one test for a refinement that changes nothing:
+    when every granule is alone already (``rows == []``) or every code is
+    0 (``k == 1``: a one-value column, or a meet's side of one block),
+    ``labels`` itself is returned.  Otherwise one pass: the new key is the
+    mixed-radix ``key * k + code``, which tells the (key, code) pairs
+    apart as ``0 <= code < k``, so the pass needs no dict and no tuple per
+    granule.  It ends in ``_stripped``.  Keys are not dense, but stay
+    below ``2**30``: when ``top * k`` passes that, the keys left after the
+    strip are renumbered densely by first occurrence, so no grouping keeps
+    a key past one int digit, and a refinement that leaves few rows
+    renumbers only those."""
+    rows = labels.rows
+    if rows == [] or k == 1:
+        return labels
+    codes = column if rows is None else map(column.__getitem__, rows)
     keys = [key * k + code for key, code in zip(labels.keys, codes)]
-    refined = _stripped(labels.view, keys, labels.rows, labels.top * k,
-                        labels.most * distinct)
+    refined = _stripped(labels.view, keys, rows, labels.top * k, labels.most * distinct)
     if refined.top > _DIGIT:  # renumbered densely, so the bound is the block count
         ids: dict[int, int] = {}
         refined.keys = [ids.setdefault(key, len(ids)) for key in refined.keys]
@@ -518,28 +528,27 @@ def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
 
 def _meet(a: _Labels, b: _Labels) -> _Labels:
     """The grouping by both ``a`` and ``b`` of the granules of the view they
-    both carry: one side refined by the other's keys (``_refine``).  A
-    granule alone in either side is alone in the meet, so a side whose
-    granules are all alone is the meet, as it is a split; otherwise a
-    stripped side is the one refined, by a dense side's keys read at its
-    rows, and of two stripped sides the longer is first cut to the
-    shorter's rows, looked up in a dict, and refined by the shorter's keys
-    there."""
-    if a.rows == []:
-        return a
+    both carry: one side refined by the other's keys (``_refine``).  The
+    side refined is a stripped one, of two stripped sides the longer, and
+    of two dense sides the one whose keys reach higher, so a meet with the
+    one-block grouping returns the other side.  A granule alone in either
+    side is alone in the meet, so a shorter side whose granules are all
+    alone is the meet.  A stripped side is refined by a dense side's keys
+    read at its rows; of two stripped sides the longer is first cut to the
+    shorter's rows, looked up in a dict, which then gives the shorter's
+    keys there."""
+    if (b.rows is not None and (a.rows is None or len(a.rows) < len(b.rows))
+            or a.rows is None and b.rows is None and a.top < b.top):
+        a, b = b, a
     if b.rows == []:
         return b
-    if b.rows is not None and (a.rows is None or len(a.rows) < len(b.rows)):
-        a, b = b, a
-    if b.rows is None:
-        codes: Iterable[int] = b.keys if a.rows is None else map(b.keys.__getitem__, a.rows)
-    else:
-        at = dict(zip(b.rows, b.keys))
-        inside = list(map(at.__contains__, a.rows))
-        rows = list(compress(a.rows, inside))
-        a = _Labels(a.view, list(compress(a.keys, inside)), rows, a.top, a.most)
-        codes = map(at.__getitem__, rows)
-    return _refine(a, codes, b.top, b.most)
+    column: Sequence[int] | dict[int, int] = b.keys
+    if b.rows is not None:
+        column = dict(zip(b.rows, b.keys))
+        inside = list(map(column.__contains__, a.rows))
+        a = _Labels(a.view, list(compress(a.keys, inside)), list(compress(a.rows, inside)),
+                    a.top, a.most)
+    return _refine(a, column, b.top, b.most)
 
 
 def _leave_one_out(
@@ -564,7 +573,8 @@ def _leave_one_out(
     partition meet, taken at every candidate: the suffix groupings are
     refined once from the back, the kept prefix one attribute at a time,
     and each candidate meets them in one pass, unless one side is still
-    the seed, which the other refines.
+    the seed, which the other refines; a side split only by one-value
+    columns is the seed itself, as ``_refine`` returns its input.
     Refinement never merges blocks, so a granule alone in its block stays
     alone in every finer grouping and meet: each list drops such granules
     (``_stripped``), and the walk then touches only the rest.  On a wide
@@ -579,17 +589,30 @@ def _leave_one_out(
     prefix = seed
     for name in attrs:
         suffix = suffixes.pop()
-        # A side that is still the seed, or that discerns nothing, leaves
-        # the other side as it is.
-        if prefix is seed or (prefix.rows is None and prefix.top == 1):
+        # A side that is still the seed, as one split only by one-value
+        # columns is (``_refine``), leaves the other side as it is.
+        if prefix is seed:
             labels = suffix
-        elif suffix is seed or (suffix.rows is None and suffix.top == 1):
+        elif suffix is seed:
             labels = prefix
         else:
             labels = _meet(prefix, suffix)
         # After the last candidate no prefix is read, so none is refined.
         if (yield labels) is not False and suffixes:
             prefix = _split(prefix, name)
+
+
+def _table_order_walk(view: _Granules) -> tuple[_Labels, dict[str, _Labels]]:
+    """The table's walk: ``_leave_one_out`` over ``view.columns``, in
+    table order, from the one-block grouping, read as the grouping by all
+    conditional attributes ``C`` and a dict that maps each ``a`` to the
+    grouping of ``C - a``.  ``InformationSystem._table_walk`` keeps it, so
+    ranking, the core and the oracle share one; ``eliminate`` makes its
+    own column-order walk, which drops each redundant attribute from its
+    prefix, and its trace reads this one only to rank."""
+    attrs = tuple(view.columns)
+    walk = _leave_one_out(_grouping(view, ()), attrs)
+    return next(walk), dict(zip(attrs, walk))
 
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:

@@ -971,6 +971,28 @@ def test_meet_keys_stay_within_one_int_digit():
     assert met.blocks == 35
 
 
+def test_a_refinement_that_changes_nothing_returns_its_input():
+    """``_refine`` alone tells when a refinement changes nothing, and then
+    returns the very grouping it was given: a split by a one-value column,
+    a meet with the one-block grouping on either side, and a split or a
+    meet of a grouping whose granules are all alone."""
+    base = _identity_table(60, 8, 3)
+    table = make_table([[*row, "k"] for row in base.rows], [*base.attributes, "k"])
+    view = table._granules
+    cond = base.attributes
+    one = _grouping(view, ())
+    sides = [one, _grouping(view, cond[:2]), _grouping(view, cond[:5]), _grouping(view, cond)]
+    assert [_side(labels) for labels in sides] == ["one block", "dense", "stripped", "all alone"]
+    alone = sides[-1]
+    for labels in sides:
+        assert partition._split(labels, "k") is labels
+        assert partition._meet(one, labels) is labels
+        assert partition._meet(labels, one) is labels
+        assert partition._meet(alone, labels) is alone
+        assert partition._meet(labels, alone) is alone
+    assert partition._split(alone, "c1") is alone
+
+
 def _gamma_via(table, attrs):
     """The object-level reference: gamma of the indiscernibility partition."""
     return gamma(ind_partition(table, attrs), decision_partition(table))
@@ -1270,7 +1292,7 @@ def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
         grouped.append(tuple(attrs))
         return grouping(view, attrs)
 
-    for module in (dataset, reduct):
+    for module in (partition, reduct):
         monkeypatch.setattr(module, "_grouping", recording_grouping)
     path = str(Path(__file__).parent / "data" / "kept_then_redundant.csv")
     assert cli.main(["reduct", path, "--decision", "d", "--exhaustive", "--trace", "--json"]) == 0
@@ -1328,8 +1350,8 @@ _REFERENCE_PATH = {"ObjectSet", "Partition", "grouped", "_grouped_partition", "_
                    "_block_labels", "projections", "ind_partition", "decision_partition",
                    "meet", "positive_region", "gamma"}
 _KERNEL = {"_Granules", "_granulate", "_Labels", "_split", "_refine", "_stripped", "_meet",
-           "_grouping", "_leave_one_out", "_DIGIT", "_MIXED", "_pure_weight",
-           "_unmixed_weight", "_witness", "_certified", "_Numbering"}
+           "_grouping", "_leave_one_out", "_table_order_walk", "_DIGIT", "_MIXED",
+           "_pure_weight", "_unmixed_weight", "_witness", "_certified", "_Numbering"}
 
 
 def _syntax(module) -> ast.Module:
