@@ -152,7 +152,9 @@ def _cmd_reduct(args: argparse.Namespace) -> int:
         if args.exhaustive:
             raw = os.environ.get("REDUCT_FORGE_MAX_ATTRS", str(DEFAULT_MAX_ATTRS))
             cap = _decimal(raw, f"REDUCT_FORGE_MAX_ATTRS is not a nonnegative integer: {raw!r}")
-            # First, so that its cap check refuses a wide table before elimination.
+            # First, so that its cap check refuses a wide table before any
+            # walk; it builds the table's elimination pass, which eliminate
+            # then reads.
             all_reducts = exhaustive_reducts(table, cap)
         result = eliminate(table, policy)
         fields: dict = {

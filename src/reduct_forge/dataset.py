@@ -31,7 +31,9 @@ stored rows, weighted by their object counts, and alone decides whether
 folding them pays; every per-object reader, ``rows``, ``column``,
 ``value``, equality and the per-object partitions, reads a stored row
 through the object's row index.  A table keeps the kernel's view of its
-rows and the kernel's table-order walk over them, each built on first use.
+rows, the kernel's table-order walk over them, which ranking reads, and
+its column-order elimination pass, which elimination, the core and the
+exhaustive oracle read, each built on first use.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
-from .partition import _granulate, _table_order_walk
+from .partition import _elimination, _granulate, _table_order_walk
 
 IDENTITY = "identity"
 
@@ -311,9 +313,19 @@ class InformationSystem:
     def _table_walk(self):
         """The kernel's table-order walk over ``_granules``
         (``partition._table_order_walk``), built on first use and kept with
-        the table.  It is kept on the table, not on the view: each grouping
-        refers to the view, so a cache there would make a reference cycle."""
+        the table for ranking, its one reader.  It is kept on the table, not
+        on the view: each grouping refers to the view, so a cache there would
+        make a reference cycle."""
         return _table_order_walk(self._granules)
+
+    @cached_property
+    def _elimination(self):
+        """The kernel's column-order elimination pass over ``_granules``
+        (``partition._elimination``, which reads the view), built on first
+        use and kept with the table, so ``eliminate``, the core and the
+        exhaustive oracle share one walk.  It holds counts, names and
+        granule indices, no grouping."""
+        return _elimination(self)
 
 
 def _check_distinct(names: Iterable[str]) -> None:

@@ -34,21 +34,26 @@ high-significance base, a partition meet, taken at every candidate: from
 a seed grouping, the grouping of ``R - a`` meets the kept attributes
 before ``a`` with all attributes after it, so ranking and elimination
 each make O(m) refinements and meets instead of rebuilding an
-m-attribute projection per attribute.  The table's walk
-(``_table_order_walk``), which the table keeps read by attribute, a dict
-from each ``a`` to the grouping of ``C - a``, and ``eliminate``'s, which
-drops each redundant attribute from its prefix as it goes, start from the
-one-block grouping; the trace's walk over the
-reduct's attributes of positive significance starts from the grouping by
-the rest of the reduct.  The walk ends at its last candidate, so its
-readers take it with one plain loop or ``tuple``.
+m-attribute projection per attribute.  The table keeps two walks over
+all conditional attributes ``C``, each from the one-block grouping: the
+table-order walk (``_table_order_walk``), read by attribute as a dict from
+each ``a`` to the grouping of ``C - a``, which only ranking reads, and the
+elimination pass (``_elimination``), which drops each redundant attribute
+from its prefix as it goes and which ``eliminate``, the core and the
+exhaustive oracle read.  A walk over some attributes alone starts from the
+grouping by the rest of a set: the trace's, over the reduct's attributes
+of positive significance, and the core's, over the kept attributes that
+the elimination's pairs leave open.  The walk ends at its last candidate,
+so its readers take it with one plain loop or ``tuple``.
 Every reader takes only a grouping's block count and dependency degree,
 never its label lists or the view's code columns.
 Those are read here for elimination: ``_witness`` finds in the grouping
 of ``R - a`` two granules of one block that differ on ``a``, the pair
-that shows ``a`` cannot leave ``R``, and ``_certified`` checks on the raw
-codes that each pair differs on its attribute alone among ``R``, the
-discernibility-matrix certificate of Skowron and Rauszer (1992).
+that shows ``a`` cannot leave ``R``, and ``_alone`` checks on the raw
+codes which pairs differ on their attribute alone among a set, the
+discernibility-matrix view of Skowron and Rauszer (1992): over ``R`` it
+certifies that ``R`` is minimal, and over ``C`` it names core attributes
+with no walk.
 Refinement never merges blocks, so a granule alone in its block stays
 alone in every finer grouping and meet: every refinement ends in
 ``_stripped``, which drops such granules, the stripped partitions of TANE
@@ -497,21 +502,27 @@ def _witness(labels: _Labels, name: str) -> tuple[int, int] | None:
     return None
 
 
-def _certified(view: _Granules, reduct: Sequence[str],
-               witnesses: dict[str, tuple[int, int] | None]) -> bool:
-    """True when every attribute of ``reduct`` is necessary by its witness
-    pair from ``_witness``: two granules whose codes differ on it and on no
-    other attribute of ``reduct``, so that dropping it merges their blocks.
-    O(|R|²) code reads and no walk."""
-    columns = [view.columns[a][0] for a in reduct]
-    for attribute in reduct:
+def _alone(view: _Granules, attrs: Sequence[str],
+           witnesses: dict[str, tuple[int, int] | None]) -> set[str]:
+    """The attributes of ``attrs`` whose witness pair from ``_witness``
+    differs on them alone among ``attrs``, read on the raw codes: two
+    granules that differ on ``a`` and on no other attribute of ``attrs``,
+    so that dropping ``a`` merges their blocks, a singleton entry of the
+    discernibility matrix (Skowron and Rauszer, 1992).  An attribute with
+    no pair is not among them.  Over a reduct ``R`` this is the
+    certificate that ``R`` is minimal, every member alone; over all
+    conditional attributes it is the part of the core that the
+    elimination's pairs show.  O(|attrs|²) code reads and no walk."""
+    columns = [view.columns[a][0] for a in attrs]
+    alone = set()
+    for attribute in attrs:
         pair = witnesses.get(attribute)
         if pair is None:
-            return False
+            continue
         x, y = pair
-        if [a for a, codes in zip(reduct, columns) if codes[x] != codes[y]] != [attribute]:
-            return False
-    return True
+        if [a for a, codes in zip(attrs, columns) if codes[x] != codes[y]] == [attribute]:
+            alone.add(attribute)
+    return alone
 
 
 def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
@@ -563,9 +574,10 @@ def _leave_one_out(
     by ``seed``, the kept attributes before ``attrs[i]`` and all of
     ``attrs[i + 1:]``; ``attrs[i]`` is kept unless the value sent back for
     it is ``False``, so plain iteration keeps every attribute (the value
-    sent back for the first yield is ignored).  The table's walk and
-    ``eliminate``'s start from the one-block grouping, the trace's from the
-    grouping by the attributes of the reduct it leaves out of ``attrs``.
+    sent back for the first yield is ignored).  The table's walk and the
+    elimination pass start from the one-block grouping, the trace's and
+    the core's from the grouping by the attributes of the set that they
+    leave out of ``attrs``.
     The walk ends after its last candidate
     without refining the prefix again, as no candidate would read it, so
     ``tuple``, ``list`` or a ``for`` loop takes all of it for no extra
@@ -606,13 +618,54 @@ def _table_order_walk(view: _Granules) -> tuple[_Labels, dict[str, _Labels]]:
     """The table's walk: ``_leave_one_out`` over ``view.columns``, in
     table order, from the one-block grouping, read as the grouping by all
     conditional attributes ``C`` and a dict that maps each ``a`` to the
-    grouping of ``C - a``.  ``InformationSystem._table_walk`` keeps it, so
-    ranking, the core and the oracle share one; ``eliminate`` makes its
-    own column-order walk, which drops each redundant attribute from its
-    prefix, and its trace reads this one only to rank."""
+    grouping of ``C - a``.  ``InformationSystem._table_walk`` keeps it for
+    ranking, its one reader; the core, the oracle and ``eliminate`` read
+    the elimination pass (``_elimination``) instead."""
     attrs = tuple(view.columns)
     walk = _leave_one_out(_grouping(view, ()), attrs)
     return next(walk), dict(zip(attrs, walk))
+
+
+def _elimination(
+    table: InformationSystem,
+) -> tuple[int, list[str], dict[str, tuple[int, int] | None], dict[str, int]]:
+    """The column-order backward elimination over the conditional
+    attributes ``C`` of ``table``'s granules: the block count of ``C``, the
+    attributes it removes, in order, each kept attribute's witness pair
+    from ``_witness``, and each candidate's block count.
+    ``InformationSystem._elimination`` keeps it, so ``eliminate``, the core
+    and the oracle share one pass.  It reads the view off the table, as
+    :func:`block_count` does, so that a first call builds the view inside
+    it: the build then reaches as deep in the stack as the refinements
+    that a sent verdict resumes, and the oracle's deepest frame does not
+    depend on the verdicts, as
+    ``test_search_depth_is_not_bounded_by_the_recursion_limit`` requires.
+
+    One leave-one-out walk over ``C`` from the one-block grouping yields
+    the grouping by ``C`` and then, for each ``a``, that of the attributes
+    kept before ``a`` and all those after it; ``a`` is removed when that
+    set keeps ``C``'s block count.  Otherwise its pair is two granules of
+    one block of that grouping that differ on ``a``: the set holds the
+    final ``R - a``, as later candidates can only leave it, so the pair
+    differs on ``a`` alone among ``R``, and among ``C`` unless it also
+    differs on an attribute removed before ``a``."""
+    view = table._granules
+    attrs = tuple(view.columns)
+    walk = _leave_one_out(_grouping(view, ()), attrs)
+    full_count = next(walk).blocks
+    removed: list[str] = []
+    witnesses: dict[str, tuple[int, int] | None] = {}
+    tested: dict[str, int] = {}
+    kept = True
+    for attribute in attrs:
+        labels = walk.send(kept)
+        tested[attribute] = labels.blocks
+        kept = labels.blocks != full_count
+        if kept:
+            witnesses[attribute] = _witness(labels, attribute)
+        else:
+            removed.append(attribute)
+    return full_count, removed, witnesses, tested
 
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:

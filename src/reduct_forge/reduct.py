@@ -21,36 +21,47 @@ in ``C - a``, which already has fewer blocks.  So the reduct is the
 column-order backward elimination, and the ranking and its low/high
 groups set only the trace.
 
-``eliminate`` makes that pass on one leave-one-out walk over ``C`` in
-column order (``partition._leave_one_out``): ``R - a`` is the meet of the
-kept attributes before ``a`` and all attributes after it, the paper's
-low/high composition taken at every candidate, so the pass makes O(m)
-refinements and meets.  The walk drops the granules already alone in
+``eliminate`` reads that pass off the table
+(``InformationSystem._elimination``, built by ``partition._elimination``
+on one leave-one-out walk over ``C`` in column order): ``R - a`` is the
+meet of the kept attributes before ``a`` and all attributes after it, the
+paper's low/high composition taken at every candidate, so the pass makes
+O(m) refinements and meets.  The walk drops the granules already alone in
 their block, so on a wide table it touches O(|U/C|·log_k |U/C|) granule
-entries rather than O(|U/C|·m).  It reads only each grouping's
-``blocks``, and no ranking, core or table walk is made.  No walk
-re-measures the result ``R``.  Its sufficiency is the kernel's own count
-at the last removal's test, whose set is ``R``; its necessity is a
+entries rather than O(|U/C|·m).  No ranking or table walk is made, and no
+walk re-measures the result ``R``.  Its sufficiency is the kernel's own
+count at the last removal's test, whose set is ``R``; its necessity is a
 certificate, the discernibility-matrix view of Skowron and Rauszer
 (1992): each kept ``a`` carries a witness pair (``partition._witness``),
 two granules in one block of the grouping that tested ``a`` that differ
-on ``a``, and ``partition._certified`` checks on their raw codes that
-they differ on ``a`` alone among ``R``; this module only passes the pairs
+on ``a``, and ``partition._alone`` checks on their raw codes that they
+differ on ``a`` alone among ``R``; this module only passes the pairs
 along.  A ``reduct`` call therefore makes one walk.
+
+The core (Pawlak, 1991: the attributes whose removal from ``C`` lowers
+its block count) comes off the same pass (``_indispensable``).  A removed
+attribute is not core, as a subset of ``C - a`` kept ``C``'s count.  A
+kept attribute whose pair differs on it alone among ``C`` is a singleton
+entry of the discernibility matrix, so it is core.  Every other kept
+attribute's pair also differs on a removed attribute, and those
+attributes alone take their ``C - a`` counts from one walk over them,
+from the grouping by the rest of ``C``.  So a ``reduct --exhaustive``
+call makes one elimination walk, plus that walk when some kept pair
+leaves the core open, and the oracle and ``eliminate`` share the pass.
 
 The trace, which only ``--trace`` prints, is built when it is first read,
 and keeps the table until then.  It ranks the attributes off the
 table-order walk (``InformationSystem._table_walk``, the grouping by ``C``
-and a dict from each ``a`` to the grouping of ``C - a``), which the
-ranking, the core and the oracle share, and gives each candidate's count
-by one of two cases.  A removed attribute lies outside the core, so its
-significance is 0, and the attributes of significance 0 keep column order
-in the stable sort; so the removals ranked before such an ``a`` are those
-before it in column order, and ``a`` takes the count that the
-elimination's walk measured.  An attribute of positive significance ranks
+and a dict from each ``a`` to the grouping of ``C - a``), which only
+ranking reads, and gives each candidate's count by one of two cases.  A
+removed attribute lies outside the core, so its significance is 0, and
+the attributes of significance 0 keep column order in the stable sort; so
+the removals ranked before such an ``a`` are those before it in column
+order, and ``a`` takes the count that the elimination's walk measured.  An attribute of positive significance ranks
 after every removal, so its set is ``R - a``, whose count one walk over
 those attributes alone gives, started from the grouping by the rest of
-``R`` and made only when something was removed and some significance is
+``R`` as the core's walk is from the rest of ``C`` (``_without_each``),
+and made only when something was removed and some significance is
 positive.  Every walk ends at its last candidate, so each reader takes
 it with one plain loop.
 
@@ -73,9 +84,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dataset import InformationSystem, _LazyTuple, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
-from .partition import (
-    _certified, _grouping, _leave_one_out, _split, _witness, block_count,
-)
+from .partition import _alone, _grouping, _leave_one_out, _split, block_count
 from .significance import (
     GroupPolicy, ThresholdSplit, _check_count, rank_attributes, split_groups,
 )
@@ -104,12 +113,34 @@ class ReductResult:
         return frozenset(self.reduct)
 
 
+def _without_each(table: InformationSystem, attrs: Sequence[str],
+                  walked: Sequence[str]) -> dict[str, int]:
+    """The block count of ``attrs - a`` for each ``a`` of ``walked``, a
+    subset of ``attrs`` in column order: one leave-one-out walk over
+    ``walked`` alone, from the grouping by the rest of ``attrs``, so that
+    its candidates are exactly those sets.  No walk when ``walked`` is
+    empty."""
+    if not walked:
+        return {}
+    skip = set(walked)
+    walk = _leave_one_out(_grouping(table._granules, [a for a in attrs if a not in skip]),
+                          walked)
+    next(walk)  # the grouping by all of attrs
+    return {a: labels.blocks for a, labels in zip(walked, walk)}
+
+
 def _indispensable(table: InformationSystem) -> tuple[int, tuple[str, ...]]:
-    """The block count of the conditional attributes and the core (Pawlak,
-    1991) in table order, those whose removal lowers it, both off the
-    table's kept table-order walk."""
-    full, without = table._table_walk
-    return full.blocks, tuple(a for a, labels in without.items() if labels.blocks != full.blocks)
+    """The block count of the conditional attributes ``C`` and the core
+    (Pawlak, 1991) in table order, those whose removal lowers it, off the
+    table's kept elimination pass.  A removed attribute is not core; a kept
+    one is core when its witness pair differs on it alone among ``C``
+    (``_alone``), and every other kept one takes its ``C - a`` count from
+    one walk over those attributes alone (``_without_each``)."""
+    full_count, _, witnesses, _ = table._elimination
+    cond = conditional_attributes(table)
+    sure = _alone(table._granules, cond, witnesses)
+    counts = _without_each(table, cond, [a for a in witnesses if a not in sure])
+    return full_count, tuple(a for a in witnesses if a in sure or counts[a] != full_count)
 
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
@@ -125,38 +156,6 @@ def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[s
     return block_count(table, candidate) == block_count(table, cond)
 
 
-def _verdicts(
-    table: InformationSystem,
-) -> tuple[int, list[str], dict[str, tuple[int, int] | None], dict[str, int]]:
-    """The column-order backward elimination over the conditional attributes
-    ``C``: the block count of ``C``, the attributes it removes, in order,
-    each kept attribute's witness pair from ``partition._witness``, and
-    each candidate's block count.
-
-    One leave-one-out walk over ``C`` from the one-block grouping yields
-    the grouping by ``C`` and then, for each ``a``, that of the attributes
-    kept before ``a`` and all those after it; ``a`` is removed when that
-    set keeps ``C``'s block count.  Otherwise its pair is two granules of
-    one block of that grouping that differ on ``a``: the set holds the
-    final ``R - a``, as later candidates can only leave it."""
-    cond = conditional_attributes(table)
-    walk = _leave_one_out(_grouping(table._granules, ()), cond)
-    full_count = next(walk).blocks
-    removed: list[str] = []
-    witnesses: dict[str, tuple[int, int] | None] = {}
-    tested: dict[str, int] = {}
-    kept = True
-    for attribute in cond:
-        labels = walk.send(kept)
-        tested[attribute] = labels.blocks
-        kept = labels.blocks != full_count
-        if kept:
-            witnesses[attribute] = _witness(labels, attribute)
-        else:
-            removed.append(attribute)
-    return full_count, removed, witnesses, tested
-
-
 def _traced(table: InformationSystem, policy: GroupPolicy, full_count: int,
             reduct: tuple[str, ...], dropped: set[str],
             tested: dict[str, int]) -> Iterator[TraceEntry]:
@@ -166,20 +165,16 @@ def _traced(table: InformationSystem, policy: GroupPolicy, full_count: int,
     that the column-order pass measured, ``tested``; one of positive
     significance is ranked after every removal, so its set is ``R - a``.
     Those counts come from one walk over the attributes of positive
-    significance alone, from the grouping by the rest of ``R``, so that its
-    candidates are exactly their ``R - a``.  That walk is made only when
-    some significance is positive and something was removed, as otherwise
-    ``R = C`` and ``tested`` holds the ``C - a`` counts."""
+    significance alone (``_without_each``), from the grouping by the rest of
+    ``R``.  That walk is made only when some significance is positive and
+    something was removed, as otherwise ``R = C`` and ``tested`` holds the
+    ``C - a`` counts."""
     grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
     positive = {a for a, sig in grouping.ranked if sig}
     counts = tested
-    if dropped and positive:
-        walked = [a for a in reduct if a in positive]
-        walk = _leave_one_out(
-            _grouping(table._granules, [a for a in reduct if a not in positive]), walked)
-        next(walk)  # the grouping by R
-        counts = tested | {a: labels.blocks for a, labels in zip(walked, walk)}
+    if dropped:
+        counts = tested | _without_each(table, reduct, [a for a in reduct if a in positive])
     for attribute, sig in grouping.ranked:
         yield TraceEntry(
             attribute=attribute,
@@ -197,7 +192,10 @@ def eliminate(
     """Run the full elimination pass and certify minimality of the result.
 
     Each conditional attribute is tested once, in column order, and a
-    redundant one is removed immediately and stays removed (``_verdicts``).
+    redundant one is removed immediately and stays removed: the table's
+    elimination pass (``InformationSystem._elimination``), which the core
+    and the oracle read too, so after ``exhaustive_reducts`` this call makes
+    no walk.
     This is the significance-ordered pass: every attribute outside the core
     has significance 0, and the ranking's stable sort keeps those in column
     order, while every core attribute is kept whenever it is tested.  The
@@ -205,14 +203,14 @@ def eliminate(
     attribute tested after the last removal ``b`` was kept, so ``R`` is the
     set that ``b``'s test measured, or ``C`` when nothing was removed.  It
     is verified minimal when every member's witness pair differs on that
-    member alone among ``R`` (``_certified``), so no walk re-measures
+    member alone among ``R`` (``_alone``), so no walk re-measures
     ``R``.  ``policy`` is checked now and sets only the trace, a lazy
     tuple that ranks the attributes and builds its entries when one is
     read, and keeps the table until then.
     """
     cond = conditional_attributes(table)
     _check_count(policy, len(cond))
-    full_count, removed, witnesses, tested = _verdicts(table)
+    full_count, removed, witnesses, tested = table._elimination
     dropped = set(removed)
     reduct = tuple(a for a in cond if a not in dropped)
     return ReductResult(
@@ -220,7 +218,7 @@ def eliminate(
         removed=tuple(removed),
         trace=_LazyTuple(len(cond), _traced(table, policy, full_count, reduct, dropped,
                                              tested)),
-        verified_minimal=_certified(table._granules, reduct, witnesses),
+        verified_minimal=_alone(table._granules, reduct, witnesses) == set(reduct),
     )
 
 
@@ -229,15 +227,17 @@ def exhaustive_reducts(
 ) -> frozenset[frozenset[str]]:
     """All minimal attribute subsets preserving the full partition.
 
-    A core-first depth-first search; refuses tables wider than ``max_attrs``.
-    Every reduct contains the core, so the search starts from the core's
-    grouping and adds the other attributes in column order, one ``_split``
-    per node.  A node that reaches the full block count is recorded and not
-    extended, and a child that splits no block of its parent is cut, as
-    every superset of it would keep a redundant attribute.  The search
-    records every reduct, and each recorded set that is not one holds a
-    reduct, which sorts before it by length; so, taken by length, a recorded
-    set is a reduct exactly when it holds none of the reducts kept so far.
+    A core-first depth-first search; refuses tables wider than ``max_attrs``
+    before any walk.  Every reduct contains the core, which it reads off the
+    table's elimination pass (``_indispensable``), the pass ``eliminate``
+    then reads too; so the search starts from the core's grouping and adds
+    the other attributes in column order, one ``_split`` per node.  A node
+    that reaches the full block count is recorded and not extended, and a
+    child that splits no block of its parent is cut, as every superset of
+    it would keep a redundant attribute.  The search records every reduct,
+    and each recorded set that is not one holds a reduct, which sorts
+    before it by length; so, taken by length, a recorded set is a reduct
+    exactly when it holds none of the reducts kept so far.
     """
     cond = conditional_attributes(table)
     if len(cond) > max_attrs:
@@ -267,5 +267,6 @@ def exhaustive_reducts(
 
 
 def core_attributes(table: InformationSystem) -> frozenset[str]:
-    """Attributes whose individual removal already coarsens the partition."""
+    """Attributes whose individual removal already coarsens the partition,
+    read off the table's elimination pass (``_indispensable``)."""
     return frozenset(_indispensable(table)[1])

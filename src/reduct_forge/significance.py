@@ -11,12 +11,12 @@ The groupings come from the table-order walk, ``table._table_walk``: one
 leave-one-out walk over the conditional attributes in column order, made
 on first use, kept with the table and read by attribute, as the grouping
 by all of them and a dict from each to the grouping that leaves it out.
-The core and the exhaustive oracle of :mod:`.reduct` read their block
-counts off the same walk, so a table pays for it once.  ``eliminate``
-does not rank: every attribute outside the core has significance exactly
-0 and the sort is stable, so those come in column order and the
-elimination is the column-order one, made on a walk of its own.  Its
-trace ranks when it is first read, with the policy's groups from
+Ranking is its one reader.  ``eliminate`` does not rank: every attribute
+outside the core has significance exactly 0 and the sort is stable, so
+those come in column order and the elimination is the column-order one,
+a pass the table keeps apart from this walk (``table._elimination``),
+which the core and the exhaustive oracle of :mod:`.reduct` read too.
+Its trace ranks when it is first read, with the policy's groups from
 :func:`split_groups`, whose count check ``eliminate`` makes when called.
 """
 

@@ -302,9 +302,9 @@ GOLDEN_CASES = [
     # identity decision: the walk's mixed-radix keys would pass one int
     # digit, so the kernel renumbers them.
     ("reduct_wide_trace.json", ["reduct", str(DATA / "wide.csv"), "--trace", "--json"]),
-    # Every attribute is core, so elimination keeps each without a test and
-    # takes its witness pair off the table-order walk, as the trace does
-    # its counts.
+    # Every attribute is core, so elimination's column-order walk keeps
+    # each and takes its witness pair off the grouping that tested it; the
+    # trace takes every count from that walk, as nothing was removed.
     ("reduct_irredundant_trace.json",
      ["reduct", str(DATA / "irredundant.csv"), "--trace", "--json"]),
     # The only redundant attribute, one of the copied pair b and c, is
@@ -322,6 +322,14 @@ GOLDEN_CASES = [
     # again.
     ("reduct_kept_then_redundant_trace.json",
      ["reduct", str(DATA / "kept_then_redundant.csv"), "--decision", "d", "--trace", "--json"]),
+    # The same under --exhaustive: the oracle reads the core off the
+    # elimination pass that eliminate then reads.  The pairs of the kept c
+    # and e2 also differ on the removed b and e, so one walk over c and e2
+    # settles the core, a; the oracle finds the four reducts that take one
+    # of b and c and one of e and e2.
+    ("reduct_kept_then_redundant_trace_exhaustive.json",
+     ["reduct", str(DATA / "kept_then_redundant.csv"), "--decision", "d", "--trace",
+      "--exhaustive", "--json"]),
     # Every attribute but c is core, so elimination keeps every attribute
     # but c.  e, a core attribute of significance 0 ranked after c, takes
     # the count elimination measured, 6 blocks for C - c - e, where C - e

@@ -409,7 +409,7 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
     result = eliminate(table, policy)
     ranked = split_groups(rank_attributes(table), policy).ranked
-    full_count, removed, witnesses, tested = reduct._verdicts(table)
+    full_count, removed, witnesses, tested = table._elimination
     assert full_count == block_count(table, cond)
     assert tuple(tested) == cond
     assert tuple(removed) == result.removed
@@ -429,7 +429,7 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     for name, pair in witnesses.items():
         assert _differing(view, result.reduct, pair) == [name]
     assert result.verified_minimal
-    assert partition._certified(view, result.reduct, witnesses)
+    assert partition._alone(view, result.reduct, witnesses) == set(result.reduct)
 
 
 def test_certificate_rejects_a_reduct_that_keeps_a_copied_column():
@@ -447,13 +447,13 @@ def test_certificate_rejects_a_reduct_that_keeps_a_copied_column():
     kept = [a for a in conditional_attributes(table) if a in result.reduct or a in ("c2", "c5")]
     witnesses = {a: _witness(_grouping(view, [b for b in kept if b != a]), a) for a in kept}
     assert witnesses["c2"] is None and witnesses["c5"] is None
-    assert not partition._certified(view, kept, witnesses)
+    assert partition._alone(view, kept, witnesses) != set(kept)
     # Given pairs for the copies from elsewhere, the check on raw codes
     # still fails: any pair that differs on one copy differs on the other.
     for a in ("c2", "c5"):
         witnesses[a] = _witness(_grouping(view, [b for b in kept if b not in ("c2", "c5")]), a)
     assert witnesses["c2"] is not None
-    assert not partition._certified(view, kept, witnesses)
+    assert partition._alone(view, kept, witnesses) != set(kept)
 
 
 @given(tables())
@@ -695,12 +695,14 @@ def _counted_walks(monkeypatch) -> list[int]:
 
 
 def test_table_order_walk_is_made_once_per_table(monkeypatch):
-    """A table keeps its table-order leave-one-out walk, so ranking, the
-    core and the oracle share one.  ``eliminate`` reads none of them: it
-    makes its own column-order walk, whatever the core (all of the
-    attributes at m = 8, eight of ten at m = 10, none at m = 16), and
-    certifies its result with witness pairs, not a walk.  So the oracle
-    then ``eliminate``, as ``reduct --exhaustive`` runs them, make two."""
+    """A table keeps its table-order leave-one-out walk, which only ranking
+    reads, and its column-order elimination pass, which ``eliminate``, the
+    core and the oracle read, whatever the core (all of the attributes at
+    m = 8, eight of ten at m = 10, none at m = 16).  ``eliminate``
+    certifies its result with witness pairs, not a walk, and at m = 8 every
+    kept attribute's pair differs on it alone, so the core needs no walk of
+    its own.  So the oracle then ``eliminate``, as ``reduct --exhaustive``
+    runs them, make one walk, and ranking, the core and the oracle two."""
     calls = _counted_walks(monkeypatch)
 
     def walks(m, *steps) -> int:
@@ -710,8 +712,8 @@ def test_table_order_walk_is_made_once_per_table(monkeypatch):
             step(table)
         return calls[0]
 
-    assert walks(8, exhaustive_reducts, eliminate) == 2
-    assert walks(8, rank_attributes, core_attributes, exhaustive_reducts) == 1
+    assert walks(8, exhaustive_reducts, eliminate) == 1
+    assert walks(8, rank_attributes, core_attributes, exhaustive_reducts) == 2
     assert walks(8, eliminate) == 1
     assert walks(10, eliminate) == 1
     assert walks(16, eliminate) == 1
@@ -1108,7 +1110,7 @@ def test_exhaustive_reducts_match_plain_enumeration():
         reducts = exhaustive_reducts(table)
         assert set(reducts) == minimal_preserving_subsets_oracle(table)
         core = core_attributes(table)
-        assert all(core <= r for r in reducts)
+        assert core == frozenset.intersection(*reducts)
 
     @given(tables_with_redundant_columns())
     @settings(max_examples=200, deadline=None)
@@ -1279,12 +1281,17 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
 
 def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
     """``reduct --exhaustive --trace`` groups by the core once: the oracle
-    starts its search from the core's grouping, in column order, and
-    ``eliminate`` and the table walk start from the one-block grouping, and
-    the trace's walk, when it is made, from the grouping by the reduct's
-    attributes of significance 0.  The fixture's
-    core is ``a`` and it has four non-core attributes; every significance
-    is 0, so the trace takes ``eliminate``'s counts and makes no walk."""
+    starts its search from the core's grouping, in column order, the
+    elimination pass and the table walk start from the one-block grouping,
+    and the walk that settles the core, when it is made, from the grouping
+    by all attributes but the kept ones whose witness pairs differ on a
+    removed attribute too, as the trace's walk, when it is made, starts
+    from the grouping by the reduct's attributes of significance 0.  The
+    fixture's core is ``a`` and it has four non-core attributes; ``b`` and
+    ``e`` are removed, and the kept ``c`` and ``e2`` have such pairs, so the
+    core's walk starts from the grouping by ``a``, ``b`` and ``e``.  Every
+    significance is 0, so the trace takes ``eliminate``'s counts and makes
+    no walk."""
     grouped = []
     grouping = partition._grouping
 
@@ -1297,7 +1304,32 @@ def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
     path = str(Path(__file__).parent / "data" / "kept_then_redundant.csv")
     assert cli.main(["reduct", path, "--decision", "d", "--exhaustive", "--trace", "--json"]) == 0
     capsys.readouterr()
-    assert [attrs for attrs in grouped if attrs] == [("a",)]
+    assert [attrs for attrs in grouped if attrs] == [("a", "b", "e"), ("a",)]
+
+
+def test_reduct_exhaustive_refines_along_one_elimination_pass(monkeypatch):
+    """``exhaustive_reducts`` then ``eliminate``, as ``reduct --exhaustive``
+    runs them, share the table's elimination pass: on the
+    ``kept_then_redundant`` fixture under ``d`` they make 27 refinements,
+    10 in the elimination walk, 6 in the walk over ``c`` and ``e2`` that
+    settles the core and 11 in the oracle's search, and ``eliminate`` none.
+    A table-order walk for the core beside the elimination walk would make
+    12 more where this walk makes 6.  Both ways make two walks there, so
+    the refinements are counted."""
+    calls = 0
+    refine = partition._refine
+
+    def counting_refine(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(partition, "_refine", counting_refine)
+    with open(Path(__file__).parent / "data" / "kept_then_redundant.csv", "rb") as handle:
+        table = load_csv(handle, decision="d")
+    exhaustive_reducts(table)
+    eliminate(table)
+    assert calls == 27
 
 
 def _csv(rows) -> str:
@@ -1351,7 +1383,8 @@ _REFERENCE_PATH = {"ObjectSet", "Partition", "grouped", "_grouped_partition", "_
                    "meet", "positive_region", "gamma"}
 _KERNEL = {"_Granules", "_granulate", "_Labels", "_split", "_refine", "_stripped", "_meet",
            "_grouping", "_leave_one_out", "_table_order_walk", "_DIGIT", "_MIXED",
-           "_pure_weight", "_unmixed_weight", "_witness", "_certified", "_Numbering"}
+           "_pure_weight", "_unmixed_weight", "_witness", "_alone", "_elimination",
+           "_Numbering"}
 
 
 def _syntax(module) -> ast.Module:
