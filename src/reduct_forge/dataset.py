@@ -1,39 +1,14 @@
 """Decision tables: the categorical information systems everything else consumes.
 
 A table is a rectangle of opaque categorical symbols, one row per object and
-one column per attribute, with an optional designated decision column.  When
-no decision column is named the table uses the ``identity`` policy: every
-object is its own decision class, so preserving discernibility means keeping
-all objects apart.
-
-A table is stored factorized, in one form whatever its repeats: its
-distinct rows once, as coded columns (per column, each stored row's value
-as a dense int in first-occurrence order, and the column's distinct values
-in code order), plus each object's row index and each row's object count.
-One step, ``_factorized``, builds that storage for :func:`load_csv` and for
-row tuples given to :class:`InformationSystem`: it numbers the objects' keys
-densely in first-occurrence order and splits, strips and codes only the
-distinct keys.  Both passes number keys with a :class:`_Numbering`, a dict
-that hands a missing key the next number, so a repeated key costs one
-C-level lookup and only a new one a Python call.  A column's cells that
-strip alike are merged by looking at its distinct cells alone.
-:func:`load_csv` keys a line by its text without the ``id`` cell, wherever
-the id sits, and row tuples are their own keys.  With the id first, the
-most common layout, the keys come from one regex scan of the text, each
-line's text after its first comma, and the text is split into lines only
-when some line holds no comma; the other layouts split it and cut each
-line as its key is taken, so no per-line object outlives its step.  The
-loader does not build the object ids either: ``object_ids`` is a
-read-only lazy tuple (:class:`_LazyTuple`, the form of an elimination
-trace too) that builds them on first read, cut from the text again, or
-from the object numbers when there is no id.  The partition kernel walks the
-stored rows, weighted by their object counts, and alone decides whether
-folding them pays; every per-object reader, ``rows``, ``column``,
-``value``, equality and the per-object partitions, reads a stored row
-through the object's row index.  A table keeps the kernel's view of its
-rows, the kernel's table-order walk over them, which ranking reads, and
-its column-order elimination pass, which elimination, the core and the
-exhaustive oracle read, each built on first use.
+one column per attribute, with an optional decision column; without one the
+``identity`` policy makes every object its own decision class.  Whatever its
+repeats, a table stores its distinct rows once, as coded columns, with each
+object's row index and each row's object count.  Per-object readers
+(``rows``, ``column``, ``value``, equality, the per-object partitions) read
+a stored row through the object's row index.  A table keeps the kernel's
+view of its rows and the kernel's two walks (:mod:`.kernel`), each built on
+first use.
 """
 
 from __future__ import annotations
@@ -54,7 +29,7 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
-from .partition import _elimination, _granulate, _table_order_walk
+from .kernel import _elimination, _granulate, _table_order_walk
 
 IDENTITY = "identity"
 
@@ -63,9 +38,8 @@ CsvSource = Union[bytes, str, IO[bytes], IO[str]]
 
 class _Numbering(dict):
     """Numbers its keys densely in first-occurrence order: reading a missing
-    key stores and returns the next number, ``len(self)``.  So
-    ``map(numbering.__getitem__, keys)`` costs one C-level dict lookup per
-    key, and a Python call only per distinct key."""
+    key stores and returns the next number, so a repeated key costs one
+    C-level lookup and only a new one a Python call."""
 
     __slots__ = ()
 
@@ -78,11 +52,9 @@ def _coded(
     cells: Sequence[Hashable], strip: bool = False
 ) -> tuple[tuple[int, ...], tuple[Hashable, ...]]:
     """Each cell's dense code, in first-occurrence order, and the distinct
-    values in code order.  One numbering pass codes the raw cells.  With
-    ``strip``, each distinct raw cell is stripped once, and cells that strip
-    to the same string are merged onto one code, whose value is the
-    stripped string: the merge numbers only the distinct cells, and the
-    codes are mapped again only when some cells merged."""
+    values in code order.  With ``strip``, cells that strip to the same
+    string share one code, whose value is the stripped string; only the
+    distinct cells are stripped."""
     numbering = _Numbering()
     codes = tuple(map(numbering.__getitem__, cells))
     if not strip:
@@ -102,22 +74,17 @@ class _Rows(Sequence):
     """Read-only row tuples of a table, stored factorized.
 
     ``codes[c][r]`` is stored row ``r``'s code in column ``c`` and
-    ``values[c][code]`` the cell it stands for.  ``index[i]`` is object
-    ``i``'s stored row and ``weights[r]`` the number of objects on row
-    ``r``; a table whose rows never repeat has as many stored rows as
-    objects, each of weight one.  Stored rows come in first-occurrence
-    order.  Cells that differ only in whitespace share a code, so two
-    stored rows may carry the same codes.  The view compares equal to the
-    tuple of row tuples it stands for, and hashes like it.
+    ``values[c][code]`` the cell it stands for; ``index[i]`` is object
+    ``i``'s stored row and ``weights[r]`` row ``r``'s object count.  Stored
+    rows come in first-occurrence order, and two may carry the same codes.
+    The view compares equal to the tuple of row tuples, and hashes like it.
     """
 
     __slots__ = ("n", "codes", "values", "index", "weights")
 
     def __init__(self, columns: list[tuple[tuple[int, ...], tuple[Hashable, ...]]],
                  index: Sequence[int], weights: Sequence[int]) -> None:
-        """The stored rows of ``columns``, given as ``_coded`` gives them,
-        with each object's stored row ``index`` and each row's object count
-        ``weights``."""
+        """The stored rows of ``columns``, each as ``_coded`` gives it."""
         self.n = len(index)
         self.codes = tuple(codes for codes, _ in columns)
         self.values = tuple(values for _, values in columns)
@@ -152,16 +119,10 @@ class _Rows(Sequence):
 
 
 class _LazyTuple(Sequence):
-    """A read-only tuple whose items are built on first read.
-
-    ``items`` is a lazy iterator, consumed into a tuple the first time an
-    item is read and kept; ``len`` is known without it.  A table's
-    ``object_ids`` is one: the loader gives it ``map(str, range(n))`` when
-    there is no ``id`` column and otherwise :func:`_cut_ids` over the
-    table's text.  So is ``ReductResult.trace``, whose entries a generator
-    measures only when they are read.  The view compares equal to the tuple
-    of items it stands for, and hashes and reprs like it.
-    """
+    """A read-only tuple of ``n`` items, consumed from the lazy iterator
+    ``items`` when one is first read (a loaded table's ``object_ids``, a
+    ``ReductResult.trace``).  It compares equal to the tuple of its items,
+    and hashes and reprs like it; a copy is a plain tuple."""
 
     __slots__ = ("n", "_pending", "_items")
 
@@ -204,9 +165,7 @@ class _LazyTuple(Sequence):
 
 def _cut_ids(text: str, column: int) -> Iterator[str]:
     """The ids of a table whose ``id`` is its ``column``-th column, cut from
-    its text (LF line ends, no byte-order mark) by the loader's own line
-    rules: blank and whitespace-only lines skipped, the header dropped, each
-    line split at its first ``column + 1`` commas and its id cell stripped."""
+    its text (LF line ends, no byte-order mark) by the loader's line rules."""
     lines = filter(str.strip, text.split("\n"))
     next(lines)  # the header
     cells = map(str.split, lines, itertools.repeat(","), itertools.repeat(column + 1))
@@ -216,16 +175,10 @@ def _cut_ids(text: str, column: int) -> Iterator[str]:
 def _factorized(keys: Iterable[Hashable],
                 columns_of: Callable[[list[Hashable]], list[Sequence[Hashable]]],
                 strip: bool = False) -> _Rows:
-    """Rows given as one hashable key per object, stored factorized.
-
-    A :class:`_Numbering` numbers the keys densely in first-occurrence
-    order, which gives each object's row index, and each row's object count
-    is counted from those; ``columns_of(distinct)`` then gives the raw cell
-    columns of the list of distinct keys alone, which are coded (and, with
-    ``strip``, stripped).  A repeated key costs one C-level lookup and a new
-    one a Python call, so keys that never repeat are numbered more slowly
-    than by ``setdefault(key, len(numbering))``, two C calls per key.
-    """
+    """Rows given as one hashable key per object, stored factorized: the
+    keys numbered in first-occurrence order give each object's row, and
+    ``columns_of(distinct)`` gives the raw cell columns of the distinct keys
+    alone, which are coded (and, with ``strip``, stripped)."""
     numbering = _Numbering()
     index = list(map(numbering.__getitem__, keys))
     if len(numbering) == len(index):
@@ -249,12 +202,10 @@ def _factorized(keys: Iterable[Hashable],
 class InformationSystem:
     """Immutable decision table over categorical values.
 
-    ``decision`` is either the name of an attribute (excluded from the
-    conditional set) or ``None`` for the identity policy.  ``rows`` may be
-    given as any sequence of row tuples; the table stores it factorized and
-    keeps ``rows`` as a read-only view of that storage.  ``object_ids`` may
-    be any sequence of ids; :func:`load_csv` gives a read-only view that
-    builds them on first read and compares equal to their tuple.
+    ``decision`` names an attribute (excluded from the conditional set), or
+    is ``None`` for the identity policy.  ``rows`` may be any sequence of row
+    tuples; the table stores it factorized and keeps ``rows`` as a read-only
+    view.  ``object_ids`` may be any sequence of ids.
     """
 
     object_ids: Sequence[str]
@@ -305,27 +256,21 @@ class InformationSystem:
 
     @cached_property
     def _granules(self):
-        """The partition kernel's view of this table, its distinct
-        conditional rows, built on first use and kept with the table."""
+        """The kernel's granule view of this table (``kernel._granulate``)."""
         return _granulate(self)
 
     @cached_property
     def _table_walk(self):
-        """The kernel's table-order walk over ``_granules``
-        (``partition._table_order_walk``), built on first use and kept with
-        the table for ranking, its one reader.  It is kept on the table, not
-        on the view: each grouping refers to the view, so a cache there would
-        make a reference cycle."""
+        """The kernel's table-order walk (``kernel._table_order_walk``)."""
+        # Kept on the table, not the view: each grouping refers to the view,
+        # so a cache there would make a reference cycle.
         return _table_order_walk(self._granules)
 
     @cached_property
     def _elimination(self):
-        """The kernel's column-order elimination pass over ``_granules``
-        (``partition._elimination``, which reads the view), built on first
-        use and kept with the table, so ``eliminate``, the core and the
-        exhaustive oracle share one walk.  It holds counts, names and
-        granule indices, no grouping."""
-        return _elimination(self)
+        """The kernel's column-order elimination pass (``kernel._elimination``):
+        counts, names and granule indices, no grouping."""
+        return _elimination(self._granules)
 
 
 def _check_distinct(names: Iterable[str]) -> None:
@@ -374,33 +319,17 @@ def load_csv(
 ) -> InformationSystem:
     """Parse a comma-separated table into an :class:`InformationSystem`.
 
-    Cells are split on bare commas (no quoting in v1, so a cell containing a
-    comma shows up as a ragged row) and stored as trimmed strings.  With a
-    header, the one column literally named ``id`` (a second is a duplicate)
-    holds object labels, not an attribute; without one, attributes are named
-    ``c1..cn`` and labels are row ordinals.  ``decision`` may be an attribute
-    name or the string ``"identity"`` (same as ``None``).  The source may be
-    bytes, text or a binary or text file object; bytes are UTF-8, and a
-    leading byte-order mark is ignored for every source type.  Lines end at
-    LF, CRLF or CR only, so a cell may hold a form feed or a Unicode line
-    separator.  Blank and whitespace-only lines are skipped, but
-    ``MalformedTable.row`` is the file's 1-based line number, counting them;
-    an empty or whitespace-only header cell is reported at the header's line.
-    Each line is keyed by its text without the ``id`` cell, cut off in C,
-    one cut per layout.  With the id first, the keys are the text after each
-    line's first comma, from one ``findall`` scan of the text from the
-    header on, and no list of lines is built: when the scan finds as many
-    lines as the text holds from the header on, every line has a comma, so
-    none is blank or short of its id's comma; otherwise the text is split
-    once more to tell blank lines from ragged ones.  With the id last the
-    key is the head of ``str.rpartition``, with the id in column ``j``
-    between others the cells around it of ``str.split(",", j + 1)``, joined
-    again, and with no id the whole line; these layouts split the text into
-    lines.  ``_factorized`` checks the comma counts of, splits, strips and
-    codes only the distinct keys.  The table's ``object_ids`` is a
-    read-only view that compares equal to the tuple of ids and builds it
-    only when an id is read; with an id it keeps the text and cuts the ids
-    from it again by these line rules.
+    Cells are split on bare commas (no quoting, so a cell holding a comma
+    shows up as a ragged row) and stored trimmed.  With a header, the one
+    column named ``id`` (a second is a duplicate) holds object labels; without
+    one, attributes are ``c1..cn`` and labels are row ordinals.  ``decision``
+    is an attribute name, or ``"identity"`` (same as ``None``).  The source
+    is UTF-8 bytes, text or a file object, and a leading byte-order mark is
+    ignored.  Lines end at LF, CRLF or CR only.  Blank and whitespace-only
+    lines are skipped, but ``MalformedTable.row`` is the file's 1-based line
+    number counting them; an empty or whitespace-only header cell is
+    reported at the header's line.  Only the distinct lines, less the ``id``
+    cell, are split and coded; ``object_ids`` builds the ids when one is read.
     """
     text = _read_text(source)
     if "\r" in text:
@@ -420,9 +349,8 @@ def load_csv(
     body: list[str] = []  # the non-blank lines after the header
 
     def split_text() -> list[str]:
-        """``body``, the text split into ``lines`` and filtered on first
-        use; a plain memo, as ``functools.cache`` takes about 4 µs per
-        load to set up."""
+        """``body``, the text split into ``lines`` and filtered on first use."""
+        # A plain memo: functools.cache takes about 4 µs per load to set up.
         nonlocal lines, body
         if lines is None:
             lines, body = _lines(text)
@@ -444,9 +372,8 @@ def load_csv(
             raise DuplicateAttribute("id")
 
     def ragged() -> None:
-        """Report the first line after the header whose comma count is
-        wrong, by its file line number, blank lines counted, in one pass
-        over the lines; called once some line is known to be ragged."""
+        """Raise ``MalformedTable`` at the first line after the header whose
+        comma count is wrong, once some line is known to be ragged."""
         split_text()
         numbered = ((number, line) for number, line in enumerate(lines, 1) if line.strip())
         for number, line in itertools.islice(numbered, skip, None):

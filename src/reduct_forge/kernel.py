@@ -1,0 +1,373 @@
+"""The partition kernel, and the package's one account of how it works.
+
+Granules.  ``_granulate`` builds a table's view once (kept as
+``InformationSystem._granules``) and is the only reader of its storage: the
+stored distinct rows, each with its object count and decision code, or the
+mark ``_MIXED`` when its objects disagree.  Under a named decision the rows
+are folded on their conditional codes, into U/C, when at least one in 16
+repeats there.  Any attribute set groups the granules as it groups their
+objects, so block counts agree, and a block lies in the positive region
+exactly when its granules share one unmixed label.
+
+Groupings.  ``_Labels`` is the one grouping form, and code outside this
+module reads only its ``blocks`` and ``dependency``.  ``_refine`` is the one
+refinement: ``_split`` refines by an attribute's column and ``_meet`` one
+side by the other's keys.  A new key is the mixed-radix ``key * k + code``,
+renumbered densely once its bound passes one int digit.  A refinement that
+cannot change its input (every granule alone, every code 0) returns it.
+Refinement never merges blocks, so a granule alone in its block stays alone:
+``_stripped`` drops such granules once at least half are, the stripped
+partitions of TANE (Huhtala et al., 1999).  On a wide table nearly every
+granule is alone after about log_k |U/C| attributes, so a walk touches
+O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m).
+
+Walks.  ``_leave_one_out`` is the paper's composition of a low and a high
+base taken at every candidate: the grouping without ``a`` is the meet of
+the kept attributes before ``a`` with all those after it, so a walk makes
+O(m) refinements and meets.  A table keeps two walks over its conditional
+attributes C from the one-block grouping: ``_table_order_walk``, which only
+ranking reads, and ``_elimination``, the column-order backward elimination
+that ``eliminate``, the core and the exhaustive oracle read.
+``_without_each`` walks some attributes alone, from the grouping by the
+rest of a set.  Every walk ends at its last candidate.
+
+Witness pairs.  Each attribute that the elimination keeps carries two
+granules of one block without it that differ on it (``_witness``).
+``_alone`` checks on the raw codes which pairs differ on their attribute
+alone among a set, a singleton entry of the discernibility matrix (Skowron
+and Rauszer, 1992): over the reduct that certifies it minimal, and over C
+it names core attributes with no walk.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import is_not
+from typing import TYPE_CHECKING, Generator, Iterable, Sequence
+
+from .errors import UnknownAttribute
+
+if TYPE_CHECKING:  # only annotations name it: the table module imports this one
+    from .dataset import InformationSystem
+
+
+_MIXED = object()  # the label of a granule whose objects disagree on the decision
+
+
+# Plain classes, not dataclasses, so that importing the module stays cheap.
+class _Granules:
+    """A table's granules in first-occurrence order.
+
+    ``columns`` maps each conditional attribute, in table order, to the
+    granules' codes and its value count; ``weights`` are object counts,
+    ``labels`` decision codes (a stored row's index under the identity
+    decision) or ``_MIXED``, and ``unmixed`` the weight of the unmixed
+    granules.  Two granules may carry equal codes and then share every block.
+    """
+
+    __slots__ = ("columns", "weights", "labels", "object_count", "unmixed")
+
+    def __init__(self, columns: dict[str, tuple[Sequence[int], int]],
+                 weights: Sequence[int], labels: Sequence[object],
+                 object_count: int) -> None:
+        self.columns, self.weights = columns, weights
+        self.labels, self.object_count = labels, object_count
+        self.unmixed = _unmixed_weight(labels, weights)
+
+
+def _granulate(table: InformationSystem) -> _Granules:
+    """The granule view of ``table``.  Under the identity decision the
+    stored rows are the granules, a row of two or more objects mixed; under
+    a named one they are folded on their conditional codes when at least
+    one in 16 repeats there."""
+    rows = table.rows
+    columns = {name: (codes, len(values))
+               for name, codes, values in zip(table.attributes, rows.codes, rows.values)}
+    if table.decision is None:
+        labels = [r if w == 1 else _MIXED for r, w in enumerate(rows.weights)]
+        return _Granules(columns, rows.weights, labels, rows.n)
+    labels = columns.pop(table.decision)[0]
+    # Each row's granule is named by the granule's first row, so names and
+    # the weights and labels keyed by them come in first-occurrence order.
+    # zip() of no columns is empty, but with no conditional attribute every
+    # row falls in one granule.
+    first: dict[tuple[int, ...], int] = {}
+    owner = list(map(first.setdefault, zip(*(c for c, _ in columns.values()))
+                     if columns else repeat((), len(labels)), count()))
+    if 16 * (len(owner) - len(first)) < len(owner):
+        return _Granules(columns, rows.weights, labels, rows.n)
+    label_of: dict[int, object] = {}
+    weight_of: dict[int, int] = {}
+    for g, label, weight in zip(owner, labels, rows.weights):
+        if label_of.setdefault(g, label) != label:
+            label_of[g] = _MIXED
+        weight_of[g] = weight_of.get(g, 0) + weight
+    folded = {name: (codes, k) for (name, (_, k)), codes in zip(columns.items(), zip(*first))}
+    return _Granules(folded, list(weight_of.values()), tuple(label_of.values()), rows.n)
+
+
+class _Labels:
+    """A grouping of ``view``'s granules, with its block count ``blocks``
+    and dependency degree ``dependency``.
+
+    Dense, ``rows`` is None and ``keys[g]`` is granule ``g``'s key.
+    Stripped, ``keys`` belong to the ascending granules ``rows`` and every
+    other granule is alone in its block.  Two granules share a block exactly
+    when both carry a key and the keys are equal.  ``top`` bounds every key
+    and ``most`` the distinct keys.
+    """
+
+    __slots__ = ("view", "keys", "rows", "top", "most", "_blocks")
+
+    def __init__(self, view: _Granules, keys: list[int], rows: list[int] | None,
+                 top: int, most: int, blocks: int | None = None) -> None:
+        self.view, self.keys, self.rows = view, keys, rows
+        self.top, self.most, self._blocks = top, most, blocks
+
+    @property
+    def blocks(self) -> int:
+        if self._blocks is None:
+            shared = len(set(self.keys))
+            self._blocks = (shared if self.rows is None
+                            else len(self.view.labels) - len(self.rows) + shared)
+        return self._blocks
+
+    @property
+    def dependency(self) -> Fraction:
+        """|POS| over the object count, exact."""
+        view, rows = self.view, self.rows
+        if rows is None:
+            pos = _pure_weight(self.keys, view.labels, view.weights)
+        else:
+            # The granules outside ``rows`` are alone, so pure when unmixed.
+            labels = list(map(view.labels.__getitem__, rows))
+            weights = list(map(view.weights.__getitem__, rows))
+            pos = (view.unmixed - _unmixed_weight(labels, weights)
+                   + _pure_weight(self.keys, labels, weights))
+        return Fraction(pos, view.object_count)
+
+
+_DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
+
+
+def _split(labels: _Labels, name: str) -> _Labels:
+    """``labels`` refined by attribute ``name``'s column."""
+    codes, k = labels.view.columns[name]
+    return _refine(labels, codes, k, k)
+
+
+def _refine(labels: _Labels, column: Sequence[int] | dict[int, int], k: int,
+            distinct: int) -> _Labels:
+    """``labels`` refined by ``column``, read at each keyed granule's index,
+    whose codes lie below ``k`` with at most ``distinct`` of them different:
+    two granules share a new key exactly when they shared a key and a code.
+    Returns ``labels`` itself when every granule is alone or ``k == 1``.
+    Keys stay below ``_DIGIT``; the result is stripped (``_stripped``)."""
+    rows = labels.rows
+    if rows == [] or k == 1:
+        return labels
+    codes = column if rows is None else map(column.__getitem__, rows)
+    keys = [key * k + code for key, code in zip(labels.keys, codes)]
+    refined = _stripped(labels.view, keys, rows, labels.top * k, labels.most * distinct)
+    if refined.top > _DIGIT:  # renumbered densely, so the bound is the block count
+        ids: dict[int, int] = {}
+        refined.keys = [ids.setdefault(key, len(ids)) for key in refined.keys]
+        refined.top = refined.most = len(ids)
+    return refined
+
+
+def _stripped(view: _Granules, keys: list[int], rows: list[int] | None,
+              top: int, most: int) -> _Labels:
+    """The grouping of ``rows`` (every granule when None) by ``keys``.  With
+    b distinct keys over s rows at least 2b - s rows are alone, so the keys
+    are counted only when ``most`` lets b reach 3s / 4, and the lone rows
+    dropped only when b does."""
+    size = len(keys)
+    if 4 * most < 3 * size:
+        return _Labels(view, keys, rows, top, most)
+    shared = len(set(keys))
+    blocks = len(view.labels) - size + shared
+    if shared == size:
+        return _Labels(view, [], [], top, 0, blocks)
+    if 4 * shared < 3 * size:
+        return _Labels(view, keys, rows, top, shared, blocks)
+    # A plain loop, not a Counter: the walk runs under the oracle's search,
+    # which must not lean on spare recursion depth.
+    seen: set[int] = set()
+    again: set[int] = set()
+    for key in keys:
+        if key in seen:
+            again.add(key)
+        else:
+            seen.add(key)
+    kept = list(map(again.__contains__, keys))
+    return _Labels(view, list(compress(keys, kept)),
+                   list(compress(range(size) if rows is None else rows, kept)),
+                   top, len(again), blocks)
+
+
+def _witness(labels: _Labels, name: str) -> tuple[int, int] | None:
+    """The first two granules, in one pass, that share a block of
+    ``labels`` but differ on ``name``, or None when every block agrees."""
+    codes = labels.view.columns[name][0]
+    rows = labels.rows
+    first: dict[int, int] = {}
+    for g, key in zip(range(len(labels.keys)) if rows is None else rows, labels.keys):
+        if key in first:
+            f = first[key]
+            if codes[f] != codes[g]:
+                return f, g
+        else:
+            first[key] = g
+    return None
+
+
+def _alone(view: _Granules, attrs: Sequence[str],
+           witnesses: dict[str, tuple[int, int] | None]) -> set[str]:
+    """The attributes of ``attrs`` whose pair in ``witnesses`` differs on
+    them and on no other attribute of ``attrs``; one without a pair is not
+    among them."""
+    columns = [view.columns[a][0] for a in attrs]
+    alone = set()
+    for attribute in attrs:
+        pair = witnesses.get(attribute)
+        if pair is None:
+            continue
+        x, y = pair
+        if [a for a, codes in zip(attrs, columns) if codes[x] != codes[y]] == [attribute]:
+            alone.add(attribute)
+    return alone
+
+
+def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
+    """The grouping of ``view``'s granules by ``attrs``; a name outside
+    ``view.columns`` raises ``UnknownAttribute``."""
+    labels = _Labels(view, [0] * len(view.labels), None, 1, 1)
+    for name in attrs:
+        if name not in view.columns:
+            raise UnknownAttribute(name)
+        labels = _split(labels, name)
+    return labels
+
+
+def _meet(a: _Labels, b: _Labels) -> _Labels:
+    """The grouping by both ``a`` and ``b``, which carry one view: a
+    stripped side (the longer, of two) or the dense side whose keys reach
+    higher is refined by the other's keys.  A side whose granules are all
+    alone is the meet, and a meet with the one-block grouping is the other
+    side."""
+    if (b.rows is not None and (a.rows is None or len(a.rows) < len(b.rows))
+            or a.rows is None and b.rows is None and a.top < b.top):
+        a, b = b, a
+    if b.rows == []:
+        return b
+    column: Sequence[int] | dict[int, int] = b.keys
+    if b.rows is not None:
+        # Of two stripped sides the longer is cut to the shorter's rows.
+        column = dict(zip(b.rows, b.keys))
+        inside = list(map(column.__contains__, a.rows))
+        a = _Labels(a.view, list(compress(a.keys, inside)), list(compress(a.rows, inside)),
+                    a.top, a.most)
+    return _refine(a, column, b.top, b.most)
+
+
+def _leave_one_out(
+    seed: _Labels, attrs: Sequence[str]
+) -> Generator[_Labels, bool | None, None]:
+    """Yields the grouping by ``seed``'s attributes and all of ``attrs``,
+    then, for each ``attrs[i]``, the grouping by ``seed``'s attributes, the
+    kept ones of ``attrs[:i]`` and all of ``attrs[i + 1:]``.  ``attrs[i]``
+    is kept unless ``False`` is sent for it, so plain iteration keeps all.
+    The walk ends at its last candidate."""
+    suffixes = [seed]  # suffixes[-1 - j] groups by seed and attrs[j:]
+    for name in reversed(attrs):
+        suffixes.append(_split(suffixes[-1], name))
+    yield suffixes.pop()
+    prefix = seed
+    for name in attrs:
+        suffix = suffixes.pop()
+        # A side that is still the seed, as one split only by one-value
+        # columns is (``_refine``), leaves the other side as it is.
+        if prefix is seed:
+            labels = suffix
+        elif suffix is seed:
+            labels = prefix
+        else:
+            labels = _meet(prefix, suffix)
+        # After the last candidate no prefix is read, so none is refined.
+        if (yield labels) is not False and suffixes:
+            prefix = _split(prefix, name)
+
+
+def _table_order_walk(view: _Granules) -> tuple[_Labels, dict[str, _Labels]]:
+    """The grouping by all conditional attributes C and a dict from each
+    ``a``, in table order, to the grouping of C - a."""
+    attrs = tuple(view.columns)
+    walk = _leave_one_out(_grouping(view, ()), attrs)
+    return next(walk), dict(zip(attrs, walk))
+
+
+def _elimination(
+    view: _Granules,
+) -> tuple[int, list[str], dict[str, tuple[int, int] | None], dict[str, int]]:
+    """The column-order backward elimination over the conditional
+    attributes C: C's block count, the removed attributes in order, each
+    kept attribute's witness pair and each candidate's block count.  A
+    candidate is removed when the kept attributes before it and all after
+    it keep C's block count.  Each pair differs on its attribute alone
+    among the result R, and among C unless also on an earlier removal."""
+    attrs = tuple(view.columns)
+    walk = _leave_one_out(_grouping(view, ()), attrs)
+    full_count = next(walk).blocks
+    removed: list[str] = []
+    witnesses: dict[str, tuple[int, int] | None] = {}
+    tested: dict[str, int] = {}
+    kept = True
+    for attribute in attrs:
+        labels = walk.send(kept)
+        tested[attribute] = labels.blocks
+        kept = labels.blocks != full_count
+        if kept:
+            witnesses[attribute] = _witness(labels, attribute)
+        else:
+            removed.append(attribute)
+    return full_count, removed, witnesses, tested
+
+
+def _without_each(view: _Granules, attrs: Sequence[str],
+                  walked: Sequence[str]) -> dict[str, int]:
+    """The block count of ``attrs - a`` for each ``a`` of ``walked``, a
+    subset of ``attrs`` in column order, from one walk over ``walked`` alone;
+    no walk when ``walked`` is empty."""
+    if not walked:
+        return {}
+    skip = set(walked)
+    walk = _leave_one_out(_grouping(view, [a for a in attrs if a not in skip]), walked)
+    next(walk)  # the grouping by all of attrs
+    return {a: labels.blocks for a, labels in zip(walked, walk)}
+
+
+def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
+    """Number of blocks of ``ind_partition(table, attrs)``, without building it."""
+    return _grouping(table._granules, attrs).blocks
+
+
+def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
+    """``gamma(ind_partition(table, attrs), decision_partition(table))``."""
+    return _grouping(table._granules, attrs).dependency
+
+
+def _unmixed_weight(labels: Iterable[object], weights: Iterable[int]) -> int:
+    """The weight of the granules whose label is not ``_MIXED``."""
+    return sum(compress(weights, map(is_not, labels, repeat(_MIXED))))
+
+
+def _pure_weight(keys: list[int], labels: Sequence[object], weights: Iterable[int]) -> int:
+    """The weight of the granules grouped by ``keys`` whose block's granules
+    all carry one label other than ``_MIXED``."""
+    label_of: dict[int, object] = {}
+    for key, label in zip(keys, labels):
+        if label_of.setdefault(key, label) != label:
+            label_of[key] = _MIXED
+    return _unmixed_weight(map(label_of.__getitem__, keys), weights)

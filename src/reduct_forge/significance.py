@@ -1,23 +1,9 @@
 """Positive-region significance: how much each attribute contributes to
-discernment, and the low/high grouping used by the elimination pass.
+discernment, and the low/high grouping of the ranked attributes.
 
-The ranking walks the table's granules, its distinct conditional rows
-weighted by their object counts (see :mod:`.partition`), so its cost after
-loading scales with the number of distinct rows, not with the object count.
-It reads each leave-one-out grouping's ``dependency`` and never its labels,
-which leave out the granules already alone in their block.
-
-The groupings come from the table-order walk, ``table._table_walk``: one
-leave-one-out walk over the conditional attributes in column order, made
-on first use, kept with the table and read by attribute, as the grouping
-by all of them and a dict from each to the grouping that leaves it out.
-Ranking is its one reader.  ``eliminate`` does not rank: every attribute
-outside the core has significance exactly 0 and the sort is stable, so
-those come in column order and the elimination is the column-order one,
-a pass the table keeps apart from this walk (``table._elimination``),
-which the core and the exhaustive oracle of :mod:`.reduct` read too.
-Its trace ranks when it is first read, with the policy's groups from
-:func:`split_groups`, whose count check ``eliminate`` makes when called.
+Ranking reads the dependency degrees of the table's kept table-order walk
+(:mod:`.kernel`), so its cost after loading scales with the granules, not
+the objects.  ``eliminate`` ranks only when its trace is read.
 """
 
 from __future__ import annotations
@@ -75,28 +61,15 @@ class SignificanceTable:
 
 
 def significance(table: InformationSystem, attribute: str) -> Fraction:
-    """Dependency-degree drop caused by removing the attribute: its entry in
-    :func:`rank_attributes`.
-
-    Computed against the full conditional set, so the value is nonnegative by
-    monotonicity and zero exactly when the attribute adds no positive-region
-    objects.
-    """
+    """Dependency-degree drop caused by removing the attribute from the full
+    conditional set, its entry in :func:`rank_attributes`: nonnegative, and
+    zero exactly when the attribute adds no positive-region objects."""
     return rank_attributes(table).significance_of(attribute)
 
 
 def rank_attributes(table: InformationSystem) -> SignificanceTable:
-    """All conditional attributes sorted by ascending significance.
-
-    The sort is stable with respect to table column order, which is the only
-    tie-break.  Significance is computed once, on the full table.  The
-    grouping of each ``C - a`` comes from the table's kept table-order
-    leave-one-out walk over the granules: the meet of the attributes before
-    ``a`` and those after it, the paper's low/high base composition taken
-    at every attribute, so ranking makes O(m) refinements and meets, not
-    O(m²), and touches O(|U/C|·log_k |U/C|) granule entries on a wide
-    table.
-    """
+    """All conditional attributes sorted by ascending significance, stably,
+    so table column order is the only tie-break."""
     with_all, without = table._table_walk
     full = with_all.dependency
     values = [(a, full - labels.dependency) for a, labels in without.items()]
@@ -106,9 +79,7 @@ def rank_attributes(table: InformationSystem) -> SignificanceTable:
 
 def _check_count(policy: GroupPolicy, size: int) -> None:
     """Raise ``ValueError`` when ``policy`` is a :class:`CountSplit` whose
-    count lies outside ``[0, size]``, ``size`` being the number of
-    attributes it splits: :func:`split_groups` and ``eliminate``, which
-    ranks only when its trace is read, both check here."""
+    count lies outside ``[0, size]``, ``size`` attributes."""
     if isinstance(policy, CountSplit) and not 0 <= policy.count <= size:
         raise ValueError(f"count {policy.count} outside [0, {size}]")
 

@@ -4,7 +4,7 @@ A sub-base here is the family of all attribute-wise equivalence classes of a
 table.  Its topology has a coarsest base made of the minimal neighborhoods
 N(x) = the intersection of all sub-base members containing x, that is, the
 block of x in the indiscernibility partition.  The reduct path therefore
-compares :func:`.partition.block_count` values; both computations below are
+compares :func:`.kernel.block_count` values; both computations below are
 reference paths that explain and check that count:
 
 * :func:`minimal_neighborhoods`: the direct per-object intersection.

@@ -28,7 +28,7 @@ from reduct_forge import (
 )
 from reduct_forge import dataset
 from reduct_forge.dataset import SEVEN_SEGMENT_CSV
-from reduct_forge.partition import block_count, dependency
+from reduct_forge.kernel import block_count, dependency
 
 from conftest import make_table
 

@@ -59,11 +59,11 @@ from reduct_forge import (
 )
 import reduct_forge.cli as cli
 import reduct_forge.dataset as dataset
+import reduct_forge.kernel as kernel
 import reduct_forge.partition as partition
 import reduct_forge.reduct as reduct
-from reduct_forge.partition import (
-    _grouping, _leave_one_out, _witness, block_count, dependency, projections,
-)
+from reduct_forge.kernel import _grouping, _leave_one_out, _witness, block_count, dependency
+from reduct_forge.partition import projections
 
 from conftest import grouping_oracle, make_table, minimal_preserving_subsets_oracle
 
@@ -429,7 +429,7 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     for name, pair in witnesses.items():
         assert _differing(view, result.reduct, pair) == [name]
     assert result.verified_minimal
-    assert partition._alone(view, result.reduct, witnesses) == set(result.reduct)
+    assert kernel._alone(view, result.reduct, witnesses) == set(result.reduct)
 
 
 def test_certificate_rejects_a_reduct_that_keeps_a_copied_column():
@@ -447,13 +447,13 @@ def test_certificate_rejects_a_reduct_that_keeps_a_copied_column():
     kept = [a for a in conditional_attributes(table) if a in result.reduct or a in ("c2", "c5")]
     witnesses = {a: _witness(_grouping(view, [b for b in kept if b != a]), a) for a in kept}
     assert witnesses["c2"] is None and witnesses["c5"] is None
-    assert partition._alone(view, kept, witnesses) != set(kept)
+    assert kernel._alone(view, kept, witnesses) != set(kept)
     # Given pairs for the copies from elsewhere, the check on raw codes
     # still fails: any pair that differs on one copy differs on the other.
     for a in ("c2", "c5"):
         witnesses[a] = _witness(_grouping(view, [b for b in kept if b not in ("c2", "c5")]), a)
     assert witnesses["c2"] is not None
-    assert partition._alone(view, kept, witnesses) != set(kept)
+    assert kernel._alone(view, kept, witnesses) != set(kept)
 
 
 @given(tables())
@@ -622,14 +622,14 @@ def test_leave_one_out_stops_at_its_last_candidate(monkeypatch):
     rows differ only in their decision, too few repeats to fold, so that
     pair shares every block and no list strips to empty."""
     calls = 0
-    split = partition._split
+    split = kernel._split
 
     def counting_split(labels, name):
         nonlocal calls
         calls += 1
         return split(labels, name)
 
-    monkeypatch.setattr(partition, "_split", counting_split)
+    monkeypatch.setattr(kernel, "_split", counting_split)
     rng = random.Random("walk-stops")
     rows = [[*row, rng.choice("xy")] for row in rng.sample(sorted(product("012", repeat=5)), 20)]
     rows.append([*rows[0][:5], "z"])
@@ -647,7 +647,7 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
     per candidate would make O(m²).  Ranking makes the table walk and
     ``eliminate`` one walk of its own, so the growth is bounded on each."""
     calls = 0
-    split = partition._split
+    split = kernel._split
 
     def counting_split(labels, name):
         # A list whose granules are all alone comes back as it is, unrefined.
@@ -655,7 +655,7 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
         calls += labels.rows != []
         return split(labels, name)
 
-    monkeypatch.setattr(partition, "_split", counting_split)
+    monkeypatch.setattr(kernel, "_split", counting_split)
     ranking, elimination = [], []
     for m in (8, 16):
         calls = 0
@@ -679,18 +679,15 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
 
 def _counted_walks(monkeypatch) -> list[int]:
     """Count every leave-one-out walk started from now on, in a one-item
-    list, in each module that holds the walk, so that a reader importing
-    it by name is counted too."""
+    list.  Only the kernel names the walk: every walk starts there."""
     calls = [0]
-    walk = partition._leave_one_out
+    walk = kernel._leave_one_out
 
     def counting_walk(*args):
         calls[0] += 1
         return walk(*args)
 
-    for module in (partition, dataset, reduct, sys.modules["reduct_forge.significance"]):
-        if getattr(module, "_leave_one_out", None) is walk:
-            monkeypatch.setattr(module, "_leave_one_out", counting_walk)
+    monkeypatch.setattr(kernel, "_leave_one_out", counting_walk)
     return calls
 
 
@@ -816,14 +813,14 @@ def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
     meet of 7 attributes groups by at most 128 keys, no set is built: the
     meet's block count is left unknown."""
     outputs = []
-    meet = partition._meet
+    meet = kernel._meet
 
     def recording_meet(a, b):
         labels = meet(a, b)
         outputs.append(labels)
         return labels
 
-    monkeypatch.setattr(partition, "_meet", recording_meet)
+    monkeypatch.setattr(kernel, "_meet", recording_meet)
     _identity_table(300, 10, 3)._table_walk
     assert len(outputs) == 8  # the first and last candidates take one side
     assert all(labels.rows is not None and len(labels.rows) <= 4 for labels in outputs)
@@ -851,7 +848,7 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
     splits switch from dense to stripped lists mid-walk."""
     touched = 0
     stripped = dense = 0
-    split, meet = partition._split, partition._meet
+    split, meet = kernel._split, kernel._meet
 
     def counting_split(labels, name):
         nonlocal touched, stripped, dense
@@ -869,8 +866,8 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         touched += sum(sides) if sides else len(a.keys)
         return meet(a, b)
 
-    monkeypatch.setattr(partition, "_split", counting_split)
-    monkeypatch.setattr(partition, "_meet", counting_meet)
+    monkeypatch.setattr(kernel, "_split", counting_split)
+    monkeypatch.setattr(kernel, "_meet", counting_meet)
     ranking, elimination = [], []
     for m in (10, 40):
         touched = 0
@@ -891,7 +888,7 @@ def test_refined_keys_stay_within_one_int_digit(monkeypatch):
     ternary columns, so ``_split`` must renumber them before they pass
     ``2**30``."""
     largest = 0
-    split = partition._split
+    split = kernel._split
 
     def recording_split(labels, name):
         nonlocal largest
@@ -900,7 +897,7 @@ def test_refined_keys_stay_within_one_int_digit(monkeypatch):
         largest = max(largest, *refined.keys, 0)
         return refined
 
-    monkeypatch.setattr(partition, "_split", recording_split)
+    monkeypatch.setattr(kernel, "_split", recording_split)
     eliminate(_identity_table(300, 40, 3))
     assert 0 < largest < 2**30
 
@@ -922,7 +919,7 @@ def _assert_meet_matches_union(table, a_attrs, b_attrs) -> tuple[str, str]:
     view = table._granules
     a, b = _grouping(view, a_attrs), _grouping(view, b_attrs)
     union = list(dict.fromkeys([*a_attrs, *b_attrs]))
-    met, direct = partition._meet(a, b), _grouping(view, union)
+    met, direct = kernel._meet(a, b), _grouping(view, union)
     assert _spelled_out(met) == _spelled_out(direct)
     assert _spelled_out(met) == _first_seen_numbering(_code_tuples(view, union))
     assert met.blocks == direct.blocks == len(ind_partition(table, union))
@@ -965,9 +962,9 @@ def test_meet_keys_stay_within_one_int_digit():
     view = _identity_table(300, 4, 3)._granules
     n = len(view.labels)
     top = 1 << 30
-    a = partition._Labels(view, [top - 1 - g % 7 for g in range(n)], None, top, 7)
-    b = partition._Labels(view, [top - 1 - g % 5 for g in range(n)], None, top, 5)
-    met = partition._meet(a, b)
+    a = kernel._Labels(view, [top - 1 - g % 7 for g in range(n)], None, top, 7)
+    b = kernel._Labels(view, [top - 1 - g % 5 for g in range(n)], None, top, 5)
+    met = kernel._meet(a, b)
     assert max(met.keys) < top
     assert _spelled_out(met) == _first_seen_numbering(zip(a.keys, b.keys))
     assert met.blocks == 35
@@ -987,12 +984,12 @@ def test_a_refinement_that_changes_nothing_returns_its_input():
     assert [_side(labels) for labels in sides] == ["one block", "dense", "stripped", "all alone"]
     alone = sides[-1]
     for labels in sides:
-        assert partition._split(labels, "k") is labels
-        assert partition._meet(one, labels) is labels
-        assert partition._meet(labels, one) is labels
-        assert partition._meet(alone, labels) is alone
-        assert partition._meet(labels, alone) is alone
-    assert partition._split(alone, "c1") is alone
+        assert kernel._split(labels, "k") is labels
+        assert kernel._meet(one, labels) is labels
+        assert kernel._meet(labels, one) is labels
+        assert kernel._meet(alone, labels) is alone
+        assert kernel._meet(labels, alone) is alone
+    assert kernel._split(alone, "c1") is alone
 
 
 def _gamma_via(table, attrs):
@@ -1250,7 +1247,7 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
     runs them, build the granule view once."""
     sizes = []
     builds = 0
-    split, granulate = partition._split, partition._granulate
+    split, granulate = kernel._split, kernel._granulate
 
     def recording_split(labels, name):
         if labels.rows != []:
@@ -1262,7 +1259,7 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
         builds += 1
         return granulate(table)
 
-    monkeypatch.setattr(partition, "_split", recording_split)
+    monkeypatch.setattr(kernel, "_split", recording_split)
     monkeypatch.setattr(reduct, "_split", recording_split)
     monkeypatch.setattr(dataset, "_granulate", counting_granulate)
     eliminate(_repeated_rows_table(600, 12))
@@ -1293,13 +1290,13 @@ def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
     significance is 0, so the trace takes ``eliminate``'s counts and makes
     no walk."""
     grouped = []
-    grouping = partition._grouping
+    grouping = kernel._grouping
 
     def recording_grouping(view, attrs):
         grouped.append(tuple(attrs))
         return grouping(view, attrs)
 
-    for module in (partition, reduct):
+    for module in (kernel, reduct):
         monkeypatch.setattr(module, "_grouping", recording_grouping)
     path = str(Path(__file__).parent / "data" / "kept_then_redundant.csv")
     assert cli.main(["reduct", path, "--decision", "d", "--exhaustive", "--trace", "--json"]) == 0
@@ -1317,14 +1314,14 @@ def test_reduct_exhaustive_refines_along_one_elimination_pass(monkeypatch):
     12 more where this walk makes 6.  Both ways make two walks there, so
     the refinements are counted."""
     calls = 0
-    refine = partition._refine
+    refine = kernel._refine
 
     def counting_refine(*args):
         nonlocal calls
         calls += 1
         return refine(*args)
 
-    monkeypatch.setattr(partition, "_refine", counting_refine)
+    monkeypatch.setattr(kernel, "_refine", counting_refine)
     with open(Path(__file__).parent / "data" / "kept_then_redundant.csv", "rb") as handle:
         table = load_csv(handle, decision="d")
     exhaustive_reducts(table)
@@ -1378,31 +1375,41 @@ def test_ranking_and_elimination_build_no_per_object_codes(decision):
             ind_partition(table, ["c1"])
 
 
-_REFERENCE_PATH = {"ObjectSet", "Partition", "grouped", "_grouped_partition", "_mask",
-                   "_block_labels", "projections", "ind_partition", "decision_partition",
-                   "meet", "positive_region", "gamma"}
-_KERNEL = {"_Granules", "_granulate", "_Labels", "_split", "_refine", "_stripped", "_meet",
-           "_grouping", "_leave_one_out", "_table_order_walk", "_DIGIT", "_MIXED",
-           "_pure_weight", "_unmixed_weight", "_witness", "_alone", "_elimination",
-           "_Numbering"}
-
-
 def _syntax(module) -> ast.Module:
     with open(module.__file__, encoding="utf-8") as source:
         return ast.parse(source.read())
 
 
+def _package_imports(module) -> tuple[set[str], set[str]]:
+    """The package modules that ``module`` imports at run time, and those
+    that it imports under ``if TYPE_CHECKING:`` only."""
+    tree = _syntax(module)
+    guarded = {id(node) for top in tree.body
+               if isinstance(top, ast.If) and ast.unparse(top.test) == "TYPE_CHECKING"
+               for node in ast.walk(top)}
+    found: tuple[set[str], set[str]] = (set(), set())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            targets = ([f"reduct_forge.{node.module or alias.name}" for alias in node.names]
+                       if node.level else [node.module])
+        elif isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        else:
+            continue
+        found[id(node) in guarded].update(
+            t.removeprefix("reduct_forge.") for t in targets if t.startswith("reduct_forge."))
+    return found
+
+
 def test_reference_path_and_kernel_readers_stay_apart():
-    """The per-object reference path in ``partition.py`` names nothing of
-    the kernel, so the tests that compare the two compare independent code;
-    and ``reduct`` and ``significance`` read a grouping only through its
-    block count and dependency, never its label lists or their bounds, read
-    no code column of the view, and import no routine that builds label
-    lists outside ``_split``."""
-    for node in _syntax(partition).body:
-        if getattr(node, "name", None) in _REFERENCE_PATH:
-            named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            assert not named & _KERNEL, (node.name, named & _KERNEL)
+    """The per-object reference path imports nothing of the kernel, nor the
+    kernel anything of it, so the tests that compare the two compare
+    independent code; and ``reduct`` and ``significance`` read a grouping
+    only through its block count and dependency, never its label lists or
+    their bounds, read no code column of the view, and import no routine
+    that builds label lists outside ``_split``."""
+    assert _package_imports(partition) == ({"errors"}, {"dataset"})
+    assert "partition" not in set.union(*_package_imports(kernel))
     for module in (reduct, sys.modules["reduct_forge.significance"]):
         for node in ast.walk(_syntax(module)):
             if isinstance(node, ast.Attribute):
