@@ -269,7 +269,8 @@ class InformationSystem:
     @cached_property
     def _elimination(self):
         """The kernel's column-order elimination pass (``kernel._elimination``):
-        counts, names and granule indices, no grouping."""
+        C's block count, the removed names and each kept name's witness pair
+        of granule indices; no grouping and no per-candidate count."""
         return _elimination(self._granules)
 
 

@@ -21,30 +21,37 @@ partitions of TANE (Huhtala et al., 1999).  On a wide table nearly every
 granule is alone after about log_k |U/C| attributes, so a walk touches
 O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m).
 
-Walks.  ``_leave_one_out`` is the paper's composition of a low and a high
-base taken at every candidate: the grouping without ``a`` is the meet of
-the kept attributes before ``a`` with all those after it, so a walk makes
-O(m) refinements and meets.  A table keeps two walks over its conditional
-attributes C from the one-block grouping: ``_table_order_walk``, which only
-ranking reads, and ``_elimination``, the column-order backward elimination
-that ``eliminate``, the core and the exhaustive oracle read.
-``_without_each`` walks some attributes alone, from the grouping by the
-rest of a set.  Every walk ends at its last candidate.
+Walks.  ``_walk`` is the paper's composition of a low and a high base
+taken at every candidate: the set without ``a`` joins the kept attributes
+before ``a`` (the prefix, split by each kept candidate) with all those after
+it (the suffix), so a walk makes O(m) refinements.  ``_leave_one_out`` meets
+the two sides into the grouping without ``a``.  A table keeps two walks over
+its conditional attributes C from the one-block grouping:
+``_table_order_walk``, which ranking and ``significance`` read, and
+``_elimination``, the column-order backward elimination that ``eliminate``,
+the core and the exhaustive oracle read.  The elimination builds no grouping
+per candidate: it keeps ``a`` exactly when two granules that share a block
+of both sides differ on ``a``, which one scan of the sides' rows settles
+(``_witness``).  A removal scans every row that both sides keep; a kept
+candidate stops at its pair.  ``_without_each`` walks some attributes
+alone, from the grouping by the rest of a set, and replays the
+elimination's walk to count the sets it tested, for the trace.
+Every walk ends at its last candidate.
 
-Witness pairs.  Each attribute that the elimination keeps carries two
-granules of one block without it that differ on it (``_witness``).
-``_alone`` checks on the raw codes which pairs differ on their attribute
-alone among a set, a singleton entry of the discernibility matrix (Skowron
-and Rauszer, 1992): over the reduct that certifies it minimal, and over C
-it names core attributes with no walk.
+Witness pairs.  The pair that keeps a candidate is the first two granules,
+in ascending order, that share a block of the set it was tested against
+and differ on it.  ``_alone`` checks on the raw codes which pairs differ on
+their attribute alone among a set, a singleton entry of the discernibility
+matrix (Skowron and Rauszer, 1992): over the reduct that certifies it
+minimal, and over C it names core attributes with no walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count, repeat
-from operator import is_not
-from typing import TYPE_CHECKING, Generator, Iterable, Sequence
+from operator import add, is_not, mul
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Sequence, TypeVar
 
 from .errors import UnknownAttribute
 
@@ -52,6 +59,7 @@ if TYPE_CHECKING:  # only annotations name it: the table module imports this one
     from .dataset import InformationSystem
 
 
+_T = TypeVar("_T")
 _MIXED = object()  # the label of a granule whose objects disagree on the decision
 
 
@@ -207,19 +215,28 @@ def _stripped(view: _Granules, keys: list[int], rows: list[int] | None,
                    top, len(again), blocks)
 
 
-def _witness(labels: _Labels, name: str) -> tuple[int, int] | None:
-    """The first two granules, in one pass, that share a block of
-    ``labels`` but differ on ``name``, or None when every block agrees."""
-    codes = labels.view.columns[name][0]
-    rows = labels.rows
+def _witness(a: _Labels, b: _Labels, name: str) -> tuple[int, int] | None:
+    """The first two granules, in ascending order of the second, that share
+    a block of both ``a`` and ``b`` (which carry one view) but differ on
+    ``name``, or None when every block of their meet agrees on it.  One scan
+    of the meet's rows, with no meet built: only rows that both sides keep
+    are read, a row's key is mixed-radix over the two sides, a one-block
+    side is not read, and a dict keeps each key's first row."""
+    if a.rows is None and a.top == 1:
+        a, b = b, a
+    if b.rows is None and b.top == 1:
+        rows, keys = a.rows, a.keys
+    else:
+        a, b, column = _aligned(a, b)
+        rows = a.rows
+        keys = map(add, map(mul, a.keys, repeat(b.top)),
+                   column if rows is None else map(column.__getitem__, rows))
+    codes = a.view.columns[name][0]
     first: dict[int, int] = {}
-    for g, key in zip(range(len(labels.keys)) if rows is None else rows, labels.keys):
-        if key in first:
-            f = first[key]
-            if codes[f] != codes[g]:
-                return f, g
-        else:
-            first[key] = g
+    for g, key in zip(count() if rows is None else rows, keys):
+        f = first.setdefault(key, g)
+        if codes[f] != codes[g]:
+            return f, g
     return None
 
 
@@ -251,53 +268,70 @@ def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
     return labels
 
 
-def _meet(a: _Labels, b: _Labels) -> _Labels:
-    """The grouping by both ``a`` and ``b``, which carry one view: a
-    stripped side (the longer, of two) or the dense side whose keys reach
-    higher is refined by the other's keys.  A side whose granules are all
-    alone is the meet, and a meet with the one-block grouping is the other
-    side."""
+def _aligned(
+    a: _Labels, b: _Labels
+) -> tuple[_Labels, _Labels, Sequence[int] | dict[int, int]]:
+    """``a`` and ``b``, which carry one view, as the side to refine or read
+    and the side whose keys it takes, with those keys as a column read at a
+    granule's index: a stripped side (the longer of two) or the dense side
+    whose keys reach higher comes first."""
     if (b.rows is not None and (a.rows is None or len(a.rows) < len(b.rows))
             or a.rows is None and b.rows is None and a.top < b.top):
         a, b = b, a
-    if b.rows == []:
-        return b
-    column: Sequence[int] | dict[int, int] = b.keys
-    if b.rows is not None:
-        # Of two stripped sides the longer is cut to the shorter's rows.
-        column = dict(zip(b.rows, b.keys))
-        inside = list(map(column.__contains__, a.rows))
-        a = _Labels(a.view, list(compress(a.keys, inside)), list(compress(a.rows, inside)),
-                    a.top, a.most)
+    if b.rows is None:
+        return a, b, b.keys
+    # Of two stripped sides the longer is cut to the shorter's rows.
+    column = dict(zip(b.rows, b.keys))
+    inside = list(map(column.__contains__, a.rows))
+    return (_Labels(a.view, list(compress(a.keys, inside)), list(compress(a.rows, inside)),
+                    a.top, a.most), b, column)
+
+
+def _meet(a: _Labels, b: _Labels) -> _Labels:
+    """The grouping by both ``a`` and ``b``, which carry one view: the first
+    side of ``_aligned`` refined by the other's keys.  A side whose
+    granules are all alone is the meet, and a meet with the one-block
+    grouping is the other side."""
+    if a.rows == [] or b.rows == []:
+        return a if a.rows == [] else b
+    a, b, column = _aligned(a, b)
     return _refine(a, column, b.top, b.most)
 
 
-def _leave_one_out(
-    seed: _Labels, attrs: Sequence[str]
-) -> Generator[_Labels, bool | None, None]:
+def _walk(
+    seed: _Labels, attrs: Sequence[str], test: Callable[[_Labels, _Labels, str], _T]
+) -> Generator[_Labels | _T, bool | None, None]:
     """Yields the grouping by ``seed``'s attributes and all of ``attrs``,
-    then, for each ``attrs[i]``, the grouping by ``seed``'s attributes, the
-    kept ones of ``attrs[:i]`` and all of ``attrs[i + 1:]``.  ``attrs[i]``
-    is kept unless ``False`` is sent for it, so plain iteration keeps all.
-    The walk ends at its last candidate."""
+    then, for each ``attrs[i]``, ``test(prefix, suffix, attrs[i])``: the
+    prefix groups by ``seed``'s attributes and the kept ones of
+    ``attrs[:i]``, the suffix by ``seed``'s attributes and all of
+    ``attrs[i + 1:]``.  ``attrs[i]`` is kept unless ``False`` is sent for
+    it, so plain iteration keeps all.  A side split only by one-value
+    columns is still ``seed`` (``_refine``).  The walk ends at its last
+    candidate."""
     suffixes = [seed]  # suffixes[-1 - j] groups by seed and attrs[j:]
     for name in reversed(attrs):
         suffixes.append(_split(suffixes[-1], name))
     yield suffixes.pop()
     prefix = seed
     for name in attrs:
-        suffix = suffixes.pop()
-        # A side that is still the seed, as one split only by one-value
-        # columns is (``_refine``), leaves the other side as it is.
-        if prefix is seed:
-            labels = suffix
-        elif suffix is seed:
-            labels = prefix
-        else:
-            labels = _meet(prefix, suffix)
         # After the last candidate no prefix is read, so none is refined.
-        if (yield labels) is not False and suffixes:
+        if (yield test(prefix, suffixes.pop(), name)) is not False and suffixes:
             prefix = _split(prefix, name)
+
+
+def _leave_one_out(
+    seed: _Labels, attrs: Sequence[str]
+) -> Generator[_Labels, bool | None, None]:
+    """``_walk`` whose candidates yield the grouping by ``seed``'s
+    attributes, the kept ones of ``attrs[:i]`` and all of ``attrs[i + 1:]``,
+    the meet of the two sides."""
+
+    def meet(prefix: _Labels, suffix: _Labels, _: str) -> _Labels:
+        # A side that is still the seed leaves the other side as it is.
+        return suffix if prefix is seed else prefix if suffix is seed else _meet(prefix, suffix)
+
+    return _walk(seed, attrs, meet)
 
 
 def _table_order_walk(view: _Granules) -> tuple[_Labels, dict[str, _Labels]]:
@@ -310,42 +344,49 @@ def _table_order_walk(view: _Granules) -> tuple[_Labels, dict[str, _Labels]]:
 
 def _elimination(
     view: _Granules,
-) -> tuple[int, list[str], dict[str, tuple[int, int] | None], dict[str, int]]:
+) -> tuple[int, list[str], dict[str, tuple[int, int]]]:
     """The column-order backward elimination over the conditional
-    attributes C: C's block count, the removed attributes in order, each
-    kept attribute's witness pair and each candidate's block count.  A
-    candidate is removed when the kept attributes before it and all after
-    it keep C's block count.  Each pair differs on its attribute alone
-    among the result R, and among C unless also on an earlier removal."""
+    attributes C: C's block count, the removed attributes in order and each
+    kept attribute's witness pair.  A candidate is removed when no two
+    granules that share a block of the kept attributes before it and of all
+    after it differ on it, so those attributes keep C's block count; the
+    first such pair (``_witness``) keeps it.  Each pair differs on its
+    attribute alone among the result R, and among C unless also on an
+    earlier removal."""
     attrs = tuple(view.columns)
-    walk = _leave_one_out(_grouping(view, ()), attrs)
+    walk = _walk(_grouping(view, ()), attrs, _witness)
     full_count = next(walk).blocks
     removed: list[str] = []
-    witnesses: dict[str, tuple[int, int] | None] = {}
-    tested: dict[str, int] = {}
+    witnesses: dict[str, tuple[int, int]] = {}
     kept = True
     for attribute in attrs:
-        labels = walk.send(kept)
-        tested[attribute] = labels.blocks
-        kept = labels.blocks != full_count
+        pair = walk.send(kept)
+        kept = pair is not None
         if kept:
-            witnesses[attribute] = _witness(labels, attribute)
+            witnesses[attribute] = pair
         else:
             removed.append(attribute)
-    return full_count, removed, witnesses, tested
+    return full_count, removed, witnesses
 
 
-def _without_each(view: _Granules, attrs: Sequence[str],
-                  walked: Sequence[str]) -> dict[str, int]:
-    """The block count of ``attrs - a`` for each ``a`` of ``walked``, a
-    subset of ``attrs`` in column order, from one walk over ``walked`` alone;
-    no walk when ``walked`` is empty."""
+def _without_each(view: _Granules, attrs: Sequence[str], walked: Sequence[str],
+                  removed: Iterable[str] = ()) -> dict[str, int]:
+    """The block count of ``attrs - a``, less the members of ``removed``
+    before ``a``, for each ``a`` of ``walked``, a subset of ``attrs`` in
+    column order, from one walk over ``walked`` alone with each member of
+    ``removed`` sent back as dropped; no walk when ``walked`` is empty.
+    Over C with the elimination's removals it replays the elimination."""
     if not walked:
         return {}
-    skip = set(walked)
+    skip, dropped = set(walked), set(removed)
     walk = _leave_one_out(_grouping(view, [a for a in attrs if a not in skip]), walked)
     next(walk)  # the grouping by all of attrs
-    return {a: labels.blocks for a, labels in zip(walked, walk)}
+    counts: dict[str, int] = {}
+    kept = True
+    for attribute in walked:
+        counts[attribute] = walk.send(kept).blocks
+        kept = attribute not in dropped
+    return counts
 
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:

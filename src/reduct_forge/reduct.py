@@ -51,7 +51,7 @@ def _indispensable(table: InformationSystem) -> tuple[int, tuple[str, ...]]:
     removal lowers it, in table order.  A removed attribute is not core, a
     kept one whose witness pair differs on it alone among C is, and every
     other kept one is tested by one walk over those attributes alone."""
-    full_count, _, witnesses, _ = table._elimination
+    full_count, _, witnesses = table._elimination
     cond = conditional_attributes(table)
     sure = _alone(table._granules, cond, witnesses)
     counts = _without_each(table._granules, cond, [a for a in witnesses if a not in sure])
@@ -72,20 +72,27 @@ def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[s
 
 
 def _traced(table: InformationSystem, policy: GroupPolicy, full_count: int,
-            reduct: tuple[str, ...], dropped: set[str],
-            tested: dict[str, int]) -> Iterator[TraceEntry]:
+            reduct: tuple[str, ...], dropped: set[str]) -> Iterator[TraceEntry]:
     """The trace entries in ranked order under ``policy``, made when the
-    first is read.  An attribute of significance 0 takes the count that the
-    elimination measured, ``tested``; one of positive significance ranks
-    after every removal, so its set is R - a, counted by one walk over those
-    attributes alone when something was removed."""
+    first is read.  With no removal each count is that of C - a, read off
+    the table walk that ranking makes.  Otherwise a removal takes C's count;
+    a kept attribute of significance 0 the count of the set that the
+    elimination tested, which the ranked order tests too (every removal has
+    significance 0, and those keep column order), from one replay of the
+    elimination's walk; and one of positive significance, which ranks after
+    every removal, that of R - a, from one walk over those attributes
+    alone."""
     grouping = split_groups(rank_attributes(table), policy)
     low = set(grouping.low_group)
     positive = {a for a, sig in grouping.ranked if sig}
-    counts = tested
-    if dropped:
-        walked = [a for a in reduct if a in positive]
-        counts = tested | _without_each(table._granules, reduct, walked)
+    if not dropped:
+        counts = {a: labels.blocks for a, labels in table._table_walk[1].items()}
+    else:
+        view, cond = table._granules, conditional_attributes(table)
+        counts = dict.fromkeys(dropped, full_count)
+        if not positive.issuperset(reduct):
+            counts = _without_each(view, cond, cond, dropped)
+        counts |= _without_each(view, reduct, [a for a in reduct if a in positive])
     for attribute, sig in grouping.ranked:
         yield TraceEntry(
             attribute=attribute,
@@ -108,14 +115,13 @@ def eliminate(
     that ranks when first read and keeps the table until then."""
     cond = conditional_attributes(table)
     _check_count(policy, len(cond))
-    full_count, removed, witnesses, tested = table._elimination
+    full_count, removed, witnesses = table._elimination
     dropped = set(removed)
     reduct = tuple(a for a in cond if a not in dropped)
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
-        trace=_LazyTuple(len(cond), _traced(table, policy, full_count, reduct, dropped,
-                                             tested)),
+        trace=_LazyTuple(len(cond), _traced(table, policy, full_count, reduct, dropped)),
         verified_minimal=_alone(table._granules, reduct, witnesses) == set(reduct),
     )
 

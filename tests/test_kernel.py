@@ -20,6 +20,7 @@ import ast
 import random
 import sys
 import weakref
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from itertools import combinations, product
@@ -377,14 +378,14 @@ def _differing(view, attrs, pair) -> list[str]:
 @given(tables(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_witness_pair_exists_exactly_when_an_attribute_splits_a_block(table, data):
-    """``_witness`` on the grouping by a set S finds two granules in one
-    block of S that differ on ``a``, and finds none exactly when adding
-    ``a`` to S splits no block."""
+    """``_witness`` of the grouping by a set S beside the one-block
+    grouping finds two granules in one block of S that differ on ``a``,
+    and finds none exactly when adding ``a`` to S splits no block."""
     cond = list(conditional_attributes(table))
     attrs = data.draw(st.lists(st.sampled_from(cond), unique=True))
     name = data.draw(st.sampled_from(cond))
     view = table._granules
-    pair = _witness(_grouping(view, attrs), name)
+    pair = _witness(_grouping(view, ()), _grouping(view, attrs), name)
     splits = block_count(table, attrs + [name]) != block_count(table, attrs)
     assert (pair is not None) == splits
     if pair is not None:
@@ -398,22 +399,19 @@ def test_kept_attributes_carry_witness_pairs(table, count):
     """The elimination pass gives each kept attribute ``a`` a witness pair
     whose codes agree on every reduct attribute but ``a`` and differ on
     ``a``; redundant attributes get no pair, and the pairs certify the
-    result.  It tests every conditional attribute once, in column order,
-    against the block count of all of them.  Its removals are the lazy
-    trace's redundant verdicts, and each trace count is the block count of
-    the ranked-order pass's candidate: C without ``a`` and without the
-    removals ranked before ``a``.  The trace's rule rests on two facts,
+    result.  Its removals are the lazy trace's redundant verdicts, and each
+    trace count, which reading the trace makes, is the block count of the
+    ranked-order pass's candidate: C without ``a`` and without the removals
+    ranked before ``a``.  The trace's rule rests on two facts,
     checked too: every removed attribute has significance 0, and every
     attribute of positive significance ranks after the last removal."""
     cond = conditional_attributes(table)
     policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
     result = eliminate(table, policy)
     ranked = split_groups(rank_attributes(table), policy).ranked
-    full_count, removed, witnesses, tested = table._elimination
+    full_count, removed, witnesses = table._elimination
     assert full_count == block_count(table, cond)
-    assert tuple(tested) == cond
     assert tuple(removed) == result.removed
-    assert removed == [a for a in cond if tested[a] == full_count]
     assert removed == [entry.attribute for entry in result.trace
                        if entry.verdict == "redundant"]
     assert [entry.attribute for entry in result.trace] == [a for a, _ in ranked]
@@ -445,13 +443,16 @@ def test_certificate_rejects_a_reduct_that_keeps_a_copied_column():
     assert result.verified_minimal
     assert len({"c2", "c5"} & set(result.reduct)) == 1
     kept = [a for a in conditional_attributes(table) if a in result.reduct or a in ("c2", "c5")]
-    witnesses = {a: _witness(_grouping(view, [b for b in kept if b != a]), a) for a in kept}
+    one = _grouping(view, ())
+    witnesses = {a: _witness(one, _grouping(view, [b for b in kept if b != a]), a)
+                 for a in kept}
     assert witnesses["c2"] is None and witnesses["c5"] is None
     assert kernel._alone(view, kept, witnesses) != set(kept)
     # Given pairs for the copies from elsewhere, the check on raw codes
     # still fails: any pair that differs on one copy differs on the other.
+    others = _grouping(view, [b for b in kept if b not in ("c2", "c5")])
     for a in ("c2", "c5"):
-        witnesses[a] = _witness(_grouping(view, [b for b in kept if b not in ("c2", "c5")]), a)
+        witnesses[a] = _witness(one, others, a)
     assert witnesses["c2"] is not None
     assert kernel._alone(view, kept, witnesses) != set(kept)
 
@@ -678,16 +679,17 @@ def test_eliminate_refinements_grow_linearly_in_attributes(monkeypatch):
 
 
 def _counted_walks(monkeypatch) -> list[int]:
-    """Count every leave-one-out walk started from now on, in a one-item
-    list.  Only the kernel names the walk: every walk starts there."""
+    """Count every walk started from now on, in a one-item list: the
+    leave-one-out walks and the elimination pass all start ``_walk``, which
+    only the kernel names."""
     calls = [0]
-    walk = kernel._leave_one_out
+    walk = kernel._walk
 
     def counting_walk(*args):
         calls[0] += 1
         return walk(*args)
 
-    monkeypatch.setattr(kernel, "_leave_one_out", counting_walk)
+    monkeypatch.setattr(kernel, "_walk", counting_walk)
     return calls
 
 
@@ -741,23 +743,23 @@ def test_eliminate_makes_one_walk_and_ranks_only_when_its_trace_is_read(monkeypa
     """``eliminate`` makes one walk, over the conditional attributes in
     column order, and neither ranks them nor makes the table walk, so with
     its trace unread a call is one walk and no ranking.  Reading the trace
-    ranks once, which makes the table walk; an attribute of significance 0
-    takes the count that ``eliminate``'s walk measured, and only when
-    something was removed and some attribute has positive significance
-    does one walk over those attributes alone, from the grouping by the
-    rest of the reduct, give their ``R - a`` counts.
-    Here the core tables with a removal have core attributes of positive
-    significance, the m = 16 table has an empty core, and the one-class
-    decision table has a core attribute ``s`` of significance 0 ranked
-    after the removal of ``p``, a copy of ``q``, so its trace reads only
-    the table walk."""
+    ranks once, which makes the table walk, whose counts serve when nothing
+    was removed.  After a removal, the kept attributes of significance 0
+    take their counts from one replay of ``eliminate``'s walk, and those of
+    positive significance from one walk over them alone, from the grouping
+    by the rest of the reduct.  Here the m = 8 table removes nothing; the
+    one-column-added table keeps only attributes of positive significance;
+    the m = 10 table keeps both kinds; the m = 16 table has an empty core,
+    so every significance is 0; and the one-class decision table keeps a
+    core attribute ``s`` of significance 0 after the removal of ``p``, a
+    copy of ``q``."""
     walked = _counted_walks(monkeypatch)
     ranked = _counted_rankings(monkeypatch)
     one_class = make_table([["0", "0", "0", "x"], ["1", "1", "0", "x"], ["0", "0", "1", "x"],
                             ["1", "1", "1", "x"]], ["p", "q", "s", "d"], decision="d")
     tables = [(_one_non_core_table(), 2), (_identity_table(300, 8, 3), 1),
-              (_identity_table(300, 10, 3), 2), (_identity_table(300, 16, 3), 1),
-              (one_class, 1)]
+              (_identity_table(300, 10, 3), 3), (_identity_table(300, 16, 3), 2),
+              (one_class, 2)]
     for table, trace_walks in tables:
         walked[0] = ranked[0] = 0
         cond = conditional_attributes(table)
@@ -779,12 +781,13 @@ def test_unread_trace_holds_the_table_until_it_is_read_or_dropped(monkeypatch):
     """The trace ranks the attributes when it is first read, so an unread
     trace keeps its table alive, and reading it or dropping the result
     lets the table go, by its reference count, with no cycle to collect.
-    With an empty core every significance is 0 and every count one that
-    ``eliminate`` measured, so reading the trace makes the table walk
-    alone; with a removal and core attributes of positive significance it
-    makes one walk over those attributes more."""
+    Reading the trace makes the table walk and, after a removal, one walk
+    more: a replay of ``eliminate``'s walk when, as with an empty core,
+    every significance is 0, and one over the attributes of positive
+    significance when, as on the one-column-added table, they are all that
+    is kept."""
     calls = _counted_walks(monkeypatch)
-    for make, walks in ((lambda: _identity_table(300, 16, 3), 1), (_one_non_core_table, 2)):
+    for make, walks in ((lambda: _identity_table(300, 16, 3), 2), (_one_non_core_table, 2)):
         table = make()
         result = eliminate(table)
         ref = weakref.ref(table)
@@ -807,7 +810,7 @@ def test_unread_trace_holds_the_table_until_it_is_read_or_dropped(monkeypatch):
 def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
     """A meet ends like a split: on a 300 x 10 identity table every
     ``C - a`` of the table walk comes back stripped to a few rows, so
-    ``blocks``, ``dependency`` and ``_witness`` pass over those alone.
+    ``blocks`` and ``dependency`` pass over those alone.
     Where the distinct-key bound keeps a quarter of the rows in shared
     blocks, as on a tall table of 8 binary attributes whose 256 granules a
     meet of 7 attributes groups by at most 128 keys, no set is built: the
@@ -840,15 +843,16 @@ def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
 
 def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
     """Once most granules are alone in their block the walk drops them, so
-    the granule entries that one walk's refines and meets touch stop growing
-    with the attribute count: a dense walk touches 300 per pass, 27000 at
-    m = 10 and 108000 at m = 40.  Ranking makes the table walk and
-    ``eliminate`` one walk of its own over the same attributes, whose
-    prefix skips the removed ones, so the bound is put on each.  The
-    splits switch from dense to stripped lists mid-walk."""
+    the granule entries that one walk's refines, meets and witness scans
+    may touch stop growing with the attribute count: a dense walk touches
+    300 per pass, 27000 at m = 10 and 108000 at m = 40.  Ranking makes the
+    table walk and ``eliminate`` one walk of its own over the same
+    attributes, whose prefix skips the removed ones and whose candidates
+    are scanned, not met, so the bound is put on each.  The splits switch
+    from dense to stripped lists mid-walk."""
     touched = 0
     stripped = dense = 0
-    split, meet = kernel._split, kernel._meet
+    split, meet, witness = kernel._split, kernel._meet, kernel._witness
 
     def counting_split(labels, name):
         nonlocal touched, stripped, dense
@@ -866,8 +870,20 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         touched += sum(sides) if sides else len(a.keys)
         return meet(a, b)
 
+    def counting_witness(a, b, name):
+        # As a meet, but only up to the pair that stops the scan, and less
+        # a one-block side, which the scan does not read.
+        nonlocal touched
+        pair = witness(a, b, name)
+        end = len(a.view.labels) if pair is None else pair[1] + 1
+        read = [x for x in (a, b) if x.rows is not None or x.top > 1] or [a]
+        sides = [bisect_left(x.rows, end) for x in read if x.rows is not None]
+        touched += sum(sides) if sides else end
+        return pair
+
     monkeypatch.setattr(kernel, "_split", counting_split)
     monkeypatch.setattr(kernel, "_meet", counting_meet)
+    monkeypatch.setattr(kernel, "_witness", counting_witness)
     ranking, elimination = [], []
     for m in (10, 40):
         touched = 0
@@ -878,7 +894,7 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         elimination.append(touched)
     assert dense and stripped  # lists switch mid-walk
     assert ranking == [4828, 4292]
-    assert elimination == [5166, 4494]
+    assert elimination == [4453, 4243]
     assert ranking[1] <= 1.2 * ranking[0]
     assert elimination[1] <= 1.2 * elimination[0]
 
@@ -953,6 +969,96 @@ def test_meet_differential_covers_every_form_of_side():
                 seen.add(_assert_meet_matches_union(table, cond[:i], cond[j:]))
     forms = {"dense", "stripped", "all alone", "one block"}
     assert {a for a, _ in seen} == forms and {b for _, b in seen} == forms
+
+
+def _plain_witness(view, attrs, name) -> tuple[int, int] | None:
+    """The first two granules, in ascending order of the second, whose code
+    tuples over ``attrs`` are equal and whose codes on ``name`` differ."""
+    codes = view.columns[name][0]
+    first: dict[tuple[int, ...], int] = {}
+    for g, key in enumerate(_code_tuples(view, attrs)):
+        f = first.setdefault(key, g)
+        if codes[f] != codes[g]:
+            return f, g
+    return None
+
+
+def _assert_scan_matches_meet(table, a_attrs, b_attrs, name) -> tuple[str, str]:
+    """``_witness`` of the groupings by ``a_attrs`` and ``b_attrs`` finds the
+    pair that it finds on their meet beside the one-block grouping, and the
+    one that the code tuples over both sets give; the two sides' forms are
+    returned."""
+    view = table._granules
+    a, b = _grouping(view, a_attrs), _grouping(view, b_attrs)
+    pair = _witness(a, b, name)
+    assert pair == _witness(_grouping(view, ()), kernel._meet(a, b), name)
+    assert pair == _plain_witness(view, [*a_attrs, *b_attrs], name)
+    return _side(a), _side(b)
+
+
+@given(tables_with_redundant_columns() | stripping_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_witness_scan_finds_the_first_pair_of_the_meet(table, data):
+    """For drawn A, B within C and ``a`` in C, the scan of the groupings by
+    A and by B finds the first pair of granules that share a block of both
+    but differ on ``a``, as the meet would: dense, stripped, all-alone and
+    one-block sides alike, and twins, granules equal on C, among them."""
+    cond = conditional_attributes(table)
+    subset = st.lists(st.sampled_from(cond), unique=True)
+    _assert_scan_matches_meet(table, data.draw(subset), data.draw(subset),
+                              data.draw(st.sampled_from(cond)))
+
+
+def test_witness_scan_covers_every_form_of_side():
+    """On seeded tables the scan of every pair of prefix and suffix
+    groupings, for every attribute, finds the meet's pair, and those pairs
+    take in two dense sides, a dense and a stripped one, two stripped ones,
+    and an all-alone and a one-block side on each side.  One table has
+    twins: two granules equal on C that differ on the decision, too few to
+    fold, so they share every block and never make a pair."""
+    rng = random.Random("scan-twins")
+    rows = [[*row, rng.choice("xy")] for row in _identity_table(60, 8, 3).rows]
+    rows += [[*rows[0][:8], "z"], [*rows[1][:8], "z"]]
+    twins = make_table(rows, [f"c{i + 1}" for i in range(8)] + ["d"], decision="d")
+    cond = conditional_attributes(twins)
+    view = twins._granules
+    assert len(set(_code_tuples(view, cond))) == len(view.labels) - 2
+    seen: set[tuple[str, str]] = set()
+    for table in (_identity_table(60, 8, 3), _identity_table(300, 10, 3),
+                  _identity_table(40, 12, 2), twins):
+        cond = conditional_attributes(table)
+        for i in range(len(cond) + 1):
+            for j in range(len(cond) + 1):
+                for name in cond:
+                    seen.add(_assert_scan_matches_meet(table, cond[:i], cond[j:], name))
+    forms = {"dense", "stripped", "all alone", "one block"}
+    assert {a for a, _ in seen} == forms and {b for _, b in seen} == forms
+    pairs = {frozenset(pair) for pair in seen}
+    assert {frozenset({"dense"}), frozenset({"dense", "stripped"}),
+            frozenset({"stripped"})} <= pairs
+
+
+@given(elimination_tables() | tables_with_redundant_columns())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_a_block_count_reference(table):
+    """The pass removes exactly the candidates whose removal keeps C's block
+    count, in column order, and gives each kept candidate the first pair,
+    by code tuples, of the set that it tested: the kept attributes before
+    it and all after it."""
+    cond = conditional_attributes(table)
+    full = block_count(table, cond)
+    view = table._granules
+    kept: list[str] = []
+    removed: list[str] = []
+    witnesses = {}
+    for i, attribute in enumerate(cond):
+        tested = kept + list(cond[i + 1:])
+        if block_count(table, tested) == full:
+            removed.append(attribute)
+        else:
+            kept.append(attribute)
+            witnesses[attribute] = _plain_witness(view, tested, attribute)
+    assert table._elimination == (full, removed, witnesses)
 
 
 def test_meet_keys_stay_within_one_int_digit():
@@ -1307,9 +1413,10 @@ def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
 def test_reduct_exhaustive_refines_along_one_elimination_pass(monkeypatch):
     """``exhaustive_reducts`` then ``eliminate``, as ``reduct --exhaustive``
     runs them, share the table's elimination pass: on the
-    ``kept_then_redundant`` fixture under ``d`` they make 27 refinements,
-    10 in the elimination walk, 6 in the walk over ``c`` and ``e2`` that
-    settles the core and 11 in the oracle's search, and ``eliminate`` none.
+    ``kept_then_redundant`` fixture under ``d`` they make 24 refinements,
+    7 in the elimination walk, whose candidates are tested by scans that
+    refine nothing, 6 in the walk over ``c`` and ``e2`` that settles the
+    core and 11 in the oracle's search, and ``eliminate`` none.
     A table-order walk for the core beside the elimination walk would make
     12 more where this walk makes 6.  Both ways make two walks there, so
     the refinements are counted."""
@@ -1326,7 +1433,7 @@ def test_reduct_exhaustive_refines_along_one_elimination_pass(monkeypatch):
         table = load_csv(handle, decision="d")
     exhaustive_reducts(table)
     eliminate(table)
-    assert calls == 27
+    assert calls == 24
 
 
 def _csv(rows) -> str:

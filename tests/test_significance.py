@@ -18,6 +18,8 @@ from reduct_forge import (
     split_groups,
 )
 
+import reduct_forge.kernel as kernel
+
 from conftest import make_table, positive_region_oracle, random_table
 
 # Exact per-attribute values for the bundled table; the 0.2/0.4 entries are
@@ -80,6 +82,32 @@ class TestSignificance:
             for attr in table.attributes:
                 if significance(table, attr) > 0:
                     assert attr in core
+
+    def test_each_value_reads_two_dependencies_not_the_ranking(self, monkeypatch):
+        """``significance`` gives the ranking's entry for every attribute,
+        and the decision and an unknown name raise; it reads two dependency
+        degrees off the table walk, so m calls read 2m, where ranking for
+        each would read m + 1 per call."""
+        reads = [0]
+        dependency = kernel._Labels.dependency
+
+        def counting_dependency(labels):
+            reads[0] += 1
+            return dependency.fget(labels)
+
+        rng = random.Random("significance-reads")
+        m = 12
+        rows = [[str(rng.randrange(3)) for _ in range(m)] + [rng.choice("xy")]
+                for _ in range(80)]
+        table = make_table(rows, [f"c{i + 1}" for i in range(m)] + ["d"], decision="d")
+        ranked = rank_attributes(table)
+        monkeypatch.setattr(kernel._Labels, "dependency", property(counting_dependency))
+        for attr in table.attributes[:m]:
+            assert significance(table, attr) == ranked.significance_of(attr)
+        assert reads[0] == 2 * m
+        for name in ("d", "z"):
+            with pytest.raises(UnknownAttribute):
+                significance(table, name)
 
 
 class TestRankAttributes:
