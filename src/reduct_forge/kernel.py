@@ -21,6 +21,24 @@ partitions of TANE (Huhtala et al., 1999).  On a wide table nearly every
 granule is alone after about log_k |U/C| attributes, so a walk touches
 O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m).
 
+Packed keys.  A dense grouping keeps its keys as one int of 64-bit fields,
+granule g's key in field g (``_pack``), and a dense split reads its column
+packed the same way, made once per view when first read
+(``_Granules.packed``).  So a dense split is ``keys * k + column``, a meet
+of two dense sides ``a * b.top + b``, and a witness scan of two dense
+sides reads that one combined int: each a big-int multiply-add in C, with
+no int object per granule.  No field carries into the next while
+``top * k`` stays below 2**64: the renumbering keeps ``top`` at most 2**30
+or the granule count, and so is k, a column's value count or the other
+side's ``top``, so the product stays below 2**64 on any view of fewer
+than 2**32 granules.  The fields lie in native byte order
+(``sys.byteorder``), as ``array('Q')`` writes them and
+``memoryview.cast('Q')`` reads them (``_fields``).  A list of a dense
+grouping's keys is made, and kept, only for the readers that need one
+entry per granule: counting and stripping (``_stripped``), renumbering,
+``blocks`` and ``dependency``.  A scan that indexes a dense side from a
+stripped one reads the packed fields.  Stripped groupings keep lists.
+
 Walks.  ``_walk`` is the paper's composition of a low and a high base
 taken at every candidate: the set without ``a`` joins the kept attributes
 before ``a`` (the prefix, split by each kept candidate) with all those after
@@ -48,6 +66,8 @@ minimal, and over C it names core attributes with no walk.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import add, is_not, mul
@@ -74,7 +94,7 @@ class _Granules:
     granules.  Two granules may carry equal codes and then share every block.
     """
 
-    __slots__ = ("columns", "weights", "labels", "object_count", "unmixed")
+    __slots__ = ("columns", "weights", "labels", "object_count", "unmixed", "_packed")
 
     def __init__(self, columns: dict[str, tuple[Sequence[int], int]],
                  weights: Sequence[int], labels: Sequence[object],
@@ -82,6 +102,15 @@ class _Granules:
         self.columns, self.weights = columns, weights
         self.labels, self.object_count = labels, object_count
         self.unmixed = _unmixed_weight(labels, weights)
+        self._packed: dict[str, int] = {}
+
+    def packed(self, name: str) -> int:
+        """Column ``name``'s codes packed (``_pack``), made when first read
+        and kept."""
+        packed = self._packed.get(name)
+        if packed is None:
+            packed = self._packed[name] = _pack(self.columns[name][0])
+        return packed
 
 
 def _granulate(table: InformationSystem) -> _Granules:
@@ -119,19 +148,39 @@ class _Labels:
     """A grouping of ``view``'s granules, with its block count ``blocks``
     and dependency degree ``dependency``.
 
-    Dense, ``rows`` is None and ``keys[g]`` is granule ``g``'s key.
-    Stripped, ``keys`` belong to the ascending granules ``rows`` and every
-    other granule is alone in its block.  Two granules share a block exactly
-    when both carry a key and the keys are equal.  ``top`` bounds every key
-    and ``most`` the distinct keys.
+    Dense, ``rows`` is None and ``keys[g]`` is granule ``g``'s key; the
+    keys are given as a list or ``packed`` (``_pack``), and each form is
+    made from the other when first read.  Stripped, ``keys`` belong to the
+    ascending granules ``rows`` and every other granule is alone in its
+    block.  Two granules share a block exactly when both carry a key and the
+    keys are equal.  ``top`` bounds every key and ``most`` the distinct keys.
     """
 
-    __slots__ = ("view", "keys", "rows", "top", "most", "_blocks")
+    __slots__ = ("view", "_keys", "_packed", "rows", "top", "most", "_blocks")
 
-    def __init__(self, view: _Granules, keys: list[int], rows: list[int] | None,
+    def __init__(self, view: _Granules, keys: list[int] | int, rows: list[int] | None,
                  top: int, most: int, blocks: int | None = None) -> None:
-        self.view, self.keys, self.rows = view, keys, rows
+        self.view, self.rows = view, rows
+        self._keys, self._packed = (None, keys) if isinstance(keys, int) else (keys, None)
         self.top, self.most, self._blocks = top, most, blocks
+
+    @property
+    def keys(self) -> list[int]:
+        if self._keys is None:
+            self._keys = _fields(self._packed, len(self.view.labels)).tolist()
+        return self._keys
+
+    @property
+    def packed(self) -> int:
+        if self._packed is None:
+            self._packed = _pack(self._keys)
+        return self._packed
+
+    @property
+    def indexable(self) -> Sequence[int]:
+        """``keys`` when the list is made, else a dense grouping's packed
+        fields (``_fields``), so that a scan that stops early makes none."""
+        return _fields(self._packed, len(self.view.labels)) if self._keys is None else self._keys
 
     @property
     def blocks(self) -> int:
@@ -159,47 +208,66 @@ class _Labels:
 _DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
 
 
+def _pack(keys: Sequence[int]) -> int:
+    """``keys``, each below 2**64, as one int whose field ``g`` of 64 bits
+    is ``keys[g]``."""
+    return int.from_bytes(array("Q", keys), sys.byteorder)
+
+
+def _fields(packed: int, n: int) -> memoryview:
+    """The ``n`` 64-bit fields of ``packed`` (``_pack``), in order."""
+    return memoryview(packed.to_bytes(8 * n, sys.byteorder)).cast("Q")
+
+
 def _split(labels: _Labels, name: str) -> _Labels:
     """``labels`` refined by attribute ``name``'s column."""
-    codes, k = labels.view.columns[name]
-    return _refine(labels, codes, k, k)
+    view = labels.view
+    codes, k = view.columns[name]
+    return _refine(labels, view.packed(name) if labels.rows is None else codes, k, k)
 
 
-def _refine(labels: _Labels, column: Sequence[int] | dict[int, int], k: int,
+def _refine(labels: _Labels, column: int | Sequence[int] | dict[int, int], k: int,
             distinct: int) -> _Labels:
-    """``labels`` refined by ``column``, read at each keyed granule's index,
-    whose codes lie below ``k`` with at most ``distinct`` of them different:
-    two granules share a new key exactly when they shared a key and a code.
-    Returns ``labels`` itself when every granule is alone or ``k == 1``.
-    Keys stay below ``_DIGIT``; the result is stripped (``_stripped``)."""
+    """``labels`` refined by ``column``, packed when ``labels`` is dense and
+    otherwise read at each keyed granule's index, whose codes lie below
+    ``k`` with at most ``distinct`` of them different: two granules share a
+    new key exactly when they shared a key and a code.  Returns ``labels``
+    itself when every granule is alone or ``k == 1``.  Keys stay below
+    ``_DIGIT``; the result is stripped (``_stripped``)."""
     rows = labels.rows
     if rows == [] or k == 1:
         return labels
-    codes = column if rows is None else map(column.__getitem__, rows)
-    keys = [key * k + code for key, code in zip(labels.keys, codes)]
+    if rows is None:
+        keys: list[int] | int = labels.packed * k + column
+    else:
+        keys = [key * k + code for key, code in zip(labels.keys, map(column.__getitem__, rows))]
     refined = _stripped(labels.view, keys, rows, labels.top * k, labels.most * distinct)
     if refined.top > _DIGIT:  # renumbered densely, so the bound is the block count
         ids: dict[int, int] = {}
-        refined.keys = [ids.setdefault(key, len(ids)) for key in refined.keys]
+        refined._keys = [ids.setdefault(key, len(ids)) for key in refined.keys]
+        refined._packed = None
         refined.top = refined.most = len(ids)
     return refined
 
 
-def _stripped(view: _Granules, keys: list[int], rows: list[int] | None,
+def _stripped(view: _Granules, keys: list[int] | int, rows: list[int] | None,
               top: int, most: int) -> _Labels:
-    """The grouping of ``rows`` (every granule when None) by ``keys``.  With
-    b distinct keys over s rows at least 2b - s rows are alone, so the keys
-    are counted only when ``most`` lets b reach 3s / 4, and the lone rows
-    dropped only when b does."""
-    size = len(keys)
+    """The grouping of ``rows`` (every granule, ``keys`` then packed, when
+    None) by ``keys``.  With b distinct keys over s rows at least 2b - s
+    rows are alone, so the keys are counted only when ``most`` lets b reach
+    3s / 4, and the lone rows dropped only when b does."""
+    labels = _Labels(view, keys, rows, top, most)
+    size = len(view.labels) if rows is None else len(rows)
     if 4 * most < 3 * size:
-        return _Labels(view, keys, rows, top, most)
+        return labels
+    keys = labels.keys
     shared = len(set(keys))
     blocks = len(view.labels) - size + shared
     if shared == size:
         return _Labels(view, [], [], top, 0, blocks)
     if 4 * shared < 3 * size:
-        return _Labels(view, keys, rows, top, shared, blocks)
+        labels.most, labels._blocks = shared, blocks
+        return labels
     # A plain loop, not a Counter: the walk runs under the oracle's search,
     # which must not lean on spare recursion depth.
     seen: set[int] = set()
@@ -221,16 +289,18 @@ def _witness(a: _Labels, b: _Labels, name: str) -> tuple[int, int] | None:
     ``name``, or None when every block of their meet agrees on it.  One scan
     of the meet's rows, with no meet built: only rows that both sides keep
     are read, a row's key is mixed-radix over the two sides, a one-block
-    side is not read, and a dict keeps each key's first row."""
+    side is not read, and a dict keeps each key's first row.  Two dense
+    sides are read as one packed int of their keys."""
+    n = len(a.view.labels)
     if a.rows is None and a.top == 1:
         a, b = b, a
     if b.rows is None and b.top == 1:
-        rows, keys = a.rows, a.keys
+        rows, keys = a.rows, a.indexable
     else:
         a, b, column = _aligned(a, b)
         rows = a.rows
-        keys = map(add, map(mul, a.keys, repeat(b.top)),
-                   column if rows is None else map(column.__getitem__, rows))
+        keys = (_fields(a.packed * b.top + column, n) if rows is None
+                else map(add, map(mul, a.keys, repeat(b.top)), map(column.__getitem__, rows)))
     codes = a.view.columns[name][0]
     first: dict[int, int] = {}
     for g, key in zip(count() if rows is None else rows, keys):
@@ -260,7 +330,7 @@ def _alone(view: _Granules, attrs: Sequence[str],
 def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
     """The grouping of ``view``'s granules by ``attrs``; a name outside
     ``view.columns`` raises ``UnknownAttribute``."""
-    labels = _Labels(view, [0] * len(view.labels), None, 1, 1)
+    labels = _Labels(view, 0, None, 1, 1)
     for name in attrs:
         if name not in view.columns:
             raise UnknownAttribute(name)
@@ -270,16 +340,17 @@ def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
 
 def _aligned(
     a: _Labels, b: _Labels
-) -> tuple[_Labels, _Labels, Sequence[int] | dict[int, int]]:
+) -> tuple[_Labels, _Labels, int | Sequence[int] | dict[int, int]]:
     """``a`` and ``b``, which carry one view, as the side to refine or read
-    and the side whose keys it takes, with those keys as a column read at a
-    granule's index: a stripped side (the longer of two) or the dense side
-    whose keys reach higher comes first."""
+    and the side whose keys it takes, with those keys as a column: packed
+    when both sides are dense, else read at a granule's index.  A stripped
+    side (the longer of two) or the dense side whose keys reach higher
+    comes first."""
     if (b.rows is not None and (a.rows is None or len(a.rows) < len(b.rows))
             or a.rows is None and b.rows is None and a.top < b.top):
         a, b = b, a
     if b.rows is None:
-        return a, b, b.keys
+        return a, b, b.packed if a.rows is None else b.indexable
     # Of two stripped sides the longer is cut to the shorter's rows.
     column = dict(zip(b.rows, b.keys))
     inside = list(map(column.__contains__, a.rows))

@@ -12,7 +12,10 @@ pays, so it is also checked against the per-object partitions on tables of
 a few rows repeated many times, and a work guard pins that it refines
 those rows, not the objects.  Its keys are mixed-radix numbers renumbered
 before they pass one int digit, so wide tables check the walk across that
-switch and a guard pins the bound."""
+switch and a guard pins the bound.  A dense grouping packs its keys into
+one int, so a differential checks packed splits, meets and scans against
+plain per-granule lists, and a guard pins that a dense refinement the
+distinct-key bound leaves uncounted spells out no list."""
 
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ import weakref
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
+from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 from pathlib import Path
@@ -1009,13 +1013,23 @@ def test_witness_scan_finds_the_first_pair_of_the_meet(table, data):
                               data.draw(st.sampled_from(cond)))
 
 
-def test_witness_scan_covers_every_form_of_side():
+def test_witness_scan_covers_every_form_of_side(monkeypatch):
     """On seeded tables the scan of every pair of prefix and suffix
     groupings, for every attribute, finds the meet's pair, and those pairs
     take in two dense sides, a dense and a stripped one, two stripped ones,
-    and an all-alone and a one-block side on each side.  One table has
-    twins: two granules equal on C that differ on the decision, too few to
-    fold, so they share every block and never make a pair."""
+    and an all-alone and a one-block side on each side.  Two dense sides
+    are scanned through one packed int: the side whose keys reach higher
+    times the other's bound plus the other's keys.  One table has twins:
+    two granules equal on C that differ on the decision, too few to fold,
+    so they share every block and never make a pair."""
+    read: list[int] = []
+    fields = kernel._fields
+
+    def recording_fields(packed, n):
+        read.append(packed)
+        return fields(packed, n)
+
+    monkeypatch.setattr(kernel, "_fields", recording_fields)
     rng = random.Random("scan-twins")
     rows = [[*row, rng.choice("xy")] for row in _identity_table(60, 8, 3).rows]
     rows += [[*rows[0][:8], "z"], [*rows[1][:8], "z"]]
@@ -1024,18 +1038,29 @@ def test_witness_scan_covers_every_form_of_side():
     view = twins._granules
     assert len(set(_code_tuples(view, cond))) == len(view.labels) - 2
     seen: set[tuple[str, str]] = set()
+    packed_scans = 0
     for table in (_identity_table(60, 8, 3), _identity_table(300, 10, 3),
                   _identity_table(40, 12, 2), twins):
         cond = conditional_attributes(table)
+        view = table._granules
         for i in range(len(cond) + 1):
             for j in range(len(cond) + 1):
                 for name in cond:
-                    seen.add(_assert_scan_matches_meet(table, cond[:i], cond[j:], name))
+                    read.clear()
+                    forms = _assert_scan_matches_meet(table, cond[:i], cond[j:], name)
+                    seen.add(forms)
+                    if forms == ("dense", "dense"):
+                        a, b = _grouping(view, cond[:i]), _grouping(view, cond[j:])
+                        high, low = (a, b) if a.top >= b.top else (b, a)
+                        assert high.packed * low.top + low.packed in read
+                        packed_scans += 1
     forms = {"dense", "stripped", "all alone", "one block"}
     assert {a for a, _ in seen} == forms and {b for _, b in seen} == forms
     pairs = {frozenset(pair) for pair in seen}
     assert {frozenset({"dense"}), frozenset({"dense", "stripped"}),
             frozenset({"stripped"})} <= pairs
+    assert packed_scans > 0
+
 
 
 @given(elimination_tables() | tables_with_redundant_columns())
@@ -1096,6 +1121,138 @@ def test_a_refinement_that_changes_nothing_returns_its_input():
         assert kernel._meet(alone, labels) is alone
         assert kernel._meet(labels, alone) is alone
     assert kernel._split(alone, "c1") is alone
+
+
+def test_a_dense_refinement_below_the_count_bound_makes_no_list(monkeypatch):
+    """A dense split or meet whose distinct-key bound keeps it from being
+    counted is one multiply-add of packed ints: neither its input's keys nor
+    its own are ever spelled out as a list of granule keys, which only
+    ``_fields`` makes.  On the 300-granule table the splits by c1 to c4
+    reach at most 81 keys, and so does the meet of c1 and c2 with c9 and
+    c10, below the 225 at which ``_stripped`` counts; the split by c5 is
+    counted."""
+    view = _identity_table(300, 10, 3)._granules
+    assert len(view.labels) == 300
+    spelled = [0]
+    fields = kernel._fields
+
+    def counting_fields(packed, n):
+        spelled[0] += 1
+        return fields(packed, n)
+
+    monkeypatch.setattr(kernel, "_fields", counting_fields)
+    groupings = [_grouping(view, ())]
+    for name in ("c1", "c2", "c3", "c4"):
+        groupings.append(kernel._split(groupings[-1], name))
+    tail = kernel._split(kernel._split(_grouping(view, ()), "c9"), "c10")
+    met = kernel._meet(groupings[2], tail)
+    assert spelled[0] == 0
+    assert all(g.rows is None and g._keys is None for g in [*groupings, tail, met])
+    assert [g.most for g in groupings] == [1, 3, 9, 27, 81] and met.most == 81
+    counted = kernel._split(groupings[-1], "c5")
+    assert spelled[0] == 1 and counted._blocks is not None
+    assert _spelled_out(met) == _first_seen_numbering(
+        _code_tuples(view, ["c1", "c2", "c9", "c10"]))
+
+
+@st.composite
+def packed_sides(draw):
+    """A synthetic granule view of 1 to 16 granules with a column ``c`` of
+    1 to ``2**16`` values and a one-value column ``one``, and two groupings
+    of it, each with a plain per-granule list of block names built
+    alongside.  A side is dense (its keys given as a list or packed),
+    stripped, all alone or the one-block grouping; the keys of a dense or
+    stripped side are at most ``most`` values, not always contiguous, drawn
+    either just below ``_DIGIT``, with that bound, or below a small bound
+    of its own, so two dense sides' bounds differ and refinements pass
+    ``_DIGIT`` and renumber."""
+    n = draw(st.integers(1, 16))
+    k = draw(st.sampled_from([1, 2, 3, 2**16]) | st.integers(1, 2**16))
+    codes = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([0, 1, kernel._MIXED]), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    view = kernel._Granules({"c": (codes, k), "one": ([0] * n, 1)}, weights, labels,
+                            sum(weights))
+
+    def side():
+        form = draw(st.sampled_from(["dense"] * 3 + ["stripped"] * 2 + ["all alone", "one block"]))
+        alone = [("alone", g) for g in range(n)]
+        if form == "one block":
+            keys = draw(st.sampled_from([0, [0] * n]))
+            return lambda: kernel._Labels(view, keys, None, 1, 1), [0] * n
+        if form == "all alone":
+            return lambda: kernel._Labels(view, [], [], 1, 0), alone
+        most = draw(st.integers(1, n))
+        if draw(st.integers(0, 2)) == 0:
+            top, low = kernel._DIGIT, kernel._DIGIT - 4 * most
+        else:
+            top, low = draw(st.integers(most, 4 * most)), 0
+        values = sorted(draw(st.sets(st.integers(low, top - 1), min_size=1, max_size=most)))
+        if form == "dense":
+            keys = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+            given = draw(st.sampled_from([keys, kernel._pack(keys)]))
+            return lambda: kernel._Labels(view, given, None, top, most), keys
+        rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        keys = draw(st.lists(st.sampled_from(values), min_size=len(rows), max_size=len(rows)))
+        plain = list(alone)
+        for row, key in zip(rows, keys):
+            plain[row] = key
+        return lambda: kernel._Labels(view, list(keys), rows, top, most), plain
+
+    return view, side(), side()
+
+
+def _plain_dependency(view, plain) -> Fraction:
+    """|POS| over the object count, from per-granule block names."""
+    label_of: dict[object, object] = {}
+    for key, label in zip(plain, view.labels):
+        if label_of.setdefault(key, label) != label:
+            label_of[key] = kernel._MIXED
+    pos = sum(w for key, w in zip(plain, view.weights) if label_of[key] is not kernel._MIXED)
+    return Fraction(pos, view.object_count)
+
+
+def _assert_groups_as(labels, view, plain):
+    """``labels`` groups ``view``'s granules as the block names ``plain``:
+    the same block count, dependency and first-seen numbering, keys below
+    ``_DIGIT`` and ascending rows."""
+    assert _spelled_out(labels) == _first_seen_numbering(plain)
+    assert labels.blocks == len(set(plain))
+    assert labels.dependency == _plain_dependency(view, plain)
+    assert all(key < kernel._DIGIT for key in labels.keys)
+    if labels.rows is not None:
+        assert labels.rows == sorted(set(labels.rows))
+
+
+def _plain_pair(plain, codes) -> tuple[int, int] | None:
+    """The first two granules, in ascending order of the second, with one
+    block name and different codes."""
+    first: dict[object, int] = {}
+    for g, key in enumerate(plain):
+        f = first.setdefault(key, g)
+        if codes[f] != codes[g]:
+            return f, g
+    return None
+
+
+@given(packed_sides())
+@settings(max_examples=300, deadline=None)
+def test_packed_refinements_match_plain_lists(case):
+    """Splits, meets and witness scans over packed dense sides group the
+    granules, and find pairs, as plain per-granule lists of block names do:
+    on dense, stripped, all-alone and one-block sides, with keys up to just
+    below ``_DIGIT`` and columns of up to ``2**16`` values, one-value
+    columns and single granules among them.  Each operation gets fresh
+    sides, so no list that an earlier one made is read."""
+    view, (a, plain_a), (b, plain_b) = case
+    codes = view.columns["c"][0]
+    for name in ("c", "one"):
+        column = view.columns[name][0]
+        _assert_groups_as(kernel._split(a(), name), view, list(zip(plain_a, column)))
+        assert _witness(a(), b(), name) == _plain_pair(list(zip(plain_a, plain_b)), column)
+    _assert_groups_as(kernel._meet(a(), b()), view, list(zip(plain_a, plain_b)))
+    _assert_groups_as(kernel._meet(b(), a()), view, list(zip(plain_b, plain_a)))
+    assert _witness(b(), a(), "c") == _plain_pair(list(zip(plain_a, plain_b)), codes)
 
 
 def _gamma_via(table, attrs):

@@ -26,6 +26,9 @@ from reduct_forge import (
     split_groups,
 )
 
+from reduct_forge.kernel import _grouping
+from reduct_forge.reduct import _indispensable
+
 from conftest import make_table, minimal_preserving_subsets_oracle, random_table
 
 ALL_SEGS = list("abcdefg")
@@ -192,13 +195,16 @@ class TestExhaustiveReducts:
         """The oracle's stack of frames does not grow with its search depth.
         Pairs of identical one-hot columns make a search ``pairs + 1``
         levels deep with ``2**pairs`` reducts, one column from each pair.
-        The fewest frames, above this test's own depth, in which the search
-        finishes on a fresh one-pair table (two levels) must also do for a
-        fresh nine-pair table (ten levels).  A search that recursed once per
-        level would need about eight frames more; one that leans on no spare
-        depth needs none.  Each table's elimination pass, whose depth
-        depends on the table's shape, is built before the frames are
-        counted, so that only the search is measured."""
+        A fresh nine-pair table's oracle (ten levels) must finish in the
+        fewest frames, above this test's own depth, that do for the larger
+        of two calls: a fresh one-pair table's oracle (two levels), and the
+        nine-pair table's own core walk and root grouping, the work before
+        its search.  So only the search is measured, whatever the depth of
+        the walk that finds the core.  A search that recursed once per
+        level would stack ten frames under its deepest refinement and need
+        more than either call; one that leans on no spare depth needs none.
+        Each table's elimination pass, whose depth depends on the table's
+        shape, is built before the frames are counted."""
 
         def paired(pairs):
             rows = [["1" if j == i else "0" for j in range(pairs) for _ in "ab"]
@@ -207,27 +213,35 @@ class TestExhaustiveReducts:
             table._elimination
             return table
 
+        def before_search(table):
+            _, core = _indispensable(table)
+            return _grouping(table._granules, core)
+
         def headroom(k=0):
             try:
                 return headroom(k + 1)
             except RecursionError:
                 return k
 
-        def within(frames, table):
-            """The oracle's answer on ``table`` with ``frames`` frames above
-            this call's depth, or None when it runs out of them."""
+        def within(frames, call):
+            """``call()`` with ``frames`` frames above this call's depth, or
+            None when it runs out of them."""
             limit = sys.getrecursionlimit()
             sys.setrecursionlimit(limit - headroom() + frames)
             try:
-                return exhaustive_reducts(table)
+                return call()
             except RecursionError:
                 return None
             finally:
                 sys.setrecursionlimit(limit)
 
-        frames = next(f for f in range(1, 100) if within(f, paired(1)) is not None)
-        reducts = within(frames, paired(9))
-        assert reducts is not None, f"ten levels need more than the {frames} frames of two"
+        def fewest(call):
+            return next(f for f in range(1, 100) if within(f, call) is not None)
+
+        frames = max(fewest(lambda: exhaustive_reducts(paired(1))),
+                     fewest(lambda: before_search(paired(9))))
+        reducts = within(frames, lambda: exhaustive_reducts(paired(9)))
+        assert reducts is not None, f"ten levels need more than {frames} frames"
         assert reducts == frozenset(
             frozenset(f"{x}{j}" for j, x in enumerate(choice))
             for choice in product("ab", repeat=9)
