@@ -4,6 +4,10 @@ Builds indiscernibility partitions and the topology bases they generate,
 ranks attributes by positive-region significance, and eliminates redundant
 attributes while checking every removal against the full-attribute base.  An
 exhaustive minimal-subset search is bundled as a verification oracle.
+
+The per-object reference path, :mod:`.partition` and :mod:`.topology`, is
+imported when one of its names is first read from this package, so a
+``reduct`` run, which never calls it, does not load it.
 """
 
 from .dataset import (
@@ -27,15 +31,6 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
-from .partition import (
-    ObjectSet,
-    Partition,
-    decision_partition,
-    gamma,
-    ind_partition,
-    meet,
-    positive_region,
-)
 from .reduct import (
     DEFAULT_MAX_ATTRS,
     ReductResult,
@@ -52,14 +47,6 @@ from .significance import (
     rank_attributes,
     significance,
     split_groups,
-)
-from .topology import (
-    SetFamily,
-    base_from_indiscernibility_matrix,
-    compose_bases,
-    family_equal,
-    minimal_neighborhoods,
-    subbase_of,
 )
 
 __version__ = "0.1.0"
@@ -109,3 +96,35 @@ __all__ = [
     "split_groups",
     "subbase_of",
 ]
+
+# The names of __all__ that this module binds on first access, and the
+# module defining each.
+_LAZY = {
+    "ObjectSet": "partition",
+    "Partition": "partition",
+    "decision_partition": "partition",
+    "gamma": "partition",
+    "ind_partition": "partition",
+    "meet": "partition",
+    "positive_region": "partition",
+    "SetFamily": "topology",
+    "base_from_indiscernibility_matrix": "topology",
+    "compose_bases": "topology",
+    "family_equal": "topology",
+    "minimal_neighborhoods": "topology",
+    "subbase_of": "topology",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

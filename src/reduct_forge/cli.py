@@ -11,6 +11,8 @@ rationals are emitted as ``{"num", "den", "decimal"}`` and only the
 handlers and the ``--builtin`` choices of that moment, so a patch of
 either made later is not seen; the names the handlers call are looked up
 per call.  ``build_parser()`` returns a new parser to any other caller.
+The ``partition`` and ``base`` handlers import the per-object reference
+path when they run, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .dataset import (
     InformationSystem,
@@ -32,15 +34,11 @@ from .dataset import (
     load_csv,
 )
 from .errors import ReductForgeError, TooManyAttributes
-from .partition import grouped, projections
 from .reduct import DEFAULT_MAX_ATTRS, eliminate, exhaustive_reducts
 from .significance import CountSplit, GroupPolicy, ThresholdSplit, rank_attributes
-from .topology import (
-    base_from_indiscernibility_matrix,
-    family_equal,
-    minimal_neighborhoods,
-    subbase_of,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -193,6 +191,8 @@ def _cmd_reduct(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from .partition import grouped, projections
+
     def work(table: InformationSystem) -> dict:
         attrs = _parse_attrs(table, args.attrs)
         return {
@@ -210,6 +210,13 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_base(args: argparse.Namespace) -> int:
+    from .topology import (
+        base_from_indiscernibility_matrix,
+        family_equal,
+        minimal_neighborhoods,
+        subbase_of,
+    )
+
     def work(table: InformationSystem) -> dict:
         attrs = _parse_attrs(table, args.attrs)
         subbase = subbase_of(table, attrs)

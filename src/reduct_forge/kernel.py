@@ -68,15 +68,16 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import add, is_not, mul
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Sequence, TypeVar
 
 from .errors import UnknownAttribute
 
-if TYPE_CHECKING:  # only annotations name it: the table module imports this one
-    from .dataset import InformationSystem
+if TYPE_CHECKING:  # only annotations name these
+    from fractions import Fraction  # imported where one is made
+
+    from .dataset import InformationSystem  # the table module imports this one
 
 
 _T = TypeVar("_T")
@@ -202,7 +203,9 @@ class _Labels:
             weights = list(map(view.weights.__getitem__, rows))
             pos = (view.unmixed - _unmixed_weight(labels, weights)
                    + _pure_weight(self.keys, labels, weights))
-        return Fraction(pos, view.object_count)
+        import fractions  # here, so that a run making no Fraction never loads it
+
+        return fractions.Fraction(pos, view.object_count)
 
 
 _DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit

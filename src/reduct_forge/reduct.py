@@ -12,8 +12,7 @@ groupings (:mod:`.kernel`) only through block counts and dependency degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .dataset import InformationSystem, _LazyTuple, conditional_attributes
 from .errors import NotInRemaining, TooManyAttributes, UnknownAttribute
@@ -21,6 +20,9 @@ from .kernel import _alone, _grouping, _split, _without_each, block_count
 from .significance import (
     GroupPolicy, ThresholdSplit, _check_count, rank_attributes, split_groups,
 )
+
+if TYPE_CHECKING:  # only annotations name it; it is imported where one is made
+    from fractions import Fraction
 
 DEFAULT_MAX_ATTRS = 20
 

@@ -9,11 +9,13 @@ the objects.  ``eliminate`` ranks only when its trace is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .dataset import InformationSystem
 from .errors import UnknownAttribute
+
+if TYPE_CHECKING:  # only annotations name it; it is imported where one is made
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,9 @@ def split_groups(
     else:
         threshold = policy.value
         if threshold is None:
-            threshold = max((v for _, v in ranked.ranked), default=Fraction(0))
+            import fractions
+
+            threshold = max((v for _, v in ranked.ranked), default=fractions.Fraction(0))
         cut = sum(1 for _, v in ranked.ranked if v < threshold)
     low = tuple(a for a, _ in ranked.ranked[:cut])
     high = tuple(a for a, _ in ranked.ranked[cut:])

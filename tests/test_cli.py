@@ -241,6 +241,25 @@ class TestInputHandling:
         assert code == 2
         assert "nope" in err
 
+    def test_table_whose_only_attribute_is_the_decision(self, tmp_path):
+        """No conditional attribute: the ranking is empty, so the trace's
+        threshold is the empty ranking's default, and the empty set is the
+        one reduct; the partition over no attribute is one block, and a
+        base over it is refused."""
+        path = tmp_path / "t.csv"
+        path.write_text("id,a\nx,1\ny,2\n")
+        source = [str(path), "--decision", "a", "--json"]
+        code, out, _ = run_cli(["reduct", "--trace", "--exhaustive", *source])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["trace"], report["all_reducts"]) == ([], [[]])
+        code, out, _ = run_cli(["significance", *source])
+        assert (code, json.loads(out)["ranked"]) == (0, [])
+        code, out, _ = run_cli(["partition", *source])
+        assert (code, json.loads(out)["blocks"]) == (0, [[0, 1]])
+        assert run_cli(["base", *source]) == (
+            2, "", "error: attribute set must be nonempty\n")
+
 
 # An id column between attributes, cells padded with spaces and tabs, and a
 # duplicate row (o1 and o4).
@@ -386,6 +405,46 @@ def test_goldens_hold_under_any_hash_seed_in_one_process():
         assert len(results) == 2 * len(GOLDEN_CASES)
         for golden, code, out in results:
             assert (code, masked(out)) == (0, (DATA / golden).read_text()), (seed, golden)
+
+
+# Runs cli.main on each argv of the JSON list on stdin, discarding its
+# output, and prints which of the modules named in argv[1:] it then holds.
+_LOADED_AFTER = """
+import io, json, sys
+from contextlib import redirect_stdout
+from reduct_forge.cli import main
+for argv in json.load(sys.stdin):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps([name for name in sys.argv[1:] if name in sys.modules]))
+"""
+REFERENCE_AND_FRACTIONS = ["reduct_forge.partition", "reduct_forge.topology", "fractions"]
+SEVEN = ["--builtin", "seven-segment", "--json"]
+LAUNCHES = [
+    ("reduct", [["reduct", *SEVEN],
+                ["reduct", str(DATA / "duplicates.csv"), "--decision", "d", "--exhaustive",
+                 "--json"]], []),
+    ("reduct-trace", [["reduct", "--trace", *SEVEN]], ["fractions"]),
+    ("significance", [["significance", *SEVEN]], ["fractions"]),
+    ("partition", [["partition", *SEVEN]], ["reduct_forge.partition", "fractions"]),
+    ("base", [["base", *SEVEN]], REFERENCE_AND_FRACTIONS),
+]
+
+
+@pytest.mark.parametrize("argvs,loaded", [case[1:] for case in LAUNCHES],
+                         ids=[case[0] for case in LAUNCHES])
+def test_a_launch_loads_only_the_code_it_runs(argvs, loaded):
+    """A ``reduct`` launch, with or without ``--exhaustive``, makes no
+    ``Fraction`` and calls no per-object reference code, so it imports
+    neither; ``significance`` and ``--trace`` make a ``Fraction``, and
+    ``partition`` and ``base`` run the reference path.  Each case starts a
+    fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, *REFERENCE_AND_FRACTIONS],
+                          input=json.dumps(argvs), capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == loaded
 
 
 TEXT_CASES = [
