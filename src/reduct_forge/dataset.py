@@ -29,7 +29,7 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
-from .kernel import _elimination, _granulate, _table_order_walk
+from .kernel import _elimination, _granulate, _grouping, _leave_one_out
 
 IDENTITY = "identity"
 
@@ -261,10 +261,13 @@ class InformationSystem:
 
     @cached_property
     def _table_walk(self):
-        """The kernel's table-order walk (``kernel._table_order_walk``)."""
+        """The kernel's table-order walk (``kernel._leave_one_out``) over the
+        conditional attributes C: the grouping by C and a dict from each
+        ``a``, in table order, to the grouping of C - a."""
         # Kept on the table, not the view: each grouping refers to the view,
         # so a cache there would make a reference cycle.
-        return _table_order_walk(self._granules)
+        view = self._granules
+        return _leave_one_out(_grouping(view, ()), tuple(view.columns))
 
     @cached_property
     def _elimination(self):

@@ -39,22 +39,26 @@ entry per granule: counting and stripping (``_stripped``), renumbering,
 ``blocks`` and ``dependency``.  A scan that indexes a dense side from a
 stripped one reads the packed fields.  Stripped groupings keep lists.
 
-Walks.  ``_walk`` is the paper's composition of a low and a high base
-taken at every candidate: the set without ``a`` joins the kept attributes
-before ``a`` (the prefix, split by each kept candidate) with all those after
-it (the suffix), so a walk makes O(m) refinements.  ``_leave_one_out`` meets
-the two sides into the grouping without ``a``.  A table keeps two walks over
-its conditional attributes C from the one-block grouping:
-``_table_order_walk``, which ranking and ``significance`` read, and
-``_elimination``, the column-order backward elimination that ``eliminate``,
-the core and the exhaustive oracle read.  The elimination builds no grouping
-per candidate: it keeps ``a`` exactly when two granules that share a block
-of both sides differ on ``a``, which one scan of the sides' rows settles
-(``_witness``).  A removal scans every row that both sides keep; a kept
-candidate stops at its pair.  ``_without_each`` walks some attributes
-alone, from the grouping by the rest of a set, and replays the
-elimination's walk to count the sets it tested, for the trace.
-Every walk ends at its last candidate.
+Walks.  ``_walk`` is the paper's composition of a low and a high base taken
+at every candidate: the set without ``a`` joins the kept attributes before
+``a`` (the prefix, split by each kept candidate) with all those after it
+(the suffix), so a walk makes O(m) refinements.  It is a plain call that
+returns the grouping by all the attributes and each candidate's
+``test(prefix, suffix, a)``; a predicate on that result says whether ``a``
+is kept.  ``_leave_one_out`` meets the two sides into the grouping without
+``a``.  A table keeps two walks over its conditional attributes C from the
+one-block grouping: the table-order leave-one-out walk, which ranking and
+``significance`` read, and ``_elimination``, the column-order backward
+elimination that ``eliminate``, the core and the exhaustive oracle read.
+The elimination builds no grouping per candidate: it keeps ``a`` exactly
+when two granules that share a block of both sides differ on ``a``, which
+one scan of the sides' rows settles (``_witness``).  A removal scans every
+row that both sides keep; a kept candidate stops at its pair.
+``_without_each`` walks some attributes alone, from the grouping by the rest
+of a set, drops given removals from its prefix and keeps only block counts:
+the core's walk over the kept attributes that their pairs leave open, and
+the trace's one replay of the elimination, in ranked order.  Every walk ends
+at its last candidate.
 
 Witness pairs.  The pair that keeps a candidate is the first two granules,
 in ascending order, that share a block of the set it was tested against
@@ -68,9 +72,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress, count, repeat
+from itertools import compress, count, filterfalse, repeat
 from operator import add, is_not, mul
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from .errors import UnknownAttribute
 
@@ -373,47 +377,47 @@ def _meet(a: _Labels, b: _Labels) -> _Labels:
 
 
 def _walk(
-    seed: _Labels, attrs: Sequence[str], test: Callable[[_Labels, _Labels, str], _T]
-) -> Generator[_Labels | _T, bool | None, None]:
-    """Yields the grouping by ``seed``'s attributes and all of ``attrs``,
-    then, for each ``attrs[i]``, ``test(prefix, suffix, attrs[i])``: the
-    prefix groups by ``seed``'s attributes and the kept ones of
-    ``attrs[:i]``, the suffix by ``seed``'s attributes and all of
-    ``attrs[i + 1:]``.  ``attrs[i]`` is kept unless ``False`` is sent for
-    it, so plain iteration keeps all.  A side split only by one-value
-    columns is still ``seed`` (``_refine``).  The walk ends at its last
-    candidate."""
-    suffixes = [seed]  # suffixes[-1 - j] groups by seed and attrs[j:]
+    seed: _Labels, attrs: Sequence[str], test: Callable[[_Labels, _Labels, str], _T],
+    kept: Callable[[_T, str], bool] = lambda result, name: True,
+) -> tuple[_Labels, list[_T]]:
+    """The grouping by ``seed``'s attributes and all of ``attrs``, and the
+    list of ``test(prefix, suffix, attrs[i])`` for each ``i``: the prefix
+    groups by ``seed``'s attributes and the kept ones of ``attrs[:i]``, the
+    suffix by ``seed``'s attributes and all of ``attrs[i + 1:]``.
+    ``attrs[i]`` is kept when ``kept(result, attrs[i])`` holds, as it always
+    does by default.  A side split only by one-value columns is still
+    ``seed`` (``_refine``).  Each result takes its suffix's place in one
+    list, so a walk holds no more than its suffixes.  The walk ends at its
+    last candidate."""
+    sides = [seed]  # sides[-1 - j] groups by seed and attrs[j:]
     for name in reversed(attrs):
-        suffixes.append(_split(suffixes[-1], name))
-    yield suffixes.pop()
-    prefix = seed
-    for name in attrs:
+        sides.append(_split(sides[-1], name))
+    full = sides.pop()
+    sides.reverse()  # sides[i] is the suffix of attrs[i] until its result replaces it
+    prefix, last = seed, len(attrs) - 1
+    for i, name in enumerate(attrs):
+        result = sides[i] = test(prefix, sides[i], name)
         # After the last candidate no prefix is read, so none is refined.
-        if (yield test(prefix, suffixes.pop(), name)) is not False and suffixes:
+        if kept(result, name) and i < last:
             prefix = _split(prefix, name)
+    return full, sides
 
 
 def _leave_one_out(
-    seed: _Labels, attrs: Sequence[str]
-) -> Generator[_Labels, bool | None, None]:
-    """``_walk`` whose candidates yield the grouping by ``seed``'s
+    seed: _Labels, attrs: Sequence[str],
+    kept: Callable[[_Labels, str], bool] = lambda result, name: True,
+) -> tuple[_Labels, dict[str, _Labels]]:
+    """``_walk`` whose candidates give the grouping by ``seed``'s
     attributes, the kept ones of ``attrs[:i]`` and all of ``attrs[i + 1:]``,
-    the meet of the two sides."""
-
-    def meet(prefix: _Labels, suffix: _Labels, _: str) -> _Labels:
-        # A side that is still the seed leaves the other side as it is.
-        return suffix if prefix is seed else prefix if suffix is seed else _meet(prefix, suffix)
-
-    return _walk(seed, attrs, meet)
+    the meet of the two sides (``_joined``), in a dict by candidate."""
+    full, met = _walk(seed, attrs, lambda prefix, suffix, _: _joined(seed, prefix, suffix), kept)
+    return full, dict(zip(attrs, met))
 
 
-def _table_order_walk(view: _Granules) -> tuple[_Labels, dict[str, _Labels]]:
-    """The grouping by all conditional attributes C and a dict from each
-    ``a``, in table order, to the grouping of C - a."""
-    attrs = tuple(view.columns)
-    walk = _leave_one_out(_grouping(view, ()), attrs)
-    return next(walk), dict(zip(attrs, walk))
+def _joined(seed: _Labels, prefix: _Labels, suffix: _Labels) -> _Labels:
+    """The meet of the two sides of a walk from ``seed``: a side that is
+    still ``seed`` leaves the other as it is."""
+    return suffix if prefix is seed else prefix if suffix is seed else _meet(prefix, suffix)
 
 
 def _elimination(
@@ -428,39 +432,28 @@ def _elimination(
     attribute alone among the result R, and among C unless also on an
     earlier removal."""
     attrs = tuple(view.columns)
-    walk = _walk(_grouping(view, ()), attrs, _witness)
-    full_count = next(walk).blocks
-    removed: list[str] = []
-    witnesses: dict[str, tuple[int, int]] = {}
-    kept = True
-    for attribute in attrs:
-        pair = walk.send(kept)
-        kept = pair is not None
-        if kept:
-            witnesses[attribute] = pair
-        else:
-            removed.append(attribute)
-    return full_count, removed, witnesses
+    full, pairs = _walk(_grouping(view, ()), attrs, _witness, lambda pair, _: pair is not None)
+    removed = [a for a, pair in zip(attrs, pairs) if pair is None]
+    witnesses = {a: pair for a, pair in zip(attrs, pairs) if pair is not None}
+    return full.blocks, removed, witnesses
 
 
 def _without_each(view: _Granules, attrs: Sequence[str], walked: Sequence[str],
                   removed: Iterable[str] = ()) -> dict[str, int]:
     """The block count of ``attrs - a``, less the members of ``removed``
-    before ``a``, for each ``a`` of ``walked``, a subset of ``attrs`` in
-    column order, from one walk over ``walked`` alone with each member of
-    ``removed`` sent back as dropped; no walk when ``walked`` is empty.
-    Over C with the elimination's removals it replays the elimination."""
+    before ``a`` in ``walked``, for each ``a`` of ``walked``, a subset of
+    ``attrs``, from one walk over ``walked`` alone, from the grouping by the
+    rest of ``attrs``; no walk when ``walked`` is empty.  Each grouping is
+    let go once counted.  Over C with the elimination's removals, in column
+    order or ranked, it replays the elimination (``reduct._traced``)."""
     if not walked:
         return {}
-    skip, dropped = set(walked), set(removed)
-    walk = _leave_one_out(_grouping(view, [a for a in attrs if a not in skip]), walked)
-    next(walk)  # the grouping by all of attrs
-    counts: dict[str, int] = {}
-    kept = True
-    for attribute in walked:
-        counts[attribute] = walk.send(kept).blocks
-        kept = attribute not in dropped
-    return counts
+    # The set of ``walked`` is freed before the walk starts, so the walk's peak holds no copy.
+    seed = _grouping(view, list(filterfalse(set(walked).__contains__, attrs)))
+    dropped = set(removed)
+    _, counts = _walk(seed, walked, lambda prefix, suffix, _: _joined(seed, prefix, suffix).blocks,
+                      lambda _, name: name not in dropped)
+    return dict(zip(walked, counts))
 
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:

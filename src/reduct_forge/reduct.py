@@ -74,27 +74,19 @@ def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[s
 
 
 def _traced(table: InformationSystem, policy: GroupPolicy, full_count: int,
-            reduct: tuple[str, ...], dropped: set[str]) -> Iterator[TraceEntry]:
+            dropped: set[str]) -> Iterator[TraceEntry]:
     """The trace entries in ranked order under ``policy``, made when the
-    first is read.  With no removal each count is that of C - a, read off
-    the table walk that ranking makes.  Otherwise a removal takes C's count;
-    a kept attribute of significance 0 the count of the set that the
-    elimination tested, which the ranked order tests too (every removal has
-    significance 0, and those keep column order), from one replay of the
-    elimination's walk; and one of positive significance, which ranks after
-    every removal, that of R - a, from one walk over those attributes
-    alone."""
+    first is read.  Each count is that of the set that the ranked-order
+    elimination tests: with no removal C - a, read off the table walk that
+    ranking makes, and otherwise from one replay of that elimination.  It
+    removes what the column-order pass removed: every removal has
+    significance 0, and those keep column order, while every attribute of
+    positive significance ranks after them."""
     grouping = split_groups(rank_attributes(table), policy)
-    low = set(grouping.low_group)
-    positive = {a for a, sig in grouping.ranked if sig}
-    if not dropped:
-        counts = {a: labels.blocks for a, labels in table._table_walk[1].items()}
-    else:
-        view, cond = table._granules, conditional_attributes(table)
-        counts = dict.fromkeys(dropped, full_count)
-        if not positive.issuperset(reduct):
-            counts = _without_each(view, cond, cond, dropped)
-        counts |= _without_each(view, reduct, [a for a in reduct if a in positive])
+    ranked = grouping.attributes
+    counts = (_without_each(table._granules, ranked, ranked, dropped) if dropped
+              else {a: labels.blocks for a, labels in table._table_walk[1].items()})
+    low = set(grouping.low_group)  # made after the walk, so that its peak holds no set
     for attribute, sig in grouping.ranked:
         yield TraceEntry(
             attribute=attribute,
@@ -123,7 +115,7 @@ def eliminate(
     return ReductResult(
         reduct=reduct,
         removed=tuple(removed),
-        trace=_LazyTuple(len(cond), _traced(table, policy, full_count, reduct, dropped)),
+        trace=_LazyTuple(len(cond), _traced(table, policy, full_count, dropped)),
         verified_minimal=_alone(table._granules, reduct, witnesses) == set(reduct),
     )
 

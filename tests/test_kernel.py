@@ -2,7 +2,7 @@
 reference paths, significance and the ranking checked against the gamma
 drop, the leave-one-out walk checked against the granules' code tuples,
 the shared grouping routine checked against direct grouping, the
-elimination pass checked against plain walks, and the exhaustive oracle
+elimination pass checked against block counts, and the exhaustive oracle
 checked against plain subset enumeration, on random tables
 with duplicate rows, under both decision policies.  The per-object
 partitions that the kernel is checked against are themselves checked
@@ -219,18 +219,19 @@ def elimination_tables(draw):
     return make_table([r + [d] for r, d in zip(rows, decisions)], attrs + ["d"], decision="d")
 
 
-def _eliminate_with_plain_walks(table, policy):
-    """``eliminate`` as one ranked-order leave-one-out walk whose yields are
-    the candidates, then a separate walk over the result that verifies it."""
+def _eliminate_by_block_counts(table, policy):
+    """``eliminate`` by ``block_count`` alone: the ranked-order backward
+    elimination, each candidate's count that of the kept attributes ranked
+    before it and all ranked after it, then the result checked minimal by
+    dropping each of its attributes in turn."""
     cond = conditional_attributes(table)
     grouping = split_groups(rank_attributes(table), policy)
-    view = table._granules
-    walk = _leave_one_out(_grouping(view, ()), grouping.attributes)
-    full_count = next(walk).blocks
+    ranked = grouping.attributes
+    full_count = block_count(table, cond)
     removed, trace = [], []
-    redundant = False
-    for attribute, sig in grouping.ranked:
-        candidate_count = walk.send(not redundant).blocks
+    for i, (attribute, sig) in enumerate(grouping.ranked):
+        candidate_count = block_count(table, [a for a in ranked[:i] if a not in removed]
+                                      + list(ranked[i + 1:]))
         redundant = candidate_count == full_count
         trace.append(TraceEntry(
             attribute=attribute, significance=sig,
@@ -240,8 +241,8 @@ def _eliminate_with_plain_walks(table, policy):
         if redundant:
             removed.append(attribute)
     reduct = tuple(a for a in cond if a not in removed)
-    count, *without = (labels.blocks for labels in _leave_one_out(_grouping(view, ()), reduct))
-    minimal = count == full_count and count not in without
+    minimal = block_count(table, reduct) == full_count and all(
+        block_count(table, [b for b in reduct if b != a]) != full_count for a in reduct)
     return ReductResult(reduct, tuple(removed), tuple(trace), minimal)
 
 
@@ -302,21 +303,22 @@ def _core_cases(table, result) -> list[str]:
 def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     """``eliminate`` tests the attributes on one column-order walk and
     certifies the reduct with witness pairs; its trace ranks them when
-    read, and takes its counts off that walk, or, for the attributes of
-    positive significance, off a walk over those alone.  The plain reference walks
-    the ranked order and then the reduct.  Both give the
-    same reduct, removals, trace and ``verified_minimal``.  A kept
-    candidate followed by two or more removals is the case where the
-    reference's walk over the reduct measures a set that no walk of
-    ``eliminate`` measured as a whole; the core shapes are each drawn too,
-    the one non-core attribute ranked between core ones among them."""
+    read, and takes its counts off one replay of the ranked-order
+    elimination.  The reference counts blocks with ``block_count`` alone,
+    one candidate at a time in ranked order, then drops each attribute of
+    the result in turn.  Both give the same reduct, removals, trace and
+    ``verified_minimal``.  A kept candidate followed by two or more
+    removals is the case where the reference's minimality check measures
+    sets that no walk of ``eliminate`` measured as a whole; the core
+    shapes are each drawn too, the one non-core attribute ranked between
+    core ones among them."""
     seen = Counter()
 
     def cases(table, count) -> list[str]:
         cond = conditional_attributes(table)
         policy = CountSplit(count) if count <= len(cond) else ThresholdSplit()
         result = eliminate(table, policy)
-        assert result == _eliminate_with_plain_walks(table, policy)
+        assert result == _eliminate_by_block_counts(table, policy)
         return [_elimination_case(result), *_core_cases(table, result)]
 
     @given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
@@ -577,28 +579,39 @@ def test_leave_one_out_matches_direct_projections(table, data):
     set's block count and dependency degree: it groups the granules as
     their code tuples over that set do, through the stripped form too."""
     attrs = data.draw(st.permutations(conditional_attributes(table)))
-    # ``None`` advances with plain next(), which must keep the attribute.
-    keeps = data.draw(st.lists(st.none() | st.booleans(),
-                               min_size=len(attrs), max_size=len(attrs)))
+    # ``None`` passes no predicate, which must keep every attribute.
+    keeps = data.draw(st.none() | st.lists(st.booleans(), min_size=len(attrs),
+                                           max_size=len(attrs)))
     _assert_walk_matches_projections(table, attrs, keeps)
 
 
 def _assert_walk_matches_projections(table, attrs, keeps):
     """Walk ``attrs`` on the granule view, keeping or dropping each
-    attribute as ``keeps`` says, and check every yield against the
+    attribute as ``keeps`` says, or with no predicate when ``keeps`` is
+    None, and check the full grouping and each candidate's against the
     granules' code tuples, ``ind_partition`` and ``gamma`` of its attribute
-    set."""
+    set.  The predicate is asked about every candidate, with its
+    grouping."""
     view = table._granules
-    walk = _leave_one_out(_grouping(view, ()), attrs)
-    yields = [(next(walk), list(attrs))]
-    kept: list[str] = []
-    keep = True
+    if keeps is None:
+        full, without = _leave_one_out(_grouping(view, ()), attrs)
+        keeps = [True] * len(attrs)
+    else:
+        keep_of, asked = dict(zip(attrs, keeps)), {}
+
+        def kept(labels, name):
+            asked[name] = labels
+            return keep_of[name]
+
+        full, without = _leave_one_out(_grouping(view, ()), attrs, kept)
+        assert asked == without
+    assert list(without) == list(attrs)
+    yields = [(full, list(attrs))]
+    kept_attrs: list[str] = []
     for i, attribute in enumerate(attrs):
-        labels = next(walk) if keep is None else walk.send(keep)
-        yields.append((labels, kept + list(attrs[i + 1:])))
-        keep = keeps[i]
-        if keep is not False:
-            kept.append(attribute)
+        yields.append((without[attribute], kept_attrs + list(attrs[i + 1:])))
+        if keeps[i]:
+            kept_attrs.append(attribute)
     for labels, expected in yields:
         assert labels.blocks == len(ind_partition(table, expected))
         assert labels.dependency == _gamma_via(table, expected)
@@ -622,10 +635,10 @@ def _identity_table(n: int, m: int, k: int):
 
 def test_leave_one_out_stops_at_its_last_candidate(monkeypatch):
     """A walk over r attributes makes r suffix splits and r - 1 prefix
-    splits: no prefix is read after the last candidate, so none is made,
-    and a reader can run the walk out with ``list``.  Two of the 21 stored
-    rows differ only in their decision, too few repeats to fold, so that
-    pair shares every block and no list strips to empty."""
+    splits: no prefix is read after the last candidate, so none is made.
+    The call returns the full grouping and one per candidate.  Two of the
+    21 stored rows differ only in their decision, too few repeats to fold,
+    so that pair shares every block and no list strips to empty."""
     calls = 0
     split = kernel._split
 
@@ -641,7 +654,8 @@ def test_leave_one_out_stops_at_its_last_candidate(monkeypatch):
     table = make_table(rows, [f"c{i + 1}" for i in range(5)] + ["d"], decision="d")
     view = table._granules
     assert len(view.labels) == 21
-    walk = list(_leave_one_out(_grouping(view, ()), conditional_attributes(table)))
+    full, without = _leave_one_out(_grouping(view, ()), conditional_attributes(table))
+    walk = [full, *without.values()]
     assert len(walk) == 6
     assert all(labels.rows != [] for labels in walk)
     assert calls == 5 + 4
@@ -748,21 +762,20 @@ def test_eliminate_makes_one_walk_and_ranks_only_when_its_trace_is_read(monkeypa
     column order, and neither ranks them nor makes the table walk, so with
     its trace unread a call is one walk and no ranking.  Reading the trace
     ranks once, which makes the table walk, whose counts serve when nothing
-    was removed.  After a removal, the kept attributes of significance 0
-    take their counts from one replay of ``eliminate``'s walk, and those of
-    positive significance from one walk over them alone, from the grouping
-    by the rest of the reduct.  Here the m = 8 table removes nothing; the
-    one-column-added table keeps only attributes of positive significance;
-    the m = 10 table keeps both kinds; the m = 16 table has an empty core,
-    so every significance is 0; and the one-class decision table keeps a
-    core attribute ``s`` of significance 0 after the removal of ``p``, a
-    copy of ``q``."""
+    was removed.  After a removal every count comes from one replay of the
+    ranked-order elimination, whatever the significance of the kept
+    attributes.  Here the m = 8 table removes nothing; the one-column-added
+    table keeps only attributes of positive significance; the m = 10 table
+    keeps both kinds; the m = 16 table has an empty core, so every
+    significance is 0; and the one-class decision table keeps a core
+    attribute ``s`` of significance 0 after the removal of ``p``, a copy of
+    ``q``."""
     walked = _counted_walks(monkeypatch)
     ranked = _counted_rankings(monkeypatch)
     one_class = make_table([["0", "0", "0", "x"], ["1", "1", "0", "x"], ["0", "0", "1", "x"],
                             ["1", "1", "1", "x"]], ["p", "q", "s", "d"], decision="d")
     tables = [(_one_non_core_table(), 2), (_identity_table(300, 8, 3), 1),
-              (_identity_table(300, 10, 3), 3), (_identity_table(300, 16, 3), 2),
+              (_identity_table(300, 10, 3), 2), (_identity_table(300, 16, 3), 2),
               (one_class, 2)]
     for table, trace_walks in tables:
         walked[0] = ranked[0] = 0
@@ -781,15 +794,37 @@ def test_eliminate_makes_one_walk_and_ranks_only_when_its_trace_is_read(monkeypa
         ("p", 0), ("q", 0), ("s", 0)]
 
 
+def test_reading_the_trace_walks_once_beyond_ranking_after_a_removal(monkeypatch):
+    """Reading ``eliminate``'s trace makes the table walk that ranking
+    reads and, when something was removed, one walk more, the replay of the
+    ranked-order elimination; with no removal it makes no walk of its own.
+    Both cases are drawn."""
+    walked = _counted_walks(monkeypatch)
+    seen = Counter()
+
+    @given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def check(table, count):
+        cond = conditional_attributes(table)
+        result = eliminate(table, CountSplit(count) if count <= len(cond) else ThresholdSplit())
+        walked[0] = 0
+        tuple(result.trace)
+        assert walked[0] == 1 + bool(result.removed)
+        seen[bool(result.removed)] += 1
+
+    check()
+    assert seen[True] > 1 and seen[False] > 1, seen
+
+
 def test_unread_trace_holds_the_table_until_it_is_read_or_dropped(monkeypatch):
     """The trace ranks the attributes when it is first read, so an unread
     trace keeps its table alive, and reading it or dropping the result
     lets the table go, by its reference count, with no cycle to collect.
     Reading the trace makes the table walk and, after a removal, one walk
-    more: a replay of ``eliminate``'s walk when, as with an empty core,
-    every significance is 0, and one over the attributes of positive
-    significance when, as on the one-column-added table, they are all that
-    is kept."""
+    more, the replay of the ranked-order elimination, both when every
+    significance is 0, as with an empty core, and when the attributes of
+    positive significance are all that is kept, as on the one-column-added
+    table."""
     calls = _counted_walks(monkeypatch)
     for make, walks in ((lambda: _identity_table(300, 16, 3), 2), (_one_non_core_table, 2)):
         table = make()
@@ -1354,8 +1389,8 @@ def test_kernel_past_one_int_digit_matches_object_level_reference(table, data):
     do, and ranking, elimination and the core must match the per-object
     partitions."""
     attrs = data.draw(st.permutations(conditional_attributes(table)))
-    keeps = data.draw(st.lists(st.none() | st.booleans(),
-                               min_size=len(attrs), max_size=len(attrs)))
+    keeps = data.draw(st.none() | st.lists(st.booleans(), min_size=len(attrs),
+                                           max_size=len(attrs)))
     _assert_walk_matches_projections(table, attrs, keeps)
     _assert_walks_match_object_level_reference(table)
 
@@ -1542,16 +1577,13 @@ def test_kernel_refines_granules_not_objects(monkeypatch):
 def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
     """``reduct --exhaustive --trace`` groups by the core once: the oracle
     starts its search from the core's grouping, in column order, the
-    elimination pass and the table walk start from the one-block grouping,
-    and the walk that settles the core, when it is made, from the grouping
-    by all attributes but the kept ones whose witness pairs differ on a
-    removed attribute too, as the trace's walk, when it is made, starts
-    from the grouping by the reduct's attributes of significance 0.  The
-    fixture's core is ``a`` and it has four non-core attributes; ``b`` and
-    ``e`` are removed, and the kept ``c`` and ``e2`` have such pairs, so the
-    core's walk starts from the grouping by ``a``, ``b`` and ``e``.  Every
-    significance is 0, so the trace takes ``eliminate``'s counts and makes
-    no walk."""
+    elimination pass, the table walk and the trace's replay start from the
+    one-block grouping, and the walk that settles the core, when it is
+    made, from the grouping by all attributes but the kept ones whose
+    witness pairs differ on a removed attribute too.  The fixture's core is
+    ``a`` and it has four non-core attributes; ``b`` and ``e`` are removed,
+    and the kept ``c`` and ``e2`` have such pairs, so the core's walk starts
+    from the grouping by ``a``, ``b`` and ``e``."""
     grouped = []
     grouping = kernel._grouping
 
