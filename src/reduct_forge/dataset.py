@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,23 +30,11 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
-from .kernel import _elimination, _granulate, _grouping, _leave_one_out
+from .kernel import _elimination, _granulate, _without_each
 
 IDENTITY = "identity"
 
 CsvSource = Union[bytes, str, IO[bytes], IO[str]]
-
-
-class _Numbering(dict):
-    """Numbers its keys densely in first-occurrence order: reading a missing
-    key stores and returns the next number, so a repeated key costs one
-    C-level lookup and only a new one a Python call."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: Hashable) -> int:
-        self[key] = number = len(self)
-        return number
 
 
 def _coded(
@@ -55,16 +44,12 @@ def _coded(
     values in code order.  With ``strip``, cells that strip to the same
     string share one code, whose value is the stripped string; only the
     distinct cells are stripped."""
-    numbering = _Numbering()
+    numbering = defaultdict(itertools.count().__next__)
     codes = tuple(map(numbering.__getitem__, cells))
     if not strip:
         return codes, tuple(numbering)
-    # Stripped distinct cells rarely collide, so nearly every one is new:
-    # setdefault numbers them in C, where a _Numbering makes a Python call
-    # per new key.
-    values: dict[str, int] = {}
-    merged = list(map(values.setdefault, map(str.strip, numbering),
-                      map(len, itertools.repeat(values))))
+    values = defaultdict(itertools.count().__next__)
+    merged = list(map(values.__getitem__, map(str.strip, numbering)))
     if len(values) < len(merged):
         return tuple(map(merged.__getitem__, codes)), tuple(values)
     return codes, tuple(values)
@@ -179,7 +164,7 @@ def _factorized(keys: Iterable[Hashable],
     keys numbered in first-occurrence order give each object's row, and
     ``columns_of(distinct)`` gives the raw cell columns of the distinct keys
     alone, which are coded (and, with ``strip``, stripped)."""
-    numbering = _Numbering()
+    numbering = defaultdict(itertools.count().__next__)
     index = list(map(numbering.__getitem__, keys))
     if len(numbering) == len(index):
         # No key repeats: a range holds no int object per object.
@@ -261,13 +246,16 @@ class InformationSystem:
 
     @cached_property
     def _table_walk(self):
-        """The kernel's table-order walk (``kernel._leave_one_out``) over the
-        conditional attributes C: the grouping by C and a dict from each
-        ``a``, in table order, to the grouping of C - a."""
-        # Kept on the table, not the view: each grouping refers to the view,
-        # so a cache there would make a reference cycle.
+        """The kernel's leave-one-out walk (``kernel._without_each``) over
+        the conditional attributes C in table order, kept as ints: |POS| of
+        C, and dicts from each ``a``, in table order, to the block count and
+        to |POS| of C - a.  No grouping outlives the walk."""
         view = self._granules
-        return _leave_one_out(_grouping(view, ()), tuple(view.columns))
+        cond = tuple(view.columns)
+        (_, full), readings = _without_each(
+            view, cond, cond, read=lambda labels: (labels.blocks, labels.positive))
+        return (full, dict(zip(cond, map(itemgetter(0), readings))),
+                dict(zip(cond, map(itemgetter(1), readings))))
 
     @cached_property
     def _elimination(self):

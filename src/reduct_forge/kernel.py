@@ -10,14 +10,17 @@ objects, so block counts agree, and a block lies in the positive region
 exactly when its granules share one unmixed label.
 
 Groupings.  ``_Labels`` is the one grouping form, and code outside this
-module reads only its ``blocks`` and ``dependency``.  ``_refine`` is the one
-refinement: ``_split`` refines by an attribute's column and ``_meet`` one
-side by the other's keys.  A new key is the mixed-radix ``key * k + code``,
-renumbered densely once its bound passes one int digit.  A refinement that
-cannot change its input (every granule alone, every code 0) returns it.
-Refinement never merges blocks, so a granule alone in its block stays alone:
-``_stripped`` drops such granules once at least half are, the stripped
-partitions of TANE (Huhtala et al., 1999).  On a wide table nearly every
+module reads only its two ints: ``blocks`` and ``positive``, |POS|, the
+weight of the granules in pure blocks.  Nothing here divides: the
+``significance`` module turns |POS| into an exact degree where it reports
+one.  ``_refine`` is the one refinement: ``_split`` refines by an
+attribute's column and ``_meet`` one side by the other's keys.  A new key
+is the mixed-radix ``key * k + code``, renumbered densely once its bound
+passes one int digit.  A refinement that cannot change its input (every
+granule alone, every code 0) returns it.  Refinement never merges blocks,
+so a granule alone in its block stays alone: ``_stripped`` drops such
+granules once at least half are, the stripped partitions of TANE (Huhtala
+et al., 1999).  On a wide table nearly every
 granule is alone after about log_k |U/C| attributes, so a walk touches
 O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m).
 
@@ -36,7 +39,7 @@ than 2**32 granules.  The fields lie in native byte order
 ``memoryview.cast('Q')`` reads them (``_fields``).  A list of a dense
 grouping's keys is made, and kept, only for the readers that need one
 entry per granule: counting and stripping (``_stripped``), renumbering,
-``blocks`` and ``dependency``.  A scan that indexes a dense side from a
+``blocks`` and ``positive``.  A scan that indexes a dense side from a
 stripped one reads the packed fields.  Stripped groupings keep lists.
 
 Walks.  ``_walk`` is the paper's composition of a low and a high base taken
@@ -45,20 +48,26 @@ at every candidate: the set without ``a`` joins the kept attributes before
 (the suffix), so a walk makes O(m) refinements.  It is a plain call that
 returns the grouping by all the attributes and each candidate's
 ``test(prefix, suffix, a)``; a predicate on that result says whether ``a``
-is kept.  ``_leave_one_out`` meets the two sides into the grouping without
-``a``.  A table keeps two walks over its conditional attributes C from the
-one-block grouping: the table-order leave-one-out walk, which ranking and
-``significance`` read, and ``_elimination``, the column-order backward
-elimination that ``eliminate``, the core and the exhaustive oracle read.
-The elimination builds no grouping per candidate: it keeps ``a`` exactly
-when two granules that share a block of both sides differ on ``a``, which
-one scan of the sides' rows settles (``_witness``).  A removal scans every
-row that both sides keep; a kept candidate stops at its pair.
-``_without_each`` walks some attributes alone, from the grouping by the rest
-of a set, drops given removals from its prefix and keeps only block counts:
-the core's walk over the kept attributes that their pairs leave open, and
-the trace's one replay of the elimination, in ranked order.  Every walk ends
-at its last candidate.
+is kept.  Every walk ends at its last candidate.  There are two kinds.
+
+- ``_elimination``, the column-order backward elimination over the
+  conditional attributes C that ``eliminate``, the core and the exhaustive
+  oracle read, builds no grouping per candidate: it keeps ``a`` exactly
+  when two granules that share a block of both sides differ on ``a``,
+  which one scan of the sides' rows settles (``_witness``).  A removal
+  scans every row that both sides keep; a kept candidate stops at its
+  pair.
+- ``_without_each`` is the one leave-one-out walk.  It walks some
+  attributes alone, from the grouping by the rest of a set, drops given
+  removals from its prefix, meets each candidate's two sides into the
+  grouping without ``a``, and hands that grouping to a ``read`` and lets it
+  go; it returns the readings, with the full set's beside them.  It serves
+  three callers: the table walk (``InformationSystem._table_walk``), which
+  keeps only C's |POS| and each ``C - a``'s block count and |POS| for
+  ranking, ``significance`` and the trace; the core's walk over the kept
+  attributes that their pairs leave open; and the trace's one replay of
+  the elimination in ranked order after a removal.  Those two read block
+  counts only.
 
 Witness pairs.  The pair that keeps a candidate is the first two granules,
 in ascending order, that share a block of the set it was tested against
@@ -78,10 +87,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from .errors import UnknownAttribute
 
-if TYPE_CHECKING:  # only annotations name these
-    from fractions import Fraction  # imported where one is made
-
-    from .dataset import InformationSystem  # the table module imports this one
+if TYPE_CHECKING:  # only annotations name it; the table module imports this one
+    from .dataset import InformationSystem
 
 
 _T = TypeVar("_T")
@@ -151,7 +158,7 @@ def _granulate(table: InformationSystem) -> _Granules:
 
 class _Labels:
     """A grouping of ``view``'s granules, with its block count ``blocks``
-    and dependency degree ``dependency``.
+    and the weight ``positive`` of its positive region.
 
     Dense, ``rows`` is None and ``keys[g]`` is granule ``g``'s key; the
     keys are given as a list or ``packed`` (``_pack``), and each form is
@@ -196,20 +203,19 @@ class _Labels:
         return self._blocks
 
     @property
-    def dependency(self) -> Fraction:
-        """|POS| over the object count, exact."""
+    def positive(self) -> int:
+        """|POS|: the weight of the granules whose block's granules all
+        carry one label other than ``_MIXED``."""
         view, rows = self.view, self.rows
         if rows is None:
-            pos = _pure_weight(self.keys, view.labels, view.weights)
-        else:
-            # The granules outside ``rows`` are alone, so pure when unmixed.
-            labels = list(map(view.labels.__getitem__, rows))
-            weights = list(map(view.weights.__getitem__, rows))
-            pos = (view.unmixed - _unmixed_weight(labels, weights)
-                   + _pure_weight(self.keys, labels, weights))
-        import fractions  # here, so that a run making no Fraction never loads it
-
-        return fractions.Fraction(pos, view.object_count)
+            return _pure_weight(self.keys, view.labels, view.weights)
+        # The granules outside ``rows`` are alone, so pure when unmixed.
+        if not rows:
+            return view.unmixed
+        labels = list(map(view.labels.__getitem__, rows))
+        weights = list(map(view.weights.__getitem__, rows))
+        return (view.unmixed - _unmixed_weight(labels, weights)
+                + _pure_weight(self.keys, labels, weights))
 
 
 _DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
@@ -376,19 +382,16 @@ def _meet(a: _Labels, b: _Labels) -> _Labels:
     return _refine(a, column, b.top, b.most)
 
 
-def _walk(
-    seed: _Labels, attrs: Sequence[str], test: Callable[[_Labels, _Labels, str], _T],
-    kept: Callable[[_T, str], bool] = lambda result, name: True,
-) -> tuple[_Labels, list[_T]]:
+def _walk(seed: _Labels, attrs: Sequence[str], test: Callable[[_Labels, _Labels, str], _T],
+          kept: Callable[[_T, str], bool]) -> tuple[_Labels, list[_T]]:
     """The grouping by ``seed``'s attributes and all of ``attrs``, and the
     list of ``test(prefix, suffix, attrs[i])`` for each ``i``: the prefix
     groups by ``seed``'s attributes and the kept ones of ``attrs[:i]``, the
     suffix by ``seed``'s attributes and all of ``attrs[i + 1:]``.
-    ``attrs[i]`` is kept when ``kept(result, attrs[i])`` holds, as it always
-    does by default.  A side split only by one-value columns is still
-    ``seed`` (``_refine``).  Each result takes its suffix's place in one
-    list, so a walk holds no more than its suffixes.  The walk ends at its
-    last candidate."""
+    ``attrs[i]`` is kept when ``kept(result, attrs[i])`` holds.  A side
+    split only by one-value columns is still ``seed`` (``_refine``).  Each
+    result takes its suffix's place in one list, so a walk holds no more
+    than its suffixes.  The walk ends at its last candidate."""
     sides = [seed]  # sides[-1 - j] groups by seed and attrs[j:]
     for name in reversed(attrs):
         sides.append(_split(sides[-1], name))
@@ -401,23 +404,6 @@ def _walk(
         if kept(result, name) and i < last:
             prefix = _split(prefix, name)
     return full, sides
-
-
-def _leave_one_out(
-    seed: _Labels, attrs: Sequence[str],
-    kept: Callable[[_Labels, str], bool] = lambda result, name: True,
-) -> tuple[_Labels, dict[str, _Labels]]:
-    """``_walk`` whose candidates give the grouping by ``seed``'s
-    attributes, the kept ones of ``attrs[:i]`` and all of ``attrs[i + 1:]``,
-    the meet of the two sides (``_joined``), in a dict by candidate."""
-    full, met = _walk(seed, attrs, lambda prefix, suffix, _: _joined(seed, prefix, suffix), kept)
-    return full, dict(zip(attrs, met))
-
-
-def _joined(seed: _Labels, prefix: _Labels, suffix: _Labels) -> _Labels:
-    """The meet of the two sides of a walk from ``seed``: a side that is
-    still ``seed`` leaves the other as it is."""
-    return suffix if prefix is seed else prefix if suffix is seed else _meet(prefix, suffix)
 
 
 def _elimination(
@@ -438,32 +424,36 @@ def _elimination(
     return full.blocks, removed, witnesses
 
 
-def _without_each(view: _Granules, attrs: Sequence[str], walked: Sequence[str],
-                  removed: Iterable[str] = ()) -> dict[str, int]:
-    """The block count of ``attrs - a``, less the members of ``removed``
-    before ``a`` in ``walked``, for each ``a`` of ``walked``, a subset of
-    ``attrs``, from one walk over ``walked`` alone, from the grouping by the
-    rest of ``attrs``; no walk when ``walked`` is empty.  Each grouping is
-    let go once counted.  Over C with the elimination's removals, in column
-    order or ranked, it replays the elimination (``reduct._traced``)."""
-    if not walked:
-        return {}
+def _without_each(
+    view: _Granules, attrs: Sequence[str], walked: Sequence[str], removed: Iterable[str] = (),
+    read: Callable[[_Labels], _T] = lambda labels: labels.blocks,
+) -> tuple[_T, list[_T]]:
+    """``read`` of the grouping by ``attrs``, by default its block count,
+    and the list of ``read`` of the grouping by ``attrs - a``, less the
+    members of ``removed`` before ``a`` in ``walked``, for each ``a`` of
+    ``walked``, a subset of ``attrs``: one walk over ``walked`` alone, from
+    the grouping by the rest of ``attrs``, that meets each candidate's two
+    sides and lets the meet go once read.  Over C in table order it is the
+    table walk, over the kept attributes that their pairs leave open the
+    core's walk (``reduct._indispensable``), and over C in ranked order
+    with the elimination's removals the trace's replay
+    (``reduct._traced``)."""
     # The set of ``walked`` is freed before the walk starts, so the walk's peak holds no copy.
     seed = _grouping(view, list(filterfalse(set(walked).__contains__, attrs)))
     dropped = set(removed)
-    _, counts = _walk(seed, walked, lambda prefix, suffix, _: _joined(seed, prefix, suffix).blocks,
-                      lambda _, name: name not in dropped)
-    return dict(zip(walked, counts))
+
+    def met(prefix: _Labels, suffix: _Labels, _: str) -> _T:
+        # A side that is still ``seed`` leaves the other as it is.
+        return read(suffix if prefix is seed else prefix if suffix is seed
+                    else _meet(prefix, suffix))
+
+    full, readings = _walk(seed, walked, met, lambda _, name: name not in dropped)
+    return read(full), readings
 
 
 def block_count(table: InformationSystem, attrs: Iterable[str]) -> int:
     """Number of blocks of ``ind_partition(table, attrs)``, without building it."""
     return _grouping(table._granules, attrs).blocks
-
-
-def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
-    """``gamma(ind_partition(table, attrs), decision_partition(table))``."""
-    return _grouping(table._granules, attrs).dependency
 
 
 def _unmixed_weight(labels: Iterable[object], weights: Iterable[int]) -> int:

@@ -6,7 +6,7 @@ topology base is the block set of a partition and R - a lies within C.
 Every attribute outside the core has significance exactly 0 and the ranking
 sorts stably, so the reduct is the column-order elimination, and the
 ranking and its low/high groups set only the trace.  Both read the kernel's
-groupings (:mod:`.kernel`) only through block counts and dependency degrees.
+groupings (:mod:`.kernel`) only through block counts.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ def _indispensable(table: InformationSystem) -> tuple[int, tuple[str, ...]]:
     full_count, _, witnesses = table._elimination
     cond = conditional_attributes(table)
     sure = _alone(table._granules, cond, witnesses)
-    counts = _without_each(table._granules, cond, [a for a in witnesses if a not in sure])
+    walked = [a for a in witnesses if a not in sure]
+    counts = dict(zip(walked, _without_each(table._granules, cond, walked)[1])) if walked else {}
     return full_count, tuple(a for a in witnesses if a in sure or counts[a] != full_count)
 
 
@@ -77,15 +78,15 @@ def _traced(table: InformationSystem, policy: GroupPolicy, full_count: int,
             dropped: set[str]) -> Iterator[TraceEntry]:
     """The trace entries in ranked order under ``policy``, made when the
     first is read.  Each count is that of the set that the ranked-order
-    elimination tests: with no removal C - a, read off the table walk that
+    elimination tests: with no removal C - a, kept by the table walk that
     ranking makes, and otherwise from one replay of that elimination.  It
     removes what the column-order pass removed: every removal has
     significance 0, and those keep column order, while every attribute of
     positive significance ranks after them."""
     grouping = split_groups(rank_attributes(table), policy)
     ranked = grouping.attributes
-    counts = (_without_each(table._granules, ranked, ranked, dropped) if dropped
-              else {a: labels.blocks for a, labels in table._table_walk[1].items()})
+    counts = (dict(zip(ranked, _without_each(table._granules, ranked, ranked, dropped)[1]))
+              if dropped else table._table_walk[1])
     low = set(grouping.low_group)  # made after the walk, so that its peak holds no set
     for attribute, sig in grouping.ranked:
         yield TraceEntry(

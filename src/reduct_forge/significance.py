@@ -1,18 +1,23 @@
 """Positive-region significance: how much each attribute contributes to
 discernment, and the low/high grouping of the ranked attributes.
 
-Ranking reads the dependency degrees of the table's kept table-order walk
-(:mod:`.kernel`), so its cost after loading scales with the granules, not
-the objects.  ``eliminate`` ranks only when its trace is read.
+Ranking and ``significance`` read the ints that the table keeps from its
+one leave-one-out walk (``InformationSystem._table_walk``): |POS| of the
+conditional attributes C and of each C - a, so the walk's cost after
+loading scales with the granules, not the objects, and once it is made a
+call computes no positive region.  A significance is the integer drop in
+|POS| over the object count, and only this module makes it an exact
+``Fraction``.  ``eliminate`` ranks only when its trace is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .dataset import InformationSystem
 from .errors import UnknownAttribute
+from .kernel import _grouping
 
 if TYPE_CHECKING:  # only annotations name it; it is imported where one is made
     from fractions import Fraction
@@ -62,25 +67,40 @@ class SignificanceTable:
         raise UnknownAttribute(attribute)
 
 
+def dependency(table: InformationSystem, attrs: Iterable[str]) -> Fraction:
+    """``gamma(ind_partition(table, attrs), decision_partition(table))``:
+    |POS| of ``attrs`` over the object count, exact."""
+    import fractions  # here, so that a run making no Fraction never loads it
+
+    return fractions.Fraction(_grouping(table._granules, attrs).positive, table.object_count)
+
+
 def significance(table: InformationSystem, attribute: str) -> Fraction:
     """Dependency-degree drop caused by removing the attribute from the full
     conditional set, its entry in :func:`rank_attributes`: nonnegative, and
     zero exactly when the attribute adds no positive-region objects.  It
-    reads two dependency degrees off the table walk, not the ranking."""
-    with_all, without = table._table_walk
+    reads two ints that the table walk keeps, not the ranking."""
+    full, _, without = table._table_walk
     if attribute not in without:
         raise UnknownAttribute(attribute)
-    return with_all.dependency - without[attribute].dependency
+    import fractions
+
+    return fractions.Fraction(full - without[attribute], table.object_count)
 
 
 def rank_attributes(table: InformationSystem) -> SignificanceTable:
     """All conditional attributes sorted by ascending significance, stably,
-    so table column order is the only tie-break."""
-    with_all, without = table._table_walk
-    full = with_all.dependency
-    values = [(a, full - labels.dependency) for a, labels in without.items()]
-    values.sort(key=lambda pair: pair[1])
-    return SignificanceTable(ranked=tuple(values))
+    so table column order is the only tie-break.  The attributes are
+    sorted by descending |POS| of C - a, which is ascending integer drop,
+    as ``reverse`` keeps the sort stable; each distinct drop is then made
+    one ``Fraction``."""
+    full, _, without = table._table_walk
+    ranked = sorted(without, key=without.__getitem__, reverse=True)
+    import fractions
+
+    exact = {positive: fractions.Fraction(full - positive, table.object_count)
+             for positive in set(without.values())}
+    return SignificanceTable(ranked=tuple((a, exact[without[a]]) for a in ranked))
 
 
 def _check_count(policy: GroupPolicy, size: int) -> None:

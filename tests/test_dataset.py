@@ -28,7 +28,8 @@ from reduct_forge import (
 )
 from reduct_forge import dataset
 from reduct_forge.dataset import SEVEN_SEGMENT_CSV
-from reduct_forge.kernel import block_count, dependency
+from reduct_forge.kernel import block_count
+from reduct_forge.significance import dependency
 
 from conftest import make_table
 

@@ -32,7 +32,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reduct_forge import (
@@ -67,8 +67,9 @@ import reduct_forge.dataset as dataset
 import reduct_forge.kernel as kernel
 import reduct_forge.partition as partition
 import reduct_forge.reduct as reduct
-from reduct_forge.kernel import _grouping, _leave_one_out, _witness, block_count, dependency
+from reduct_forge.kernel import _grouping, _without_each, _witness, block_count
 from reduct_forge.partition import projections
+from reduct_forge.significance import dependency
 
 from conftest import grouping_oracle, make_table, minimal_preserving_subsets_oracle
 
@@ -177,10 +178,11 @@ _ELIMINATION_CASES = ("none", "first", "several", "after kept", "kept, then seve
 
 
 @st.composite
-def elimination_tables(draw):
+def elimination_tables(draw, case=None):
     """Tables on which ``eliminate`` meets each of ``_ELIMINATION_CASES``: no
     removal, one removal at the first candidate, several from the first
-    candidate on, and one or several after a kept candidate.
+    candidate on, and one or several after a kept candidate.  The case is
+    ``case`` when it is given, and drawn otherwise.
 
     Each base attribute gets a witness row that differs from another row in
     that attribute only, so it stays indispensable; the removals are then
@@ -195,7 +197,8 @@ def elimination_tables(draw):
         witness = list(draw(st.sampled_from(rows)))
         witness[i] = "9"
         rows.append(witness)
-    case = draw(st.sampled_from(_ELIMINATION_CASES))
+    if case is None:
+        case = draw(st.sampled_from(_ELIMINATION_CASES))
     removals = draw(st.integers(2, 3)) if "several" in case else int(case != "none")
     split = "kept" in case
     named = split or draw(st.booleans())
@@ -311,7 +314,10 @@ def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
     removals is the case where the reference's minimality check measures
     sets that no walk of ``eliminate`` measured as a whole; the core
     shapes are each drawn too, the one non-core attribute ranked between
-    core ones among them."""
+    core ones among them.  Each case has an explicit example, and one run
+    of the property draws the tables of each elimination case, and one
+    more the tables with redundant columns, so every case is drawn more
+    than once by the strategies' construction, not by luck."""
     seen = Counter()
 
     def cases(table, count) -> list[str]:
@@ -321,18 +327,17 @@ def test_eliminate_matches_one_ranked_walk_and_a_separate_verify_walk():
         assert result == _eliminate_by_block_counts(table, policy)
         return [_elimination_case(result), *_core_cases(table, result)]
 
-    @given(elimination_tables() | tables_with_redundant_columns(), st.integers(0, 5))
-    @settings(max_examples=200, deadline=None)
-    def check(table, count):
-        seen.update(cases(table, count))
-
     for args in _ELIMINATION_EXAMPLES:
-        check = example(*args)(check)
-    check()
-    # Each case has an explicit example; what they show is taken off, so a
-    # count left above one means the case was drawn more than once.
-    drawn = seen - Counter(case for args in _ELIMINATION_EXAMPLES for case in cases(*args))
-    assert all(drawn[case] > 1 for case in _ELIMINATION_CASES + _CORE_CASES), drawn
+        cases(*args)
+    for strategy in [*map(elimination_tables, _ELIMINATION_CASES),
+                     tables_with_redundant_columns()]:
+        @given(strategy, st.integers(0, 5))
+        @settings(max_examples=40, deadline=None)
+        def check(table, count):
+            seen.update(cases(table, count))
+
+        check()
+    assert all(seen[case] > 1 for case in _ELIMINATION_CASES + _CORE_CASES), seen
 
 
 def _column_order_removals(table) -> tuple[str, ...]:
@@ -574,47 +579,43 @@ def stripping_tables(draw):
 @given(tables_with_redundant_columns() | stripping_tables(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_leave_one_out_matches_direct_projections(table, data):
-    """The walk yields, for the full set and each leave-one-out set, a
-    grouping of the view's granules as that set groups them, with that
-    set's block count and dependency degree: it groups the granules as
-    their code tuples over that set do, through the stripped form too."""
+    """The one leave-one-out walk reads, for the full set and each
+    leave-one-out set, a grouping of the view's granules as that set groups
+    them, with that set's block count and |POS|: it groups the granules as
+    their code tuples over that set do, through the stripped form too.  It
+    walks all of the set, as the table walk and the trace's replay do, or
+    some of it from the grouping by the rest, as the core's walk does, with
+    drawn removals dropped from its prefix."""
+    _assert_walk_matches_projections(table, *_drawn_walk(data, table))
+
+
+def _drawn_walk(data, table) -> tuple[list[str], list[str], list[str]]:
+    """A permutation of the conditional attributes, the attributes to walk
+    (all of them, or some in any order) and the removals among those."""
     attrs = data.draw(st.permutations(conditional_attributes(table)))
-    # ``None`` passes no predicate, which must keep every attribute.
-    keeps = data.draw(st.none() | st.lists(st.booleans(), min_size=len(attrs),
-                                           max_size=len(attrs)))
-    _assert_walk_matches_projections(table, attrs, keeps)
+    walked = data.draw(st.just(attrs) | st.lists(st.sampled_from(attrs), unique=True))
+    removed = data.draw(st.lists(st.sampled_from(walked), unique=True)) if walked else []
+    return attrs, walked, removed
 
 
-def _assert_walk_matches_projections(table, attrs, keeps):
-    """Walk ``attrs`` on the granule view, keeping or dropping each
-    attribute as ``keeps`` says, or with no predicate when ``keeps`` is
-    None, and check the full grouping and each candidate's against the
-    granules' code tuples, ``ind_partition`` and ``gamma`` of its attribute
-    set.  The predicate is asked about every candidate, with its
-    grouping."""
+def _assert_walk_matches_projections(table, attrs, walked, removed):
+    """Walk ``walked`` within ``attrs`` on the granule view, with
+    ``removed`` dropped from the prefix, and check the full set's reading
+    and each candidate's against the granules' code tuples,
+    ``ind_partition`` and ``gamma`` of its attribute set."""
     view = table._granules
-    if keeps is None:
-        full, without = _leave_one_out(_grouping(view, ()), attrs)
-        keeps = [True] * len(attrs)
-    else:
-        keep_of, asked = dict(zip(attrs, keeps)), {}
-
-        def kept(labels, name):
-            asked[name] = labels
-            return keep_of[name]
-
-        full, without = _leave_one_out(_grouping(view, ()), attrs, kept)
-        assert asked == without
-    assert list(without) == list(attrs)
-    yields = [(full, list(attrs))]
-    kept_attrs: list[str] = []
-    for i, attribute in enumerate(attrs):
-        yields.append((without[attribute], kept_attrs + list(attrs[i + 1:])))
-        if keeps[i]:
-            kept_attrs.append(attribute)
-    for labels, expected in yields:
+    full, without = _without_each(view, attrs, walked, removed, read=lambda labels: labels)
+    assert len(without) == len(walked)
+    rest = [a for a in attrs if a not in walked]
+    readings = [(full, list(attrs))]
+    kept: list[str] = []
+    for i, attribute in enumerate(walked):
+        readings.append((without[i], rest + kept + list(walked[i + 1:])))
+        if attribute not in removed:
+            kept.append(attribute)
+    for labels, expected in readings:
         assert labels.blocks == len(ind_partition(table, expected))
-        assert labels.dependency == _gamma_via(table, expected)
+        assert Fraction(labels.positive, table.object_count) == _gamma_via(table, expected)
         assert _spelled_out(labels) == _first_seen_numbering(_code_tuples(view, expected))
         if labels.rows is not None:
             assert labels.rows == sorted(set(labels.rows))
@@ -654,8 +655,9 @@ def test_leave_one_out_stops_at_its_last_candidate(monkeypatch):
     table = make_table(rows, [f"c{i + 1}" for i in range(5)] + ["d"], decision="d")
     view = table._granules
     assert len(view.labels) == 21
-    full, without = _leave_one_out(_grouping(view, ()), conditional_attributes(table))
-    walk = [full, *without.values()]
+    cond = conditional_attributes(table)
+    full, without = _without_each(view, cond, cond, read=lambda labels: labels)
+    walk = [full, *without]
     assert len(walk) == 6
     assert all(labels.rows != [] for labels in walk)
     assert calls == 5 + 4
@@ -849,17 +851,19 @@ def test_unread_trace_holds_the_table_until_it_is_read_or_dropped(monkeypatch):
 def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
     """A meet ends like a split: on a 300 x 10 identity table every
     ``C - a`` of the table walk comes back stripped to a few rows, so
-    ``blocks`` and ``dependency`` pass over those alone.
+    ``blocks`` and ``positive`` pass over those alone.
     Where the distinct-key bound keeps a quarter of the rows in shared
     blocks, as on a tall table of 8 binary attributes whose 256 granules a
     meet of 7 attributes groups by at most 128 keys, no set is built: the
-    meet's block count is left unknown."""
+    meet's block count is left unknown until the walk's reader counts it."""
     outputs = []
+    counted = []
     meet = kernel._meet
 
     def recording_meet(a, b):
         labels = meet(a, b)
         outputs.append(labels)
+        counted.append(labels._blocks is not None)
         return labels
 
     monkeypatch.setattr(kernel, "_meet", recording_meet)
@@ -868,6 +872,7 @@ def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
     assert all(labels.rows is not None and len(labels.rows) <= 4 for labels in outputs)
 
     outputs.clear()
+    counted.clear()
     rng = random.Random("tall-meets")
     rows = []
     for _ in range(2000):
@@ -877,7 +882,7 @@ def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
     table = make_table(rows, [f"x{i + 1}" for i in range(8)] + ["d"], decision="d")
     rank_attributes(table)
     assert len(table._granules.labels) == 256 and len(outputs) == 6
-    assert all(labels.rows is None and labels._blocks is None for labels in outputs)
+    assert all(labels.rows is None for labels in outputs) and not any(counted)
 
 
 def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
@@ -969,7 +974,7 @@ def _side(labels) -> str:
 def _assert_meet_matches_union(table, a_attrs, b_attrs) -> tuple[str, str]:
     """``_meet`` of the groupings by ``a_attrs`` and ``b_attrs`` groups the
     granules as their union does, and as the granules' code tuples over
-    it, with the union's block count and dependency; the two sides' forms
+    it, with the union's block count and |POS|; the two sides' forms
     are returned."""
     view = table._granules
     a, b = _grouping(view, a_attrs), _grouping(view, b_attrs)
@@ -978,7 +983,7 @@ def _assert_meet_matches_union(table, a_attrs, b_attrs) -> tuple[str, str]:
     assert _spelled_out(met) == _spelled_out(direct)
     assert _spelled_out(met) == _first_seen_numbering(_code_tuples(view, union))
     assert met.blocks == direct.blocks == len(ind_partition(table, union))
-    assert met.dependency == direct.dependency
+    assert met.positive == direct.positive
     if met.rows is not None:
         assert met.rows == sorted(set(met.rows))
     return _side(a), _side(b)
@@ -1237,23 +1242,23 @@ def packed_sides(draw):
     return view, side(), side()
 
 
-def _plain_dependency(view, plain) -> Fraction:
-    """|POS| over the object count, from per-granule block names."""
+def _plain_positive(view, plain) -> int:
+    """|POS| from per-granule block names."""
     label_of: dict[object, object] = {}
     for key, label in zip(plain, view.labels):
         if label_of.setdefault(key, label) != label:
             label_of[key] = kernel._MIXED
     pos = sum(w for key, w in zip(plain, view.weights) if label_of[key] is not kernel._MIXED)
-    return Fraction(pos, view.object_count)
+    return pos
 
 
 def _assert_groups_as(labels, view, plain):
     """``labels`` groups ``view``'s granules as the block names ``plain``:
-    the same block count, dependency and first-seen numbering, keys below
+    the same block count, |POS| and first-seen numbering, keys below
     ``_DIGIT`` and ascending rows."""
     assert _spelled_out(labels) == _first_seen_numbering(plain)
     assert labels.blocks == len(set(plain))
-    assert labels.dependency == _plain_dependency(view, plain)
+    assert labels.positive == _plain_positive(view, plain)
     assert all(key < kernel._DIGIT for key in labels.keys)
     if labels.rows is not None:
         assert labels.rows == sorted(set(labels.rows))
@@ -1388,10 +1393,7 @@ def test_kernel_past_one_int_digit_matches_object_level_reference(table, data):
     switch they must still group as ``projections`` and ``ind_partition``
     do, and ranking, elimination and the core must match the per-object
     partitions."""
-    attrs = data.draw(st.permutations(conditional_attributes(table)))
-    keeps = data.draw(st.none() | st.lists(st.booleans(), min_size=len(attrs),
-                                           max_size=len(attrs)))
-    _assert_walk_matches_projections(table, attrs, keeps)
+    _assert_walk_matches_projections(table, *_drawn_walk(data, table))
     _assert_walks_match_object_level_reference(table)
 
 
@@ -1701,7 +1703,7 @@ def test_reference_path_and_kernel_readers_stay_apart():
     """The per-object reference path imports nothing of the kernel, nor the
     kernel anything of it, so the tests that compare the two compare
     independent code; and ``reduct`` and ``significance`` read a grouping
-    only through its block count and dependency, never its label lists or
+    only through its block count and |POS|, never its label lists or
     their bounds, read no code column of the view, and import no routine
     that builds label lists outside ``_split``."""
     assert _package_imports(partition) == ({"errors"}, {"dataset"})

@@ -1,7 +1,7 @@
 """The loader's numbering: ``_factorized`` numbers keys densely in
-first-occurrence order with a ``_Numbering``, which gives each object's
-stored row and each row's object count, and ``_coded`` codes a column,
-merging cells that differ only in whitespace.  ``_factorized`` is checked
+first-occurrence order with a ``defaultdict`` of a counter, which gives
+each object's stored row and each row's object count, and ``_coded`` codes
+a column, merging cells that differ only in whitespace.  ``_factorized`` is checked
 against a plain-dict reference, and ``_coded`` against the
 ``dict.fromkeys`` coding it replaced, kept here verbatim; the loader's
 errors keep their precedence, message and line, on lines that repeat and
@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reduct_forge import EmptyTable, MalformedTable, load_csv
-from reduct_forge.dataset import _coded, _factorized, _Numbering
+from reduct_forge.dataset import _coded, _factorized
 
 
 def coded_reference(
     cells: Sequence[Hashable], strip: bool = False
 ) -> tuple[tuple[int, ...], tuple[Hashable, ...]]:
-    """The coding before ``_Numbering``: each distinct cell found by
+    """The coding before the counter's numbering: each distinct cell found by
     ``dict.fromkeys``, coded in a loop over them, then looked up per cell."""
     index = dict.fromkeys(cells)
     values: dict[Hashable, int] = {}
@@ -140,10 +140,13 @@ def test_factorized_index_and_weights_match_a_plain_dict(keys):
 
 
 def test_numbering_hands_out_the_next_number():
-    numbering = _Numbering()
-    assert list(map(numbering.__getitem__, "abacb")) == [0, 1, 0, 2, 1]
-    assert numbering == {"a": 0, "b": 1, "c": 2}
-    assert "d" not in numbering and numbering.get("d") is None
+    """A new key gets the next number and a repeated key its own, both
+    where ``_coded`` codes cells and where ``_factorized`` numbers rows."""
+    assert _coded(list("abacb")) == ((0, 1, 0, 2, 1), ("a", "b", "c"))
+    assert _coded([" a", "b", "a ", "b"], strip=True) == ((0, 1, 0, 1), ("a", "b"))
+    rows = _factorized(iter("abacb"), lambda distinct: [distinct])
+    assert list(rows.index) == [0, 1, 0, 2, 1] and rows.weights == [2, 2, 1]
+    assert rows.codes == ((0, 1, 2),) and rows.values == (("a", "b", "c"),)
 
 
 def _lines(n: int, repeat: bool) -> list[str]:

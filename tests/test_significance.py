@@ -83,28 +83,41 @@ class TestSignificance:
                 if significance(table, attr) > 0:
                     assert attr in core
 
-    def test_each_value_reads_two_dependencies_not_the_ranking(self, monkeypatch):
-        """``significance`` gives the ranking's entry for every attribute,
-        and the decision and an unknown name raise; it reads two dependency
-        degrees off the table walk, so m calls read 2m, where ranking for
-        each would read m + 1 per call."""
-        reads = [0]
-        dependency = kernel._Labels.dependency
+    def test_a_ranked_table_computes_no_positive_region_again(self, monkeypatch):
+        """The first ``significance`` call makes the table walk, which
+        computes |POS| of C and of each C - a once, m + 1 positive regions
+        in all.  After that, ``significance`` gives the ranking's entry for
+        every attribute, the decision and an unknown name raise, and
+        neither those m calls nor a second ranking compute a positive
+        region: they read the ints that the table walk keeps."""
+        computed = [0]
+        pure_weight = kernel._pure_weight
 
-        def counting_dependency(labels):
-            reads[0] += 1
-            return dependency.fget(labels)
+        def counting_pure_weight(*args):
+            computed[0] += 1
+            return pure_weight(*args)
 
+        monkeypatch.setattr(kernel, "_pure_weight", counting_pure_weight)
         rng = random.Random("significance-reads")
         m = 12
-        rows = [[str(rng.randrange(3)) for _ in range(m)] + [rng.choice("xy")]
-                for _ in range(80)]
+        # Distinct rows and two that differ only in their decision, too few
+        # repeats to fold, so that no grouping has every granule alone and
+        # each |POS| is counted.
+        distinct: set[tuple[str, ...]] = set()
+        while len(distinct) < 80:
+            distinct.add(tuple(rng.choice("012") for _ in range(m)))
+        rows = [[*row, rng.choice("xy")] for row in sorted(distinct)]
+        rows.append([*rows[0][:m], "z"])
         table = make_table(rows, [f"c{i + 1}" for i in range(m)] + ["d"], decision="d")
+        cond = table.attributes[:m]
+        first = significance(table, cond[0])
+        assert computed[0] == m + 1
         ranked = rank_attributes(table)
-        monkeypatch.setattr(kernel._Labels, "dependency", property(counting_dependency))
-        for attr in table.attributes[:m]:
+        assert ranked.significance_of(cond[0]) == first
+        for attr in cond:
             assert significance(table, attr) == ranked.significance_of(attr)
-        assert reads[0] == 2 * m
+        assert rank_attributes(table) == ranked
+        assert computed[0] == m + 1
         for name in ("d", "z"):
             with pytest.raises(UnknownAttribute):
                 significance(table, name)
