@@ -4,18 +4,18 @@ A table is a rectangle of opaque categorical symbols, one row per object and
 one column per attribute, with an optional decision column; without one the
 ``identity`` policy makes every object its own decision class.  Whatever its
 repeats, a table stores its distinct rows once, as coded columns, with each
-object's row index and each row's object count.  Per-object readers
-(``rows``, ``column``, ``value``, equality, the per-object partitions) read
-a stored row through the object's row index.  A table keeps the kernel's
-view of its rows and the kernel's two walks (:mod:`.kernel`), each built on
-first use.
+row's object count.  Per-object readers (``rows``, ``column``, ``value``,
+equality, the per-object partitions) read a stored row through the object's
+row index, which a table whose rows repeat builds when one of them first
+asks for it.  A table keeps the kernel's view of its rows and the kernel's
+two walks (:mod:`.kernel`), each built on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,7 +62,9 @@ class _Rows(Sequence):
     ``values[c][code]`` the cell it stands for; ``index[i]`` is object
     ``i``'s stored row and ``weights[r]`` row ``r``'s object count.  Stored
     rows come in first-occurrence order, and two may carry the same codes.
-    The view compares equal to the tuple of row tuples, and hashes like it.
+    ``index`` is a ``range`` when no row repeats, and otherwise a
+    ``_LazyTuple`` built on its first read.  The view compares equal to the
+    tuple of row tuples, and hashes like it.
     """
 
     __slots__ = ("n", "codes", "values", "index", "weights")
@@ -106,7 +108,7 @@ class _Rows(Sequence):
 class _LazyTuple(Sequence):
     """A read-only tuple of ``n`` items, consumed from the lazy iterator
     ``items`` when one is first read (a loaded table's ``object_ids``, a
-    ``ReductResult.trace``).  It compares equal to the tuple of its items,
+    stored row index, a ``ReductResult.trace``).  It compares equal to the tuple of its items,
     and hashes and reprs like it; a copy is a plain tuple."""
 
     __slots__ = ("n", "_pending", "_items")
@@ -148,36 +150,41 @@ class _LazyTuple(Sequence):
         return tuple, (self._tuple(),)
 
 
+def _body(text: str, skip: int) -> Iterator[str]:
+    """The lines of ``text`` (LF line ends) that are not blank or
+    whitespace-only, less the first ``skip`` of them, split off the text
+    only when the first one is read."""
+    lines = itertools.chain.from_iterable(map(str.split, [text], ["\n"]))
+    return itertools.islice(filter(str.strip, lines), skip, None)
+
+
 def _cut_ids(text: str, column: int) -> Iterator[str]:
     """The ids of a table whose ``id`` is its ``column``-th column, cut from
     its text (LF line ends, no byte-order mark) by the loader's line rules."""
-    lines = filter(str.strip, text.split("\n"))
-    next(lines)  # the header
-    cells = map(str.split, lines, itertools.repeat(","), itertools.repeat(column + 1))
-    yield from map(str.strip, map(itemgetter(column), cells))
+    cells = map(str.split, _body(text, 1), itertools.repeat(","), itertools.repeat(column + 1))
+    return map(str.strip, map(itemgetter(column), cells))
 
 
-def _factorized(keys: Iterable[Hashable],
+def _factorized(keys: Iterable[Hashable], again: Iterator[Hashable],
                 columns_of: Callable[[list[Hashable]], list[Sequence[Hashable]]],
                 strip: bool = False) -> _Rows:
-    """Rows given as one hashable key per object, stored factorized: the
-    keys numbered in first-occurrence order give each object's row, and
-    ``columns_of(distinct)`` gives the raw cell columns of the distinct keys
-    alone, which are coded (and, with ``strip``, stripped)."""
-    numbering = defaultdict(itertools.count().__next__)
-    index = list(map(numbering.__getitem__, keys))
-    if len(numbering) == len(index):
-        # No key repeats: a range holds no int object per object.
-        index, weights = range(len(index)), [1] * len(index)
+    """Rows given as one hashable key per object, stored factorized.  One
+    C-level count of ``keys`` gives the distinct keys in first-occurrence
+    order and each one's object count, and ``columns_of(distinct)`` gives the
+    raw cell columns of the distinct keys alone, which are coded (and, with
+    ``strip``, stripped).  ``again`` is a lazy iterator of the same keys:
+    when some key repeats, each object's row is numbered from it on the
+    index's first read; else the index is a range and ``again`` is dropped."""
+    counts = Counter(keys)
+    n = sum(counts.values())
+    if len(counts) == n:
+        index, weights = range(n), [1] * n
     else:
-        # A plain loop: at 20000 rows of 768 keys it took 1.0 ms, against
-        # 1.6 ms for Counter(index) and 1.8 ms for collections'
-        # _count_elements into a dict, whose int keys are hashed per row.
-        weights = [0] * len(numbering)
-        for row in index:
-            weights[row] += 1
-    distinct = list(numbering)
-    del numbering  # the keys' numbers are not needed while the keys are split
+        # Numbered in first-occurrence order, as the count keeps its keys.
+        numbering = defaultdict(itertools.count().__next__)
+        index, weights = _LazyTuple(n, map(numbering.__getitem__, again)), list(counts.values())
+    distinct = list(counts)
+    del counts  # the counts are not needed while the keys are split
     columns = columns_of(distinct)
     del distinct  # the keys are not needed while their cells are coded
     return _Rows([_coded(col, strip) for col in columns], index, weights)
@@ -189,8 +196,8 @@ class InformationSystem:
 
     ``decision`` names an attribute (excluded from the conditional set), or
     is ``None`` for the identity policy.  ``rows`` may be any sequence of row
-    tuples; the table stores it factorized and keeps ``rows`` as a read-only
-    view.  ``object_ids`` may be any sequence of ids.
+    tuples; the table stores a snapshot of it factorized and keeps ``rows``
+    as a read-only view.  ``object_ids`` may be any sequence of ids.
     """
 
     object_ids: Sequence[str]
@@ -217,7 +224,9 @@ class InformationSystem:
         if self.decision is not None and self.decision not in self.attributes:
             raise UnknownDecision(self.decision)
         if not isinstance(rows, _Rows):
-            stored = _factorized(map(tuple, rows), lambda keys: list(zip(*keys)))
+            # The lazy index reads a snapshot: the caller may change its rows.
+            snapshot = tuple(map(tuple, rows))
+            stored = _factorized(snapshot, iter(snapshot), lambda keys: list(zip(*keys)))
             object.__setattr__(self, "rows", stored)
 
     @property
@@ -302,6 +311,22 @@ def _lines(text: str) -> tuple[list[str], list[str]]:
 # loader's line end, so a line without a comma, blank ones too, yields nothing.
 _TAIL = re.compile(",(.*)")
 
+# The id-first scan runs findall over chunks of about this many characters,
+# each ending at a line end, so no list of every line's tail is built.
+_CHUNK = 1 << 16
+
+
+def _tails(text: str, start: int) -> Iterator[str]:
+    """Each line's text after its first comma, from ``start`` on: one
+    ``_TAIL.findall`` per chunk of about ``_CHUNK`` characters that ends at a
+    line end, each run only when the chunk before it is used up."""
+    bounds = [start]
+    while (end := text.find("\n", bounds[-1] + _CHUNK)) >= 0:
+        bounds.append(end)
+    bounds.append(len(text))
+    return itertools.chain.from_iterable(
+        map(_TAIL.findall, itertools.repeat(text), bounds, bounds[1:]))
+
 
 def load_csv(
     source: CsvSource,
@@ -375,17 +400,8 @@ def load_csv(
     # An id-only table, whose header has no comma to scan for, is keyed
     # with the id last.
     scan = id_col == 0 and width > 1
-    if scan:
-        tails = _TAIL.findall(text, start)  # the header's, then each key
-        n = len(tails) - 1
-        if text.count("\n", start) + (not text.endswith("\n")) != len(tails):
-            n = len(split_text())  # some line has no comma
-    else:
-        n = len(split_text())
-    if not n:
+    if not scan and not split_text():
         raise EmptyTable()
-    if scan and n != len(tails) - 1:
-        ragged()  # a non-blank line has no comma
 
     def split(distinct: list[str]) -> list[list[str]]:
         """The cell columns of the ``distinct`` keys, after one C-level check
@@ -395,8 +411,8 @@ def load_csv(
         # With the id last, a line without the comma that cuts it off keys
         # as "", as does an empty cell before the id; with one attribute
         # both pass the comma count, so only then is every line checked for
-        # that comma.  The scan has already matched every id-first line with
-        # a comma.
+        # that comma.  The scan's line count catches an id-first line
+        # without a comma.
         if id_col == 1 == len(names) and "" in distinct and not all(
                 map(contains, split_text(), itertools.repeat(","))):
             ragged()
@@ -406,36 +422,46 @@ def load_csv(
     # Each line is keyed by its text without the id cell, cut off in C, so
     # only the distinct keys are split and coded.  A key's comma count, its
     # line's less any comma cut off with the id, stands for every line with
-    # that key; the scan's line count and split() catch a line without the
+    # that key; split() and the scan's line count catch a line without the
     # comma that cuts off a first or last id, and a line too short for the
     # middle cut raises IndexError, so every line's width is still checked.
-    # No line's cut is kept, and the ids are cut from the text again only if
-    # they are read.
-    object_ids = _LazyTuple(n, map(str, range(n)) if id_col is None
-                            else _cut_ids(text, id_col))
+    # No line's cut is kept: a layout's one cut keys the lines again from
+    # the text if the row index is read, and the ids only if they are read.
     if scan:
-        keys = itertools.islice(tails, 1, None)
+        after = end if end >= 0 else len(text)  # the header's line end
+        keys, again = _tails(text, after), _tails(text, after)
     else:
-        data = split_text()
-        if id_col is None:
-            keys = data
-            del text  # the lines are split, and no ids' generator holds it
-        elif id_col == width - 1:
-            keys = map(itemgetter(0), map(str.rpartition, data, itertools.repeat(",")))
-        else:
-            keys = map(",".join, map(itemgetter(*range(id_col), id_col + 1),
-                                     map(str.split, data, itertools.repeat(","),
+        def cut(lines: Iterable[str]) -> Iterable[str]:
+            """The key of each of ``lines``: the line less its id cell."""
+            if id_col is None:
+                return lines
+            if id_col == width - 1:
+                return map(itemgetter(0), map(str.rpartition, lines, itertools.repeat(",")))
+            return map(",".join, map(itemgetter(*range(id_col), id_col + 1),
+                                     map(str.split, lines, itertools.repeat(","),
                                          itertools.repeat(id_col + 1))))
+
+        keys, again = cut(split_text()), cut(_body(text, skip))
     try:
-        rows = _factorized(keys, split, strip=True)
+        rows = _factorized(keys, again, split, strip=True)
     except IndexError:  # a line too short for the middle cut
         ragged()
         raise
+    if scan:
+        n = rows.n
+        if text.count("\n", start) + (not text.endswith("\n")) != n + 1:
+            n = len(split_text())  # some line has no comma
+        if not n:
+            raise EmptyTable()
+        if n != rows.n:
+            ragged()  # a non-blank line has no comma
 
     if decision == IDENTITY:
         decision = None
     if decision is not None and decision not in names:
         raise UnknownDecision(decision)
+    object_ids = _LazyTuple(rows.n, map(str, range(rows.n)) if id_col is None
+                            else _cut_ids(text, id_col))
     return InformationSystem(object_ids, tuple(names), rows, decision)
 
 

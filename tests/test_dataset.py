@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import io
 import pickle
+import random
 from copy import deepcopy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reduct_forge import (
@@ -16,15 +17,20 @@ from reduct_forge import (
     EmptyTable,
     InformationSystem,
     MalformedTable,
+    ObjectSet,
+    Partition,
     UnknownDecision,
     builtin_seven_segment,
     conditional_attributes,
+    core_attributes,
     decision_partition,
     eliminate,
+    exhaustive_reducts,
     ind_partition,
     load_builtin,
     load_csv,
     rank_attributes,
+    significance,
 )
 from reduct_forge import dataset
 from reduct_forge.dataset import SEVEN_SEGMENT_CSV
@@ -473,6 +479,43 @@ def test_loaded_ids_are_built_only_when_read():
     assert given_ids == given.object_ids
 
 
+@pytest.mark.parametrize("at", [0, 2, 4, None], ids=["first", "middle", "last", "none"])
+def test_row_index_is_built_only_when_read(at):
+    """Ranking, significance, the core, elimination and the oracle never
+    read the row index, so a loaded table whose lines repeat keeps it
+    unbuilt, in every id layout; once read, the index, the row tuples, a
+    column and a partition are what a plain dict over the lines gives."""
+    rng = random.Random(f"lazy-index-{at}")
+    pool = [[str(rng.randrange(3)) for _ in range(4)] for _ in range(30)]
+    body = [rng.choice(pool) for _ in range(400)]
+    names = ["a", "b", "c", "d"]
+    lines = []
+    for i, row in enumerate([names] + body):
+        if at is not None:
+            row = row[:at] + ["id" if i == 0 else f"o{i}"] + row[at:]
+        lines.append(",".join(row))
+    table = load_csv("\r\n".join(lines[:9] + [" "] + lines[9:]), decision="d")
+    rows = table.rows
+    assert isinstance(rows.index, dataset._LazyTuple)
+    rank_attributes(table)
+    significance(table, "a")
+    core_attributes(table)
+    eliminate(table)
+    exhaustive_reducts(table)
+    assert rows.index._items is None
+    number: dict[tuple[str, ...], int] = {}
+    want_index = tuple(number.setdefault(tuple(row), len(number)) for row in body)
+    assert tuple(rows.index) == want_index
+    assert rows.index._items is not None
+    assert table.rows == tuple(map(tuple, body))
+    assert table.column("b") == tuple(row[1] for row in body)
+    blocks: dict[tuple[str, ...], list[int]] = {}
+    for i, row in enumerate(body):
+        blocks.setdefault((row[0], row[2]), []).append(i)
+    assert ind_partition(table, ["a", "c"]) == Partition.from_blocks(
+        [ObjectSet.from_indices(block, len(body)) for block in blocks.values()], len(body))
+
+
 def _partition_keyed(text: str, decision: str | None = None) -> InformationSystem:
     """The id-first loader as it keyed lines before the scan, kept as a
     reference: the text split into lines, blank and whitespace-only ones
@@ -500,7 +543,8 @@ def _partition_keyed(text: str, decision: str | None = None) -> InformationSyste
     keys = [line.partition(",")[2] for _, line in body]
     ids = tuple(line.split(",")[0].strip() for _, line in body)
     rows = dataset._factorized(
-        keys, lambda distinct: list(zip(*(key.split(",") for key in distinct))), strip=True)
+        keys, iter(keys), lambda distinct: list(zip(*(key.split(",") for key in distinct))),
+        strip=True)
     return InformationSystem(ids, tuple(names), rows, decision)
 
 
@@ -560,6 +604,20 @@ def test_id_first_scan_matches_the_per_line_cut(text):
     with ``str.partition`` gives, and on a malformed text the same error,
     message and file line."""
     assert _loaded(load_csv, text) == _loaded(_partition_keyed, text)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(id_first_csv())
+def test_scan_chunks_do_not_change_the_load(monkeypatch, text):
+    """However small the scan's chunks, so that their ends fall between
+    every two lines, inside runs of blank lines and next to a ragged line,
+    the stored rows, index, ids and errors are those of the default chunk."""
+    want = _loaded(load_csv, text)
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(dataset, "_CHUNK", chunk)
+        assert _loaded(load_csv, text) == want
+    monkeypatch.undo()
 
 
 @pytest.mark.parametrize("text", [
@@ -649,6 +707,26 @@ class TestInformationSystem:
         assert listed == table
         assert hash(listed) == hash(table)
         assert dataclasses.replace(table, decision="q").rows == rows
+
+    def test_caller_rows_are_copied(self):
+        """A table built from the caller's mutable rows keeps what they held
+        when it was built, however the caller changes them after; a replace
+        with new rows stores those afresh."""
+        given_rows = [["1", "x"], ["2", "y"], ["1", "x"], ["2", "y"], ["1", "z"]]
+        want = tuple(map(tuple, given_rows))
+        table = InformationSystem(tuple("abcde"), ("p", "q"), given_rows)
+        twin = InformationSystem(tuple("abcde"), ("p", "q"), want)
+        given_rows[0][1] = "changed"
+        given_rows[2] = ["3", "w"]
+        given_rows.append(["9", "9"])
+        assert table.rows == want
+        assert table.column("q") == ("x", "y", "x", "y", "z")
+        assert table == twin and hash(table) == hash(twin)
+        assert pickle.loads(pickle.dumps(table)).rows == want
+        replaced = dataclasses.replace(table, rows=given_rows[:5])
+        assert replaced.rows == (("1", "changed"), ("2", "y"), ("3", "w"), ("2", "y"),
+                                 ("1", "z"))
+        assert table.rows == want
 
     def test_accessors(self):
         table = make_table([["1", "2"], ["3", "4"]], ["p", "q"])

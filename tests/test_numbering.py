@@ -1,11 +1,12 @@
-"""The loader's numbering: ``_factorized`` numbers keys densely in
-first-occurrence order with a ``defaultdict`` of a counter, which gives
-each object's stored row and each row's object count, and ``_coded`` codes
-a column, merging cells that differ only in whitespace.  ``_factorized`` is checked
-against a plain-dict reference, and ``_coded`` against the
-``dict.fromkeys`` coding it replaced, kept here verbatim; the loader's
-errors keep their precedence, message and line, on lines that repeat and
-on lines that do not."""
+"""The loader's numbering: ``_factorized`` counts keys with a ``Counter``,
+which gives the distinct keys in first-occurrence order and each row's
+object count, and numbers a second pass over the same keys densely with a
+``defaultdict`` of a counter when each object's stored row is first read;
+``_coded`` codes a column, merging cells that differ only in whitespace.
+``_factorized`` is checked against a plain-dict reference, and ``_coded``
+against the ``dict.fromkeys`` coding it replaced, kept here verbatim; the
+loader's errors keep their precedence, message and line, on lines that
+repeat and on lines that do not."""
 
 from __future__ import annotations
 
@@ -127,13 +128,23 @@ def key_lists(draw):
 @given(key_lists())
 def test_factorized_index_and_weights_match_a_plain_dict(keys):
     """Each object's stored row and each row's object count; a table with
-    no repeated key keeps its index as a range."""
+    no repeated key keeps its index as a range, and one with a repeat
+    builds it from the second pass only when it is first read."""
     seen: list[list[Hashable]] = []
-    rows = _factorized(iter(keys), lambda distinct: seen.append(distinct) or [
+    read: list[Hashable] = []
+
+    def second_pass():
+        for key in keys:
+            read.append(key)
+            yield key
+
+    rows = _factorized(iter(keys), second_pass(), lambda distinct: seen.append(distinct) or [
         [key[0] for key in distinct], [key[1] for key in distinct]])
     want_index, want_distinct = numbered_reference(keys)
     assert seen == [want_distinct]
+    assert read == []
     assert list(rows.index) == want_index
+    assert read == (keys if len(want_distinct) < len(keys) else [])
     assert rows.weights == [want_index.count(r) for r in range(len(want_distinct))]
     assert isinstance(rows.index, range) == (len(want_distinct) == len(keys))
     assert rows.n == len(keys)
@@ -144,7 +155,7 @@ def test_numbering_hands_out_the_next_number():
     where ``_coded`` codes cells and where ``_factorized`` numbers rows."""
     assert _coded(list("abacb")) == ((0, 1, 0, 2, 1), ("a", "b", "c"))
     assert _coded([" a", "b", "a ", "b"], strip=True) == ((0, 1, 0, 1), ("a", "b"))
-    rows = _factorized(iter("abacb"), lambda distinct: [distinct])
+    rows = _factorized(iter("abacb"), iter("abacb"), lambda distinct: [distinct])
     assert list(rows.index) == [0, 1, 0, 2, 1] and rows.weights == [2, 2, 1]
     assert rows.codes == ((0, 1, 2),) and rows.values == (("a", "b", "c"),)
 
