@@ -108,8 +108,9 @@ class _Rows(Sequence):
 class _LazyTuple(Sequence):
     """A read-only tuple of ``n`` items, consumed from the lazy iterator
     ``items`` when one is first read (a loaded table's ``object_ids``, a
-    stored row index, a ``ReductResult.trace``).  It compares equal to the tuple of its items,
-    and hashes and reprs like it; a copy is a plain tuple."""
+    stored row index, a ``ReductResult.trace``).  It compares equal to the
+    tuple of its items, and hashes and reprs like it; a copy is a plain
+    tuple."""
 
     __slots__ = ("n", "_pending", "_items")
 
@@ -346,7 +347,8 @@ def load_csv(
     lines are skipped, but ``MalformedTable.row`` is the file's 1-based line
     number counting them; an empty or whitespace-only header cell is
     reported at the header's line.  Only the distinct lines, less the ``id``
-    cell, are split and coded; ``object_ids`` builds the ids when one is read.
+    cell, are split and coded; ``object_ids`` builds the ids when one is
+    read, and the row index, when some line repeats, is built likewise.
     """
     text = _read_text(source)
     if "\r" in text:
