@@ -3,11 +3,11 @@
 A table is a rectangle of opaque categorical symbols, one row per object and
 one column per attribute, with an optional decision column; without one the
 ``identity`` policy makes every object its own decision class.  Whatever its
-repeats, a table stores its distinct rows once, as coded columns, with each
-row's object count.  Per-object readers (``rows``, ``column``, ``value``,
-equality, the per-object partitions) read a stored row through the object's
-row index, which a table whose rows repeat builds when one of them first
-asks for it.  A table keeps the kernel's view of its rows and the kernel's
+repeats, a table stores its distinct rows once, as coded columns (``bytes``,
+or an unsigned ``array`` above 256 values), with each row's object count.
+Per-object readers (``rows``, ``column``, ``value``, equality, the
+per-object partitions) read a stored row through the object's row index,
+which a table whose rows repeat builds when one of them first asks for it.  A table keeps the kernel's view of its rows and the kernel's
 two walks (:mod:`.kernel`), each built on first use.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .errors import (
     UnknownAttribute,
     UnknownDecision,
 )
-from .kernel import _elimination, _granulate, _without_each
+from .kernel import _elimination, _granulate, _stored, _without_each
 
 IDENTITY = "identity"
 
@@ -38,21 +39,34 @@ CsvSource = Union[bytes, str, IO[bytes], IO[str]]
 
 
 def _coded(
-    cells: Sequence[Hashable], strip: bool = False
-) -> tuple[tuple[int, ...], tuple[Hashable, ...]]:
-    """Each cell's dense code, in first-occurrence order, and the distinct
-    values in code order.  With ``strip``, cells that strip to the same
-    string share one code, whose value is the stripped string; only the
-    distinct cells are stripped."""
-    numbering = defaultdict(itertools.count().__next__)
-    codes = tuple(map(numbering.__getitem__, cells))
-    if not strip:
-        return codes, tuple(numbering)
-    values = defaultdict(itertools.count().__next__)
-    merged = list(map(values.__getitem__, map(str.strip, numbering)))
-    if len(values) < len(merged):
-        return tuple(map(merged.__getitem__, codes)), tuple(values)
-    return codes, tuple(values)
+    cells: str | Sequence[Hashable], strip: bool = False
+) -> tuple[bytes | array, tuple[Hashable, ...]]:
+    """Each cell's dense code, in first-occurrence order, stored as
+    ``kernel._stored`` gives it, and the distinct values in code order.
+    ``cells`` is a sequence of cells, or a string of one-character cells,
+    which one ``str.translate`` codes when it holds at most 256 distinct
+    characters.  With ``strip``, cells that strip to the same string share
+    one code, whose value is the stripped string; only the distinct cells
+    are stripped, and ``bytes`` codes are remapped by one ``bytes.translate``."""
+    if isinstance(cells, str) and len(chars := set(cells)) <= 256:
+        raw: Iterable[Hashable] = sorted(chars, key=cells.index)
+        codes: bytes | list[int] = cells.translate(
+            dict(zip(map(ord, raw), range(256)))).encode("latin-1")
+    else:
+        raw = numbering = defaultdict(itertools.count().__next__)
+        try:
+            codes = bytes(map(numbering.__getitem__, cells))
+        except ValueError:  # the 257th value: a second pass keeps the codes handed out
+            codes = list(map(numbering.__getitem__, cells))
+    if strip:
+        merging = defaultdict(itertools.count().__next__)
+        merged = list(map(merging.__getitem__, map(str.strip, raw)))
+        if len(merging) < len(merged):
+            codes = (codes.translate(bytes(merged).ljust(256, b"\0")) if isinstance(codes, bytes)
+                     else list(map(merged.__getitem__, codes)))
+        raw = merging
+    values = tuple(raw)
+    return _stored(codes, len(values)), values
 
 
 class _Rows(Sequence):
@@ -60,16 +74,18 @@ class _Rows(Sequence):
 
     ``codes[c][r]`` is stored row ``r``'s code in column ``c`` and
     ``values[c][code]`` the cell it stands for; ``index[i]`` is object
-    ``i``'s stored row and ``weights[r]`` row ``r``'s object count.  Stored
-    rows come in first-occurrence order, and two may carry the same codes.
-    ``index`` is a ``range`` when no row repeats, and otherwise a
-    ``_LazyTuple`` built on its first read.  The view compares equal to the
-    tuple of row tuples, and hashes like it.
+    ``i``'s stored row and ``weights[r]`` row ``r``'s object count.  Each
+    column of codes is ``bytes`` when it has at most 256 values and otherwise
+    the narrowest unsigned ``array`` that holds them (``kernel._stored``),
+    whichever coder made it.  Stored rows come in first-occurrence order,
+    and two may carry the same codes.  ``index`` is a ``range`` when no row
+    repeats, and otherwise a ``_LazyTuple`` built on its first read.  The
+    view compares equal to the tuple of row tuples, and hashes like it.
     """
 
     __slots__ = ("n", "codes", "values", "index", "weights")
 
-    def __init__(self, columns: list[tuple[tuple[int, ...], tuple[Hashable, ...]]],
+    def __init__(self, columns: list[tuple[bytes | array, tuple[Hashable, ...]]],
                  index: Sequence[int], weights: Sequence[int]) -> None:
         """The stored rows of ``columns``, each as ``_coded`` gives it."""
         self.n = len(index)
@@ -167,13 +183,14 @@ def _cut_ids(text: str, column: int) -> Iterator[str]:
 
 
 def _factorized(keys: Iterable[Hashable], again: Iterator[Hashable],
-                columns_of: Callable[[list[Hashable]], list[Sequence[Hashable]]],
+                columns_of: Callable[[list[Hashable]], list[str | Sequence[Hashable]]],
                 strip: bool = False) -> _Rows:
     """Rows given as one hashable key per object, stored factorized.  One
     C-level count of ``keys`` gives the distinct keys in first-occurrence
     order and each one's object count, and ``columns_of(distinct)`` gives the
-    raw cell columns of the distinct keys alone, which are coded (and, with
-    ``strip``, stripped).  ``again`` is a lazy iterator of the same keys:
+    raw cell columns of the distinct keys alone, each a sequence of cells or
+    a string of one-character cells, which ``_coded`` codes (and, with
+    ``strip``, strips).  ``again`` is a lazy iterator of the same keys:
     when some key repeats, each object's row is numbered from it on the
     index's first read; else the index is a range and ``again`` is dropped."""
     counts = Counter(keys)
@@ -349,6 +366,11 @@ def load_csv(
     reported at the header's line.  Only the distinct lines, less the ``id``
     cell, are split and coded; ``object_ids`` builds the ids when one is
     read, and the row index, when some line repeats, is built likewise.
+    When every cell of the distinct lines is one character, each column is
+    cut from their joined text as one string, with no list of cells, and
+    coded by one ``str.translate``; otherwise the cells are split and coded
+    by a dict.  Either way each column is stored as ``bytes`` at 256 values
+    or fewer, and as an unsigned ``array`` above.
     """
     text = _read_text(source)
     if "\r" in text:
@@ -405,21 +427,28 @@ def load_csv(
     if not scan and not split_text():
         raise EmptyTable()
 
-    def split(distinct: list[str]) -> list[list[str]]:
+    def split(distinct: list[str]) -> list[list[str]] | list[str]:
         """The cell columns of the ``distinct`` keys, after one C-level check
-        of their comma counts."""
-        if set(map(str.count, distinct, itertools.repeat(","))) - {len(names) - 1}:
+        of their comma counts: a string of each column's cells when every
+        cell is one character, else a list of them."""
+        m = len(names)
+        if set(map(str.count, distinct, itertools.repeat(","))) - {m - 1}:
             ragged()
         # With the id last, a line without the comma that cuts it off keys
         # as "", as does an empty cell before the id; with one attribute
         # both pass the comma count, so only then is every line checked for
         # that comma.  The scan's line count catches an id-first line
         # without a comma.
-        if id_col == 1 == len(names) and "" in distinct and not all(
+        if id_col == 1 == m and "" in distinct and not all(
                 map(contains, split_text(), itertools.repeat(","))):
             ragged()
-        cells = ",".join(distinct).split(",")
-        return [cells[c::len(names)] for c in range(len(names))]
+        joined = ",".join(distinct)
+        half = m * len(distinct) - 1
+        if len(joined) == 2 * half + 1 and joined[1::2].count(",") == half:
+            # Every cell is one character, so a column is every 2m-th one.
+            return [joined[2 * c::2 * m] for c in range(m)]
+        cells = joined.split(",")
+        return [cells[c::m] for c in range(m)]
 
     # Each line is keyed by its text without the id cell, cut off in C, so
     # only the distinct keys are split and coded.  A key's comma count, its

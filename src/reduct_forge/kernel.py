@@ -27,10 +27,14 @@ O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m).
 Packed keys.  A dense grouping keeps its keys as one int of 64-bit fields,
 granule g's key in field g (``_pack``), and a dense split reads its column
 packed the same way, made once per view when first read
-(``_Granules.packed``).  So a dense split is ``keys * k + column``, a meet
-of two dense sides ``a * b.top + b``, and a witness scan of two dense
-sides reads that one combined int: each a big-int multiply-add in C, with
-no int object per granule.  No field carries into the next while
+(``_Granules.packed``).  A stored column is ``bytes`` at 256 values or
+fewer and otherwise the narrowest unsigned ``array`` (``_stored``), also
+after the fold; a ``bytes`` column packs by one slice assignment into the
+low byte of each field of a zeroed ``bytearray``, never through
+``array('Q', ...)``, which would read its raw bytes as fields.  So a dense
+split is ``keys * k + column``, a meet of two dense sides ``a * b.top + b``,
+and a witness scan of two dense sides reads that one combined int: each a
+big-int multiply-add in C, with no int object per granule.  No field carries into the next while
 ``top * k`` stays below 2**64: the renumbering keeps ``top`` at most 2**30
 or the granule count, and so is k, a column's value count or the other
 side's ``top``, so the product stays below 2**64 on any view of fewer
@@ -152,7 +156,8 @@ def _granulate(table: InformationSystem) -> _Granules:
         if label_of.setdefault(g, label) != label:
             label_of[g] = _MIXED
         weight_of[g] = weight_of.get(g, 0) + weight
-    folded = {name: (codes, k) for (name, (_, k)), codes in zip(columns.items(), zip(*first))}
+    folded = {name: (_stored(codes, k), k)
+              for (name, (_, k)), codes in zip(columns.items(), zip(*first))}
     return _Granules(folded, list(weight_of.values()), tuple(label_of.values()), rows.n)
 
 
@@ -220,10 +225,28 @@ class _Labels:
 
 _DIGIT = 1 << 30  # a nonnegative CPython int below this is one 30-bit digit
 
+# The byte of a native 64-bit field that holds its lowest 8 bits.
+_LOW = 0 if sys.byteorder == "little" else 7
+
+
+def _stored(codes: Sequence[int], k: int) -> bytes | array:
+    """``codes``, each below ``k``, in a table's one stored column form:
+    ``bytes`` when ``k`` is at most 256, else the narrowest unsigned
+    ``array`` that holds them."""
+    if k <= 256:
+        return codes if isinstance(codes, bytes) else bytes(codes)
+    typecode = next(t for t in "HILQ" if k <= 1 << 8 * array(t).itemsize)
+    return array(typecode, codes)
+
 
 def _pack(keys: Sequence[int]) -> int:
     """``keys``, each below 2**64, as one int whose field ``g`` of 64 bits
-    is ``keys[g]``."""
+    is ``keys[g]``.  A ``bytes`` column is laid into the fields' low bytes
+    by one slice assignment: ``array("Q", keys)`` would read its raw bytes."""
+    if isinstance(keys, bytes):
+        fields = bytearray(8 * len(keys))
+        fields[_LOW::8] = keys
+        return int.from_bytes(fields, sys.byteorder)
     return int.from_bytes(array("Q", keys), sys.byteorder)
 
 

@@ -63,7 +63,8 @@ def _indispensable(table: InformationSystem) -> tuple[int, tuple[str, ...]]:
 
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
     """True when dropping the attribute from ``remaining`` preserves the base
-    of the full conditional set."""
+    of the full conditional set, whose block count is read off the table's
+    kept elimination pass."""
     cond = conditional_attributes(table)
     remaining_set = set(remaining)
     if attribute not in cond:
@@ -71,7 +72,7 @@ def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[s
     if attribute not in remaining_set:
         raise NotInRemaining(attribute)
     candidate = [a for a in remaining_set if a != attribute]
-    return block_count(table, candidate) == block_count(table, cond)
+    return block_count(table, candidate) == table._elimination[0]
 
 
 def _traced(table: InformationSystem, policy: GroupPolicy, full_count: int,
