@@ -7,8 +7,9 @@ repeats, a table stores its distinct rows once, as coded columns (``bytes``,
 or an unsigned ``array`` above 256 values), with each row's object count.
 Per-object readers (``rows``, ``column``, ``value``, equality, the
 per-object partitions) read a stored row through the object's row index,
-which a table whose rows repeat builds when one of them first asks for it.  A table keeps the kernel's view of its rows and the kernel's
-two walks (:mod:`.kernel`), each built on first use.
+which a table whose rows repeat builds when one of them first asks for
+it.  A table keeps the kernel's view of its rows and the kernel's two
+walks (:mod:`.kernel`), each built on first use.
 """
 
 from __future__ import annotations
@@ -167,21 +168,6 @@ class _LazyTuple(Sequence):
         return tuple, (self._tuple(),)
 
 
-def _body(text: str, skip: int) -> Iterator[str]:
-    """The lines of ``text`` (LF line ends) that are not blank or
-    whitespace-only, less the first ``skip`` of them, split off the text
-    only when the first one is read."""
-    lines = itertools.chain.from_iterable(map(str.split, [text], ["\n"]))
-    return itertools.islice(filter(str.strip, lines), skip, None)
-
-
-def _cut_ids(text: str, column: int) -> Iterator[str]:
-    """The ids of a table whose ``id`` is its ``column``-th column, cut from
-    its text (LF line ends, no byte-order mark) by the loader's line rules."""
-    cells = map(str.split, _body(text, 1), itertools.repeat(","), itertools.repeat(column + 1))
-    return map(str.strip, map(itemgetter(column), cells))
-
-
 def _factorized(keys: Iterable[Hashable], again: Iterator[Hashable],
                 columns_of: Callable[[list[Hashable]], list[str | Sequence[Hashable]]],
                 strip: bool = False) -> _Rows:
@@ -317,33 +303,63 @@ def _read_text(source: CsvSource) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _lines(text: str) -> tuple[list[str], list[str]]:
-    """The lines of ``text`` (LF line ends) and, of those, the ones that are
-    not blank or whitespace-only, in file order."""
-    lines = text.split("\n")
-    return lines, list(filter(str.strip, lines))
-
-
-# Each line's text after its first comma.  findall runs one C scan: the
-# literal comma is sre's prefix search, and ``.`` stops only at LF, the
-# loader's line end, so a line without a comma, blank ones too, yields nothing.
+# The id-first cut: each line's text after its first comma.  findall runs
+# one C scan: the literal comma is sre's prefix search, and ``.`` stops only
+# at LF, the loader's line end, so a line without a comma, blank ones too,
+# yields nothing.
 _TAIL = re.compile(",(.*)")
 
-# The id-first scan runs findall over chunks of about this many characters,
-# each ending at a line end, so no list of every line's tail is built.
+# A scan cuts chunks of about this many characters, each ending at a line
+# end, so no list of every line or every key is built.
 _CHUNK = 1 << 16
 
 
-def _tails(text: str, start: int) -> Iterator[str]:
-    """Each line's text after its first comma, from ``start`` on: one
-    ``_TAIL.findall`` per chunk of about ``_CHUNK`` characters that ends at a
-    line end, each run only when the chunk before it is used up."""
+def _chunks(cut: Callable[[str, int, int], Iterable], text: str, start: int) -> Iterator:
+    """``cut(text, pos, endpos)`` of each chunk of ``text`` from ``start`` on,
+    of about ``_CHUNK`` characters and ending at a line end, each run only
+    when the one before it is used up."""
     bounds = [start]
     while (end := text.find("\n", bounds[-1] + _CHUNK)) >= 0:
         bounds.append(end)
     bounds.append(len(text))
-    return itertools.chain.from_iterable(
-        map(_TAIL.findall, itertools.repeat(text), bounds, bounds[1:]))
+    return map(cut, itertools.repeat(text), bounds, bounds[1:])
+
+
+def _scan(cut: Callable[[str, int, int], Iterable], text: str, start: int) -> Iterator:
+    """What ``cut`` yields for the lines of ``text`` from ``start`` on, one
+    chunk at a time (``_chunks``)."""
+    return itertools.chain.from_iterable(_chunks(cut, text, start))
+
+
+def _nonblank(text: str, pos: int, endpos: int) -> list[str]:
+    """The id-less cut: the lines of ``text[pos:endpos]`` that are not blank
+    or whitespace-only."""
+    return list(filter(str.strip, text[pos:endpos].split("\n")))
+
+
+def _head(text: str, pos: int, endpos: int) -> Iterator[str]:
+    """The id-last cut: each line's text before its last comma, for the
+    lines of ``text[pos:endpos]`` that hold one."""
+    lines = text[pos:endpos].split("\n")
+    held = itertools.compress(lines, map(contains, lines, itertools.repeat(",")))
+    return map(itemgetter(0), map(str.rpartition, held, itertools.repeat(",")))
+
+
+def _cut(id_col: int | None, width: int) -> Callable[[str, int, int], Iterable[str]]:
+    """The key cut of a layout of ``width`` columns whose ``id_col``-th is
+    the id (None: no id): ``cut(text, pos, endpos)``, with
+    ``Pattern.findall``'s signature, gives each line's text less its id
+    cell, and nothing for a blank line or one too short for the cut."""
+    if id_col is None:
+        return _nonblank
+    if id_col == 0:
+        return _TAIL.findall
+    if id_col == width - 1:
+        return _head
+    # The cells before the id with their commas, and the text after the
+    # comma that follows it.
+    middle = re.compile(rf"^((?:[^,\n]*,){{{id_col}}})[^,\n]*,(.*)", re.M).findall
+    return lambda text, pos, endpos: map("".join, middle(text, pos, endpos))
 
 
 def load_csv(
@@ -363,14 +379,16 @@ def load_csv(
     ignored.  Lines end at LF, CRLF or CR only.  Blank and whitespace-only
     lines are skipped, but ``MalformedTable.row`` is the file's 1-based line
     number counting them; an empty or whitespace-only header cell is
-    reported at the header's line.  Only the distinct lines, less the ``id``
-    cell, are split and coded; ``object_ids`` builds the ids when one is
-    read, and the row index, when some line repeats, is built likewise.
-    When every cell of the distinct lines is one character, each column is
-    cut from their joined text as one string, with no list of cells, and
-    coded by one ``str.translate``; otherwise the cells are split and coded
-    by a dict.  Either way each column is stored as ``bytes`` at 256 values
-    or fewer, and as an unsigned ``array`` above.
+    reported at the header's line.  Whatever the ``id`` column's place, the
+    lines are keyed by their text less the ``id`` cell, cut in C one chunk of
+    the text at a time, so no list of the lines is built; only the distinct
+    keys are split and coded.  ``object_ids`` builds the ids when one is
+    read, and the row index, when some line repeats, is built likewise, each
+    by a scan of its own.  When every cell of the distinct lines is one
+    character, each column is cut from their joined text as one string, with
+    no list of cells, and coded by one ``str.translate``; otherwise the cells
+    are split and coded by a dict.  Either way each column is stored as
+    ``bytes`` at 256 values or fewer, and as an unsigned ``array`` above.
     """
     text = _read_text(source)
     if "\r" in text:
@@ -386,25 +404,15 @@ def load_csv(
             raise EmptyTable()
         start = end + 1
     skip = int(has_header)
-    lines: list[str] | None = None
-    body: list[str] = []  # the non-blank lines after the header
-
-    def split_text() -> list[str]:
-        """``body``, the text split into ``lines`` and filtered on first use."""
-        # A plain memo: functools.cache takes about 4 µs per load to set up.
-        nonlocal lines, body
-        if lines is None:
-            lines, body = _lines(text)
-            del body[:skip]  # the header
-        return body
-
     if has_header:
         names = [cell.strip() for cell in first.split(",")]
         if "" in names:
             raise MalformedTable(text.count("\n", 0, start) + 1,
                                  f"header cell {names.index('') + 1} is empty")
+        after = end if end >= 0 else len(text)  # the header's line end
     else:
         names = [f"c{i + 1}" for i in range(first.count(",") + 1)]
+        after = start
     width = len(names)
     id_col = names.index("id") if "id" in names else None
     if id_col is not None:
@@ -414,86 +422,62 @@ def load_csv(
 
     def ragged() -> None:
         """Raise ``MalformedTable`` at the first line after the header whose
-        comma count is wrong, once some line is known to be ragged."""
-        split_text()
-        numbered = ((number, line) for number, line in enumerate(lines, 1) if line.strip())
+        comma count is wrong, once some line is known to be ragged.  An
+        id-only table has no ragged line when no line holds a comma."""
+        numbered = ((number, line) for number, line in enumerate(text.split("\n"), 1)
+                    if line.strip())
         for number, line in itertools.islice(numbered, skip, None):
             if line.count(",") != width - 1:
                 raise MalformedTable(number, f"expected {width} cells, got {line.count(',') + 1}")
 
-    # An id-only table, whose header has no comma to scan for, is keyed
-    # with the id last.
-    scan = id_col == 0 and width > 1
-    if not scan and not split_text():
-        raise EmptyTable()
-
     def split(distinct: list[str]) -> list[list[str]] | list[str]:
-        """The cell columns of the ``distinct`` keys, after one C-level check
-        of their comma counts: a string of each column's cells when every
-        cell is one character, else a list of them."""
+        """The cell columns of the ``distinct`` keys, once C-level counts
+        have shown that each holds m - 1 commas: a string of each column's
+        cells when every cell is one character, else a list of them."""
         m = len(names)
-        if set(map(str.count, distinct, itertools.repeat(","))) - {m - 1}:
-            ragged()
-        # With the id last, a line without the comma that cuts it off keys
-        # as "", as does an empty cell before the id; with one attribute
-        # both pass the comma count, so only then is every line checked for
-        # that comma.  The scan's line count catches an id-first line
-        # without a comma.
-        if id_col == 1 == m and "" in distinct and not all(
-                map(contains, split_text(), itertools.repeat(","))):
-            ragged()
         joined = ",".join(distinct)
         half = m * len(distinct) - 1
-        if len(joined) == 2 * half + 1 and joined[1::2].count(",") == half:
-            # Every cell is one character, so a column is every 2m-th one.
+        # Keys of 2m - 1 characters joined with a comma at every odd place
+        # and nowhere else are m one-character cells each; a column is every
+        # 2m-th character.
+        if (set(map(len, distinct)) == {2 * m - 1}
+                and joined.count(",") == joined[1::2].count(",") == half):
             return [joined[2 * c::2 * m] for c in range(m)]
+        if set(map(str.count, distinct, itertools.repeat(","))) - {m - 1}:
+            ragged()
         cells = joined.split(",")
         return [cells[c::m] for c in range(m)]
 
-    # Each line is keyed by its text without the id cell, cut off in C, so
-    # only the distinct keys are split and coded.  A key's comma count, its
-    # line's less any comma cut off with the id, stands for every line with
-    # that key; split() and the scan's line count catch a line without the
-    # comma that cuts off a first or last id, and a line too short for the
-    # middle cut raises IndexError, so every line's width is still checked.
-    # No line's cut is kept: a layout's one cut keys the lines again from
-    # the text if the row index is read, and the ids only if they are read.
-    if scan:
-        after = end if end >= 0 else len(text)  # the header's line end
-        keys, again = _tails(text, after), _tails(text, after)
-    else:
-        def cut(lines: Iterable[str]) -> Iterable[str]:
-            """The key of each of ``lines``: the line less its id cell."""
-            if id_col is None:
-                return lines
-            if id_col == width - 1:
-                return map(itemgetter(0), map(str.rpartition, lines, itertools.repeat(",")))
-            return map(",".join, map(itemgetter(*range(id_col), id_col + 1),
-                                     map(str.split, lines, itertools.repeat(","),
-                                         itertools.repeat(id_col + 1))))
-
-        keys, again = cut(split_text()), cut(_body(text, skip))
-    try:
-        rows = _factorized(keys, again, split, strip=True)
-    except IndexError:  # a line too short for the middle cut
-        ragged()
-        raise
-    if scan:
-        n = rows.n
-        if text.count("\n", start) + (not text.endswith("\n")) != n + 1:
-            n = len(split_text())  # some line has no comma
-        if not n:
-            raise EmptyTable()
-        if n != rows.n:
-            ragged()  # a non-blank line has no comma
+    # Each line is keyed by its text less the id cell, so only the distinct
+    # keys are split and coded.  A key's comma count, its line's less any
+    # comma cut off with the id, stands for every line with that key, and
+    # split() checks it; a line too short for the cut yields no key, which
+    # the count of keys against non-blank lines catches.  No key is kept:
+    # the cut keys the lines again from the text if the row index is read.
+    cut = _cut(id_col, width)
+    rows = _factorized(_scan(cut, text, after), _scan(cut, text, after), split, strip=True)
+    n = rows.n
+    # One count of line ends tells that every line gave a key, as is
+    # common; else the non-blank lines are counted chunk by chunk.  The
+    # id-less cut keys every non-blank line.
+    if id_col is not None and text.count("\n", start) + (not text.endswith("\n")) != n + skip:
+        n = sum(map(len, _chunks(_nonblank, text, after)))
+    if not n:
+        raise EmptyTable()
+    if n != rows.n:
+        ragged()  # a non-blank line too short for its cut
 
     if decision == IDENTITY:
         decision = None
     if decision is not None and decision not in names:
         raise UnknownDecision(decision)
-    object_ids = _LazyTuple(rows.n, map(str, range(rows.n)) if id_col is None
-                            else _cut_ids(text, id_col))
-    return InformationSystem(object_ids, tuple(names), rows, decision)
+    if id_col is None:
+        ids = map(str, range(rows.n))
+    else:
+        cells = map(str.split, _scan(_nonblank, text, after), itertools.repeat(","),
+                    itertools.repeat(id_col + 1))
+        ids = map(str.strip, map(itemgetter(id_col), cells))
+    return InformationSystem(_LazyTuple(rows.n, ids), tuple(names), rows, decision)
 
 
 # Ten digits of a seven-segment display; segment names a..g are the

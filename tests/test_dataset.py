@@ -516,43 +516,52 @@ def test_row_index_is_built_only_when_read(at):
         [ObjectSet.from_indices(block, len(body)) for block in blocks.values()], len(body))
 
 
-def _partition_keyed(text: str, decision: str | None = None) -> InformationSystem:
-    """The id-first loader as it keyed lines before the scan, kept as a
-    reference: the text split into lines, blank and whitespace-only ones
-    filtered out, and each key cut by ``str.partition``; the same storage
-    step, and errors found by a plain pass over the lines in file order."""
+def _per_line(text: str, has_header: bool = True,
+              decision: str | None = None) -> InformationSystem:
+    """The loader as it keyed lines before the scan, kept as a reference for
+    every layout: the text split into lines, blank and whitespace-only ones
+    filtered out, each line split into cells and the id cell, wherever it
+    is, taken out; the same storage step, and errors found by a plain pass
+    over the lines in file order."""
     text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     numbered = [(number, line) for number, line in enumerate(text.split("\n"), 1)
                 if line.strip()]
     if not numbered:
         raise EmptyTable()
-    (at, header), *body = numbered
-    names = [cell.strip() for cell in header.split(",")]
-    if "" in names:
-        raise MalformedTable(at, f"header cell {names.index('') + 1} is empty")
-    assert names[0] == "id"
-    del names[0]
-    if "id" in names:
-        raise DuplicateAttribute("id")
+    body = numbered
+    if has_header:
+        (at, header), *body = numbered
+        names = [cell.strip() for cell in header.split(",")]
+        if "" in names:
+            raise MalformedTable(at, f"header cell {names.index('') + 1} is empty")
+    else:
+        names = [f"c{i + 1}" for i in range(numbered[0][1].count(",") + 1)]
+    width = len(names)
+    id_col = names.index("id") if "id" in names else None
+    if id_col is not None:
+        del names[id_col]
+        if "id" in names:
+            raise DuplicateAttribute("id")
     if not body:
         raise EmptyTable()
     for number, line in body:
-        if line.count(",") != len(names):
-            raise MalformedTable(number, f"expected {len(names) + 1} cells, "
-                                         f"got {line.count(',') + 1}")
-    keys = [line.partition(",")[2] for _, line in body]
-    ids = tuple(line.split(",")[0].strip() for _, line in body)
+        if line.count(",") != width - 1:
+            raise MalformedTable(number, f"expected {width} cells, got {line.count(',') + 1}")
+    cells = [line.split(",") for _, line in body]
+    ids = (tuple(map(str, range(len(body)))) if id_col is None
+           else tuple(row.pop(id_col).strip() for row in cells))
+    keys = [",".join(row) for row in cells]
     rows = dataset._factorized(
         keys, iter(keys), lambda distinct: list(zip(*(key.split(",") for key in distinct))),
         strip=True)
     return InformationSystem(ids, tuple(names), rows, decision)
 
 
-def _loaded(load, text: str):
+def _loaded(load, text: str, has_header: bool = True):
     """What ``load`` gives for ``text``: the table's attributes, stored rows
     and ids, or its exception's type, message and row."""
     try:
-        table = load(text)
+        table = load(text, has_header=has_header)
     except (EmptyTable, MalformedTable, DuplicateAttribute) as exc:
         return type(exc), str(exc), getattr(exc, "row", None)
     rows = table.rows
@@ -565,19 +574,31 @@ _ODD = ["\x0c", "\x85", "\u2028"]
 
 
 @st.composite
-def id_first_csv(draw):
-    """The text of an id-first table whose cells may be empty or hold
-    spaces, tabs, form feeds, U+0085 or U+2028, with blank and
-    whitespace-only lines anywhere, before the header and at the end too,
-    some non-blank lines without a comma, some with a wrong comma count,
-    LF, CRLF or CR line ends, with or without a last line end."""
-    m = draw(st.integers(1, 3))
+def any_layout_csv(draw):
+    """The text of a table, and whether it has a header, with the id first,
+    in the middle, last or absent, an id-only table among them, or with no
+    header.  Cells may be empty or hold spaces, tabs, form feeds, U+0085 or
+    U+2028; blank and whitespace-only lines come anywhere, before the
+    header and at the end too; some non-blank lines have no comma, some a
+    wrong comma count; lines end at LF, CRLF or CR, with or without a last
+    line end."""
+    layout = draw(st.sampled_from(["first", "middle", "last", "none", "headerless", "id-only"]))
+    m = 0 if layout == "id-only" else draw(st.integers(2 if layout == "middle" else 1, 3))
+    has_header = layout != "headerless"
+    at = {"first": 0, "last": m, "id-only": 0}.get(layout)  # None: no id
+    if layout == "middle":
+        at = draw(st.integers(1, m - 1))
     plain = st.sampled_from(["0", "1", "x"])
     cell = plain | st.sampled_from(["", " ", "\t", *_ODD]) | st.builds(
         "{}{}{}".format, plain, st.sampled_from([" ", "\t", *_ODD]), plain)
     blank = st.sampled_from(["", " ", "\t ", *_ODD, " \x85 "])
+
+    def line(obj, cells):
+        return ",".join(cells if at is None else [*cells[:at], obj, *cells[at:]])
+
     lines = draw(st.lists(blank, max_size=2))
-    lines.append(",".join(["id", *(f" a{i} " for i in range(m))]))
+    if has_header:
+        lines.append(line("id", [f" a{i} " for i in range(m)]))
     for i in range(draw(st.integers(0, 12))):
         kind = draw(st.integers(0, 19))
         if kind < 3:
@@ -585,81 +606,116 @@ def id_first_csv(draw):
         elif kind == 3:  # non-blank, no comma
             lines.append(draw(st.sampled_from([f"o{i}", f" o{i}\x0c", "\u2028x"])))
         elif kind == 4:  # a cell too many or too few
-            cells = draw(st.lists(cell, min_size=0, max_size=m + 1).filter(
-                lambda c: len(c) != m))
-            lines.append(",".join([f"o{i}", *cells]))
+            lines.append(line(f"o{i}", draw(st.lists(cell, max_size=m + 1).filter(
+                lambda c: len(c) != m))))
         else:
-            lines.append(",".join([f"o{i}", *draw(st.lists(cell, min_size=m, max_size=m))]))
+            lines.append(line(f"o{i}", draw(st.lists(cell, min_size=m, max_size=m))))
     lines += draw(st.lists(blank, max_size=2))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
-    return bom + eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return bom + eol.join(lines) + draw(st.sampled_from(["", eol])), has_header
 
 
-@settings(max_examples=300, deadline=None)
-@given(id_first_csv())
-def test_id_first_scan_matches_the_per_line_cut(text):
-    """Keying id-first lines by one scan of the text gives the stored rows,
-    attributes and ids that splitting the text into lines and cutting each
-    with ``str.partition`` gives, and on a malformed text the same error,
-    message and file line."""
-    assert _loaded(load_csv, text) == _loaded(_partition_keyed, text)
+@settings(max_examples=400, deadline=None)
+@given(any_layout_csv())
+def test_id_first_scan_matches_the_per_line_cut(case):
+    """Keying the lines of every layout by one chunked scan of the text
+    gives the stored rows, attributes and ids that splitting the text into
+    lines and cutting the id cell out of each gives, and on a malformed text
+    the same error, message and file line."""
+    assert _loaded(load_csv, *case) == _loaded(_per_line, *case)
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(id_first_csv())
-def test_scan_chunks_do_not_change_the_load(monkeypatch, text):
+@given(any_layout_csv())
+def test_scan_chunks_do_not_change_the_load(monkeypatch, case):
     """However small the scan's chunks, so that their ends fall between
     every two lines, inside runs of blank lines and next to a ragged line,
-    the stored rows, index, ids and errors are those of the default chunk."""
-    want = _loaded(load_csv, text)
+    the stored rows, index, ids and errors are those of the default chunk,
+    in every layout."""
+    want = _loaded(load_csv, *case)
     for chunk in (1, 7, 64):
         monkeypatch.setattr(dataset, "_CHUNK", chunk)
-        assert _loaded(load_csv, text) == want
+        assert _loaded(load_csv, *case) == want
     monkeypatch.undo()
 
 
-@pytest.mark.parametrize("text", [
-    "id,p\no1,1\no2\no3,3\n",  # one attribute, a line without a comma
-    "id,p\no1,1\n \t\no2,2\n\x0c\no3,\n\x85",  # comma-less lines all blank
-    "id,p,q\no1,1,2\no2,1\no3\n",  # a wrong count before a comma-less line
-    "id,p,q\no1,1,2\no2\no3,1\n",  # ... and after one
-    "\n\nid,p\n\n",  # no row after blank lines
-    "id,p\n\x0c\n",
-    "id,p\no1\n",  # a comma-less line as the only row
-    "id,p\no1,x\x0cy\no2,\u2028\r\no3,x\x85y",
+@pytest.mark.parametrize("text, has_header", [
+    ("id,p\no1,1\no2\no3,3\n", True),  # one attribute, a line without a comma
+    ("id,p\no1,1\n \t\no2,2\n\x0c\no3,\n\x85", True),  # comma-less lines all blank
+    ("id,p,q\no1,1,2\no2,1\no3\n", True),  # a wrong count before a comma-less line
+    ("id,p,q\no1,1,2\no2\no3,1\n", True),  # ... and after one
+    ("\n\nid,p\n\n", True),  # no row after blank lines
+    ("id,p\n\x0c\n", True),
+    ("id,p\no1\n", True),  # a comma-less line as the only row
+    ("id,p\no1,x\x0cy\no2,\u2028\r\no3,x\x85y", True),
+    ("p,id,q\n1,o1,2\n\n1,o2\n3,o3,4\n", True),  # a middle line too short for its cut
+    ("p,q,id,r\n1,2,o1,3\n1,2\n", True),  # ... holding fewer commas than the id's place
+    ("p,id\n1,o1\no2\n,o3\n", True),  # id last, one attribute, a comma-less line
+    ("p,id\n1,o1\n\n,o3\n \n", True),  # ... and none
+    ("id\no1\n\no2\n", True),  # id only: no attribute
+    ("id\no1\no2,x\n", True),  # ... and a line with a second cell
+    ("\n 1,x\n\n2\n 1,x \n", False),  # headerless, a comma-less line
+    ("\x85\n1\n\n2\n", False),  # headerless, one column
 ], ids=["one-attribute", "blank-only", "count-first", "count-after", "empty",
-        "form-feed-only", "only-ragged", "odd-cells"])
-def test_id_first_scan_examples(text):
-    assert _loaded(load_csv, text) == _loaded(_partition_keyed, text)
+        "form-feed-only", "only-ragged", "odd-cells", "middle-short", "middle-shorter",
+        "last-comma-less", "last-one-attribute", "id-only", "id-only-ragged",
+        "headerless-ragged", "headerless-one-column"])
+def test_id_first_scan_examples(text, has_header):
+    assert _loaded(load_csv, text, has_header) == _loaded(_per_line, text, has_header)
 
 
-def test_id_first_load_splits_the_text_only_for_a_comma_less_line(monkeypatch):
-    """An id-first load in which every line holds a comma never builds the
-    list of lines, nor does reading its ids; one with a blank line builds it
-    once, to tell that line from a ragged one."""
-    calls = [0]
-    lines = dataset._lines
+@pytest.mark.parametrize("text, width", [
+    ("id,p,q\no1,a,b,c\no2,d\n", 3), ("p,q,id\na,b,c,o1\nd,o2\n", 3), ("p,q\na,b,c\nd\n", 2),
+], ids=["id-first", "id-last", "no-id"])
+def test_one_character_keys_that_join_like_a_table_are_ragged(text, width):
+    """Two keys of one-character cells, one with a cell too many and one
+    with a cell too few, join to the text of two well-formed keys; the
+    load still reports the first of their lines."""
+    with pytest.raises(MalformedTable, match=f"^malformed table at row 2: "
+                                             f"expected {width} cells, got {width + 1}$"):
+        load_csv(text)
 
-    def counting_lines(text):
-        calls[0] += 1
-        return lines(text)
 
-    monkeypatch.setattr(dataset, "_lines", counting_lines)
-    rows = [f"o{i},{i % 3},{i % 5}" for i in range(50)]
-    for text, builds in [("\n".join(["id,p,q", *rows]), 0),
-                         ("\n".join(["id,p,q", *rows]) + "\n", 0),
-                         ("\n".join(["id,p,q", *rows[:20], " ", *rows[20:]]), 1),
-                         ("\n".join(["id,p,q", *rows, ""]) + "\n", 1)]:
-        calls[0] = 0
-        table = load_csv(text)
-        assert table.object_count == 50
-        assert tuple(table.object_ids) == tuple(f"o{i}" for i in range(50))
-        assert calls[0] == builds
-    calls[0] = 0
-    load_csv("p,q\n1,2\n")  # other layouts split the text
-    assert calls[0] == 1
+def test_load_splits_the_text_only_to_report_a_ragged_line(monkeypatch):
+    """A load that does not raise never splits the whole text into lines,
+    in any layout and with blank lines anywhere, nor does reading its ids
+    and its row index; only a ragged line's report splits it, once."""
+    splits = []
+
+    class Whole(str):
+        """The loaded text, counting the splits made of it whole (a slice
+        of it is a plain str)."""
+
+        def split(self, *args):
+            splits.append(args)
+            return super().split(*args)
+
+    monkeypatch.setattr(dataset, "_read_text", Whole)
+    body = [[str(i % 3), str(i % 5), str(i % 2)] for i in range(50)]
+    for at in (0, 1, 3, None, "headerless"):
+        def line(obj, cells):
+            return ",".join(cells if at in (None, "headerless")
+                            else [*cells[:at], obj, *cells[at:]])
+
+        lines = [line(f"o{i}", cells) for i, cells in enumerate(body)]
+        if at != "headerless":
+            lines.insert(0, line("id", ["p", "q", "r"]))
+        ids = tuple(f"o{i}" if at not in (None, "headerless") else str(i) for i in range(50))
+        for text in ["\n".join(lines), "\n".join(lines) + "\n",
+                     "\n".join([" ", *lines[:20], "", "\t", *lines[20:], "\x85"]) + "\n"]:
+            splits.clear()
+            table = load_csv(text, has_header=at != "headerless")
+            assert table.object_count == 50
+            assert tuple(table.object_ids) == ids
+            assert table.rows == tuple(map(tuple, body))
+            assert splits == []
+        splits.clear()
+        with pytest.raises(MalformedTable, match="^malformed table at row 22: "):
+            load_csv("\n".join([*lines[:21], "9", *lines[21:]]),
+                     has_header=at != "headerless")
+        assert splits == [("\n",)]
 
 
 class TestInformationSystem:
