@@ -13,15 +13,14 @@ Groupings.  ``_Labels`` is the one grouping form, and code outside this
 module reads only its two ints: ``blocks`` and ``positive``, |POS|, the
 weight of the granules in pure blocks.  Nothing here divides: the
 ``significance`` module turns |POS| into an exact degree where it reports
-one.  ``_refine`` is the one refinement: ``_split`` refines by an
-attribute's column and ``_meet`` one side by the other's keys.  A new key
+one.  ``_split`` is the one refinement, by an attribute's column: a new key
 is the mixed-radix ``key * k + code``, renumbered densely once its bound
-passes one int digit.  A refinement that cannot change its input (every
-granule alone, every code 0) returns it.  Refinement never merges blocks,
-so a granule alone in its block stays alone: ``_stripped`` drops such
-granules once at least half are, the stripped partitions of TANE (Huhtala
-et al., 1999).  On a wide table nearly every
-granule is alone after about log_k |U/C| attributes, so a walk touches
+passes one int digit.  A split that cannot change its input (every
+granule alone, a one-value column) returns it.  Refinement never merges
+blocks, so a granule alone in its block stays alone: ``_stripped`` drops
+such granules once at least half are, the stripped partitions of TANE
+(Huhtala et al., 1999).  On a wide table nearly every granule is alone
+after about log_k |U/C| attributes, so a walk touches
 O(|U/C|·log_k |U/C|) granule entries, not O(|U/C|·m).
 
 Packed keys.  A dense grouping keeps its keys as one int of 64-bit fields,
@@ -32,9 +31,9 @@ fewer and otherwise the narrowest unsigned ``array`` (``_stored``), also
 after the fold; a ``bytes`` column packs by one slice assignment into the
 low byte of each field of a zeroed ``bytearray``, never through
 ``array('Q', ...)``, which would read its raw bytes as fields.  So a dense
-split is ``keys * k + column``, a meet of two dense sides ``a * b.top + b``,
-and a witness scan of two dense sides reads that one combined int: each a
-big-int multiply-add in C, with no int object per granule.  No field carries into the next while
+split is ``keys * k + column``, and a pair scan of two dense sides reads
+the one int ``a * b.top + b``: each a big-int multiply-add in C, with no
+int object per granule.  No field carries into the next while
 ``top * k`` stays below 2**64: the renumbering keeps ``top`` at most 2**30
 or the granule count, and so is k, a column's value count or the other
 side's ``top``, so the product stays below 2**64 on any view of fewer
@@ -52,19 +51,22 @@ at every candidate: the set without ``a`` joins the kept attributes before
 (the suffix), so a walk makes O(m) refinements.  It is a plain call that
 returns the grouping by all the attributes and each candidate's
 ``test(prefix, suffix, a)``; a predicate on that result says whether ``a``
-is kept.  Every walk ends at its last candidate.  There are two kinds.
+is kept.  Every walk ends at its last candidate.  A candidate's two sides
+are never met, only scanned (``_paired``): over the rows that both keep,
+each row's key is mixed-radix over the two sides, so two rows share a key
+exactly when they share a block of both.  With I those rows, the grouping
+without ``a`` has |U/C| - |I| blocks of one granule and one more per
+distinct key over I.  There are two kinds of walk.
 
 - ``_elimination``, the column-order backward elimination over the
   conditional attributes C that ``eliminate``, the core and the exhaustive
-  oracle read, builds no grouping per candidate: it keeps ``a`` exactly
-  when two granules that share a block of both sides differ on ``a``,
-  which one scan of the sides' rows settles (``_witness``).  A removal
-  scans every row that both sides keep; a kept candidate stops at its
-  pair.
+  oracle read, keeps ``a`` exactly when two granules that share a block of
+  both sides differ on ``a``: ``_witness`` reads the scan to its first such
+  pair.  A removal scans every row that both sides keep.
 - ``_without_each`` is the one leave-one-out walk.  It walks some
   attributes alone, from the grouping by the rest of a set, drops given
-  removals from its prefix, meets each candidate's two sides into the
-  grouping without ``a``, and hands that grouping to a ``read`` and lets it
+  removals from its prefix, reads each candidate's scan to its end into an
+  unstripped grouping without ``a``, hands that to a ``read`` and lets it
   go; it returns the readings, with the full set's beside them.  It serves
   three callers: the table walk (``InformationSystem._table_walk``), which
   keeps only C's |POS| and each ``C - a``'s block count and |POS| for
@@ -256,28 +258,21 @@ def _fields(packed: int, n: int) -> memoryview:
 
 
 def _split(labels: _Labels, name: str) -> _Labels:
-    """``labels`` refined by attribute ``name``'s column."""
-    view = labels.view
+    """``labels`` refined by attribute ``name``'s column, read packed when
+    ``labels`` is dense and otherwise at each keyed granule's index: two
+    granules share a new key exactly when they shared a key and a code.
+    Returns ``labels`` itself when every granule is alone or the column has
+    one value.  Keys stay below ``_DIGIT``; the result is stripped
+    (``_stripped``)."""
+    view, rows = labels.view, labels.rows
     codes, k = view.columns[name]
-    return _refine(labels, view.packed(name) if labels.rows is None else codes, k, k)
-
-
-def _refine(labels: _Labels, column: int | Sequence[int] | dict[int, int], k: int,
-            distinct: int) -> _Labels:
-    """``labels`` refined by ``column``, packed when ``labels`` is dense and
-    otherwise read at each keyed granule's index, whose codes lie below
-    ``k`` with at most ``distinct`` of them different: two granules share a
-    new key exactly when they shared a key and a code.  Returns ``labels``
-    itself when every granule is alone or ``k == 1``.  Keys stay below
-    ``_DIGIT``; the result is stripped (``_stripped``)."""
-    rows = labels.rows
     if rows == [] or k == 1:
         return labels
     if rows is None:
-        keys: list[int] | int = labels.packed * k + column
+        keys: list[int] | int = labels.packed * k + view.packed(name)
     else:
-        keys = [key * k + code for key, code in zip(labels.keys, map(column.__getitem__, rows))]
-    refined = _stripped(labels.view, keys, rows, labels.top * k, labels.most * distinct)
+        keys = [key * k + code for key, code in zip(labels.keys, map(codes.__getitem__, rows))]
+    refined = _stripped(view, keys, rows, labels.top * k, labels.most * k)
     if refined.top > _DIGIT:  # renumbered densely, so the bound is the block count
         ids: dict[int, int] = {}
         refined._keys = [ids.setdefault(key, len(ids)) for key in refined.keys]
@@ -319,24 +314,44 @@ def _stripped(view: _Granules, keys: list[int] | int, rows: list[int] | None,
                    top, len(again), blocks)
 
 
-def _witness(a: _Labels, b: _Labels, name: str) -> tuple[int, int] | None:
-    """The first two granules, in ascending order of the second, that share
-    a block of both ``a`` and ``b`` (which carry one view) but differ on
-    ``name``, or None when every block of their meet agrees on it.  One scan
-    of the meet's rows, with no meet built: only rows that both sides keep
-    are read, a row's key is mixed-radix over the two sides, a one-block
-    side is not read, and a dict keeps each key's first row.  Two dense
-    sides are read as one packed int of their keys."""
-    n = len(a.view.labels)
+def _paired(a: _Labels, b: _Labels) -> tuple[list[int] | None, Iterable[int], int]:
+    """The rows that both ``a`` and ``b`` (which carry one view) keep, None
+    for every granule, each row's mixed-radix key over both sides, and the
+    keys' bound: two rows share a key exactly when they share a block of
+    both.  A side whose granules are all alone leaves no row, and a
+    one-block side is not read.  Of the rest, a stripped side (the longer
+    of two, cut to the shorter's rows) or the dense side whose keys reach
+    higher is read in order, and the other's keys at each row's index.  Two
+    dense sides give their keys as the fields of one packed int."""
+    if a.rows == [] or b.rows == []:
+        return [], [], 1
     if a.rows is None and a.top == 1:
         a, b = b, a
     if b.rows is None and b.top == 1:
-        rows, keys = a.rows, a.indexable
+        return a.rows, a.indexable, a.top
+    if (b.rows is not None and (a.rows is None or len(a.rows) < len(b.rows))
+            or a.rows is None and b.rows is None and a.top < b.top):
+        a, b = b, a
+    top = a.top * b.top
+    if a.rows is None:  # and so is b.rows
+        return None, _fields(a.packed * b.top + b.packed, len(a.view.labels)), top
+    rows, keys = a.rows, a.keys
+    if b.rows is None:
+        column: Sequence[int] | dict[int, int] = b.indexable
     else:
-        a, b, column = _aligned(a, b)
-        rows = a.rows
-        keys = (_fields(a.packed * b.top + column, n) if rows is None
-                else map(add, map(mul, a.keys, repeat(b.top)), map(column.__getitem__, rows)))
+        column = dict(zip(b.rows, b.keys))
+        inside = list(map(column.__contains__, rows))
+        rows, keys = list(compress(rows, inside)), compress(keys, inside)
+    return rows, map(add, map(mul, keys, repeat(b.top)), map(column.__getitem__, rows)), top
+
+
+def _witness(a: _Labels, b: _Labels, name: str) -> tuple[int, int] | None:
+    """The first two granules, in ascending order of the second, that share
+    a block of both ``a`` and ``b`` (which carry one view) but differ on
+    ``name``, or None when no such pair exists: the pair scan (``_paired``)
+    read until a row differs on ``name`` from the first row of its key,
+    which a dict keeps."""
+    rows, keys, _ = _paired(a, b)
     codes = a.view.columns[name][0]
     first: dict[int, int] = {}
     for g, key in zip(count() if rows is None else rows, keys):
@@ -374,37 +389,6 @@ def _grouping(view: _Granules, attrs: Iterable[str]) -> _Labels:
     return labels
 
 
-def _aligned(
-    a: _Labels, b: _Labels
-) -> tuple[_Labels, _Labels, int | Sequence[int] | dict[int, int]]:
-    """``a`` and ``b``, which carry one view, as the side to refine or read
-    and the side whose keys it takes, with those keys as a column: packed
-    when both sides are dense, else read at a granule's index.  A stripped
-    side (the longer of two) or the dense side whose keys reach higher
-    comes first."""
-    if (b.rows is not None and (a.rows is None or len(a.rows) < len(b.rows))
-            or a.rows is None and b.rows is None and a.top < b.top):
-        a, b = b, a
-    if b.rows is None:
-        return a, b, b.packed if a.rows is None else b.indexable
-    # Of two stripped sides the longer is cut to the shorter's rows.
-    column = dict(zip(b.rows, b.keys))
-    inside = list(map(column.__contains__, a.rows))
-    return (_Labels(a.view, list(compress(a.keys, inside)), list(compress(a.rows, inside)),
-                    a.top, a.most), b, column)
-
-
-def _meet(a: _Labels, b: _Labels) -> _Labels:
-    """The grouping by both ``a`` and ``b``, which carry one view: the first
-    side of ``_aligned`` refined by the other's keys.  A side whose
-    granules are all alone is the meet, and a meet with the one-block
-    grouping is the other side."""
-    if a.rows == [] or b.rows == []:
-        return a if a.rows == [] else b
-    a, b, column = _aligned(a, b)
-    return _refine(a, column, b.top, b.most)
-
-
 def _walk(seed: _Labels, attrs: Sequence[str], test: Callable[[_Labels, _Labels, str], _T],
           kept: Callable[[_T, str], bool]) -> tuple[_Labels, list[_T]]:
     """The grouping by ``seed``'s attributes and all of ``attrs``, and the
@@ -412,7 +396,7 @@ def _walk(seed: _Labels, attrs: Sequence[str], test: Callable[[_Labels, _Labels,
     groups by ``seed``'s attributes and the kept ones of ``attrs[:i]``, the
     suffix by ``seed``'s attributes and all of ``attrs[i + 1:]``.
     ``attrs[i]`` is kept when ``kept(result, attrs[i])`` holds.  A side
-    split only by one-value columns is still ``seed`` (``_refine``).  Each
+    split only by one-value columns is still ``seed`` (``_split``).  Each
     result takes its suffix's place in one list, so a walk holds no more
     than its suffixes.  The walk ends at its last candidate."""
     sides = [seed]  # sides[-1 - j] groups by seed and attrs[j:]
@@ -455,9 +439,11 @@ def _without_each(
     and the list of ``read`` of the grouping by ``attrs - a``, less the
     members of ``removed`` before ``a`` in ``walked``, for each ``a`` of
     ``walked``, a subset of ``attrs``: one walk over ``walked`` alone, from
-    the grouping by the rest of ``attrs``, that meets each candidate's two
-    sides and lets the meet go once read.  Over C in table order it is the
-    table walk, over the kept attributes that their pairs leave open the
+    the grouping by the rest of ``attrs``.  Each candidate's two sides are
+    scanned to the end (``_paired``), not met, into an unstripped grouping
+    that is let go once read; a side that is still the seed, or whose
+    granules are all alone, is read as it is.  Over C in table order it is
+    the table walk, over the kept attributes that their pairs leave open the
     core's walk (``reduct._indispensable``), and over C in ranked order
     with the elimination's removals the trace's replay
     (``reduct._traced``)."""
@@ -466,9 +452,15 @@ def _without_each(
     dropped = set(removed)
 
     def met(prefix: _Labels, suffix: _Labels, _: str) -> _T:
-        # A side that is still ``seed`` leaves the other as it is.
-        return read(suffix if prefix is seed else prefix if suffix is seed
-                    else _meet(prefix, suffix))
+        # A side that is still ``seed`` leaves the other as it is, and a
+        # side whose granules are all alone is the grouping without ``a``.
+        if prefix is seed or suffix.rows == []:
+            return read(suffix)
+        if suffix is seed or prefix.rows == []:
+            return read(prefix)
+        rows, keys, top = _paired(prefix, suffix)
+        keys = list(keys)  # ``positive`` reads it twice; packed fields go before the read
+        return read(_Labels(prefix.view, keys, rows, top, top))
 
     full, readings = _walk(seed, walked, met, lambda _, name: name not in dropped)
     return read(full), readings

@@ -64,14 +64,15 @@ def _indispensable(table: InformationSystem) -> tuple[int, tuple[str, ...]]:
 def is_redundant(table: InformationSystem, attribute: str, remaining: Iterable[str]) -> bool:
     """True when dropping the attribute from ``remaining`` preserves the base
     of the full conditional set, whose block count is read off the table's
-    kept elimination pass."""
+    kept elimination pass.  An unknown name in ``remaining`` raises
+    ``UnknownAttribute`` for the first such name in the caller's order."""
     cond = conditional_attributes(table)
-    remaining_set = set(remaining)
+    remaining = dict.fromkeys(remaining)  # a set that keeps the caller's order
     if attribute not in cond:
         raise UnknownAttribute(attribute)
-    if attribute not in remaining_set:
+    if attribute not in remaining:
         raise NotInRemaining(attribute)
-    candidate = [a for a in remaining_set if a != attribute]
+    candidate = [a for a in remaining if a != attribute]
     return block_count(table, candidate) == table._elimination[0]
 
 

@@ -13,9 +13,9 @@ a few rows repeated many times, and a work guard pins that it refines
 those rows, not the objects.  Its keys are mixed-radix numbers renumbered
 before they pass one int digit, so wide tables check the walk across that
 switch and a guard pins the bound.  A dense grouping packs its keys into
-one int, so a differential checks packed splits, meets and scans against
-plain per-granule lists, and a guard pins that a dense refinement the
-distinct-key bound leaves uncounted spells out no list."""
+one int, so a differential checks packed splits, count scans and witness
+scans against plain per-granule lists, and a guard pins that a dense
+refinement the distinct-key bound leaves uncounted spells out no list."""
 
 from __future__ import annotations
 
@@ -848,31 +848,41 @@ def test_unread_trace_holds_the_table_until_it_is_read_or_dropped(monkeypatch):
     assert ref() is None
 
 
-def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
-    """A meet ends like a split: on a 300 x 10 identity table every
-    ``C - a`` of the table walk comes back stripped to a few rows, so
-    ``blocks`` and ``positive`` pass over those alone.
-    Where the distinct-key bound keeps a quarter of the rows in shared
-    blocks, as on a tall table of 8 binary attributes whose 256 granules a
-    meet of 7 attributes groups by at most 128 keys, no set is built: the
-    meet's block count is left unknown until the walk's reader counts it."""
-    outputs = []
-    counted = []
-    meet = kernel._meet
+def test_count_scans_read_only_the_rows_both_sides_keep(monkeypatch):
+    """A count scan reads the rows that both sides keep, and strips none.
+    On a 300 x 10 identity table the table walk pairs two sides at its 8
+    middle candidates: a stripped side limits the scan to its rows, and
+    two dense sides pair all 300 granules.  On a tall table of 8 binary
+    attributes, whose 256 granules no side of 7 attributes leaves alone,
+    every scan pairs every granule, and the grouping read off it is dense,
+    unstripped and not yet counted when the walk's reader gets it."""
+    scanned = []
+    paired = kernel._paired
 
-    def recording_meet(a, b):
-        labels = meet(a, b)
-        outputs.append(labels)
-        counted.append(labels._blocks is not None)
-        return labels
+    def recording_paired(a, b):
+        rows, keys, top = paired(a, b)
+        sides = [len(a.view.labels) if x.rows is None else len(x.rows) for x in (a, b)]
+        scanned.append((len(a.view.labels) if rows is None else len(rows), min(sides)))
+        return rows, keys, top
 
-    monkeypatch.setattr(kernel, "_meet", recording_meet)
+    given = []  # each grouping the table walk's reader gets: its rows and cached count
+    without_each = kernel._without_each
+
+    def recording_without_each(*args, read):
+        def recording_read(labels):
+            given.append((labels.rows, labels._blocks))
+            return read(labels)
+        return without_each(*args, read=recording_read)
+
+    monkeypatch.setattr(kernel, "_paired", recording_paired)
+    monkeypatch.setattr(dataset, "_without_each", recording_without_each)
     _identity_table(300, 10, 3)._table_walk
-    assert len(outputs) == 8  # the first and last candidates take one side
-    assert all(labels.rows is not None and len(labels.rows) <= 4 for labels in outputs)
+    # The first and last candidates take one side.
+    assert [read for read, _ in scanned] == [16, 44, 108, 300, 300, 95, 40, 10]
+    assert all(read == smaller for read, smaller in scanned)
 
-    outputs.clear()
-    counted.clear()
+    scanned.clear()
+    given.clear()
     rng = random.Random("tall-meets")
     rows = []
     for _ in range(2000):
@@ -881,22 +891,27 @@ def test_meets_strip_only_where_their_bound_lets_them(monkeypatch):
         rows.append([*map(str, bits), str(d)])
     table = make_table(rows, [f"x{i + 1}" for i in range(8)] + ["d"], decision="d")
     rank_attributes(table)
-    assert len(table._granules.labels) == 256 and len(outputs) == 6
-    assert all(labels.rows is None for labels in outputs) and not any(counted)
+    assert len(table._granules.labels) == 256 and scanned == [(256, 256)] * 6
+    # The readings come in walk order, the full grouping's last; the first
+    # and last candidates read a split, and the six scans between them
+    # reach the reader dense and uncounted.
+    assert len(given) == 9
+    assert all(rows is None and blocks is None for rows, blocks in given[1:7])
 
 
 def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
     """Once most granules are alone in their block the walk drops them, so
-    the granule entries that one walk's refines, meets and witness scans
-    may touch stop growing with the attribute count: a dense walk touches
-    300 per pass, 27000 at m = 10 and 108000 at m = 40.  Ranking makes the
-    table walk and ``eliminate`` one walk of its own over the same
-    attributes, whose prefix skips the removed ones and whose candidates
-    are scanned, not met, so the bound is put on each.  The splits switch
-    from dense to stripped lists mid-walk."""
+    the granule entries that one walk's splits and pair scans may touch
+    stop growing with the attribute count: a dense walk touches 300 per
+    pass, 27000 at m = 10 and 108000 at m = 40.  Ranking makes the table
+    walk, whose scans run to the end, and ``eliminate`` one walk of its own
+    over the same attributes, whose prefix skips the removed ones and whose
+    scans stop at a kept candidate's pair, so the bound is put on each.
+    The splits switch from dense to stripped lists mid-walk."""
     touched = 0
     stripped = dense = 0
-    split, meet, witness = kernel._split, kernel._meet, kernel._witness
+    witnessing = False
+    split, paired, witness = kernel._split, kernel._paired, kernel._witness
 
     def counting_split(labels, name):
         nonlocal touched, stripped, dense
@@ -906,19 +921,22 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         dense += refined.rows is None
         return refined
 
-    def counting_meet(a, b):
-        # A stripped side limits the pass to its rows; two dense sides pair
-        # every granule.
+    def counting_paired(a, b):
+        # A count scan reads both sides' rows to the end: a stripped side
+        # limits it to its rows, and two dense sides pair every granule.
         nonlocal touched
-        sides = [len(x.rows) for x in (a, b) if x.rows is not None]
-        touched += sum(sides) if sides else len(a.keys)
-        return meet(a, b)
+        if not witnessing:
+            sides = [len(x.rows) for x in (a, b) if x.rows is not None]
+            touched += sum(sides) if sides else len(a.keys)
+        return paired(a, b)
 
     def counting_witness(a, b, name):
-        # As a meet, but only up to the pair that stops the scan, and less
+        # As a count scan, but only up to the pair that stops it, and less
         # a one-block side, which the scan does not read.
-        nonlocal touched
+        nonlocal touched, witnessing
+        witnessing = True
         pair = witness(a, b, name)
+        witnessing = False
         end = len(a.view.labels) if pair is None else pair[1] + 1
         read = [x for x in (a, b) if x.rows is not None or x.top > 1] or [a]
         sides = [bisect_left(x.rows, end) for x in read if x.rows is not None]
@@ -926,7 +944,7 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         return pair
 
     monkeypatch.setattr(kernel, "_split", counting_split)
-    monkeypatch.setattr(kernel, "_meet", counting_meet)
+    monkeypatch.setattr(kernel, "_paired", counting_paired)
     monkeypatch.setattr(kernel, "_witness", counting_witness)
     ranking, elimination = [], []
     for m in (10, 40):
@@ -937,10 +955,55 @@ def test_eliminate_touches_few_granules_once_they_are_alone(monkeypatch):
         eliminate(_identity_table(300, m, 3))
         elimination.append(touched)
     assert dense and stripped  # lists switch mid-walk
-    assert ranking == [4828, 4292]
+    # A side whose granules are all alone is read as the grouping without
+    # its candidate, with no scan of the other side's rows.
+    assert ranking == [4828, 3946]
     assert elimination == [4453, 4243]
     assert ranking[1] <= 1.2 * ranking[0]
     assert elimination[1] <= 1.2 * elimination[0]
+
+
+def test_trace_and_core_strip_only_in_the_walks_splits(monkeypatch):
+    """Reading the trace after a removal (the table walk, then the replay
+    of the elimination) and ``core_attributes`` read every candidate's
+    count off its pair scan, and strip a grouping only inside ``_split``,
+    never once per candidate.  On the 300 x 10 and 300 x 12 identity
+    tables, which remove one and three attributes and whose cores take a
+    walk of their own, both steps scan some candidates."""
+    inside = stray = scans = 0
+    split, stripped, paired = kernel._split, kernel._stripped, kernel._paired
+
+    def marked_split(labels, name):
+        nonlocal inside
+        inside += 1
+        try:
+            return split(labels, name)
+        finally:
+            inside -= 1
+
+    def checked_stripped(*args):
+        nonlocal stray
+        stray += not inside
+        return stripped(*args)
+
+    def counting_paired(a, b):
+        nonlocal scans
+        scans += 1
+        return paired(a, b)
+
+    monkeypatch.setattr(kernel, "_split", marked_split)
+    monkeypatch.setattr(kernel, "_stripped", checked_stripped)
+    monkeypatch.setattr(kernel, "_paired", counting_paired)
+    for m, removals in ((10, 1), (12, 3)):
+        table = _identity_table(300, m, 3)
+        result = eliminate(table)
+        assert len(result.removed) == removals
+        scans = 0
+        tuple(result.trace)
+        assert scans > 0 and stray == 0
+        scans = 0
+        core_attributes(table)
+        assert scans > 0 and stray == 0
 
 
 def test_refined_keys_stay_within_one_int_digit(monkeypatch):
@@ -963,7 +1026,7 @@ def test_refined_keys_stay_within_one_int_digit(monkeypatch):
 
 
 def _side(labels) -> str:
-    """The form of one side of a meet."""
+    """The form of one side of a pair scan."""
     if labels.rows == []:
         return "all alone"
     if labels.rows is not None:
@@ -971,15 +1034,23 @@ def _side(labels) -> str:
     return "one block" if labels.blocks == 1 else "dense"
 
 
+def _scanned(a, b):
+    """The grouping that a leave-one-out walk reads off the pair scan of
+    ``a`` and ``b`` (``kernel._paired``): over the rows that both keep, by
+    their keys over both sides, unstripped."""
+    rows, keys, top = kernel._paired(a, b)
+    return kernel._Labels(a.view, list(keys), rows, top, top)
+
+
 def _assert_meet_matches_union(table, a_attrs, b_attrs) -> tuple[str, str]:
-    """``_meet`` of the groupings by ``a_attrs`` and ``b_attrs`` groups the
-    granules as their union does, and as the granules' code tuples over
-    it, with the union's block count and |POS|; the two sides' forms
-    are returned."""
+    """The pair scan of the groupings by ``a_attrs`` and ``b_attrs``, their
+    meet, groups the granules as their union does, and as the granules'
+    code tuples over it, with the union's block count and |POS|; the two
+    sides' forms are returned."""
     view = table._granules
     a, b = _grouping(view, a_attrs), _grouping(view, b_attrs)
     union = list(dict.fromkeys([*a_attrs, *b_attrs]))
-    met, direct = kernel._meet(a, b), _grouping(view, union)
+    met, direct = _scanned(a, b), _grouping(view, union)
     assert _spelled_out(met) == _spelled_out(direct)
     assert _spelled_out(met) == _first_seen_numbering(_code_tuples(view, union))
     assert met.blocks == direct.blocks == len(ind_partition(table, union))
@@ -992,8 +1063,8 @@ def _assert_meet_matches_union(table, a_attrs, b_attrs) -> tuple[str, str]:
 @given(tables_with_redundant_columns() | stripping_tables(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_meet_groups_as_the_union_of_its_sides(table, data):
-    """For drawn A, B within C, the meet of the groupings by A and by B
-    groups the granules as the grouping by A and B together does: dense,
+    """For drawn A, B within C, the pair scan of the groupings by A and by
+    B groups the granules as the grouping by A and B together does: dense,
     stripped, all-alone and one-block sides alike."""
     cond = conditional_attributes(table)
     subset = st.lists(st.sampled_from(cond), unique=True)
@@ -1001,7 +1072,7 @@ def test_meet_groups_as_the_union_of_its_sides(table, data):
 
 
 def test_meet_differential_covers_every_form_of_side():
-    """On seeded tables the meet of every pair of prefix and suffix
+    """On seeded tables the pair scan of every pair of prefix and suffix
     groupings matches the union, and those pairs take in a dense, a
     stripped, an all-alone and a one-block grouping on each side."""
     seen: set[tuple[str, str]] = set()
@@ -1029,14 +1100,11 @@ def _plain_witness(view, attrs, name) -> tuple[int, int] | None:
 
 def _assert_scan_matches_meet(table, a_attrs, b_attrs, name) -> tuple[str, str]:
     """``_witness`` of the groupings by ``a_attrs`` and ``b_attrs`` finds the
-    pair that it finds on their meet beside the one-block grouping, and the
-    one that the code tuples over both sets give; the two sides' forms are
+    pair that the code tuples over both sets give; the two sides' forms are
     returned."""
     view = table._granules
     a, b = _grouping(view, a_attrs), _grouping(view, b_attrs)
-    pair = _witness(a, b, name)
-    assert pair == _witness(_grouping(view, ()), kernel._meet(a, b), name)
-    assert pair == _plain_witness(view, [*a_attrs, *b_attrs], name)
+    assert _witness(a, b, name) == _plain_witness(view, [*a_attrs, *b_attrs], name)
     return _side(a), _side(b)
 
 
@@ -1045,8 +1113,9 @@ def _assert_scan_matches_meet(table, a_attrs, b_attrs, name) -> tuple[str, str]:
 def test_witness_scan_finds_the_first_pair_of_the_meet(table, data):
     """For drawn A, B within C and ``a`` in C, the scan of the groupings by
     A and by B finds the first pair of granules that share a block of both
-    but differ on ``a``, as the meet would: dense, stripped, all-alone and
-    one-block sides alike, and twins, granules equal on C, among them."""
+    but differ on ``a``, as the code tuples over A and B give it: dense,
+    stripped, all-alone and one-block sides alike, and twins, granules
+    equal on C, among them."""
     cond = conditional_attributes(table)
     subset = st.lists(st.sampled_from(cond), unique=True)
     _assert_scan_matches_meet(table, data.draw(subset), data.draw(subset),
@@ -1055,9 +1124,9 @@ def test_witness_scan_finds_the_first_pair_of_the_meet(table, data):
 
 def test_witness_scan_covers_every_form_of_side(monkeypatch):
     """On seeded tables the scan of every pair of prefix and suffix
-    groupings, for every attribute, finds the meet's pair, and those pairs
-    take in two dense sides, a dense and a stripped one, two stripped ones,
-    and an all-alone and a one-block side on each side.  Two dense sides
+    groupings, for every attribute, finds the code tuples' pair, and those
+    pairs take in two dense sides, a dense and a stripped one, two stripped
+    ones, and an all-alone and a one-block side on each side.  Two dense sides
     are scanned through one packed int: the side whose keys reach higher
     times the other's bound plus the other's keys.  One table has twins:
     two granules equal on C that differ on the decision, too few to fold,
@@ -1126,26 +1195,29 @@ def test_elimination_matches_a_block_count_reference(table):
     assert table._elimination == (full, removed, witnesses)
 
 
-def test_meet_keys_stay_within_one_int_digit():
-    """A meet refines one side by the other's keys with the refinement that
-    splits use, so two dense sides whose keys reach near ``2**30`` meet in
-    keys below it, grouped as the pairs of their keys are."""
+def test_pair_scan_keys_past_one_int_digit_group_as_their_pairs():
+    """A pair scan of two dense sides whose keys reach near ``2**30`` reads
+    one packed int whose fields pass ``2**30`` unrenumbered and stay below
+    ``2**64``, so no field carries into the next, and it groups the
+    granules as the pairs of their keys do."""
     view = _identity_table(300, 4, 3)._granules
     n = len(view.labels)
     top = 1 << 30
     a = kernel._Labels(view, [top - 1 - g % 7 for g in range(n)], None, top, 7)
     b = kernel._Labels(view, [top - 1 - g % 5 for g in range(n)], None, top, 5)
-    met = kernel._meet(a, b)
-    assert max(met.keys) < top
+    met = _scanned(a, b)
+    assert met.rows is None and top <= max(met.keys) < top * top
     assert _spelled_out(met) == _first_seen_numbering(zip(a.keys, b.keys))
     assert met.blocks == 35
 
 
 def test_a_refinement_that_changes_nothing_returns_its_input():
-    """``_refine`` alone tells when a refinement changes nothing, and then
+    """``_split`` alone tells when a refinement changes nothing, and then
     returns the very grouping it was given: a split by a one-value column,
-    a meet with the one-block grouping on either side, and a split or a
-    meet of a grouping whose granules are all alone."""
+    and any split of a grouping whose granules are all alone.  A pair scan
+    reads a one-block side not at all, so it reads the other side's rows
+    and keys as they are, and one with a side whose granules are all alone
+    reads no row."""
     base = _identity_table(60, 8, 3)
     table = make_table([[*row, "k"] for row in base.rows], [*base.attributes, "k"])
     view = table._granules
@@ -1156,21 +1228,22 @@ def test_a_refinement_that_changes_nothing_returns_its_input():
     alone = sides[-1]
     for labels in sides:
         assert kernel._split(labels, "k") is labels
-        assert kernel._meet(one, labels) is labels
-        assert kernel._meet(labels, one) is labels
-        assert kernel._meet(alone, labels) is alone
-        assert kernel._meet(labels, alone) is alone
+        for a, b in ((one, labels), (labels, one)):
+            rows, keys, top = kernel._paired(a, b)
+            assert rows == labels.rows and list(keys) == list(labels.keys)
+            assert top == (1 if labels is alone else labels.top)
+        assert kernel._paired(alone, labels)[0] == kernel._paired(labels, alone)[0] == []
     assert kernel._split(alone, "c1") is alone
 
 
 def test_a_dense_refinement_below_the_count_bound_makes_no_list(monkeypatch):
-    """A dense split or meet whose distinct-key bound keeps it from being
-    counted is one multiply-add of packed ints: neither its input's keys nor
-    its own are ever spelled out as a list of granule keys, which only
-    ``_fields`` makes.  On the 300-granule table the splits by c1 to c4
-    reach at most 81 keys, and so does the meet of c1 and c2 with c9 and
-    c10, below the 225 at which ``_stripped`` counts; the split by c5 is
-    counted."""
+    """A dense split whose distinct-key bound keeps it from being counted is
+    one multiply-add of packed ints: neither its input's keys nor its own
+    are ever spelled out as a list of granule keys, which only ``_fields``
+    makes.  On the 300-granule table the splits by c1 to c4 reach at most
+    81 keys, below the 225 at which ``_stripped`` counts; the split by c5 is
+    counted.  A pair scan of two such dense sides, c1 and c2 against c9 and
+    c10, spells out the fields of its one combined int and no side's list."""
     view = _identity_table(300, 10, 3)._granules
     assert len(view.labels) == 300
     spelled = [0]
@@ -1185,13 +1258,14 @@ def test_a_dense_refinement_below_the_count_bound_makes_no_list(monkeypatch):
     for name in ("c1", "c2", "c3", "c4"):
         groupings.append(kernel._split(groupings[-1], name))
     tail = kernel._split(kernel._split(_grouping(view, ()), "c9"), "c10")
-    met = kernel._meet(groupings[2], tail)
     assert spelled[0] == 0
-    assert all(g.rows is None and g._keys is None for g in [*groupings, tail, met])
-    assert [g.most for g in groupings] == [1, 3, 9, 27, 81] and met.most == 81
+    assert all(g.rows is None and g._keys is None for g in [*groupings, tail])
+    assert [g.most for g in groupings] == [1, 3, 9, 27, 81] and tail.most == 9
+    assert _witness(groupings[2], tail, "c5") is not None
+    assert spelled[0] == 1 and groupings[2]._keys is None and tail._keys is None
     counted = kernel._split(groupings[-1], "c5")
-    assert spelled[0] == 1 and counted._blocks is not None
-    assert _spelled_out(met) == _first_seen_numbering(
+    assert spelled[0] == 2 and counted._blocks is not None
+    assert _spelled_out(_scanned(groupings[2], tail)) == _first_seen_numbering(
         _code_tuples(view, ["c1", "c2", "c9", "c10"]))
 
 
@@ -1252,14 +1326,16 @@ def _plain_positive(view, plain) -> int:
     return pos
 
 
-def _assert_groups_as(labels, view, plain):
+def _assert_groups_as(labels, view, plain, scanned=False):
     """``labels`` groups ``view``'s granules as the block names ``plain``:
-    the same block count, |POS| and first-seen numbering, keys below
-    ``_DIGIT`` and ascending rows."""
+    the same block count, |POS| and first-seen numbering, and ascending
+    rows.  A split's keys stay below ``_DIGIT``; a pair scan's (``scanned``)
+    are mixed-radix over its two sides unrenumbered, so below the product
+    of their bounds, ``top``."""
     assert _spelled_out(labels) == _first_seen_numbering(plain)
     assert labels.blocks == len(set(plain))
     assert labels.positive == _plain_positive(view, plain)
-    assert all(key < kernel._DIGIT for key in labels.keys)
+    assert all(key < (labels.top if scanned else kernel._DIGIT) for key in labels.keys)
     if labels.rows is not None:
         assert labels.rows == sorted(set(labels.rows))
 
@@ -1278,20 +1354,21 @@ def _plain_pair(plain, codes) -> tuple[int, int] | None:
 @given(packed_sides())
 @settings(max_examples=300, deadline=None)
 def test_packed_refinements_match_plain_lists(case):
-    """Splits, meets and witness scans over packed dense sides group the
-    granules, and find pairs, as plain per-granule lists of block names do:
-    on dense, stripped, all-alone and one-block sides, with keys up to just
-    below ``_DIGIT`` and columns of up to ``2**16`` values, one-value
-    columns and single granules among them.  Each operation gets fresh
-    sides, so no list that an earlier one made is read."""
+    """Splits, count scans and witness scans over packed dense sides group
+    the granules, and find pairs, as plain per-granule lists of block names
+    do: on dense, stripped, all-alone and one-block sides, with keys up to
+    just below ``_DIGIT``, so that a scan's keys pass ``2**30``, and columns
+    of up to ``2**16`` values, one-value columns and single granules among
+    them.  Each operation gets fresh sides, so no list that an earlier one
+    made is read."""
     view, (a, plain_a), (b, plain_b) = case
     codes = view.columns["c"][0]
     for name in ("c", "one"):
         column = view.columns[name][0]
         _assert_groups_as(kernel._split(a(), name), view, list(zip(plain_a, column)))
         assert _witness(a(), b(), name) == _plain_pair(list(zip(plain_a, plain_b)), column)
-    _assert_groups_as(kernel._meet(a(), b()), view, list(zip(plain_a, plain_b)))
-    _assert_groups_as(kernel._meet(b(), a()), view, list(zip(plain_b, plain_a)))
+    _assert_groups_as(_scanned(a(), b()), view, list(zip(plain_a, plain_b)), scanned=True)
+    _assert_groups_as(_scanned(b(), a()), view, list(zip(plain_b, plain_a)), scanned=True)
     assert _witness(b(), a(), "c") == _plain_pair(list(zip(plain_a, plain_b)), codes)
 
 
@@ -1604,22 +1681,23 @@ def test_reduct_exhaustive_builds_the_core_grouping_once(monkeypatch, capsys):
 def test_reduct_exhaustive_refines_along_one_elimination_pass(monkeypatch):
     """``exhaustive_reducts`` then ``eliminate``, as ``reduct --exhaustive``
     runs them, share the table's elimination pass: on the
-    ``kept_then_redundant`` fixture under ``d`` they make 24 refinements,
-    7 in the elimination walk, whose candidates are tested by scans that
-    refine nothing, 6 in the walk over ``c`` and ``e2`` that settles the
-    core and 11 in the oracle's search, and ``eliminate`` none.
-    A table-order walk for the core beside the elimination walk would make
-    12 more where this walk makes 6.  Both ways make two walks there, so
-    the refinements are counted."""
+    ``kept_then_redundant`` fixture under ``d`` they make 24 splits, 7 in
+    the elimination walk, whose candidates are tested by scans that refine
+    nothing, 6 in the walk over ``c`` and ``e2`` that settles the core and
+    11 in the oracle's search, and ``eliminate`` none.  A table-order walk
+    for the core beside the elimination walk would make 12 more where this
+    walk makes 6.  Both ways make two walks there, so the splits are
+    counted, by both names the kernel and the oracle call them by."""
     calls = 0
-    refine = kernel._refine
+    split = kernel._split
 
-    def counting_refine(*args):
+    def counting_split(labels, name):
         nonlocal calls
         calls += 1
-        return refine(*args)
+        return split(labels, name)
 
-    monkeypatch.setattr(kernel, "_refine", counting_refine)
+    monkeypatch.setattr(kernel, "_split", counting_split)
+    monkeypatch.setattr(reduct, "_split", counting_split)
     with open(Path(__file__).parent / "data" / "kept_then_redundant.csv", "rb") as handle:
         table = load_csv(handle, decision="d")
     exhaustive_reducts(table)
@@ -1715,5 +1793,5 @@ def test_reference_path_and_kernel_readers_stay_apart():
                     module, node.attr)
             if isinstance(node, ast.ImportFrom):
                 imported = {alias.name for alias in node.names}
-                assert not imported & {"_refine", "_stripped", "_meet", "_projections"}, (
+                assert not imported & {"_paired", "_stripped", "_projections"}, (
                     module, imported)

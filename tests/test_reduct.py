@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
 from math import ceil
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,16 @@ from reduct_forge.reduct import _indispensable
 from conftest import make_table, minimal_preserving_subsets_oracle, random_table
 
 ALL_SEGS = list("abcdefg")
+SRC = Path(__file__).parent.parent / "src"
+
+# Prints the name that ``is_redundant`` reports unknown among three.
+_UNKNOWN_REMAINING = """
+from reduct_forge import UnknownAttribute, builtin_seven_segment, is_redundant
+try:
+    is_redundant(builtin_seven_segment(), "a", ["a", "zz", "yy", "xx"])
+except UnknownAttribute as error:
+    print(error.name)
+"""
 
 
 class TestIsRedundant:
@@ -52,6 +65,15 @@ class TestIsRedundant:
     def test_unknown_attribute(self, seven_segment):
         with pytest.raises(UnknownAttribute):
             is_redundant(seven_segment, "z", ALL_SEGS)
+
+    def test_unknown_remaining_name_is_the_first_in_order_under_any_hash_seed(self):
+        """The error names the first unknown name of ``remaining`` in the
+        caller's order, whatever the string-hash seed."""
+        for seed in ("0", "1", "2", "3"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            proc = subprocess.run([sys.executable, "-c", _UNKNOWN_REMAINING],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "zz\n"), seed
 
     def test_agrees_with_direct_partition_check(self):
         rng = random.Random(17)
