@@ -51,54 +51,8 @@ from .significance import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_MAX_ATTRS",
-    "CountSplit",
-    "DuplicateAttribute",
-    "EmptyAttributeSet",
-    "EmptyTable",
-    "InformationSystem",
-    "MalformedTable",
-    "NotACover",
-    "NotInRemaining",
-    "ObjectSet",
-    "Partition",
-    "ReductForgeError",
-    "ReductResult",
-    "SetFamily",
-    "SignificanceTable",
-    "ThresholdSplit",
-    "TooManyAttributes",
-    "TraceEntry",
-    "UniverseMismatch",
-    "UnknownAttribute",
-    "UnknownDecision",
-    "base_from_indiscernibility_matrix",
-    "builtin_names",
-    "builtin_seven_segment",
-    "compose_bases",
-    "conditional_attributes",
-    "core_attributes",
-    "decision_partition",
-    "eliminate",
-    "exhaustive_reducts",
-    "family_equal",
-    "gamma",
-    "ind_partition",
-    "is_redundant",
-    "load_builtin",
-    "load_csv",
-    "meet",
-    "minimal_neighborhoods",
-    "positive_region",
-    "rank_attributes",
-    "significance",
-    "split_groups",
-    "subbase_of",
-]
-
-# The names of __all__ that this module binds on first access, and the
-# module defining each.
+# The public names that this module binds on first access, and the module
+# defining each.
 _LAZY = {
     "ObjectSet": "partition",
     "Partition": "partition",
@@ -114,6 +68,40 @@ _LAZY = {
     "minimal_neighborhoods": "topology",
     "subbase_of": "topology",
 }
+
+__all__ = [
+    "DEFAULT_MAX_ATTRS",
+    "CountSplit",
+    "DuplicateAttribute",
+    "EmptyAttributeSet",
+    "EmptyTable",
+    "InformationSystem",
+    "MalformedTable",
+    "NotACover",
+    "NotInRemaining",
+    "ReductForgeError",
+    "ReductResult",
+    "SignificanceTable",
+    "ThresholdSplit",
+    "TooManyAttributes",
+    "TraceEntry",
+    "UniverseMismatch",
+    "UnknownAttribute",
+    "UnknownDecision",
+    "builtin_names",
+    "builtin_seven_segment",
+    "conditional_attributes",
+    "core_attributes",
+    "eliminate",
+    "exhaustive_reducts",
+    "is_redundant",
+    "load_builtin",
+    "load_csv",
+    "rank_attributes",
+    "significance",
+    "split_groups",
+    *_LAZY,
+]
 
 
 def __getattr__(name: str):

@@ -70,7 +70,35 @@ def _coded(
     return _stored(codes, len(values)), values
 
 
-class _Rows(Sequence):
+class _TupleView(Sequence):
+    """A read-only sequence of ``n`` items that stands for the tuple of
+    them, ``_tuple()``: it compares equal to that tuple and to any view of
+    the same items, and hashes and reprs like it.  Two views of unequal
+    length compare unequal before either builds its tuple."""
+
+    __slots__ = ("n",)
+
+    def _tuple(self) -> tuple:
+        return tuple(self)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _TupleView):
+            return self.n == other.n and self._tuple() == other._tuple()
+        if isinstance(other, tuple):
+            return self._tuple() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
+class _Rows(_TupleView):
     """Read-only row tuples of a table, stored factorized.
 
     ``codes[c][r]`` is stored row ``r``'s code in column ``c`` and
@@ -80,11 +108,10 @@ class _Rows(Sequence):
     the narrowest unsigned ``array`` that holds them (``kernel._stored``),
     whichever coder made it.  Stored rows come in first-occurrence order,
     and two may carry the same codes.  ``index`` is a ``range`` when no row
-    repeats, and otherwise a ``_LazyTuple`` built on its first read.  The
-    view compares equal to the tuple of row tuples, and hashes like it.
+    repeats, and otherwise a ``_LazyTuple`` built on its first read.
     """
 
-    __slots__ = ("n", "codes", "values", "index", "weights")
+    __slots__ = ("codes", "values", "index", "weights")
 
     def __init__(self, columns: list[tuple[bytes | array, tuple[Hashable, ...]]],
                  index: Sequence[int], weights: Sequence[int]) -> None:
@@ -93,9 +120,6 @@ class _Rows(Sequence):
         self.codes = tuple(codes for codes, _ in columns)
         self.values = tuple(values for _, values in columns)
         self.index, self.weights = index, weights
-
-    def __len__(self) -> int:
-        return self.n
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -110,26 +134,13 @@ class _Rows(Sequence):
                      for codes, vals in zip(self.codes, self.values)))
         return map(list(rows).__getitem__, self.index)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (_Rows, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+class _LazyTuple(_TupleView):
+    """Items consumed from the lazy iterator ``items`` when one is first
+    read, and kept (a loaded table's ``object_ids``, a stored row index, a
+    ``ReductResult.trace``); a copy is a plain tuple."""
 
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-class _LazyTuple(Sequence):
-    """A read-only tuple of ``n`` items, consumed from the lazy iterator
-    ``items`` when one is first read (a loaded table's ``object_ids``, a
-    stored row index, a ``ReductResult.trace``).  It compares equal to the
-    tuple of its items, and hashes and reprs like it; a copy is a plain
-    tuple."""
-
-    __slots__ = ("n", "_pending", "_items")
+    __slots__ = ("_pending", "_items")
 
     def __init__(self, n: int, items: Iterator) -> None:
         self.n = n
@@ -141,27 +152,11 @@ class _LazyTuple(Sequence):
             self._items, self._pending = tuple(self._pending), None
         return self._items
 
-    def __len__(self) -> int:
-        return self.n
-
     def __getitem__(self, index):
         return self._tuple()[index]
 
     def __iter__(self) -> Iterator:
         return iter(self._tuple())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LazyTuple):
-            return self.n == other.n and self._tuple() == other._tuple()
-        if isinstance(other, tuple):
-            return self._tuple() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
-
-    def __repr__(self) -> str:
-        return repr(self._tuple())
 
     def __reduce__(self):
         # A copy must not share the one-shot iterator: it is a plain tuple.

@@ -112,13 +112,11 @@ class _Granules:
     granules.  Two granules may carry equal codes and then share every block.
     """
 
-    __slots__ = ("columns", "weights", "labels", "object_count", "unmixed", "_packed")
+    __slots__ = ("columns", "weights", "labels", "unmixed", "_packed")
 
     def __init__(self, columns: dict[str, tuple[Sequence[int], int]],
-                 weights: Sequence[int], labels: Sequence[object],
-                 object_count: int) -> None:
-        self.columns, self.weights = columns, weights
-        self.labels, self.object_count = labels, object_count
+                 weights: Sequence[int], labels: Sequence[object]) -> None:
+        self.columns, self.weights, self.labels = columns, weights, labels
         self.unmixed = _unmixed_weight(labels, weights)
         self._packed: dict[str, int] = {}
 
@@ -141,7 +139,7 @@ def _granulate(table: InformationSystem) -> _Granules:
                for name, codes, values in zip(table.attributes, rows.codes, rows.values)}
     if table.decision is None:
         labels = [r if w == 1 else _MIXED for r, w in enumerate(rows.weights)]
-        return _Granules(columns, rows.weights, labels, rows.n)
+        return _Granules(columns, rows.weights, labels)
     labels = columns.pop(table.decision)[0]
     # Each row's granule is named by the granule's first row, so names and
     # the weights and labels keyed by them come in first-occurrence order.
@@ -151,7 +149,7 @@ def _granulate(table: InformationSystem) -> _Granules:
     owner = list(map(first.setdefault, zip(*(c for c, _ in columns.values()))
                      if columns else repeat((), len(labels)), count()))
     if 16 * (len(owner) - len(first)) < len(owner):
-        return _Granules(columns, rows.weights, labels, rows.n)
+        return _Granules(columns, rows.weights, labels)
     label_of: dict[int, object] = {}
     weight_of: dict[int, int] = {}
     for g, label, weight in zip(owner, labels, rows.weights):
@@ -160,7 +158,7 @@ def _granulate(table: InformationSystem) -> _Granules:
         weight_of[g] = weight_of.get(g, 0) + weight
     folded = {name: (_stored(codes, k), k)
               for (name, (_, k)), codes in zip(columns.items(), zip(*first))}
-    return _Granules(folded, list(weight_of.values()), tuple(label_of.values()), rows.n)
+    return _Granules(folded, list(weight_of.values()), tuple(label_of.values()))
 
 
 class _Labels:

@@ -6,7 +6,7 @@ import dataclasses
 import io
 import pickle
 import random
-from copy import deepcopy
+from copy import copy, deepcopy
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +19,7 @@ from reduct_forge import (
     MalformedTable,
     ObjectSet,
     Partition,
+    ReductForgeError,
     UnknownDecision,
     builtin_seven_segment,
     conditional_attributes,
@@ -99,6 +100,12 @@ class TestBuiltinSevenSegment:
     def test_load_builtin_unknown_decision(self):
         with pytest.raises(UnknownDecision, match="^decision column 'zz' not found in table$"):
             load_builtin("seven-segment", "zz")
+
+    def test_load_builtin_unknown_name(self):
+        # The CLI's --builtin choices stop a bad name before the loader sees it.
+        with pytest.raises(ReductForgeError, match="^unknown builtin dataset: 'nope'$") as exc:
+            load_builtin("nope")
+        assert type(exc.value) is ReductForgeError
 
 
 class TestLoadCsv:
@@ -477,6 +484,35 @@ def test_loaded_ids_are_built_only_when_read():
     given = InformationSystem(given_ids, ("p",), (("1",), ("2",), ("1",)))
     assert given.object_ids == given_ids
     assert given_ids == given.object_ids
+
+
+def test_row_views_and_lazy_tuples_stand_for_their_tuples():
+    """A table's ``rows``, its loaded ``object_ids`` and a stored row index
+    are views that compare equal to their tuples and to each other, and
+    hash and repr like them; lazy tuples of unequal length compare unequal
+    before either reads its items, and a copy of one is a plain tuple."""
+    table = load_csv("id,p,q\no1,1,x\no2,2,y\no3,1,x\n")
+    rows = (("1", "x"), ("2", "y"), ("1", "x"))
+    assert isinstance(table.object_ids, dataset._LazyTuple)
+    assert isinstance(table.rows.index, dataset._LazyTuple)
+    for view, want in ((table.rows, rows), (table.object_ids, ("o1", "o2", "o3")),
+                       (table.rows.index, (0, 1, 0))):
+        assert view == want and want == view and view != list(want)
+        assert hash(view) == hash(want) and repr(view) == repr(want)
+    lazy = dataset._LazyTuple(3, iter(rows))
+    assert table.rows == lazy and lazy == table.rows and hash(table.rows) == hash(lazy)
+    assert table.rows != dataset._LazyTuple(3, iter(rows[1:] + rows[:1]))
+
+    def spy(items):
+        read = []
+        return read, dataset._LazyTuple(len(items), (read.append(x) or x for x in items))
+
+    read_short, short = spy((1, 2))
+    read_long, long = spy((1, 2, 3))
+    assert short != long and long != short and short != table.rows
+    assert read_short == read_long == [] and short._items is long._items is None
+    for copied in (copy(long), pickle.loads(pickle.dumps(long))):
+        assert type(copied) is tuple and copied == (1, 2, 3)
 
 
 @pytest.mark.parametrize("at", [0, 2, 4, None], ids=["first", "middle", "last", "none"])

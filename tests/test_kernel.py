@@ -738,6 +738,58 @@ def test_table_order_walk_is_made_once_per_table(monkeypatch):
     assert walks(16, eliminate) == 1
 
 
+def _planted_copies_table(seed: int):
+    """200 rows of 8 independent binary columns ``x1``..``x8``, each with a
+    pair of rows that differ on it alone, and copies ``x<j>c`` of two of
+    them, at shuffled positions; with the two copied pairs of names."""
+    rng = random.Random(f"planted-copies/{seed}")
+    rows = []
+    for j in range(8):
+        row = [rng.getrandbits(1) for _ in range(8)]
+        rows += [row, row[:j] + [1 - row[j]] + row[j + 1:]]
+    rows += [[rng.getrandbits(1) for _ in range(8)] for _ in range(200 - len(rows))]
+    rng.shuffle(rows)
+    copied = rng.sample(range(8), 2)
+    columns = [(f"x{j + 1}", j) for j in range(8)] + [(f"x{j + 1}c", j) for j in copied]
+    rng.shuffle(columns)
+    table = make_table([[str(row[j]) for _, j in columns] for row in rows],
+                       [name for name, _ in columns])
+    return table, [(f"x{j + 1}", f"x{j + 1}c") for j in copied]
+
+
+def test_core_walks_only_the_kept_copies_on_planted_copies(monkeypatch):
+    """On a table of 8 independent columns and copies of 2 of them, the
+    pass removes the first of each copied pair in column order, and every
+    kept column but the other of each pair has a witness pair that differs
+    on it alone among C.  So the core's walk covers the 2 kept copies, not
+    all of R, and the oracle then ``eliminate`` make 2 walks: the pass and
+    the core's."""
+    walked = []
+    without_each = reduct._without_each
+
+    def recording_without_each(view, attrs, candidates, *args, **kwargs):
+        walked.append(list(candidates))
+        return without_each(view, attrs, candidates, *args, **kwargs)
+
+    monkeypatch.setattr(reduct, "_without_each", recording_without_each)
+    calls = _counted_walks(monkeypatch)
+    for seed in range(8):
+        table, pairs = _planted_copies_table(seed)
+        position = {name: i for i, name in enumerate(table.attributes)}
+        first, kept = zip(*(sorted(pair, key=position.get) for pair in pairs))
+        free = set(table.attributes) - {name for pair in pairs for name in pair}
+        walked.clear()
+        assert core_attributes(table) == free
+        assert walked == [sorted(kept, key=position.get)]
+        assert set(eliminate(table).removed) == set(first)
+
+        table, _ = _planted_copies_table(seed)
+        calls[0] = 0
+        reducts = exhaustive_reducts(table)
+        eliminate(table)
+        assert calls[0] == 2 and len(reducts) == 4
+
+
 def _one_non_core_table():
     """``_identity_table(300, 8, 3)``, whose attributes are all core, with a
     constant column ``k`` added: its one non-core attribute."""
@@ -1285,8 +1337,7 @@ def packed_sides(draw):
     codes = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     labels = draw(st.lists(st.sampled_from([0, 1, kernel._MIXED]), min_size=n, max_size=n))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    view = kernel._Granules({"c": (codes, k), "one": ([0] * n, 1)}, weights, labels,
-                            sum(weights))
+    view = kernel._Granules({"c": (codes, k), "one": ([0] * n, 1)}, weights, labels)
 
     def side():
         form = draw(st.sampled_from(["dense"] * 3 + ["stripped"] * 2 + ["all alone", "one block"]))
